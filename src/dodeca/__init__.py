@@ -7,17 +7,21 @@ the self-similar contraction with its aperiodic fixed point, and the
 closed-form enumeration of all possible orbit periods.
 """
 
+import sys
+
+if sys.flags.optimize:
+    raise ImportError(
+        "dodeca refuses to run under python -O: its checks are assert "
+        "statements, which -O removes; run python without -O"
+    )
+
 from .errors import DomainError, GraneError, InconclusiveError, SelfReturnError
-from .field import QS3, Rat, qs3, qs3_parse
+from .field import QS3, qs3, qs3_parse
 from .geom import (
     AffMap,
     Line,
     Point,
     Region,
-    apply_map,
-    area_and_centroid,
-    classify_point,
-    region_equal,
     region_from_json,
     region_to_json,
     split_region,
@@ -33,15 +37,7 @@ from .search import (
     verify_partition,
 )
 from .selfsim import aperiodic_witness, build_similarity, verify_conjugacy
-from .table import (
-    Itinerary,
-    Table,
-    WedgeSystem,
-    billiard_step,
-    build_table,
-    compute_itinerary,
-    induced_step,
-)
+from .table import Itinerary, Table, WedgeSystem, build_table
 
 __version__ = "0.1.0"
 
@@ -55,30 +51,22 @@ __all__ = [
     "Line",
     "Point",
     "QS3",
-    "Rat",
     "Region",
     "ReturnSystem",
     "SelfReturnError",
     "Table",
     "WedgeSystem",
     "aperiodic_witness",
-    "apply_map",
-    "area_and_centroid",
-    "billiard_step",
     "build_similarity",
     "build_table",
-    "classify_point",
     "component_periods",
-    "compute_itinerary",
     "find_periodic_component",
     "first_return_map",
     "full_period_set",
-    "induced_step",
     "period_of_h",
     "qs3",
     "qs3_parse",
     "red_fraction_check",
-    "region_equal",
     "region_from_json",
     "region_to_json",
     "split_region",

@@ -18,10 +18,6 @@ import math
 import re
 from fractions import Fraction
 
-# Rational components of field elements are plain stdlib Fractions: they
-# already guarantee gcd(|num|, den) == 1 and den >= 1.
-Rat = Fraction
-
 SQRT3_FLOAT = math.sqrt(3.0)
 
 _LIT_RE = re.compile(

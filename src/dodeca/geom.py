@@ -355,6 +355,7 @@ class Region:
         "_tris",
         "_fbox",
         "_convex",
+        "_lines",
     )
 
     def __init__(self, vertices, entry_dir=None, exit_dir=None, _skip_checks=False):
@@ -366,6 +367,7 @@ class Region:
         self._tris = None
         self._fbox = None
         self._convex = None
+        self._lines = None
         if not _skip_checks:
             if (entry_dir is None) != (exit_dir is None):
                 raise ValueError("entry/exit rays must be given together")
@@ -416,10 +418,6 @@ class Region:
             raise ValueError("unbounded region must be convex")
         return reg
 
-    @staticmethod
-    def wedge(apex: Point, entry_dir: Point, exit_dir: Point) -> "Region":
-        return Region.unbounded(entry_dir, [apex], exit_dir)
-
     # -- basic queries ----------------------------------------------------------
 
     @property
@@ -429,18 +427,16 @@ class Region:
     def boundary_lines(self):
         """Oriented boundary lines, interior on the positive side."""
         pts = self.vertices
-        lines = []
         if self.is_bounded:
+            # no collinear triples, so no two edges of a convex cycle share a line
             n = len(pts)
-            for i in range(n):
-                lines.append(Line.through(pts[i], pts[(i + 1) % n]))
-        else:
-            e = self.entry_dir
-            lines.append(Line(e.y, -e.x, e.y * pts[0].x - e.x * pts[0].y))
-            for i in range(len(pts) - 1):
-                lines.append(Line.through(pts[i], pts[i + 1]))
-            x = self.exit_dir
-            lines.append(Line(-x.y, x.x, -x.y * pts[-1].x + x.x * pts[-1].y))
+            return [Line.through(pts[i], pts[(i + 1) % n]) for i in range(n)]
+        e = self.entry_dir
+        lines = [Line(e.y, -e.x, e.y * pts[0].x - e.x * pts[0].y)]
+        for i in range(len(pts) - 1):
+            lines.append(Line.through(pts[i], pts[i + 1]))
+        x = self.exit_dir
+        lines.append(Line(-x.y, x.x, -x.y * pts[-1].x + x.x * pts[-1].y))
         # drop duplicated supporting lines (collinear entry ray and edge)
         seen = set()
         out = []
@@ -505,30 +501,24 @@ class Region:
     # -- point classification ---------------------------------------------------
 
     def classify(self, p: Point) -> str:
-        if self.is_bounded:
-            return self._classify_bounded(p)
-        return self._classify_convex_lines(p)
-
-    def _classify_convex_lines(self, p: Point) -> str:
-        any_zero = False
-        for ln in self.boundary_lines():
-            s = ln.side(p)
-            if s < 0:
-                return EXTERIOR
-            if s == 0:
-                any_zero = True
-        return BOUNDARY if any_zero else INTERIOR
-
-    def _classify_bounded(self, p: Point) -> str:
+        if self.is_convex():
+            # cached for point location only: CellPool also takes the lines
+            # of every tube polygon, and keeping those would hold them all
+            if self._lines is None:
+                self._lines = self.boundary_lines()
+            any_zero = False
+            for ln in self._lines:
+                s = ln.side(p)
+                if s < 0:
+                    return EXTERIOR
+                if s == 0:
+                    any_zero = True
+            return BOUNDARY if any_zero else INTERIOR
         pts = self.vertices
         n = len(pts)
         for i in range(n):
             if _on_segment(pts[i], pts[(i + 1) % n], p):
                 return BOUNDARY
-        if self.is_convex():
-            return INTERIOR if all(
-                Line.through(pts[i], pts[(i + 1) % n]).side(p) > 0 for i in range(n)
-            ) else EXTERIOR
         # even-odd crossing count with an upward vertical ray
         inside = False
         for i in range(n):
@@ -961,37 +951,13 @@ def _side_pieces_bounded(region: Region, line: Line, keep: int):
 # -- containment / intersection areas -------------------------------------------
 
 
-def _clip_poly_halfplane(pts, line: Line, keep: int):
-    out = []
-    n = len(pts)
-    if n == 0:
-        return out
-    sigs = [line.side(p) * keep for p in pts]
-    if all(s >= 0 for s in sigs):
-        return list(pts)
-    for i in range(n):
-        j = (i + 1) % n
-        if sigs[i] >= 0:
-            out.append(pts[i])
-        if sigs[i] * sigs[j] < 0:
-            out.append(
-                _cross_point(pts[i], pts[j], line.eval(pts[i]), line.eval(pts[j]))
-            )
-    return out
-
-
 def intersection_area2(poly: Region, convex: Region) -> QS3:
     """Twice the area of poly ∩ convex (poly bounded, convex convex)."""
     total = ZERO
     for part in poly.convex_parts():
-        pts = list(part.vertices)
-        for ln in convex.boundary_lines():
-            pts = _clip_poly_halfplane(pts, ln, +1)
-            if len(pts) < 3:
-                pts = []
-                break
-        if pts:
-            total = total + _cycle_signed_area2(pts)
+        inter = intersect_convex(part, convex)
+        if inter is not None:
+            total = total + inter.area2()
     return total
 
 
@@ -1006,7 +972,7 @@ def overlap_status(poly: Region, target_parts, poly_area2: QS3 | None = None) ->
     near = [
         part
         for part in target_parts
-        if part.is_bounded is False or _boxes_overlap_f(pb, part.float_bbox())
+        if not part.is_bounded or boxes_overlap(pb, part.float_bbox())
     ]
     if not near:
         return "disjoint"
@@ -1023,29 +989,9 @@ def overlap_status(poly: Region, target_parts, poly_area2: QS3 | None = None) ->
     return "straddle"
 
 
-def _boxes_overlap_f(a, b) -> bool:
+def boxes_overlap(a, b) -> bool:
+    """Closed (x0, y0, x1, y1) boxes, as from ``Region.float_bbox``, meet."""
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
-# -- operation-style aliases -----------------------------------------------
-
-
-def classify_point(region: Region, p: Point) -> str:
-    return region.classify(p)
-
-
-def apply_map(f: AffMap, region: Region) -> Region:
-    if f.det().is_zero():
-        raise ValueError("non-invertible map applied to region")
-    return region.transformed(f)
-
-
-def region_equal(r1: Region, r2: Region) -> bool:
-    return r1 is r2 or r1.canonical_key() == r2.canonical_key()
-
-
-def area_and_centroid(region: Region):
-    return region.area(), region.centroid()
 
 
 # -- JSON encoding ----------------------------------------------------------------

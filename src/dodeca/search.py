@@ -32,26 +32,17 @@ from .geom import (
     AffMap,
     Point,
     Region,
+    boxes_overlap,
     clip_convex,
     intersection_area2,
     overlap_status,
-    region_equal,
     split_region,
 )
+from .periods import period_of_h
 from .table import WedgeSystem, rotation_index
 
 ALG1_MAX_ITER = 10**6
 ALG2_MAX_EVENTS = 10**5
-
-
-def _per_t_from(period_tprime: int, twist: int) -> int:
-    """T-period from a T'-period and the accumulated fold twist.
-
-    One T' step on piece i folds the billiard image back by i twelfths of a
-    turn, so an orbit closing after n steps with twist s (sum of visited
-    piece indices) closes under T after n * 12/gcd(12, s) steps.
-    """
-    return period_tprime * 12 // math.gcd(12, twist % 12)
 
 
 @dataclass(frozen=True)
@@ -64,10 +55,6 @@ class Component:
     center: Point  # centroid == rotation center
     visit_counts: tuple  # visits to alpha_1..alpha_6 over one region cycle
     orbit: tuple = field(default=None, compare=False, repr=False)
-
-    @property
-    def twist(self) -> int:
-        return sum((i + 1) * c for i, c in enumerate(self.visit_counts))
 
     def to_obj(self) -> dict:
         from .geom import region_to_obj
@@ -200,24 +187,19 @@ def component_periods(comp: Component) -> PeriodInfo:
 
     The center has the component's T'-period; any other point needs
     12/gcd(l, 12) extra turns of the internal rotation.  T-periods follow
-    from the fold twist.  A centrally symmetric component whose center has
+    from the visit counts by ``period_of_h``.  A centrally symmetric component whose center has
     odd T-period doubles the T-period of its non-center points; the
     computed values are cross-checked against that rule.
     """
-    per = comp.period
-    twist = comp.twist
     k = 12 // math.gcd(comp.rotation_l, 12)
-    center_t = _per_t_from(per, twist)
-    noncenter_tp = per * k
-    noncenter_t = _per_t_from(noncenter_tp, twist * k)
-    sym = region_equal(
-        comp.region, comp.region.transformed(AffMap.point_reflection(comp.center))
-    )
+    center_t = period_of_h(comp.visit_counts)
+    noncenter_t = period_of_h([c * k for c in comp.visit_counts])
+    sym = comp.region == comp.region.transformed(AffMap.point_reflection(comp.center))
     if sym and center_t % 2 == 1:
         assert noncenter_t == 2 * center_t
     else:
         assert noncenter_t == center_t
-    return PeriodInfo(per, noncenter_tp, center_t, noncenter_t, sym)
+    return PeriodInfo(comp.period, comp.period * k, center_t, noncenter_t, sym)
 
 
 # -- first-return maps -----------------------------------------------------------
@@ -312,7 +294,7 @@ def first_return_map(
     pieces = []
     for target, f, n in finished:
         source = target.transformed(f.inverse())
-        assert region_equal(source.transformed(f), target)
+        assert source.transformed(f) == target
         pieces.append(ReturnPiece(source, target, f, n))
     pieces.sort(key=lambda p: p.source.canonical_key())
     rs = ReturnSystem(domain, tuple(pieces))
@@ -351,15 +333,11 @@ def return_tube(w: WedgeSystem, piece: ReturnPiece):
         cur = cur.transformed(w.maps[i])
         tube.append(cur)
     i = w.piece_index(cur.interior_point())
-    assert region_equal(cur.transformed(w.maps[i]), piece.target)
+    assert cur.transformed(w.maps[i]) == piece.target
     return tube
 
 
 # -- exact cell arrangement for tube subtraction ----------------------------------
-
-
-def _boxes_overlap(a, b) -> bool:
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
 class CellPool:
@@ -437,7 +415,7 @@ class CellPool:
                 candidates |= self._buckets.get((gx, gy), set())
         for cid in candidates:
             cell = self.cells[cid]
-            if not _boxes_overlap(cell.float_bbox(), pbox):
+            if not boxes_overlap(cell.float_bbox(), pbox):
                 continue
             outside = []
             work = cell
@@ -564,20 +542,15 @@ def verify_partition(
             assert removed == pol.area2(), "return tube polygons must not overlap"
             green_area2 = green_area2 + pol.area2()
 
-    tv = w.table.vertices
-    side_dirs = [tv[(i + 1) % 12] - tv[i] for i in range(6)]
     components = []
     red_area2 = ZERO
     while len(pool):
         cell = pool.largest_cell()
         comp = _component_from_cell(w, cell, max_iter)
         assert comp.region.is_convex(), "periodic components must be convex"
-        pts = comp.region.vertices
-        for k in range(len(pts)):
-            edge = pts[(k + 1) % len(pts)] - pts[k]
-            assert any(
-                edge.cross_sign(d) == 0 for d in side_dirs
-            ), "component sides must be parallel to table sides"
+        assert w.table.sides_parallel(
+            comp.region
+        ), "component sides must be parallel to table sides"
         tube = component_orbit(w, comp)
         for pol in tube:
             st = overlap_status(pol, dom_parts)
@@ -609,7 +582,7 @@ def _area2_within(polys, target: Region) -> QS3:
     parts = target.convex_parts()
     total = ZERO
     for pol in polys:
-        if not _boxes_overlap(pol.float_bbox(), tbox):
+        if not boxes_overlap(pol.float_bbox(), tbox):
             continue
         for part in parts:
             total = total + intersection_area2(pol, part)

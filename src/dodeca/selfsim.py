@@ -25,7 +25,6 @@ from .geom import (
     Point,
     Region,
     overlap_status,
-    region_equal,
 )
 from .search import (
     Component,
@@ -120,7 +119,7 @@ def build_similarity(w: WedgeSystem, max_iter: int = 10**6) -> SimilaritySystem:
         pieces.append(hit)
     x = cur
     gamma_x = pullback.compose(gamma1)
-    assert region_equal(z4.transformed(gamma_x), x)
+    assert z4.transformed(gamma_x) == x
     assert gamma_x.det().sign() > 0
     # linear part is ratio1 times a rotation
     m = gamma_x
@@ -131,7 +130,7 @@ def build_similarity(w: WedgeSystem, max_iter: int = 10**6) -> SimilaritySystem:
     w3 = find_periodic_component(w, w.O[3], max_iter)
     w4 = find_periodic_component(w, w.O[4], max_iter)
     g1w4 = find_periodic_component(w, gamma1.apply(w.O[4]), max_iter)
-    assert region_equal(g1w4.region, w4.region.transformed(gamma1))
+    assert g1w4.region == w4.region.transformed(gamma1)
 
     return SimilaritySystem(
         gamma1=gamma1,
@@ -186,7 +185,7 @@ def match_return_systems(base: ReturnSystem, target: ReturnSystem, g: AffMap) ->
         img = p.source.transformed(g)
         q = by_key.get(img.canonical_key())
         assert q is not None, "mapped source missing from the target system"
-        assert region_equal(q.target, p.target.transformed(g))
+        assert q.target == p.target.transformed(g)
         assert q.map == g.compose(p.map).compose(g_inv)
         assert q.return_time >= 1
         matched += 1
@@ -349,7 +348,7 @@ def aperiodic_witness(
     return_periods = []
     for reg in spiral[:verify_spiral]:
         comp = find_periodic_component(w, reg.interior_point(), max_iter)
-        assert region_equal(comp.region, reg), "spiral region is not a component"
+        assert comp.region == reg, "spiral region is not a component"
         tprime_periods.append(comp.period)
         return_periods.append(_return_period(w, comp, z4_parts))
     from fractions import Fraction

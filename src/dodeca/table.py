@@ -101,6 +101,17 @@ class Table:
         base = self.vertices[(k + i + 3) % 12]
         return Point(base.x + c.x + c.x, base.y + c.y + c.y)
 
+    def sides_parallel(self, region: Region) -> bool:
+        """True when every edge of a bounded region is parallel to a table side."""
+        v = self.vertices
+        dirs = [v[(i + 1) % 12] - v[i] for i in range(6)]  # opposite sides are parallel
+        pts = region.vertices
+        n = len(pts)
+        return all(
+            any((pts[(i + 1) % n] - pts[i]).cross_sign(d) == 0 for d in dirs)
+            for i in range(n)
+        )
+
     def classify_exterior(self, p: Point) -> str:
         return self.polygon.classify(p)
 
@@ -377,17 +388,3 @@ def build_table() -> tuple[Table, WedgeSystem]:
     """Construct the table and its wedge system (exact, deterministic)."""
     table = Table()
     return table, WedgeSystem(table)
-
-
-def billiard_step(table: Table, p: Point, direction: str = "forward") -> Point:
-    """Convenience wrapper for one step of the outer billiard map."""
-    return table.step(p, forward=(direction == "forward"))[0]
-
-
-def induced_step(w: WedgeSystem, p: Point, direction: str = "forward"):
-    """Convenience wrapper for one step of the induced wedge map."""
-    return w.step(p, forward=(direction == "forward"))
-
-
-def compute_itinerary(w: WedgeSystem, p: Point, n_fwd: int, n_bwd: int = 0):
-    return w.itinerary(p, n_fwd, n_bwd)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import dodeca
 from dodeca.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -136,6 +140,25 @@ def test_verify_subset(capsys):
     code, out, _ = run(capsys, "verify", "--only", "construction-identities")
     assert code == EXIT_OK
     assert "construction-identities" in out and "PASS" in out
+
+
+def test_optimized_interpreter_refused():
+    # python -O strips the assert statements that carry every check
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dodeca.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (
+        ["-c", "import dodeca"],
+        ["-m", "dodeca.cli", "verify", "--only", "construction-identities"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "python -O" in proc.stderr
 
 
 def test_verify_unknown_check(capsys):

@@ -12,14 +12,10 @@ from dodeca.geom import (
     Line,
     Point,
     Region,
-    apply_map,
-    area_and_centroid,
-    classify_point,
     clip_convex,
     intersect_convex,
     intersection_area2,
     overlap_status,
-    region_equal,
     region_from_json,
     region_to_json,
     split_region,
@@ -34,20 +30,20 @@ UNIT_SQUARE = Region.bounded([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
 
 
 def first_quadrant_wedge():
-    return Region.wedge(P(0, 0), Point(qs3(0), qs3(1)), Point(qs3(1), qs3(0)))
+    return Region.unbounded(Point(qs3(0), qs3(1)), [P(0, 0)], Point(qs3(1), qs3(0)))
 
 
 def test_classify_square():
-    assert classify_point(UNIT_SQUARE, P("1/2", "1/2")) == INTERIOR
-    assert classify_point(UNIT_SQUARE, P(0, "1/2")) == BOUNDARY
-    assert classify_point(UNIT_SQUARE, P(2, 0)) == EXTERIOR
+    assert UNIT_SQUARE.classify(P("1/2", "1/2")) == INTERIOR
+    assert UNIT_SQUARE.classify(P(0, "1/2")) == BOUNDARY
+    assert UNIT_SQUARE.classify(P(2, 0)) == EXTERIOR
 
 
 def test_classify_wedge():
     w = first_quadrant_wedge()
-    assert classify_point(w, P(5, 5)) == INTERIOR
-    assert classify_point(w, P(5, 0)) == BOUNDARY
-    assert classify_point(w, P(-1, 1)) == EXTERIOR
+    assert w.classify(P(5, 5)) == INTERIOR
+    assert w.classify(P(5, 0)) == BOUNDARY
+    assert w.classify(P(-1, 1)) == EXTERIOR
 
 
 def test_split_square_by_vertical():
@@ -58,11 +54,22 @@ def test_split_square_by_vertical():
     assert sum((p.area() for p in pieces), ZERO) == UNIT_SQUARE.area()
 
 
+def test_classify_nonconvex():
+    ell = Region.bounded([P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)])
+    assert not ell.is_convex()
+    assert ell.classify(P("3/2", "3/2")) == EXTERIOR  # in the notch
+    assert ell.classify(P("3/2", 1)) == BOUNDARY  # on a reflex edge
+    # on the extension of the reflex edge (2,1)-(1,1), inside the region
+    assert ell.classify(P("1/2", 1)) == INTERIOR
+    assert ell.classify(P(1, 1)) == BOUNDARY  # the reflex vertex
+    assert ell.classify(P(0, 2)) == BOUNDARY
+
+
 def test_split_square_by_missing_line():
     line = Line(ONE, ZERO, qs3(2))
     pieces = split_region(UNIT_SQUARE, line)
     assert len(pieces) == 1
-    assert region_equal(pieces[0], UNIT_SQUARE)
+    assert pieces[0] == UNIT_SQUARE
 
 
 def test_split_wedge_by_diagonal():
@@ -75,29 +82,29 @@ def test_split_wedge_by_diagonal():
     assert len(bounded) == 1 and len(unbounded) == 1
     assert bounded[0].area() == qs3(Fraction(1, 2))
     tri = Region.bounded([P(0, 0), P(1, 0), P(0, 1)])
-    assert region_equal(bounded[0], tri)
+    assert bounded[0] == tri
 
 
 def test_split_wedge_far_from_apex_keeps_both_rays():
     w = first_quadrant_wedge()
     line = Line(ONE, ONE, qs3(1))
     far = [p for p in split_region(w, line) if not p.is_bounded][0]
-    assert classify_point(far, P(5, 5)) == INTERIOR
-    assert classify_point(far, P("1/4", "1/4")) == EXTERIOR
-    assert classify_point(far, P("1/2", "1/2")) == BOUNDARY
+    assert far.classify(P(5, 5)) == INTERIOR
+    assert far.classify(P("1/4", "1/4")) == EXTERIOR
+    assert far.classify(P("1/2", "1/2")) == BOUNDARY
 
 
 def test_apply_map_identity_and_rotation():
-    assert region_equal(apply_map(AffMap.identity(), UNIT_SQUARE), UNIT_SQUARE)
+    assert UNIT_SQUARE.transformed(AffMap.identity()) == UNIT_SQUARE
     flip = AffMap.point_reflection(P(0, 0))
-    image = apply_map(flip, UNIT_SQUARE)
-    assert region_equal(image, Region.bounded([P(0, 0), P(-1, 0), P(-1, -1), P(0, -1)]))
+    image = UNIT_SQUARE.transformed(flip)
+    assert image == Region.bounded([P(0, 0), P(-1, 0), P(-1, -1), P(0, -1)])
 
 
 def test_apply_map_translation_of_wedge():
     w = first_quadrant_wedge()
     t = AffMap.translation(P(1, 0))
-    image = apply_map(t, w)
+    image = w.transformed(t)
     assert not image.is_bounded
     assert image.vertices[0] == P(1, 0)
     assert image.entry_dir == w.entry_dir
@@ -107,19 +114,19 @@ def test_apply_map_translation_of_wedge():
 def test_region_equal_rotated_start():
     sq1 = Region.bounded([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
     sq2 = Region.bounded([P(1, 1), P(0, 1), P(0, 0), P(1, 0)])
-    assert region_equal(sq1, sq2)
-    assert not region_equal(sq1, apply_map(AffMap.translation(P(1, 0)), sq1))
-    assert not region_equal(sq1, first_quadrant_wedge())
+    assert sq1 == sq2
+    assert sq1 != sq1.transformed(AffMap.translation(P(1, 0)))
+    assert sq1 != first_quadrant_wedge()
 
 
 def test_area_and_centroid():
-    a, c = area_and_centroid(UNIT_SQUARE)
-    assert a == ONE and c == P("1/2", "1/2")
+    assert UNIT_SQUARE.area() == ONE and UNIT_SQUARE.centroid() == P("1/2", "1/2")
     tri = Region.bounded([P(0, 0), P(1, 0), P(0, 1)])
-    a, c = area_and_centroid(tri)
-    assert a == qs3(Fraction(1, 2)) and c == P("1/3", "1/3")
+    assert tri.area() == qs3(Fraction(1, 2)) and tri.centroid() == P("1/3", "1/3")
     with pytest.raises(ValueError):
-        area_and_centroid(first_quadrant_wedge())
+        first_quadrant_wedge().area()
+    with pytest.raises(ValueError):
+        first_quadrant_wedge().centroid()
 
 
 def test_regular_12gon_area():
@@ -187,7 +194,7 @@ def test_isometry_preserves_area():
     rot = AffMap.rotation(SQRT3_HALF, HALF, P(3, -2))
     assert rot.is_isometry()
     tri = Region.bounded([P(0, 0), P(5, 1), P(2, 4)])
-    assert apply_map(rot, tri).area() == tri.area()
+    assert tri.transformed(rot).area() == tri.area()
 
 
 def test_interior_maps_to_interior():
@@ -196,18 +203,18 @@ def test_interior_maps_to_interior():
     rot = AffMap.rotation(HALF, SQRT3_HALF, P(1, 1))
     tri = Region.bounded([P(0, 0), P(5, 1), P(2, 4)])
     p = P(2, 2)
-    assert classify_point(tri, p) == INTERIOR
-    assert classify_point(apply_map(rot, tri), rot.apply(p)) == INTERIOR
+    assert tri.classify(p) == INTERIOR
+    assert tri.transformed(rot).classify(rot.apply(p)) == INTERIOR
 
 
 def test_intersect_convex_regions():
     w = first_quadrant_wedge()
     inter = intersect_convex(UNIT_SQUARE, w)
-    assert region_equal(inter, UNIT_SQUARE)
-    shifted = apply_map(AffMap.translation(P("-1/2", "-1/2")), UNIT_SQUARE)
+    assert inter == UNIT_SQUARE
+    shifted = UNIT_SQUARE.transformed(AffMap.translation(P("-1/2", "-1/2")))
     inter = intersect_convex(shifted, w)
     assert inter is not None and inter.area() == qs3(Fraction(1, 4))
-    far = apply_map(AffMap.translation(P(-5, -5)), UNIT_SQUARE)
+    far = UNIT_SQUARE.transformed(AffMap.translation(P(-5, -5)))
     assert intersect_convex(far, w) is None
 
 
@@ -216,12 +223,12 @@ def test_overlap_status():
     small = Region.bounded([P(1, 1), P(2, 1), P(2, 2), P(1, 2)])
     parts = big.convex_parts()
     assert overlap_status(small, parts) == "inside"
-    outside = apply_map(AffMap.translation(P(10, 0)), small)
+    outside = small.transformed(AffMap.translation(P(10, 0)))
     assert overlap_status(outside, parts) == "disjoint"
-    straddle = apply_map(AffMap.translation(P("5/2", 0)), small)
+    straddle = small.transformed(AffMap.translation(P("5/2", 0)))
     assert overlap_status(straddle, parts) == "straddle"
     # touching along an edge counts as disjoint interiors
-    touching = apply_map(AffMap.translation(P(4, 0)), small)
+    touching = small.transformed(AffMap.translation(P(4, 0)))
     assert overlap_status(touching, parts) == "disjoint"
 
 
@@ -249,7 +256,7 @@ def test_region_json_round_trip():
     for reg in [UNIT_SQUARE, first_quadrant_wedge()]:
         text = region_to_json(reg)
         back = region_from_json(text)
-        assert region_equal(reg, back)
+        assert reg == back
         assert reg.is_bounded == back.is_bounded
 
 
@@ -261,20 +268,20 @@ def test_region_equal_is_equivalence():
         Region.bounded([P(0, 1), P(0, 0), P(1, 0), P(1, 1)]),
     ]
     others = [
-        apply_map(AffMap.translation(P(2, 0)), sq),
+        sq.transformed(AffMap.translation(P(2, 0))),
         Region.bounded([P(0, 0), P(2, 0), P(0, 2)]),
         first_quadrant_wedge(),
     ]
     family = variants + others
     for a in family:
-        assert region_equal(a, a)
+        assert a == a
         for b in family:
-            assert region_equal(a, b) == region_equal(b, a)
+            assert (a == b) == (b == a)
             for c in family:
-                if region_equal(a, b) and region_equal(b, c):
-                    assert region_equal(a, c)
-    assert all(region_equal(sq, v) for v in variants)
-    assert not any(region_equal(sq, o) for o in others)
+                if a == b and b == c:
+                    assert a == c
+    assert all(sq == v for v in variants)
+    assert not any(sq == o for o in others)
 
 
 def test_clip_convex_wedge_keep_far_side():
@@ -297,8 +304,8 @@ def test_clip_strip_parallel_ray():
     right = clip_convex(strip, vline, +1)
     assert left is not None and right is not None
     assert not left.is_bounded and not right.is_bounded
-    assert classify_point(left, P("1/2", 5)) == INTERIOR
-    assert classify_point(right, P("3/2", 5)) == INTERIOR
+    assert left.classify(P("1/2", 5)) == INTERIOR
+    assert right.classify(P("3/2", 5)) == INTERIOR
     hline = Line(ZERO, ONE, qs3(3))  # y = 3 cuts off a bounded rectangle
     low = clip_convex(strip, hline, -1)
     assert low is not None and low.is_bounded and low.area() == qs3(6)

@@ -26,8 +26,8 @@ def test_duplicate_labels_rejected():
 
 def test_unbounded_without_view_box_rejected():
     sc = Scene()
-    wedge = Region.wedge(
-        Point(qs3(0), qs3(0)), Point(qs3(0), qs3(1)), Point(qs3(1), qs3(0))
+    wedge = Region.unbounded(
+        Point(qs3(0), qs3(1)), [Point(qs3(0), qs3(0))], Point(qs3(1), qs3(0))
     )
     sc.add_region("w", wedge)
     with pytest.raises(ValueError):
@@ -36,8 +36,8 @@ def test_unbounded_without_view_box_rejected():
 
 def test_unbounded_clipped_to_view_box():
     sc = Scene()
-    wedge = Region.wedge(
-        Point(qs3(0), qs3(0)), Point(qs3(0), qs3(1)), Point(qs3(1), qs3(0))
+    wedge = Region.unbounded(
+        Point(qs3(0), qs3(1)), [Point(qs3(0), qs3(0))], Point(qs3(1), qs3(0))
     )
     sc.add_region("w", wedge)
     sc.set_view(Point(qs3(-1), qs3(-1)), Point(qs3(2), qs3(2)))

@@ -4,7 +4,8 @@ import pytest
 
 from dodeca.errors import SelfReturnError
 from dodeca.field import QS3, ZERO
-from dodeca.geom import Point, Region, region_equal
+from dodeca.geom import Point, Region
+from dodeca.periods import period_of_h
 from dodeca.search import (
     CellPool,
     component_orbit,
@@ -49,16 +50,15 @@ def test_center_t_period_by_direct_iteration(ctx):
 
 
 def test_fold_twist_period_arithmetic():
-    from dodeca.search import _per_t_from
-
-    # zero twist: the fold closes with the wedge step
-    assert _per_t_from(5, 0) == 5
-    assert _per_t_from(5, 12) == 5
+    # h = visits to alpha_1..alpha_6: sum(h) T' steps, twist sum(i * h_i)
+    # zero twist (mod 12): the fold closes with the wedge step
+    assert period_of_h((0, 0, 0, 3, 0, 2)) == 5  # twist 24
+    assert period_of_h((0, 3, 2, 0, 0, 0)) == 5  # twist 12
     # coprime twist needs all twelve turns
-    assert _per_t_from(1, 1) == 12
-    assert _per_t_from(1, 5) == 12
-    assert _per_t_from(1, 4) == 3
-    assert _per_t_from(3, 6) == 6
+    assert period_of_h((1, 0, 0, 0, 0, 0)) == 12
+    assert period_of_h((0, 0, 0, 0, 1, 0)) == 12
+    assert period_of_h((0, 0, 0, 1, 0, 0)) == 3
+    assert period_of_h((1, 1, 1, 0, 0, 0)) == 6  # 3 steps, twist 6
 
 
 def test_odd_symmetric_component_doubles(ctx):
@@ -75,9 +75,9 @@ def test_component_idempotent_and_orbit_closes(ctx):
     orbit = component_orbit(w, comp)
     assert len(orbit) == 37
     i = w.piece_index(orbit[-1].interior_point())
-    assert region_equal(orbit[-1].transformed(w.maps[i]), comp.region)
+    assert orbit[-1].transformed(w.maps[i]) == comp.region
     again = find_periodic_component(w, orbit[5].interior_point())
-    assert region_equal(again.region, orbit[5])
+    assert again.region == orbit[5]
 
 
 def test_return_system_structure(ctx):
@@ -85,7 +85,7 @@ def test_return_system_structure(ctx):
     total = ZERO
     for piece in rs.pieces:
         assert piece.map.is_isometry() or piece.map.is_translation()
-        assert region_equal(piece.source.transformed(piece.map), piece.target)
+        assert piece.source.transformed(piece.map) == piece.target
         total = total + piece.source.area2()
     assert total == rs.domain.area2()
     times = sorted(p.return_time for p in rs.pieces)
@@ -97,7 +97,7 @@ def test_return_tube_replay(ctx):
     piece = max(rs.pieces, key=lambda p: p.return_time)
     tube = return_tube(ctx.wedge, piece)
     assert len(tube) == piece.return_time
-    assert region_equal(tube[0], piece.source)
+    assert tube[0] == piece.source
 
 
 def test_whole_rocket_returns_in_one_step(ctx):

@@ -5,7 +5,7 @@ import pytest
 
 from dodeca.errors import DomainError
 from dodeca.field import QS3, qs3
-from dodeca.geom import AffMap, Point, overlap_status, region_equal
+from dodeca.geom import AffMap, Point, overlap_status
 from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
@@ -36,8 +36,8 @@ def test_base_polygons_are_contracted_beads(ctx, sim):
     w = ctx.wedge
     bead = ctx.table.mirrored[3]
     comps = ctx.base_components()
-    assert region_equal(comps[1].region, bead.transformed(sim.gamma1))
-    assert region_equal(comps[4].region, bead.transformed(sim.gamma4))
+    assert comps[1].region == bead.transformed(sim.gamma1)
+    assert comps[4].region == bead.transformed(sim.gamma4)
 
 
 def test_g1w4_period_37(sim):
@@ -45,7 +45,7 @@ def test_g1w4_period_37(sim):
 
 
 def test_gammaX_maps_z4_to_x(sim):
-    assert region_equal(sim.Z4.transformed(sim.gammaX), sim.X)
+    assert sim.Z4.transformed(sim.gammaX) == sim.X
     assert sim.gammaX.det() == sim.ratio1 * sim.ratio1
     assert overlap_status(sim.X, sim.Z4.convex_parts()) == "inside"
 
@@ -70,7 +70,7 @@ def test_y2_really_is_the_double_preimage(ctx, sim):
     for _ in range(2):
         i = w.piece_index(cur.interior_point())
         cur = cur.transformed(w.maps[i])
-    assert region_equal(cur, sim.g1w4.region)
+    assert cur == sim.g1w4.region
 
 
 def test_conjugacy_sampled(ctx, sim):
