@@ -187,9 +187,10 @@ def component_periods(comp: Component) -> PeriodInfo:
 
     The center has the component's T'-period; any other point needs
     12/gcd(l, 12) extra turns of the internal rotation.  T-periods follow
-    from the visit counts by ``period_of_h``.  A centrally symmetric component whose center has
-    odd T-period doubles the T-period of its non-center points; the
-    computed values are cross-checked against that rule.
+    from the visit counts by ``period_of_h``.  A centrally symmetric
+    component whose center has odd T-period doubles the T-period of its
+    non-center points; the computed values are cross-checked against that
+    rule.
     """
     k = 12 // math.gcd(comp.rotation_l, 12)
     center_t = period_of_h(comp.visit_counts)
