@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .checks import CHECK_NAMES, Context, run_checks
+from .checks import CHECK_NAMES, DOMAINS, Context, run_checks
 from .errors import DomainError, GraneError, InconclusiveError, SelfReturnError
 from .geom import Point, region_from_json, region_to_obj
 from .periods import full_period_set
@@ -66,19 +66,10 @@ class _Usage(Exception):
     pass
 
 
-def _named_domain(w, sim_builder, name):
-    if name == "zp":
-        return w.Zp
-    if name in ("z1", "z4", "z14", "x", "level3"):
-        s = sim_builder()
-        return {
-            "z1": s.Z1,
-            "z4": s.Z4,
-            "z14": s.Z14,
-            "x": s.X,
-            "level3": s.Z14.transformed(s.gamma1),
-        }[name]
-    # otherwise: a JSON file with a region object
+def _domain(ctx, name):
+    """A named domain of the context, else the region in a JSON file."""
+    if name in DOMAINS:
+        return ctx.domain(name)
     try:
         with open(name, "r", encoding="utf-8") as fh:
             return region_from_json(fh.read())
@@ -191,10 +182,10 @@ def cmd_component(args) -> int:
 
 
 def cmd_first_return(args) -> int:
-    _, w = build_table()
-    domain = _named_domain(w, lambda: build_similarity(w), args.region)
+    ctx = Context(seed=args.seed)
+    domain = _domain(ctx, args.region)
     try:
-        rs = first_return_map(w, domain, _max_iter(args))
+        rs = first_return_map(ctx.wedge, domain, _max_iter(args))
     except SelfReturnError as exc:
         _emit({"error": "self-return violated", "detail": str(exc)}, args)
         return EXIT_FAIL
@@ -217,11 +208,11 @@ def cmd_first_return(args) -> int:
 
 
 def cmd_verify_partition(args) -> int:
-    _, w = build_table()
-    domain = _named_domain(w, lambda: build_similarity(w), args.region)
+    ctx = Context(seed=args.seed)
+    domain = _domain(ctx, args.region)
     try:
         rep = verify_partition(
-            w,
+            ctx.wedge,
             domain,
             label=args.region,
             max_events=_max_iter(args),
@@ -291,19 +282,18 @@ def cmd_periods(args) -> int:
 
 
 def cmd_render(args) -> int:
-    table, w = build_table()
+    ctx = Context(seed=args.seed)
+    table, w = ctx.system
     if args.what == "table":
         scene = scene_table(table, w)
     elif args.what == "components":
         comps = [find_periodic_component(w, w.O[i], _max_iter(args)) for i in range(1, 5)]
         scene = scene_components(w, comps)
     elif args.what == "spiral":
-        s = build_similarity(w)
-        wit = aperiodic_witness(w, s, steps=200, depth=5, verify_spiral=6)
-        scene = scene_spiral(s, wit)
+        wit = aperiodic_witness(w, ctx.sim, steps=200, depth=5, verify_spiral=6)
+        scene = scene_spiral(ctx.sim, wit)
     elif args.what in ("partition-z4", "partition-z14"):
-        s = build_similarity(w)
-        domain = s.Z4 if args.what.endswith("z4") else s.Z14
+        domain = ctx.domain(args.what.removeprefix("partition-"))
         rep = verify_partition(w, domain, label=args.what, max_iter=_max_iter(args))
         scene = scene_partition(rep)
     else:

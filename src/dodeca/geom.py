@@ -792,31 +792,12 @@ def intersect_convex(a: Region, b_convex: Region) -> Region | None:
 # -- generic region splitting --------------------------------------------------
 
 
-def _clearly_one_sided(region: Region, line: Line) -> bool:
-    """Float prefilter: True when the line certainly misses the region.
-
-    Evaluates the line over the region's float bounding box with a wide
-    safety margin; anything inconclusive falls through to the exact path.
-    Bounded regions only.
-    """
-    x0, y0, x1, y1 = region.float_bbox()
-    fnx, fny, fc = float(line.nx), float(line.ny), float(line.c)
-    tx0, tx1 = fnx * x0, fnx * x1
-    ty0, ty1 = fny * y0, fny * y1
-    lo = min(tx0, tx1) + min(ty0, ty1) - fc
-    hi = max(tx0, tx1) + max(ty0, ty1) - fc
-    margin = 1e-6 * (1.0 + abs(fc) + max(abs(tx0), abs(tx1)) + max(abs(ty0), abs(ty1)))
-    return lo > margin or hi < -margin
-
-
 def split_region(region: Region, line: Line):
     """Split a region by a line into open subregions.
 
     Returns one region per connected component per side; their closures
     cover the closure of the input and their areas add up exactly.
     """
-    if region.is_bounded and _clearly_one_sided(region, line):
-        return [region]
     if not region.is_bounded or region.is_convex():
         pieces = []
         for keep in (+1, -1):

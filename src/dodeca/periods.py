@@ -21,6 +21,9 @@ import json
 import math
 from dataclasses import dataclass
 
+from .field import QS3
+from .geom import INTERIOR, Point
+
 M68 = (
     (1, 0, 0, 0, 0, 0, 0, 0),
     (0, 1, 0, 0, 0, 0, 0, 0),
@@ -270,8 +273,6 @@ def cross_validate(
     import random
     from fractions import Fraction
 
-    from .field import QS3
-    from .geom import Point
     from .search import component_periods
 
     pset = full_period_set(max(bound, 1))
@@ -298,8 +299,6 @@ def cross_validate(
         x = Fraction(rng.randint(int(box[0] * 128), int(box[2] * 128)), 128)
         y = Fraction(rng.randint(int(box[1] * 128), int(box[3] * 128)), 128)
         p = Point(QS3(x), QS3(y))
-        from .geom import INTERIOR
-
         if w.Zp.classify(p) != INTERIOR:
             continue
         try:

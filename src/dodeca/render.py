@@ -208,7 +208,6 @@ def scene_spiral(s, witness) -> Scene:
 def scene_partition(report) -> Scene:
     """Return tubes (green) and periodic tubes (red) tiling the rocket."""
     sc = Scene()
-    first = report.green_tubes[0][0]
     sc.add_region("domain", report.return_system.domain, "rocket")
     for i, tube in enumerate(report.green_tubes):
         for j, pol in enumerate(tube):
@@ -216,5 +215,4 @@ def scene_partition(report) -> Scene:
     for i, pc in enumerate(report.components):
         for j, pol in enumerate(pc.tube):
             sc.add_region(f"red-{i}-{j}", pol, "red")
-    _ = first
     return sc

@@ -54,7 +54,7 @@ class Component:
     rotation_l: int  # T'^period acts on the region as rotation by l*pi/6
     center: Point  # centroid == rotation center
     visit_counts: tuple  # visits to alpha_1..alpha_6 over one region cycle
-    orbit: tuple = field(default=None, compare=False, repr=False)
+    orbit: tuple = field(compare=False, repr=False)  # the region cycle
 
     def to_obj(self) -> dict:
         from .geom import region_to_obj
@@ -137,14 +137,12 @@ def _close_component(w: WedgeSystem, region: Region, max_iter: int) -> Component
     counts = [0] * 6
     key0 = region.canonical_key()
     cur = region
-    q = center
     composed = AffMap.identity()
     period = 0
     orbit = [region]
     while True:
-        i = w.piece_index(q)
+        i = w.piece_of(cur)
         cur = cur.transformed(w.maps[i])
-        q = w.maps[i].apply(q)
         composed = w.maps[i].compose(composed)
         counts[i - 1] += 1
         period += 1
@@ -165,21 +163,6 @@ def _close_component(w: WedgeSystem, region: Region, max_iter: int) -> Component
     expected_l = (6 * period - sum((i + 1) * c for i, c in enumerate(counts))) % 12
     assert l == expected_l
     return Component(region, period, l, center, tuple(counts), tuple(orbit))
-
-
-def component_orbit(w: WedgeSystem, comp: Component):
-    """The region cycle [U, T'U, ..., T'^(period-1) U]."""
-    if comp.orbit is not None and len(comp.orbit) == comp.period:
-        return list(comp.orbit)
-    out = [comp.region]
-    q = comp.center
-    cur = comp.region
-    for _ in range(comp.period - 1):
-        i = w.piece_index(q)
-        cur = cur.transformed(w.maps[i])
-        q = w.maps[i].apply(q)
-        out.append(cur)
-    return out
 
 
 def component_periods(comp: Component) -> PeriodInfo:
@@ -280,7 +263,7 @@ def first_return_map(
                     "first-return expansion exceeded the event budget",
                     iterations=max_events,
                 )
-            i = w.piece_index(fr.interior_point())
+            i = w.piece_of(fr)
             image = fr.transformed(w.maps[i])
             f2 = w.maps[i].compose(f)
             status = overlap_status(image, parts)
@@ -330,11 +313,9 @@ def return_tube(w: WedgeSystem, piece: ReturnPiece):
     tube = [piece.source]
     cur = piece.source
     for _ in range(piece.return_time - 1):
-        i = w.piece_index(cur.interior_point())
-        cur = cur.transformed(w.maps[i])
+        cur = cur.transformed(w.maps[w.piece_of(cur)])
         tube.append(cur)
-    i = w.piece_index(cur.interior_point())
-    assert cur.transformed(w.maps[i]) == piece.target
+    assert cur.transformed(w.maps[w.piece_of(cur)]) == piece.target
     return tube
 
 
@@ -397,7 +378,7 @@ class CellPool:
         return len(self.cells)
 
     def largest_cell(self) -> Region:
-        return max(self.cells.values(), key=lambda c: float(c.area2()))
+        return max(self.cells.values(), key=Region.area2)
 
     def subtract(self, poly: Region) -> QS3:
         removed = ZERO
@@ -552,7 +533,7 @@ def verify_partition(
         assert w.table.sides_parallel(
             comp.region
         ), "component sides must be parallel to table sides"
-        tube = component_orbit(w, comp)
+        tube = comp.orbit
         for pol in tube:
             st = overlap_status(pol, dom_parts)
             assert st == "disjoint", "complementary component tube entered the domain"

@@ -29,7 +29,6 @@ from .geom import (
 from .search import (
     Component,
     ReturnSystem,
-    component_orbit,
     find_periodic_component,
 )
 from .table import WedgeSystem
@@ -280,10 +279,10 @@ class AperiodicWitness:
         }
 
 
-def _return_period(w: WedgeSystem, comp: Component, domain_parts) -> int:
+def _return_period(comp: Component, domain_parts) -> int:
     """Visits of the component's T'-cycle to the domain (its return period)."""
     visits = 0
-    for pol in component_orbit(w, comp):
+    for pol in comp.orbit:
         status = overlap_status(pol, domain_parts)
         assert status != "straddle"
         if status == "inside":
@@ -350,7 +349,7 @@ def aperiodic_witness(
         comp = find_periodic_component(w, reg.interior_point(), max_iter)
         assert comp.region == reg, "spiral region is not a component"
         tprime_periods.append(comp.period)
-        return_periods.append(_return_period(w, comp, z4_parts))
+        return_periods.append(_return_period(comp, z4_parts))
     from fractions import Fraction
 
     growth = [

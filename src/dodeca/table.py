@@ -112,9 +112,6 @@ class Table:
             for i in range(n)
         )
 
-    def classify_exterior(self, p: Point) -> str:
-        return self.polygon.classify(p)
-
     def sector_index(self, p: Point, forward: bool = True) -> int:
         """Index i with p interior to the tangent sector of A_i.
 
@@ -288,6 +285,25 @@ class WedgeSystem:
             if s == 0:
                 raise GraneError("point on a piece boundary", index=k, point=p)
         return 6
+
+    def piece_of(self, region: Region) -> int:
+        """Index i with the bounded open region inside alpha_i.
+
+        The piece is the first split line with a vertex strictly on its apex
+        side (6 if none); then every vertex must lie in the closed piece,
+        which decides containment for the whole region because the piece is
+        convex.  Raises GraneError when the region crosses a piece boundary
+        or leaves the wedge.
+        """
+        pts = region.vertices
+        i = 6
+        for k, ln in enumerate(self.split_lines, start=1):
+            if any(ln.side(p) > 0 for p in pts):
+                i = k
+                break
+        if any(ln.side(p) < 0 for ln in self.alpha_lines[i] for p in pts):
+            raise GraneError(f"region is not inside alpha_{i}", index=i)
+        return i
 
     def restrict_to_piece(self, region: Region, i: int) -> Region:
         """Intersection of a convex region with the open piece alpha_i."""

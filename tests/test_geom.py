@@ -66,10 +66,16 @@ def test_classify_nonconvex():
 
 
 def test_split_square_by_missing_line():
-    line = Line(ONE, ZERO, qs3(2))
-    pieces = split_region(UNIT_SQUARE, line)
-    assert len(pieces) == 1
-    assert pieces[0] == UNIT_SQUARE
+    ell = Region.bounded([P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)])
+    cases = [
+        (UNIT_SQUARE, Line(ONE, ZERO, qs3(2))),  # x = 2
+        (UNIT_SQUARE, Line(ONE, ONE, qs3(2))),  # support line at the vertex (1, 1)
+        (ell, Line(ONE, ONE, qs3(Fraction(7, 2)))),  # crosses only the notch
+    ]
+    for region, line in cases:
+        pieces = split_region(region, line)
+        assert len(pieces) == 1
+        assert pieces[0] is region
 
 
 def test_split_wedge_by_diagonal():

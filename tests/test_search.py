@@ -8,7 +8,6 @@ from dodeca.geom import Point, Region
 from dodeca.periods import period_of_h
 from dodeca.search import (
     CellPool,
-    component_orbit,
     component_periods,
     find_periodic_component,
     first_return_map,
@@ -72,10 +71,9 @@ def test_component_idempotent_and_orbit_closes(ctx):
     w = ctx.wedge
     comp = find_periodic_component(w, ctx.sim.gamma1.apply(w.O[4]))
     assert comp.period == 37
-    orbit = component_orbit(w, comp)
+    orbit = comp.orbit
     assert len(orbit) == 37
-    i = w.piece_index(orbit[-1].interior_point())
-    assert orbit[-1].transformed(w.maps[i]) == comp.region
+    assert orbit[-1].transformed(w.maps[w.piece_of(orbit[-1])]) == comp.region
     again = find_periodic_component(w, orbit[5].interior_point())
     assert again.region == orbit[5]
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dodeca.errors import DomainError
-from dodeca.field import QS3, qs3
-from dodeca.geom import AffMap, Point, overlap_status
+from dodeca.field import QS3, ZERO, qs3
+from dodeca.geom import AffMap, Line, Point, overlap_status, split_region
 from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
@@ -20,6 +20,19 @@ def test_contraction_ratios_exact(ctx):
     assert r1 == qs3(7, -4)
     assert r4 == qs3(-3, 2)
     assert 0 < float(r1) < float(r4) < 1
+
+
+def test_split_deep_rocket_through_centroid(sim):
+    # at gamma_1^5(Z'_4) the floats of the coordinates cancel; a line through
+    # the centroid and a vertex must still cut the hexagon in two
+    rocket = sim.Z4
+    for _ in range(5):
+        rocket = rocket.transformed(sim.gamma1)
+    c = rocket.centroid()
+    for v in rocket.vertices:
+        pieces = split_region(rocket, Line.through(c, v))
+        assert len(pieces) == 2
+        assert sum((p.area2() for p in pieces), ZERO) == rocket.area2()
 
 
 def test_gamma_actions(ctx, sim):
@@ -68,8 +81,7 @@ def test_y2_really_is_the_double_preimage(ctx, sim):
     y2 = sim.g1w4.region.transformed(sim.pullback_map)
     cur = y2
     for _ in range(2):
-        i = w.piece_index(cur.interior_point())
-        cur = cur.transformed(w.maps[i])
+        cur = cur.transformed(w.maps[w.piece_of(cur)])
     assert cur == sim.g1w4.region
 
 

@@ -10,6 +10,7 @@ from dodeca.geom import (
     INTERIOR,
     AffMap,
     Point,
+    Region,
 )
 from dodeca.table import ROT, build_table
 
@@ -273,6 +274,35 @@ def test_piece_errors(system):
     with pytest.raises(GraneError):
         # interior wedge point on splitting ray 1 (the segment P2 Q2)
         w.piece_index(Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2))
+
+
+def test_piece_of_regions(system):
+    _, w = system
+    for i in range(1, 5):
+        assert w.piece_of(w.alpha[i]) == i
+    eps = Fraction(1, 64)
+
+    def tri(c):
+        d = [w.dir_p, w.dir_q, -w.bisector_dir]
+        return Region.bounded([c + v.scaled(eps) for v in d])
+
+    assert w.piece_of(tri(w.O[5])) == 5
+    assert w.piece_of(tri(w.Q[6] + w.dir_p + w.dir_q)) == 6
+
+
+def test_piece_of_errors(system):
+    _, w = system
+    eps = Fraction(1, 64)
+    mid = Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2)
+    d = [w.dir_p, -w.dir_p, w.dir_q]
+    across = Region.bounded([mid + v.scaled(eps) for v in d])
+    with pytest.raises(GraneError):
+        w.piece_of(across)  # across the P2-Q2 boundary of alpha_1 and alpha_2
+    outside = Region.bounded(
+        [w.O[1], w.O[1] + w.dir_p.scaled(eps), w.apex - w.bisector_dir.scaled(eps)]
+    )
+    with pytest.raises(GraneError):
+        w.piece_of(outside)  # one vertex behind the apex, outside the wedge
 
 
 def test_itinerary_fixed_points(system):
