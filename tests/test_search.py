@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca.errors import SelfReturnError
+from dodeca.errors import InconclusiveError, SelfReturnError
 from dodeca.field import QS3, ZERO
 from dodeca.geom import Point, Region
 from dodeca.periods import period_of_h
@@ -88,6 +88,14 @@ def test_return_system_structure(ctx):
     assert total == rs.domain.area2()
     times = sorted(p.return_time for p in rs.pieces)
     assert times[0] >= 1
+
+
+def test_first_return_event_budget(ctx):
+    # Z'_4 maps 79 fragments before every one has returned
+    w, z4 = ctx.wedge, ctx.domain("z4")
+    assert first_return_map(w, z4, max_events=79) == ctx.return_system("z4")
+    with pytest.raises(InconclusiveError):
+        first_return_map(w, z4, max_events=78)
 
 
 def test_return_tube_replay(ctx):
