@@ -177,9 +177,6 @@ class QS3:
             n >>= 1
         return out
 
-    def inverse(self) -> "QS3":
-        return ONE / self
-
     # -- predicates -----------------------------------------------------------
 
     def sign(self) -> int:
@@ -282,7 +279,6 @@ def qs3(a=0, b=0) -> QS3:
 
 ZERO = QS3._raw(0, 0, 1)
 ONE = QS3._raw(1, 0, 1)
-TWO = QS3._raw(2, 0, 1)
 HALF = QS3._raw(1, 0, 2)
 SQRT3 = QS3._raw(0, 1, 1)
 SQRT3_HALF = QS3._raw(0, 1, 2)

@@ -748,7 +748,7 @@ def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
         return None
 
     # boundary direction along the cut line with the kept side on the left
-    d_close = Point(line.ny, -line.nx)
+    d_close = line.direction()
     if keep < 0:
         d_close = -d_close
 
@@ -857,7 +857,7 @@ def _side_pieces_bounded(region: Region, line: Line, keep: int):
         return []
 
     # boundary direction along the cut line with the kept side on the left
-    d_close = Point(line.ny, -line.nx)
+    d_close = line.direction()
     if keep < 0:
         d_close = -d_close
 

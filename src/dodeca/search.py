@@ -7,9 +7,9 @@ Three layers build on the wedge map T':
   until the region repeats; the result is the maximal open polygon whose
   points share the starting point's symbol sequence.
 
-* :func:`first_return_map`: decompose a polygon S into finitely many
-  pieces, each mapped back into S by an isometry after a fixed number of
-  T' steps (the first-return system of S).
+* :func:`first_return_map`: the first-return system of a polygon S: pieces
+  mapped back into S by an isometry after a fixed number of T' steps, each
+  fragment split only by the one split line that cuts it.
 
 * :func:`verify_partition`: tile the invariant rocket Z' exactly by the
   forward tubes of the return pieces of S plus the tubes of the periodic
@@ -238,9 +238,9 @@ def first_return_map(
 ) -> ReturnSystem:
     """First-return system of a bounded open polygon under T'.
 
-    Repeatedly split the pending fragments by the piece boundary rays, map
-    each by its piece isometry, and retire those landing inside the
-    domain.  Each retired fragment is pulled back through its composed
+    Locate each pending fragment: split it by the one split line that cuts
+    it, or map it by its piece isometry and retire it if it lands inside
+    the domain.  Each retired fragment is pulled back through its composed
     isometry to give the source piece.  The domain must have the clean
     self-return property: a mapped fragment that straddles the domain
     boundary raises SelfReturnError.
@@ -253,28 +253,25 @@ def first_return_map(
     events = 0
     while pending:
         pol, f, n = pending.pop()
-        frags = [pol]
-        for ln in w.split_lines:
-            frags = [piece for fr in frags for piece in split_region(fr, ln)]
-        for fr in frags:
-            events += 1
-            if events > max_events:
-                raise InconclusiveError(
-                    "first-return expansion exceeded the event budget",
-                    iterations=max_events,
-                )
-            i = w.piece_of(fr)
-            image = fr.transformed(w.maps[i])
-            f2 = w.maps[i].compose(f)
-            status = overlap_status(image, parts)
-            if status == "inside":
-                finished.append((image, f2, n + 1))
-            elif status == "disjoint":
-                pending.append((image, f2, n + 1))
-            else:
-                raise SelfReturnError(
-                    "mapped fragment straddles the return domain"
-                )
+        i, cut = w.locate(pol)
+        if cut is not None:
+            pending.extend((part, f, n) for part in split_region(pol, cut))
+            continue
+        events += 1
+        if events > max_events:
+            raise InconclusiveError(
+                "first-return expansion exceeded the event budget",
+                iterations=max_events,
+            )
+        image = pol.transformed(w.maps[i])
+        f2 = w.maps[i].compose(f)
+        status = overlap_status(image, parts)
+        if status == "inside":
+            finished.append((image, f2, n + 1))
+        elif status == "disjoint":
+            pending.append((image, f2, n + 1))
+        else:
+            raise SelfReturnError("mapped fragment straddles the return domain")
     pieces = []
     for target, f, n in finished:
         source = target.transformed(f.inverse())

@@ -181,6 +181,7 @@ class WedgeSystem:
         assert dp.cross(b).sign() > 0 and b.cross(dq).sign() > 0
         assert (dp.dot(b) ** 2) * dq.norm2() == (dq.dot(b) ** 2) * dp.norm2()
         self.wedge = Region.unbounded(self.dir_q, [self.apex], self.dir_p)
+        self.wedge_lines = self.wedge.boundary_lines()
 
         # P_i: ray A_0 A_1 meets ray A_{i+1} A_i; Q_j: ray A_1 A_2 meets
         # ray A_{j+1} A_j.
@@ -218,7 +219,6 @@ class WedgeSystem:
 
         # derive each piece map by folding T back into the wedge
         self.maps = {}
-        self.fold_counts = {}
         for i in range(1, 7):
             sample = self.alpha[i].interior_point()
             assert self.piece_index(sample) == i
@@ -232,7 +232,6 @@ class WedgeSystem:
             assert rotation_index(f) == (6 - i) % 12
             assert f.apply(sample) == image
             self.maps[i] = f
-            self.fold_counts[i] = m
         assert self.maps[6].is_translation()
         self.translation_vec = Point(self.maps[6].tx, self.maps[6].ty)
         assert self.translation_vec == mv(3, 7) - mv(3, 1)
@@ -286,23 +285,29 @@ class WedgeSystem:
                 raise GraneError("point on a piece boundary", index=k, point=p)
         return 6
 
-    def piece_of(self, region: Region) -> int:
-        """Index i with the bounded open region inside alpha_i.
+    def locate(self, region: Region) -> tuple[int | None, Line | None]:
+        """Piece i of a bounded open region as ``(i, None)``, or ``(None, line)``.
 
         The piece is the first split line with a vertex strictly on its apex
-        side (6 if none); then every vertex must lie in the closed piece,
-        which decides containment for the whole region because the piece is
-        convex.  Raises GraneError when the region crosses a piece boundary
-        or leaves the wedge.
+        side (6 if none), unless that line also has a vertex strictly on its
+        far side and so cuts the region.  No later line can cut it: alpha_k
+        lies on the apex side of lines k..5 and on the far side of lines
+        1..k-1.  Raises GraneError when the region leaves the wedge.
         """
         pts = region.vertices
-        i = 6
+        if any(ln.side(p) < 0 for ln in self.wedge_lines for p in pts):
+            raise GraneError("region leaves the wedge")
         for k, ln in enumerate(self.split_lines, start=1):
-            if any(ln.side(p) > 0 for p in pts):
-                i = k
-                break
-        if any(ln.side(p) < 0 for ln in self.alpha_lines[i] for p in pts):
-            raise GraneError(f"region is not inside alpha_{i}", index=i)
+            sides = [ln.side(p) for p in pts]
+            if max(sides) > 0:
+                return (None, ln) if min(sides) < 0 else (k, None)
+        return 6, None
+
+    def piece_of(self, region: Region) -> int:
+        """Index i with the bounded open region inside alpha_i, else GraneError."""
+        i, cut = self.locate(region)
+        if cut is not None:
+            raise GraneError("region crosses a piece boundary")
         return i
 
     def restrict_to_piece(self, region: Region, i: int) -> Region:

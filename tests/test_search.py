@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dodeca import search
 from dodeca.errors import InconclusiveError, SelfReturnError
 from dodeca.field import QS3, ZERO
 from dodeca.geom import Point, Region
@@ -96,6 +97,21 @@ def test_first_return_event_budget(ctx):
     assert first_return_map(w, z4, max_events=79) == ctx.return_system("z4")
     with pytest.raises(InconclusiveError):
         first_return_map(w, z4, max_events=78)
+
+
+def test_first_return_splits_only_cut_regions(ctx, monkeypatch):
+    # every split that first_return_map asks for cuts the region in two
+    calls = []
+    orig = search.split_region
+
+    def split(region, line):
+        parts = orig(region, line)
+        calls.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(search, "split_region", split)
+    first_return_map(ctx.wedge, ctx.domain("z4"))
+    assert calls and min(calls) >= 2
 
 
 def test_return_tube_replay(ctx):

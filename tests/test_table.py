@@ -280,6 +280,7 @@ def test_piece_of_regions(system):
     _, w = system
     for i in range(1, 5):
         assert w.piece_of(w.alpha[i]) == i
+        assert w.locate(w.alpha[i]) == (i, None)
     eps = Fraction(1, 64)
 
     def tri(c):
@@ -288,6 +289,8 @@ def test_piece_of_regions(system):
 
     assert w.piece_of(tri(w.O[5])) == 5
     assert w.piece_of(tri(w.Q[6] + w.dir_p + w.dir_q)) == 6
+    assert w.locate(tri(w.O[5])) == (5, None)
+    assert w.locate(tri(w.Q[6] + w.dir_p + w.dir_q)) == (6, None)
 
 
 def test_piece_of_errors(system):
@@ -298,11 +301,15 @@ def test_piece_of_errors(system):
     across = Region.bounded([mid + v.scaled(eps) for v in d])
     with pytest.raises(GraneError):
         w.piece_of(across)  # across the P2-Q2 boundary of alpha_1 and alpha_2
+    i, cut = w.locate(across)
+    assert i is None and cut is w.split_lines[0]
     outside = Region.bounded(
         [w.O[1], w.O[1] + w.dir_p.scaled(eps), w.apex - w.bisector_dir.scaled(eps)]
     )
     with pytest.raises(GraneError):
         w.piece_of(outside)  # one vertex behind the apex, outside the wedge
+    with pytest.raises(GraneError):
+        w.locate(outside)
 
 
 def test_itinerary_fixed_points(system):
