@@ -100,7 +100,7 @@ def test_first_return_event_budget(ctx):
 
 
 def test_first_return_splits_only_cut_regions(ctx, monkeypatch):
-    # every split that first_return_map asks for cuts the region in two
+    # first_return_map splits a region only by a line that cuts it
     calls = []
     orig = search.split_region
 
