@@ -1,9 +1,11 @@
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dodeca.field import ONE, ZERO, qs3
+from dodeca.field import ONE, QS3, ZERO, qs3
 from dodeca.geom import (
     BOUNDARY,
     EXTERIOR,
@@ -27,6 +29,8 @@ def P(x, y):
 
 
 UNIT_SQUARE = Region.bounded([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+ELL = Region.bounded([P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)])
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def first_quadrant_wedge():
@@ -55,7 +59,7 @@ def test_split_square_by_vertical():
 
 
 def test_classify_nonconvex():
-    ell = Region.bounded([P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)])
+    ell = ELL
     assert not ell.is_convex()
     assert ell.classify(P("3/2", "3/2")) == EXTERIOR  # in the notch
     assert ell.classify(P("3/2", 1)) == BOUNDARY  # on a reflex edge
@@ -65,8 +69,47 @@ def test_classify_nonconvex():
     assert ell.classify(P(0, 2)) == BOUNDARY
 
 
+def _reference():
+    sys.path.insert(0, BENCH)
+    try:
+        import reference
+    finally:
+        sys.path.remove(BENCH)
+    return reference
+
+
+def _probe_points(region, seed):
+    """Vertices, edge midpoints, points on each edge line beyond either end,
+    points at each vertex height on both sides, and seeded box samples."""
+    pts = list(region.vertices)
+    n = len(pts)
+    x0, y0, x1, y1 = (Fraction(v) for v in region.float_bbox())
+    dx = Point(QS3((x1 - x0) / 97), ZERO)
+    out = []
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        out += [a, (a + b).scaled(Fraction(1, 2))]
+        out += [b + (b - a).scaled(Fraction(1, 4)), a + (a - b).scaled(Fraction(1, 4))]
+        out += [a - dx, a + dx]
+    rng = random.Random(seed)
+    for _ in range(200):
+        fx, fy = Fraction(rng.randrange(1025), 1024), Fraction(rng.randrange(1025), 1024)
+        out.append(Point(QS3(x0 + (x1 - x0) * fx), QS3(y0 + (y1 - y0) * fy)))
+    return out
+
+
+def test_classify_matches_reference(system, sim):
+    ref = _reference()
+    _, w = system
+    want = {1: INTERIOR, 0: BOUNDARY, -1: EXTERIOR}
+    for seed, region in enumerate([ELL, w.Zp, sim.Z4, sim.X]):
+        poly = ref.poly_of(region)
+        for p in _probe_points(region, seed):
+            assert region.classify(p) == want[ref.locate(poly, ref.point_of(p))], p
+
+
 def test_split_square_by_missing_line():
-    ell = Region.bounded([P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)])
+    ell = ELL
     cases = [
         (UNIT_SQUARE, Line(ONE, ZERO, qs3(2))),  # x = 2
         (UNIT_SQUARE, Line(ONE, ONE, qs3(2))),  # support line at the vertex (1, 1)
