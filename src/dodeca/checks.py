@@ -229,10 +229,9 @@ def check_construction_identities(ctx: Context) -> dict:
     for i in range(12):
         gon = t.mirrored[i]
         _, j = t.step(gon.interior_point())
+        lo, hi = t.cones[j]
         for v in gon.vertices:
-            rel = v - t.vertices[j]
-            assert t._cone_lo[j].cross_sign(rel) >= 0
-            assert t._cone_hi[j].cross_sign(rel) <= 0
+            assert lo.side(v) >= 0 and hi.side(v) <= 0
         image = gon.transformed(AffMap.point_reflection(t.vertices[j]))
         assert image == t.mirrored[(i + 5) % 12]
         images += 1

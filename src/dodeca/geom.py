@@ -501,11 +501,11 @@ class Region:
     # -- point classification ---------------------------------------------------
 
     def classify(self, p: Point) -> str:
+        # cached for point location only: CellPool also takes the lines
+        # of every tube polygon, and keeping those would hold them all
+        if self._lines is None:
+            self._lines = self.boundary_lines()
         if self.is_convex():
-            # cached for point location only: CellPool also takes the lines
-            # of every tube polygon, and keeping those would hold them all
-            if self._lines is None:
-                self._lines = self.boundary_lines()
             any_zero = False
             for ln in self._lines:
                 s = ln.side(p)
@@ -514,24 +514,25 @@ class Region:
                 if s == 0:
                     any_zero = True
             return BOUNDARY if any_zero else INTERIOR
+        # even-odd crossing count with a rightward ray from p, half-open in y;
+        # line i runs through vertices i -> i+1 with the interior on its left
         pts = self.vertices
+        sides = [ln.side(p) for ln in self._lines]
+        py = p.y  # above[i] = sign(v_i.y - p.y); denominators are positive
+        above = [
+            pair_sign(v.y.p * py.r - py.p * v.y.r, v.y.q * py.r - py.q * v.y.r)
+            for v in pts
+        ]
         n = len(pts)
-        for i in range(n):
-            if _on_segment(pts[i], pts[(i + 1) % n], p):
-                return BOUNDARY
-        # even-odd crossing count with an upward vertical ray
         inside = False
         for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
-            ay_gt = (a.y - p.y).sign() > 0
-            by_gt = (b.y - p.y).sign() > 0
-            if ay_gt != by_gt:
-                # x coordinate of the crossing, compared exactly to p.x
-                t_num = p.y - a.y
-                t_den = b.y - a.y
-                xc_minus_px = (a.x - p.x) + (b.x - a.x) * (t_num / t_den)
-                if xc_minus_px.sign() > 0:
-                    inside = not inside
+            j = (i + 1) % n
+            if sides[i] == 0 and above[i] * above[j] <= 0:
+                # on the edge's line and in its y range (its x range if level)
+                if (pts[i].x - p.x).sign() * (pts[j].x - p.x).sign() <= 0:
+                    return BOUNDARY
+            if (above[i] > 0) != (above[j] > 0) and (sides[i] > 0) == (above[j] > 0):
+                inside = not inside
         return INTERIOR if inside else EXTERIOR
 
     # -- transforms -------------------------------------------------------------
@@ -628,15 +629,6 @@ class Region:
             pad = 1e-9 * (1.0 + max(abs(v) for v in xs + ys))
             self._fbox = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
         return self._fbox
-
-
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    d = b - a
-    w = p - a
-    if not d.cross(w).is_zero():
-        return False
-    t = d.dot(w)
-    return t.sign() >= 0 and (t - d.norm2()).sign() <= 0
 
 
 def _tri_area2(a: Point, b: Point, c: Point) -> QS3:

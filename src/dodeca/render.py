@@ -36,7 +36,7 @@ _STYLE = (
 @dataclass
 class Layer:
     label: str
-    kind: str  # "region" | "point" | "polyline"
+    kind: str  # "region" | "point"
     geometry: object
     style: str = "piece"
 
@@ -54,9 +54,6 @@ class Scene:
 
     def add_point(self, label: str, p: Point, style: str = "point"):
         self.layers.append(Layer(label, "point", p, style))
-
-    def add_polyline(self, label: str, pts, style: str = "orbit"):
-        self.layers.append(Layer(label, "polyline", list(pts), style))
 
     def set_view(self, lo: Point, hi: Point):
         self.view_lo, self.view_hi = lo, hi
@@ -77,10 +74,8 @@ def _auto_view(scene: Scene):
                     f"layer {layer.label!r}: unbounded region needs an explicit view box"
                 )
             pts = layer.geometry.vertices
-        elif layer.kind == "point":
-            pts = [layer.geometry]
         else:
-            pts = layer.geometry
+            pts = [layer.geometry]
         xs.extend(p.x for p in pts)
         ys.extend(p.y for p in pts)
     lo = Point(min(xs), min(ys))
@@ -148,17 +143,11 @@ def render_svg(scene: Scene) -> bytes:
             out.append(
                 f'<polygon class="{layer.style}" data-label="{layer.label}" points="{pts}"/>'
             )
-        elif layer.kind == "point":
+        else:
             p = layer.geometry
             out.append(
                 f'<circle class="{layer.style}" data-label="{layer.label}" '
                 f'cx="{sx(p)}" cy="{sy(p)}" r="{_fmt(dot)}"/>'
-            )
-        else:
-            steps = " L ".join(f"{sx(p)} {sy(p)}" for p in layer.geometry)
-            out.append(
-                f'<path class="{layer.style}" data-label="{layer.label}" '
-                f'd="M {steps}" fill="none"/>'
             )
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("utf-8")

@@ -101,7 +101,7 @@ def find_periodic_component(
     InconclusiveError when the cap is exhausted (the point may then be
     aperiodic).
     """
-    if w.classify_wedge(start) != INTERIOR:
+    if w.wedge.classify(start) != INTERIOR:
         raise DomainError("start point must be interior to the wedge")
     region = w.wedge
     p = start

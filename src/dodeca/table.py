@@ -78,15 +78,16 @@ class Table:
             for i in range(12)
         )
         # tangent sector at A_i: cone between A_{i-1}->A_i extended and
-        # A_{i+1}->A_i extended; equivalently dir_lo and its 30° rotation
-        self._cone_lo = []
-        self._cone_hi = []
+        # A_{i+1}->A_i extended; equivalently d_lo and its 30° rotation d_hi.
+        # cones[i] holds the lines from A_i along d_lo and d_hi, so that
+        # side(p) is the sign of cross(d, p - A_i)
+        self.cones = []
         for i in range(12):
-            d_lo = self.vertices[i - 1] - self.vertices[i]
+            a = self.vertices[i]
+            d_lo = self.vertices[i - 1] - a
             d_hi = _ROT1.apply_vec(d_lo)
-            assert d_hi == self.vertices[i] - self.vertices[(i + 1) % 12]
-            self._cone_lo.append(d_lo)
-            self._cone_hi.append(d_hi)
+            assert d_hi == a - self.vertices[(i + 1) % 12]
+            self.cones.append((Line.through(a, a + d_lo), Line.through(a, a + d_hi)))
 
     def mirror_vertex(self, i: int, k: int) -> Point:
         """Vertex A^i_k of the mirrored table γ^i.
@@ -123,10 +124,9 @@ class Table:
             raise GraneError("point not strictly outside the table", point=p)
         want = 1 if forward else -1
         boundary_of = None
-        for i in range(12):
-            v = p - self.vertices[i]
-            c1 = self._cone_lo[i].cross(v).sign() * want
-            c2 = self._cone_hi[i].cross(v).sign() * want
+        for i, (lo, hi) in enumerate(self.cones):
+            c1 = lo.side(p) * want
+            c2 = hi.side(p) * want
             if c1 > 0 and c2 < 0:
                 return i
             if (c1 == 0 and c2 <= 0) or (c2 == 0 and c1 >= 0):
@@ -263,16 +263,13 @@ class WedgeSystem:
 
     # -- point location --------------------------------------------------------
 
-    def classify_wedge(self, p: Point) -> str:
-        return self.wedge.classify(p)
-
     def piece_index(self, p: Point) -> int:
         """Index i with p in the open piece alpha_i.
 
         Raises DomainError outside the wedge and GraneError on any piece
         boundary.
         """
-        side = self.classify_wedge(p)
+        side = self.wedge.classify(p)
         if side == EXTERIOR:
             raise DomainError("point outside the wedge")
         if side == BOUNDARY:
@@ -334,7 +331,7 @@ class WedgeSystem:
         if forward:
             i = self.piece_index(p)
             return self.maps[i].apply(p), i
-        side = self.classify_wedge(p)
+        side = self.wedge.classify(p)
         if side == EXTERIOR:
             raise DomainError("point outside the wedge")
         if side == BOUNDARY:

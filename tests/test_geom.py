@@ -108,6 +108,19 @@ def test_classify_matches_reference(system, sim):
             assert region.classify(p) == want[ref.locate(poly, ref.point_of(p))], p
 
 
+def test_classify_nonconvex_makes_no_division(sim, monkeypatch):
+    region = Region(sim.Z4.vertices)  # a fresh copy: no cached lines
+    assert not region.is_convex()
+    pts = _probe_points(region, 4)
+
+    def no_division(self, other):
+        raise AssertionError("field division in Region.classify")
+
+    monkeypatch.setattr(QS3, "__truediv__", no_division)
+    seen = {region.classify(p) for p in pts}
+    assert seen == {INTERIOR, BOUNDARY, EXTERIOR}
+
+
 def test_split_square_by_missing_line():
     ell = ELL
     cases = [

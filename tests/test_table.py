@@ -30,6 +30,12 @@ def wedge_point(w, rng, span=8):
     return w.apex + w.dir_p.scaled(s) + w.dir_q.scaled(t)
 
 
+def cone_dirs(t, i):
+    """Edge directions A_{i-1} - A_i and A_i - A_{i+1} bounding the sector of A_i."""
+    a = t.vertices
+    return a[i - 1] - a[i], a[i] - a[(i + 1) % 12]
+
+
 def zp_interior_points(w, rng, count):
     box = w.Zp.float_bbox()
     out = []
@@ -92,10 +98,11 @@ def test_billiard_maps_mirrored_tables(system):
         sample = gon.interior_point()
         _, j = t.step(sample)
         # the whole mirrored table lies in the closed tangent sector of A_j
+        d_lo, d_hi = cone_dirs(t, j)
         for v in gon.vertices:
             rel = v - t.vertices[j]
-            assert t._cone_lo[j].cross(rel).sign() >= 0
-            assert t._cone_hi[j].cross(rel).sign() <= 0
+            assert d_lo.cross(rel).sign() >= 0
+            assert d_hi.cross(rel).sign() <= 0
         image = gon.transformed(AffMap.point_reflection(t.vertices[j]))
         assert image == t.mirrored[(i + 5) % 12]
 
@@ -255,7 +262,8 @@ def test_sector_partition_unique(system):
         hits = []
         for i in range(12):
             v = p - t.vertices[i]
-            if t._cone_lo[i].cross_sign(v) > 0 and t._cone_hi[i].cross_sign(v) < 0:
+            d_lo, d_hi = cone_dirs(t, i)
+            if d_lo.cross_sign(v) > 0 and d_hi.cross_sign(v) < 0:
                 hits.append(i)
         try:
             i = t.sector_index(p)
