@@ -9,6 +9,7 @@ from dodeca.geom import Point, Region
 from dodeca.periods import period_of_h
 from dodeca.search import (
     CellPool,
+    _area2_within,
     component_periods,
     find_periodic_component,
     first_return_map,
@@ -155,6 +156,25 @@ def test_partition_z4(ctx):
     assert rep.exact_identity
     assert sorted(rep.periods) == [1, 2, 3, 3, 4, 54, 60]
     assert rep.green_area2 + rep.red_area2 == ctx.wedge.Zp.area2()
+
+
+def test_tower_areas_match_partition(ctx):
+    # T' is injective, so the floors T'^j(A_i), 0 <= j < r_i, of a return
+    # system are pairwise disjoint: green area is sum r_i * area2(A_i), and
+    # the red area the CellPool partition carves out is the rest of Z'
+    w = ctx.wedge
+    sources = [p.source for p in ctx.return_system("z4").pieces]
+    for label in ("z4", "z14"):
+        rep = ctx.partition(label)
+        pieces = ctx.return_system(label).pieces
+        green = ZERO
+        for p in pieces:
+            green = green + p.source.area2() * p.return_time
+        assert w.Zp.area2() - green == rep.red_area2
+        floors = [pol for p in pieces for pol in return_tube(w, p)]
+        red = [pol for pc in rep.components for pol in pc.tube]
+        for a in sources:
+            assert _area2_within(red, a) == a.area2() - _area2_within(floors, a)
 
 
 def test_cell_pool_exact_subtraction(ctx):
