@@ -389,12 +389,9 @@ def check_aperiodic_witness(ctx: Context, steps: int = 10**4, depth: int = 8) ->
 
 
 def check_full_measure(ctx: Context) -> dict:
-    reports = [ctx.partition("z4"), ctx.partition("z14"), ctx.partition("level3")]
-    domains = [r.return_system.domain for r in reports]
+    systems = [(label, ctx.return_system(label)) for label in ("z4", "z14", "level3")]
     ratio1, _ = contraction_ratios(ctx.wedge)
-    red = red_fraction_check(
-        ctx.wedge, domains, reports=reports, contraction_ratio=ratio1
-    )
+    red = red_fraction_check(ctx.wedge, systems, ratio1)
     for lv in red.levels:
         if lv.min_two_ahead_fraction is not None:
             assert lv.min_two_ahead_fraction.sign() > 0

@@ -305,17 +305,22 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    names = CHECK_NAMES
-    if args.only:
-        names = [n.strip() for n in args.only.split(",") if n.strip()]
-    if args.skip:
-        skip = {n.strip() for n in args.skip.split(",")}
-        names = [n for n in names if n not in skip]
+def _check_names(text: str) -> list:
+    names = [n.strip() for n in text.split(",") if n.strip()]
     bad = [n for n in names if n not in CHECK_NAMES]
     if bad:
         raise _Usage(f"unknown checks: {bad}; available: {CHECK_NAMES}")
-    ctx = Context(seed=args.seed, max_iter=_max_iter(args))
+    return names
+
+
+def cmd_verify(args) -> int:
+    names = CHECK_NAMES if args.only is None else _check_names(args.only)
+    skip = _check_names(args.skip or "")
+    names = [n for n in names if n not in skip]
+    if not names:
+        raise _Usage("no checks selected")
+    cap = _max_iter(args)
+    ctx = Context(seed=args.seed, max_iter=cap, max_events=cap)
 
     width = max(len(n) for n in names) + 2
     failed = 0

@@ -15,6 +15,7 @@ Three layers build on the wedge map T':
   forward tubes of the return pieces of S plus the tubes of the periodic
   components that never enter S, with an exact (zero-tolerance) area
   identity, by carving the tubes out of an arrangement of convex cells.
+  :func:`red_fraction_check` reads red areas from the return tubes alone.
 
 All areas below are carried as *doubled* areas (``area2``) to stay in the
 field without spurious halving.
@@ -552,7 +553,7 @@ def verify_partition(
     return report
 
 
-# -- red/green refinement fractions -------------------------------------------------
+# -- red/green fractions from the return towers --------------------------------------
 
 
 def _area2_within(polys, target: Region) -> QS3:
@@ -572,7 +573,6 @@ def _area2_within(polys, target: Region) -> QS3:
 class RedFractionLevel:
     level: int
     label: str
-    n_components: int
     total_red_fraction: QS3
     min_two_ahead_fraction: QS3 | None
 
@@ -580,7 +580,6 @@ class RedFractionLevel:
         return {
             "level": self.level,
             "label": self.label,
-            "n_components": self.n_components,
             "total_red_fraction": self.total_red_fraction.literal(),
             "total_red_fraction_float": float(self.total_red_fraction),
             "min_two_ahead_fraction": (
@@ -611,70 +610,68 @@ class RedFractionReport:
 
 
 def red_fraction_check(
-    w: WedgeSystem,
-    domains: list,
-    reports: list | None = None,
-    contraction_ratio: QS3 | None = None,
+    w: WedgeSystem, systems: list, contraction_ratio: QS3
 ) -> RedFractionReport:
-    """Refinement-level red fractions for a nested chain of return domains.
+    """Red (periodic) fractions of Z' for a nested chain of return domains.
 
-    ``domains`` is the nested list [S_1, S_2, ...] (each the image of the
-    previous under the basic contraction).  For every level with level+2
-    available, computes the minimum over the level's return pieces of the
-    fraction of area covered, two levels deeper, by periodic tubes.  Also
-    checks two exact self-similarity identities on the computed levels:
-    the contraction scales red areas by ratio^2, and red area content is
-    constant along each return tube.
+    ``systems`` lists (label, return system) for at least three domains
+    S_1 = Z'_4, S_2 = Z'_14, S_3, ..., each the γ1-image of the one before.
+
+    Towers: T' is injective, so the floors T'^j(A_i), 0 <= j < r_i, of a
+    return system are pairwise disjoint (a Kakutani-Rokhlin tower) inside
+    the invariant Z', and up to measure zero they cover the points whose
+    orbit meets the domain.  So green area = sum r_i * area(A_i), and the
+    red inside a polygon P ⊂ Z' is area(P) minus the floors inside P.
+
+    Red is periodic at every level, by induction.  Base: the Z'_4 and
+    Z'_14 partitions (check ``tube-partition``) tile the red of levels 1
+    and 2 by periodic components.  Step: γ1 conjugates the return map R_1
+    of S_1 to R_2 of S_2 (check ``self-similarity``).  R_(n+1) is the first
+    return of R_n to S_(n+1), so R_(n+1) = γ1 R_n γ1^-1 for every n, and γ1
+    carries the points of S_n whose R_n-orbit misses S_(n+1) onto those of
+    S_(n+1).  At n = 1 these are red at level 2, so periodic; hence they
+    are periodic at every n, and their orbits are the red that level n+1
+    adds.  Carving the level-3 components (``dodeca verify-partition
+    --region level3``) is a cross-check, not a proof step.
+
+    Asserts that red never shrinks from one level to the next.  Reports,
+    for each level with level+2 available, the least fraction of a return
+    piece that is red two levels deeper, and checks two exact identities:
+    the contraction scales red areas by ratio^2, and red area is constant
+    along each return tube.
     """
-    if reports is None:
-        reports = [
-            verify_partition(w, dom, label=f"level{i + 1}")
-            for i, dom in enumerate(domains)
-        ]
-    red_polys = [
-        [pol for pc in rep.components for pol in pc.tube] for rep in reports
-    ]
+    zp = w.Zp.area2()
+    tubes = [[return_tube(w, p) for p in rs.pieces] for _, rs in systems]
+    floors = [[pol for tube in level for pol in tube] for level in tubes]
+
+    def red_within(level, target):
+        return target.area2() - _area2_within(floors[level], target)
 
     levels = []
     prev_fraction = None
-    for idx, rep in enumerate(reports):
+    for idx, (label, rs) in enumerate(systems):
         min_frac = None
-        if idx + 2 < len(reports):
-            deep_red = red_polys[idx + 2]
-            for piece in rep.return_system.pieces:
-                inside = _area2_within(deep_red, piece.source)
-                frac = inside / piece.source.area2()
-                if min_frac is None or frac < min_frac:
-                    min_frac = frac
-        frac_total = rep.red_fraction()
+        if idx + 2 < len(systems):
+            min_frac = min(
+                red_within(idx + 2, p.source) / p.source.area2() for p in rs.pieces
+            )
+        green = ZERO
+        for piece in rs.pieces:
+            green = green + piece.source.area2() * piece.return_time
+        frac_total = (zp - green) / zp
         if prev_fraction is not None:
             assert frac_total >= prev_fraction, "red area must never shrink"
         prev_fraction = frac_total
-        levels.append(
-            RedFractionLevel(
-                level=idx + 1,
-                label=rep.label,
-                n_components=rep.n_components,
-                total_red_fraction=frac_total,
-                min_two_ahead_fraction=min_frac,
-            )
-        )
+        levels.append(RedFractionLevel(idx + 1, label, frac_total, min_frac))
 
-    ratio_ok = True
-    if contraction_ratio is not None and len(reports) >= 3:
-        lhs = _area2_within(red_polys[2], domains[1])
-        rhs = contraction_ratio * contraction_ratio * _area2_within(
-            red_polys[1], domains[0]
-        )
-        ratio_ok = lhs == rhs
+    lhs = red_within(2, systems[1][1].domain)
+    rhs = red_within(1, systems[0][1].domain)
+    ratio_ok = lhs == contraction_ratio * contraction_ratio * rhs
 
     transport_ok = True
-    if len(reports) >= 3:
-        rep = reports[0]
-        deep_red = red_polys[2]
-        for piece, tube in zip(rep.return_system.pieces[:2], rep.green_tubes[:2]):
-            base = _area2_within(deep_red, piece.source)
-            for pol in (tube[len(tube) // 2], tube[-1]):
-                if _area2_within(deep_red, pol) != base:
-                    transport_ok = False
+    for piece, tube in zip(systems[0][1].pieces[:2], tubes[0][:2]):
+        base = red_within(2, piece.source)
+        for pol in (tube[len(tube) // 2], tube[-1]):
+            if red_within(2, pol) != base:
+                transport_ok = False
     return RedFractionReport(levels, ratio_ok, transport_ok)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import dodeca
+from dodeca import cli
+from dodeca.checks import CHECK_NAMES
 from dodeca.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -164,6 +166,34 @@ def test_optimized_interpreter_refused():
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--only", "nope")
     assert code == EXIT_USAGE
+    # a typo in --skip must not run the check it meant to skip
+    code, _, err = run(capsys, "verify", "--skip", "full-measur")
+    assert code == EXIT_USAGE and "full-measur" in err
+    # an empty selection is a usage error, not a crash
+    for argv in (["--only", ","], ["--only", ""], ["--skip", ",".join(CHECK_NAMES)]):
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE and "no checks selected" in err
+
+
+def test_verify_cap_override(capsys, monkeypatch):
+    # --max-iter and DODECA_MAX_ITER also cap the first-return event budget
+    seen = []
+
+    def run_checks(names, ctx, progress):
+        seen.append(ctx)
+        return []
+
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    monkeypatch.delenv("DODECA_MAX_ITER", raising=False)
+    run(capsys, "verify")
+    run(capsys, "--max-iter", "123", "verify")
+    monkeypatch.setenv("DODECA_MAX_ITER", "456")
+    run(capsys, "verify")
+    assert [(c.max_iter, c.max_events) for c in seen] == [
+        (10**6, 10**6),
+        (123, 123),
+        (456, 456),
+    ]
 
 
 def test_usage_error_exit_code(capsys):
