@@ -560,13 +560,21 @@ CHECK_NAMES = [name for name, _ in CHECKS]
 
 
 def run_checks(names=None, ctx: Context | None = None, progress=None):
-    ctx = ctx or Context()
-    selected = names or CHECK_NAMES
+    """Run the named checks in order (all of them when ``names`` is None).
+
+    An empty selection raises ValueError and an unknown name KeyError,
+    both before any check starts.
+    """
+    selected = CHECK_NAMES if names is None else list(names)
+    if not selected:
+        raise ValueError("no check selected")
     table = dict(CHECKS)
-    results = []
     for name in selected:
         if name not in table:
             raise KeyError(f"unknown check {name!r}")
+    ctx = ctx or Context()
+    results = []
+    for name in selected:
         start = time.perf_counter()
         try:
             details = table[name](ctx)

@@ -1,10 +1,12 @@
 """Exact arithmetic in the real quadratic field Q[sqrt(3)].
 
 Every coordinate, matrix entry and geometric predicate in this package is
-computed in this field with arbitrary-precision integers, so there is no
-rounding anywhere in the engine.  Floating point only appears in
-:meth:`QS3.__float__`, which is a rendering aid and never feeds back into
-a predicate.
+computed in this field with arbitrary-precision integers, so no predicate
+rounds.  Floating point only comes from :meth:`QS3.__float__`.  Besides
+rendering, its values feed the float bounding boxes that skip exact work
+for regions far apart (``overlap_status``, the ``CellPool`` grid,
+``_area2_within``); every box hit is then decided exactly, but a box is
+not yet a proven enclosure, because the float can cancel.
 
 A value a + b*sqrt(3) (a, b rational) is stored over a common denominator
 as ``(p + q*sqrt(3)) / r`` with integers ``p, q`` and ``r >= 1``,
@@ -221,11 +223,10 @@ class QS3:
     # -- conversion -----------------------------------------------------------
 
     def __float__(self):
-        # Non-authoritative: nearest-representable approximation, used for
-        # rendering and prefilters only.
-        return float(Fraction(self.p, self.r)) + float(
-            Fraction(self.q, self.r)
-        ) * SQRT3_FLOAT
+        # Approximate, for rendering and the box prefilters: int true
+        # division rounds p/r and q/r correctly, but the sum can cancel
+        # when p and q*sqrt(3) nearly balance.
+        return self.p / self.r + self.q / self.r * SQRT3_FLOAT
 
     def key(self):
         """Canonical structural key, usable for deterministic ordering."""

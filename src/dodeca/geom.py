@@ -50,14 +50,7 @@ class Point:
 
     def cross_sign(self, other: "Point") -> int:
         """Exact sign of the cross product, on raw integers."""
-        ax, ay, bx, by = self.x, self.y, other.x, other.y
-        a1 = ax.p * by.p + 3 * ax.q * by.q
-        b1 = ax.p * by.q + ax.q * by.p
-        d1 = ax.r * by.r
-        a2 = ay.p * bx.p + 3 * ay.q * bx.q
-        b2 = ay.p * bx.q + ay.q * bx.p
-        d2 = ay.r * bx.r
-        return pair_sign(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1)
+        return _cross_sign(self.x, self.y, other.x, other.y)
 
     def norm2(self) -> QS3:
         return self.x * self.x + self.y * self.y
@@ -85,6 +78,32 @@ class Point:
         if len(parts) != 2:
             raise ValueError(f"bad point literal: {text!r}")
         return Point(qs3_parse(parts[0]), qs3_parse(parts[1]))
+
+
+def _cross_sign(ax: QS3, ay: QS3, bx: QS3, by: QS3) -> int:
+    """Exact sign of ax*by - ay*bx, on raw integers."""
+    a1 = ax.p * by.p + 3 * ax.q * by.q
+    b1 = ax.p * by.q + ax.q * by.p
+    d1 = ax.r * by.r
+    a2 = ay.p * bx.p + 3 * ay.q * bx.q
+    b2 = ay.p * bx.q + ay.q * bx.p
+    d2 = ay.r * bx.r
+    return pair_sign(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1)
+
+
+def _affine(a: QS3, b: QS3, t: QS3, x: QS3, y: QS3) -> QS3:
+    """a*x + b*y + t over one common denominator, normalised once."""
+    da = a.r * x.r
+    db = b.r * y.r
+    dab = da * db
+    tr = t.r
+    return QS3._make(
+        ((a.p * x.p + 3 * a.q * x.q) * db + (b.p * y.p + 3 * b.q * y.q) * da) * tr
+        + t.p * dab,
+        ((a.p * x.q + a.q * x.p) * db + (b.p * y.q + b.q * y.p) * da) * tr
+        + t.q * dab,
+        dab * tr,
+    )
 
 
 def primitive_dir(d: Point) -> Point:
@@ -163,9 +182,12 @@ class Line:
 
 
 class AffMap:
-    """Exact affine map x -> M x + t over QS3."""
+    """Exact affine map x -> M x + t over QS3.
 
-    __slots__ = ("m00", "m01", "m10", "m11", "tx", "ty")
+    Entries are fixed at construction; ``det_sign`` is the sign of det(M).
+    """
+
+    __slots__ = ("m00", "m01", "m10", "m11", "tx", "ty", "det_sign")
 
     def __init__(self, m00, m01, m10, m11, tx, ty):
         self.m00 = m00
@@ -174,6 +196,7 @@ class AffMap:
         self.m11 = m11
         self.tx = tx
         self.ty = ty
+        self.det_sign = _cross_sign(m00, m01, m10, m11)
 
     @staticmethod
     def identity() -> "AffMap":
@@ -205,23 +228,29 @@ class AffMap:
         )
 
     def apply(self, p: Point) -> Point:
+        x, y = p.x, p.y
         return Point(
-            self.m00 * p.x + self.m01 * p.y + self.tx,
-            self.m10 * p.x + self.m11 * p.y + self.ty,
+            _affine(self.m00, self.m01, self.tx, x, y),
+            _affine(self.m10, self.m11, self.ty, x, y),
         )
 
     def apply_vec(self, d: Point) -> Point:
-        return Point(self.m00 * d.x + self.m01 * d.y, self.m10 * d.x + self.m11 * d.y)
+        x, y = d.x, d.y
+        return Point(
+            _affine(self.m00, self.m01, ZERO, x, y),
+            _affine(self.m10, self.m11, ZERO, x, y),
+        )
 
     def compose(self, inner: "AffMap") -> "AffMap":
         """self o inner."""
+        a, b, c, d = self.m00, self.m01, self.m10, self.m11
         return AffMap(
-            self.m00 * inner.m00 + self.m01 * inner.m10,
-            self.m00 * inner.m01 + self.m01 * inner.m11,
-            self.m10 * inner.m00 + self.m11 * inner.m10,
-            self.m10 * inner.m01 + self.m11 * inner.m11,
-            self.m00 * inner.tx + self.m01 * inner.ty + self.tx,
-            self.m10 * inner.tx + self.m11 * inner.ty + self.ty,
+            _affine(a, b, ZERO, inner.m00, inner.m10),
+            _affine(a, b, ZERO, inner.m01, inner.m11),
+            _affine(c, d, ZERO, inner.m00, inner.m10),
+            _affine(c, d, ZERO, inner.m01, inner.m11),
+            _affine(a, b, self.tx, inner.tx, inner.ty),
+            _affine(c, d, self.ty, inner.tx, inner.ty),
         )
 
     def det(self) -> QS3:
@@ -379,9 +408,13 @@ class Region:
         pts = _strip_collinear_cycle(list(points))
         if len(pts) < 3:
             raise ValueError("degenerate bounded region")
-        if _cycle_signed_area2(pts).sign() < 0:
+        area2 = _cycle_signed_area2(pts)
+        if area2.sign() < 0:
             pts.reverse()
-        return Region(pts, _skip_checks=True)
+            area2 = -area2
+        reg = Region(pts, _skip_checks=True)
+        reg._area = area2
+        return reg
 
     @staticmethod
     def unbounded(entry_dir: Point, points, exit_dir: Point) -> "Region":
@@ -539,7 +572,7 @@ class Region:
 
     def transformed(self, f: AffMap) -> "Region":
         pts = [f.apply(p) for p in self.vertices]
-        if f.det().sign() > 0:
+        if f.det_sign > 0:
             # invertible orientation-preserving maps keep the normal form
             # (orientation, collinearity, ray merging) intact
             if self.is_bounded:
@@ -622,7 +655,11 @@ class Region:
         raise ValueError("failed to find interior point")
 
     def float_bbox(self):
-        """Conservative float bounding box (bounded regions only)."""
+        """Padded float bounding box (bounded regions only).
+
+        A prefilter, not a proven enclosure: ``float`` of a field element
+        can cancel (see ``QS3.__float__``).
+        """
         if self._fbox is None:
             xs = [float(p.x) for p in self.vertices]
             ys = [float(p.y) for p in self.vertices]
@@ -769,6 +806,25 @@ def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
         return Region.unbounded(entry_dir, chain, exit_dir)
     except ValueError:
         return None
+
+
+def vertex_position(region: Region, lines) -> str:
+    """Place a bounded region against the convex set where every line is >= 0.
+
+    Reads only the exact signs of the region's vertices: "inside" when all
+    of them are on the closed positive side of every line, "disjoint" when
+    one line has all of them on its closed negative side, else "unknown"
+    (the region may still miss the set).
+    """
+    pts = region.vertices
+    inside = True
+    for ln in lines:
+        sides = [ln.side(p) for p in pts]
+        if max(sides) <= 0:
+            return "disjoint"
+        if min(sides) < 0:
+            inside = False
+    return "inside" if inside else "unknown"
 
 
 def intersect_convex(a: Region, b_convex: Region) -> Region | None:

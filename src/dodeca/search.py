@@ -38,6 +38,7 @@ from .geom import (
     intersection_area2,
     overlap_status,
     split_region,
+    vertex_position,
 )
 from .periods import period_of_h
 from .table import WedgeSystem, rotation_index
@@ -326,8 +327,9 @@ class CellPool:
     Subtracting a polygon replaces each overlapping cell by its exact
     difference pieces; the removed (doubled) area is returned so callers
     can assert that claims never overlap.  Cells are indexed by a uniform
-    float grid (conservative boxes), so subtraction only touches nearby
-    cells; the grid is a prefilter only, every hit is decided exactly.
+    float grid (padded boxes), so subtraction only touches nearby
+    cells; the grid is a prefilter only, every hit is decided exactly.  A
+    cell that one edge line of the polygon separates is left as it is.
     """
 
     GRID = 192
@@ -396,6 +398,8 @@ class CellPool:
         for cid in candidates:
             cell = self.cells[cid]
             if not boxes_overlap(cell.float_bbox(), pbox):
+                continue
+            if vertex_position(cell, lines) == "disjoint":
                 continue
             outside = []
             work = cell
@@ -559,13 +563,17 @@ def verify_partition(
 def _area2_within(polys, target: Region) -> QS3:
     """Doubled area of (union of polys) ∩ target; polys pairwise disjoint."""
     tbox = target.float_bbox()
-    parts = target.convex_parts()
+    parts = [(part, part.boundary_lines()) for part in target.convex_parts()]
     total = ZERO
     for pol in polys:
         if not boxes_overlap(pol.float_bbox(), tbox):
             continue
-        for part in parts:
-            total = total + intersection_area2(pol, part)
+        for part, lines in parts:
+            where = vertex_position(pol, lines)
+            if where == "inside":
+                total = total + pol.area2()
+            elif where == "unknown":
+                total = total + intersection_area2(pol, part)
     return total
 
 

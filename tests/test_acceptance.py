@@ -28,3 +28,13 @@ def test_full_measure_carves_nothing(ctx, monkeypatch):
     monkeypatch.setattr(Context, "partition", carve)  # the cached ones too
     res = run_checks(["full-measure"], ctx)[0]
     assert res.ok, res.error
+
+
+def test_run_checks_refuses_bad_selection_before_running(ctx):
+    def progress(res):
+        raise AssertionError(f"{res.name} ran")
+
+    with pytest.raises(ValueError):
+        run_checks([], ctx, progress=progress)
+    with pytest.raises(KeyError):
+        run_checks(["construction-identities", "full-measur"], ctx, progress=progress)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca.field import ONE, QS3, SQRT3, ZERO, qs3, qs3_parse
+from dodeca.field import ONE, QS3, SQRT3, SQRT3_FLOAT, ZERO, qs3, qs3_parse
 
 
 def rand_qs3(rng, span=30):
@@ -48,6 +48,19 @@ def test_float_examples():
     assert float(ONE) == 1.0
     assert abs(float(SQRT3) - 1.7320508) < 1e-6
     assert abs(float(qs3(Fraction(1, 2), Fraction(1, 2))) - 1.3660254) < 1e-6
+
+
+def test_float_matches_fraction_conversion():
+    # int true division rounds like Fraction.__float__, so the sum is bit-identical
+    rng = random.Random(21)
+    for _ in range(500):
+        v = QS3._make(
+            rng.randint(-(2**200), 2**200),
+            rng.randint(-(2**200), 2**200),
+            rng.randint(1, 2**100),
+        )
+        want = float(Fraction(v.p, v.r)) + float(Fraction(v.q, v.r)) * SQRT3_FLOAT
+        assert float(v) == want
 
 
 def test_literal_round_trip_examples():

@@ -14,6 +14,7 @@ from dodeca.geom import (
     Line,
     Point,
     Region,
+    _cycle_signed_area2,
     clip_convex,
     intersect_convex,
     intersection_area2,
@@ -392,3 +393,57 @@ def test_affmap_compose_inverse():
     m = rot.compose(t)
     ident = m.compose(m.inverse())
     assert ident == AffMap.identity()
+
+
+def _rand_entry(rng):
+    # non-lattice denominators, zero and negative parts included
+    if rng.random() < 0.15:
+        return ZERO
+    return QS3._make(rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 50))
+
+
+def test_affmap_kernels_match_operators():
+    rng = random.Random(20)
+    for _ in range(500):
+        f = AffMap(*(_rand_entry(rng) for _ in range(6)))
+        g = AffMap(*(_rand_entry(rng) for _ in range(6)))
+        x, y = _rand_entry(rng), _rand_entry(rng)
+        image = f.apply(Point(x, y))
+        assert image.key() == (
+            (f.m00 * x + f.m01 * y + f.tx).key(),
+            (f.m10 * x + f.m11 * y + f.ty).key(),
+        )
+        fg = f.compose(g)
+        expected = AffMap(
+            f.m00 * g.m00 + f.m01 * g.m10,
+            f.m00 * g.m01 + f.m01 * g.m11,
+            f.m10 * g.m00 + f.m11 * g.m10,
+            f.m10 * g.m01 + f.m11 * g.m11,
+            f.m00 * g.tx + f.m01 * g.ty + f.tx,
+            f.m10 * g.tx + f.m11 * g.ty + f.ty,
+        )
+        assert hash(fg) == hash(expected) and fg == expected
+        assert f.det_sign == f.det().sign()
+
+
+def test_apply_normalises_once_per_coordinate(ctx, monkeypatch):
+    w = ctx.wedge
+    points = {i: w.alpha[i].interior_point() for i in range(1, 7)}
+    make = QS3._make
+    calls = []
+
+    def counted(p, q, r):
+        calls.append(1)
+        return make(p, q, r)
+
+    monkeypatch.setattr(QS3, "_make", staticmethod(counted))
+    for i, p in points.items():
+        calls.clear()
+        w.maps[i].apply(p)
+        assert len(calls) == 2, i
+
+
+def test_bounded_caches_area_of_stored_cycle():
+    cw = Region.bounded([P(0, 0), P(0, 2), P(3, 2), P(3, 0)])
+    assert cw._area == qs3(12)
+    assert _cycle_signed_area2(cw.vertices) == cw._area

@@ -187,3 +187,22 @@ def test_cell_pool_exact_subtraction(ctx):
     assert pool.total_area2() == w.Zp.area2() - comp.region.area2()
     # subtracting again removes nothing
     assert pool.subtract(comp.region).is_zero()
+
+
+def test_cell_pool_skips_separated_cells(monkeypatch):
+    def P(x, y):
+        return Point(QS3(x), QS3(y))
+
+    pool = CellPool(Region.bounded([P(4, 0), P(4, 4), P(0, 4)]))
+    (cell,) = pool.cells.values()
+    # the boxes overlap, but the edge line x + y = 8 has the cell on its
+    # closed outer side (touching at the vertex (4, 4))
+    poly = Region.bounded([P(5, 3), P(5, 5), P(3, 5)])
+
+    def no_clip(region, line, keep):
+        raise AssertionError("clip_convex called on a separated cell")
+
+    monkeypatch.setattr(search, "clip_convex", no_clip)
+    assert pool.subtract(poly).is_zero()
+    (kept,) = pool.cells.values()
+    assert kept is cell
