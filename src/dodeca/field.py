@@ -2,11 +2,10 @@
 
 Every coordinate, matrix entry and geometric predicate in this package is
 computed in this field with arbitrary-precision integers, so no predicate
-rounds.  Floating point only comes from :meth:`QS3.__float__`.  Besides
-rendering, its values feed the float bounding boxes that skip exact work
-for regions far apart (``overlap_status``, the ``CellPool`` grid,
-``_area2_within``); every box hit is then decided exactly, but a box is
-not yet a proven enclosure, because the float can cancel.
+rounds.  Floating point only comes from :meth:`QS3.__float__`.  Its values
+feed the proven bounding boxes of ``Region.float_bbox``, which only prune
+exact work (``geom.area2_within``, the ``CellPool`` grid); otherwise floats
+appear only in samplers, rendering and the reported ``*_float`` values.
 
 A value a + b*sqrt(3) (a, b rational) is stored over a common denominator
 as ``(p + q*sqrt(3)) / r`` with integers ``p, q`` and ``r >= 1``,

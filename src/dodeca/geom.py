@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .field import ONE, QS3, ZERO, pair_sign, qs3_parse
+from .field import ONE, QS3, SQRT3_FLOAT, ZERO, pair_sign, qs3_parse
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -348,7 +348,7 @@ def _strip_collinear_cycle(pts):
         n = len(pts)
         for i in range(n):
             a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-            if (b - a).cross(c - b).is_zero():
+            if (b - a).cross_sign(c - b) == 0:
                 changed = True
             else:
                 out.append(b)
@@ -480,6 +480,14 @@ class Region:
                 out.append(ln)
         return out
 
+    def edge_lines(self):
+        """``boundary_lines()``, cached for point location and overlap targets."""
+        # CellPool takes the lines of every tube polygon uncached: keeping
+        # those would hold them all
+        if self._lines is None:
+            self._lines = self.boundary_lines()
+        return self._lines
+
     def is_convex(self) -> bool:
         if self._convex is None:
             if not self.is_bounded:
@@ -488,7 +496,7 @@ class Region:
                 pts = self.vertices
                 n = len(pts)
                 self._convex = all(
-                    (pts[i] - pts[i - 1]).cross(pts[(i + 1) % n] - pts[i]).sign() > 0
+                    (pts[i] - pts[i - 1]).cross_sign(pts[(i + 1) % n] - pts[i]) > 0
                     for i in range(n)
                 )
         return self._convex
@@ -534,13 +542,10 @@ class Region:
     # -- point classification ---------------------------------------------------
 
     def classify(self, p: Point) -> str:
-        # cached for point location only: CellPool also takes the lines
-        # of every tube polygon, and keeping those would hold them all
-        if self._lines is None:
-            self._lines = self.boundary_lines()
+        lines = self.edge_lines()
         if self.is_convex():
             any_zero = False
-            for ln in self._lines:
+            for ln in lines:
                 s = ln.side(p)
                 if s < 0:
                     return EXTERIOR
@@ -550,7 +555,7 @@ class Region:
         # even-odd crossing count with a rightward ray from p, half-open in y;
         # line i runs through vertices i -> i+1 with the interior on its left
         pts = self.vertices
-        sides = [ln.side(p) for ln in self._lines]
+        sides = [ln.side(p) for ln in lines]
         py = p.y  # above[i] = sign(v_i.y - p.y); denominators are positive
         above = [
             pair_sign(v.y.p * py.r - py.p * v.y.r, v.y.q * py.r - py.q * v.y.r)
@@ -657,13 +662,22 @@ class Region:
     def float_bbox(self):
         """Padded float bounding box (bounded regions only).
 
-        A prefilter, not a proven enclosure: ``float`` of a field element
-        can cancel (see ``QS3.__float__``).
+        A proven enclosure: ``float`` of a coordinate a + b*s3 (a = p/r and
+        b = q/r, as in ``QS3.__float__``) is within 5e-16 * (|a| + 2|b|) of
+        it however much the sum cancels, and that magnitude has no
+        cancellation, so twice it covers rounding.
         """
         if self._fbox is None:
-            xs = [float(p.x) for p in self.vertices]
-            ys = [float(p.y) for p in self.vertices]
-            pad = 1e-9 * (1.0 + max(abs(v) for v in xs + ys))
+            xs = []
+            ys = []
+            mag = 0.0
+            for p in self.vertices:
+                x, y = p.x, p.y
+                xa, xb, ya, yb = x.p / x.r, x.q / x.r, y.p / y.r, y.q / y.r
+                xs.append(xa + xb * SQRT3_FLOAT)
+                ys.append(ya + yb * SQRT3_FLOAT)
+                mag = max(mag, abs(xa) + 2 * abs(xb), abs(ya) + 2 * abs(yb))
+            pad = 1e-9 * (1.0 + max(map(abs, xs + ys))) + 1e-15 * mag
             self._fbox = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
         return self._fbox
 
@@ -748,10 +762,10 @@ def _clip_convex_bounded(region: Region, line: Line, keep: int) -> Region | None
             out.append(
                 _cross_point(pts[i], pts[j], line.eval(pts[i]), line.eval(pts[j]))
             )
-    try:
-        return Region.bounded(out)
-    except ValueError:
-        return None
+    # vertices lie strictly on both sides, so the line meets the convex
+    # boundary in exactly two points: the cut adds no duplicate or collinear
+    # vertex, keeps the counter-clockwise order and leaves a positive area
+    return Region(out, _skip_checks=True)
 
 
 def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
@@ -830,7 +844,7 @@ def vertex_position(region: Region, lines) -> str:
 def intersect_convex(a: Region, b_convex: Region) -> Region | None:
     """Intersection of a convex region with another convex region."""
     out = a
-    for ln in b_convex.boundary_lines():
+    for ln in b_convex.edge_lines():
         out = clip_convex(out, ln, +1)
         if out is None:
             return None
@@ -990,32 +1004,38 @@ def intersection_area2(poly: Region, convex: Region) -> QS3:
     return total
 
 
-def overlap_status(poly: Region, target_parts, poly_area2: QS3 | None = None) -> str:
+def area2_within(polys, target_parts) -> QS3:
+    """Twice the area of (union of polys) ∩ (union of target_parts), exactly.
+
+    polys: a list of bounded regions, target_parts: convex regions, each
+    with disjoint interiors.  A part and poly pair is skipped when their
+    proven float boxes miss, counted whole or not at all when the poly's
+    vertex signs against the part's edge lines settle it, else clipped.
+    """
+    total = ZERO
+    for part in target_parts:
+        box = part.float_bbox() if part.is_bounded else None
+        for pol in polys:
+            if box is not None and not boxes_overlap(pol.float_bbox(), box):
+                continue
+            where = vertex_position(pol, part.edge_lines())
+            if where == "inside":
+                total = total + pol.area2()
+            elif where == "unknown":
+                total = total + intersection_area2(pol, part)
+    return total
+
+
+def overlap_status(poly: Region, target_parts) -> str:
     """Trichotomy of a bounded region against a convex decomposition.
 
     target_parts: convex regions forming the target (disjoint interiors).
-    Returns "inside", "disjoint" or "straddle" comparing exact areas.  A
-    conservative float box test short-circuits the common far-away case.
+    Returns "inside", "disjoint" or "straddle" from ``area2_within``.
     """
-    pb = poly.float_bbox()
-    near = [
-        part
-        for part in target_parts
-        if not part.is_bounded or boxes_overlap(pb, part.float_bbox())
-    ]
-    if not near:
+    acc = area2_within([poly], target_parts)
+    if acc.is_zero():
         return "disjoint"
-    if poly_area2 is None:
-        poly_area2 = poly.area2()
-    acc = ZERO
-    for part in near:
-        acc = acc + intersection_area2(poly, part)
-    s = acc.sign()
-    if s == 0:
-        return "disjoint"
-    if acc == poly_area2:
-        return "inside"
-    return "straddle"
+    return "inside" if acc == poly.area2() else "straddle"
 
 
 def boxes_overlap(a, b) -> bool:

@@ -33,9 +33,9 @@ from .geom import (
     AffMap,
     Point,
     Region,
+    area2_within,
     boxes_overlap,
     clip_convex,
-    intersection_area2,
     overlap_status,
     split_region,
     vertex_position,
@@ -289,18 +289,12 @@ def _validate_return_system(rs: ReturnSystem):
     total = ZERO
     for p in rs.pieces:
         total = total + p.source.area2()
-    assert total == rs.domain.area2()
-    n = len(rs.pieces)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a, b in (
-                (rs.pieces[i].source, rs.pieces[j].source),
-                (rs.pieces[i].target, rs.pieces[j].target),
-            ):
-                acc = ZERO
-                for part in b.convex_parts():
-                    acc = acc + intersection_area2(a, part)
-                assert acc.is_zero()
+    assert total == rs.domain.area2(), "return sources must tile the domain"
+    for regions in ([p.source for p in rs.pieces], [p.target for p in rs.pieces]):
+        for j in range(1, len(regions)):
+            # areas are >= 0, so a zero sum means no earlier piece overlaps
+            overlap = area2_within(regions[:j], regions[j].convex_parts())
+            assert overlap.is_zero(), "return pieces must not overlap"
 
 
 def return_tube(w: WedgeSystem, piece: ReturnPiece):
@@ -326,10 +320,10 @@ class CellPool:
 
     Subtracting a polygon replaces each overlapping cell by its exact
     difference pieces; the removed (doubled) area is returned so callers
-    can assert that claims never overlap.  Cells are indexed by a uniform
-    float grid (padded boxes), so subtraction only touches nearby
-    cells; the grid is a prefilter only, every hit is decided exactly.  A
-    cell that one edge line of the polygon separates is left as it is.
+    can assert that claims never overlap.  Cells are indexed by a float
+    grid of their proven boxes (``Region.float_bbox``), so subtraction
+    touches only nearby cells and misses none; every hit is decided exactly.
+    A cell that one edge line of the polygon separates is left as it is.
     """
 
     GRID = 192
@@ -560,23 +554,6 @@ def verify_partition(
 # -- red/green fractions from the return towers --------------------------------------
 
 
-def _area2_within(polys, target: Region) -> QS3:
-    """Doubled area of (union of polys) ∩ target; polys pairwise disjoint."""
-    tbox = target.float_bbox()
-    parts = [(part, part.boundary_lines()) for part in target.convex_parts()]
-    total = ZERO
-    for pol in polys:
-        if not boxes_overlap(pol.float_bbox(), tbox):
-            continue
-        for part, lines in parts:
-            where = vertex_position(pol, lines)
-            if where == "inside":
-                total = total + pol.area2()
-            elif where == "unknown":
-                total = total + intersection_area2(pol, part)
-    return total
-
-
 @dataclass
 class RedFractionLevel:
     level: int
@@ -653,7 +630,7 @@ def red_fraction_check(
     floors = [[pol for tube in level for pol in tube] for level in tubes]
 
     def red_within(level, target):
-        return target.area2() - _area2_within(floors[level], target)
+        return target.area2() - area2_within(floors[level], target.convex_parts())
 
     levels = []
     prev_fraction = None

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca.field import ONE, QS3, ZERO, qs3
+from dodeca.field import HALF, ONE, QS3, SQRT3_HALF, ZERO, qs3
 from dodeca.geom import (
     BOUNDARY,
     EXTERIOR,
@@ -15,6 +15,7 @@ from dodeca.geom import (
     Point,
     Region,
     _cycle_signed_area2,
+    area2_within,
     clip_convex,
     intersect_convex,
     intersection_area2,
@@ -22,6 +23,7 @@ from dodeca.geom import (
     region_from_json,
     region_to_json,
     split_region,
+    vertex_position,
 )
 
 
@@ -31,6 +33,18 @@ def P(x, y):
 
 UNIT_SQUARE = Region.bounded([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
 ELL = Region.bounded([P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)])
+TRIANGLE = Region.bounded([P(0, 0), P(1, 0), P(0, 1)])
+HEXAGON = Region.bounded(
+    [
+        Point(ONE, ZERO),
+        Point(HALF, SQRT3_HALF),
+        Point(-HALF, SQRT3_HALF),
+        Point(-ONE, ZERO),
+        Point(-HALF, -SQRT3_HALF),
+        Point(HALF, -SQRT3_HALF),
+    ]
+)
+TURN_30 = AffMap.rotation(SQRT3_HALF, HALF, P(0, 0))
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
@@ -293,6 +307,105 @@ def test_overlap_status():
     # touching along an edge counts as disjoint interiors
     touching = small.transformed(AffMap.translation(P(4, 0)))
     assert overlap_status(touching, parts) == "disjoint"
+
+
+def _seeded_polys(rng, region, count):
+    """Squares, L-shapes and triangles of random size and turn, placed
+    around the vertices of a region."""
+    out = []
+    for _ in range(count):
+        poly = rng.choice([UNIT_SQUARE, ELL, TRIANGLE])
+        for _ in range(rng.randrange(12)):
+            poly = poly.transformed(TURN_30)
+        v = rng.choice(region.vertices)
+        s = QS3(Fraction(rng.randint(1, 32), 32))
+        dx, dy = (Fraction(rng.randint(-48, 48), 32) for _ in range(2))
+        out.append(poly.transformed(AffMap(s, ZERO, ZERO, s, v.x + dx, v.y + dy)))
+    return out
+
+
+def test_area2_within_matches_clipping(ctx, sim):
+    rng = random.Random(8)
+    seen = set()
+    for target in (sim.Z4, ctx.wedge.image_alpha[6]):
+        parts = target.convex_parts()
+        polys = _seeded_polys(rng, target, 60)
+        total = ZERO
+        for pol in polys:
+            want = ZERO
+            for part in parts:
+                want = want + intersection_area2(pol, part)
+            assert area2_within([pol], parts) == want
+            total = total + want
+            if want.is_zero():
+                seen.add("disjoint")
+            else:
+                seen.add("inside" if want == pol.area2() else "straddle")
+        assert area2_within(polys, parts) == total
+    assert seen == {"inside", "disjoint", "straddle"}
+
+
+def test_area2_within_clips_what_vertex_signs_leave_open():
+    # every poly vertex is outside the part, but no edge line of the part
+    # separates them: only a poly edge cuts the part off
+    part = Region.bounded([P(0, 0), P(2, 0), P(1, 2)])
+    over_apex = Region.bounded([P(-1, "3/2"), P(3, "3/2"), P(3, 3), P(-1, 3)])
+    assert vertex_position(over_apex, part.boundary_lines()) == "unknown"
+    assert area2_within([over_apex], [part]) == qs3(Fraction(1, 4))
+    touching = Region.bounded([P(0, 2), P(2, 0), P(3, 3)])
+    assert vertex_position(touching, UNIT_SQUARE.boundary_lines()) == "unknown"
+    assert area2_within([touching], [UNIT_SQUARE]).is_zero()
+    assert overlap_status(touching, [UNIT_SQUARE]) == "disjoint"
+
+
+def test_clip_convex_keeps_normal_form():
+    # a cut of a convex polygon in normal form needs no renormalising
+    rng = random.Random(5)
+
+    def rand_point(lo, hi):
+        return P(Fraction(rng.randint(lo, hi), 16), Fraction(rng.randint(lo, hi), 16))
+
+    through_vertex = 0
+    for _ in range(150):
+        m = [QS3(Fraction(rng.randint(-32, 32), 16)) for _ in range(4)]
+        if (m[0] * m[3] - m[1] * m[2]).sign() <= 0:
+            continue
+        shape = AffMap(*m, QS3(rng.randint(-3, 3)), QS3(rng.randint(-3, 3)))
+        poly = rng.choice([TRIANGLE, UNIT_SQUARE, HEXAGON]).transformed(shape)
+        pts = poly.vertices
+        for kind in range(3):
+            if kind == 0:
+                a, b = rand_point(-64, 64), rand_point(-64, 64)
+            elif kind == 1:
+                a, b = rng.choice(pts), rand_point(-64, 64)
+            else:
+                a, b = rng.sample(pts, 2)
+            if a == b:
+                continue
+            line = Line.through(a, b)
+            sides = [line.side(p) for p in pts]
+            if min(sides) >= 0 or max(sides) <= 0:
+                continue
+            through_vertex += 0 in sides
+            halves = [clip_convex(poly, line, keep) for keep in (+1, -1)]
+            for half in halves:
+                assert half.vertices == Region.bounded(half.vertices).vertices
+                assert half.area2().sign() > 0
+            assert halves[0].area2() + halves[1].area2() == poly.area2()
+    assert through_vertex > 20
+
+
+def test_float_bbox_encloses_cancelling_coordinates():
+    # (2 - s3)^30 = p - q*s3 with Pell numbers p^2 - 3 q^2 = 1 is about
+    # 7e-18, and float() of it cancels two terms near 7.2e16 to 0.0
+    p, q = 1, 0
+    for _ in range(30):
+        p, q = 2 * p + 3 * q, p + 2 * q
+    x = QS3._make(p, -q, 1)
+    tri = Region.bounded([Point(x, ZERO), Point(x + 1, ZERO), Point(x, ONE)])
+    x0, y0, x1, y1 = (QS3(Fraction(v)) for v in tri.float_bbox())
+    for v in tri.vertices:
+        assert x0 <= v.x <= x1 and y0 <= v.y <= y1
 
 
 def test_intersection_area_nonconvex():

@@ -5,11 +5,12 @@ import pytest
 from dodeca import search
 from dodeca.errors import InconclusiveError, SelfReturnError
 from dodeca.field import QS3, ZERO
-from dodeca.geom import Point, Region
+from dodeca.geom import Point, Region, area2_within
 from dodeca.periods import period_of_h
 from dodeca.search import (
     CellPool,
-    _area2_within,
+    ReturnSystem,
+    _validate_return_system,
     component_periods,
     find_periodic_component,
     first_return_map,
@@ -174,7 +175,21 @@ def test_tower_areas_match_partition(ctx):
         floors = [pol for p in pieces for pol in return_tube(w, p)]
         red = [pol for pc in rep.components for pol in pc.tube]
         for a in sources:
-            assert _area2_within(red, a) == a.area2() - _area2_within(floors, a)
+            parts = a.convex_parts()
+            assert area2_within(red, parts) == a.area2() - area2_within(floors, parts)
+
+
+def test_validate_return_system_rejects_overlapping_pieces(ctx):
+    rs = ctx.return_system("z4")
+    pieces = rs.pieces + rs.pieces[:1]
+    total = ZERO
+    for p in pieces:
+        total = total + p.source.area2()
+    # a stand-in domain whose area matches, so only the overlap test can fail
+    domain = Region.bounded([Point(ZERO, ZERO), Point(total, ZERO), Point(ZERO, QS3(1))])
+    assert domain.area2() == total
+    with pytest.raises(AssertionError, match="overlap"):
+        _validate_return_system(ReturnSystem(domain, pieces))
 
 
 def test_cell_pool_exact_subtraction(ctx):
