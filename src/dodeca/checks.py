@@ -136,11 +136,12 @@ class Context:
         )
 
     def base_components(self):
+        """W_1..W_4, the components of the fixed points O_1..O_4."""
+
         def build():
-            return {
-                i: find_periodic_component(self.wedge, self.wedge.O[i], self.max_iter)
-                for i in range(1, 5)
-            }
+            s = self.sim
+            w1 = find_periodic_component(self.wedge, self.wedge.O[1], self.max_iter)
+            return {1: w1, 2: s.w2, 3: s.w3, 4: s.w4}
 
         return self._get("base_components", build)
 

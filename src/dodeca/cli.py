@@ -1,10 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verification check failed (disproof), 2 an
-iteration cap was exhausted (inconclusive), 3 usage or parse error.  Every
-output records the seed and caps that produced it, so runs are exactly
-reproducible.  The environment variable DODECA_MAX_ITER overrides the
-default iteration caps globally.
+iteration cap was exhausted or a boundary was hit (inconclusive), 3 usage
+or parse error.  Every error object and every JSON result except ``build
+--dump-json`` records the seed that produced it; the caps are not recorded.
+``--max-iter``, else the environment variable DODECA_MAX_ITER, sets one cap
+for every iteration and event budget of every subcommand.
+
+``main`` builds one lazy ``Context`` per run and passes it to the
+subcommand, and it alone turns engine errors into exit codes and error
+objects.
 """
 
 from __future__ import annotations
@@ -25,14 +30,26 @@ from .render import (
     scene_spiral,
     scene_table,
 )
-from .search import find_periodic_component, first_return_map, verify_partition
-from .selfsim import aperiodic_witness, build_similarity
-from .table import build_table
+from .search import (
+    component_periods,
+    find_periodic_component,
+    first_return_map,
+    verify_partition,
+)
+from .selfsim import aperiodic_witness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+
+# Engine errors that are verdicts: (type, exit code, "error" field).
+VERDICTS = (
+    (GraneError, EXIT_INCONCLUSIVE, "boundary"),
+    (InconclusiveError, EXIT_INCONCLUSIVE, "inconclusive"),
+    (SelfReturnError, EXIT_FAIL, "self-return violated"),
+    (AssertionError, EXIT_FAIL, "check failed"),
+)
 
 
 def _max_iter(args) -> int:
@@ -47,11 +64,11 @@ def _max_iter(args) -> int:
     return 10**6
 
 
-def _emit(obj, args, text_lines=None):
+def _emit(obj, args, text_lines):
     if args.format == "json":
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
-        for line in text_lines if text_lines is not None else [json.dumps(obj)]:
+        for line in text_lines:
             print(line)
 
 
@@ -73,12 +90,12 @@ def _domain(ctx, name):
     try:
         with open(name, "r", encoding="utf-8") as fh:
             return region_from_json(fh.read())
-    except OSError as exc:
-        raise _Usage(f"cannot read region file {name!r}: {exc}")
+    except (OSError, ValueError, KeyError) as exc:
+        raise _Usage(f"cannot read region file {name!r}: {exc!r}")
 
 
-def cmd_build(args) -> int:
-    table, w = build_table()
+def cmd_build(args, ctx) -> int:
+    table, w = ctx.system
     if not args.dump_json:
         print("construction OK: 12-gon table, wedge system, rocket and necklace built")
         return EXIT_OK
@@ -98,46 +115,32 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_orbit(args) -> int:
-    table, w = build_table()
+def cmd_orbit(args, ctx) -> int:
     p = _parse_point(args.point)
-    symbols = []
-    back_symbols = []
     q = p
-    try:
-        if args.map == "T":
-            for _ in range(args.backward):
-                q, i = table.step(q, forward=False)
-                back_symbols.append(i)
-            back_symbols.reverse()
-            q2 = p
-            for _ in range(args.steps):
-                q2, i = table.step(q2)
-                symbols.append(i)
-        else:
-            it = w.itinerary(p, args.steps, args.backward)
-            if not it.complete:
-                raise GraneError(
-                    "orbit hit a boundary",
-                    steps_done=(it.fwd_fail if it.fwd_fail is not None else it.bwd_fail),
-                )
-            symbols = list(it.symbols[it.start_offset :])
-            back_symbols = list(it.symbols[: it.start_offset])
-            q2 = p
-            for _ in range(args.steps):
-                q2, _ = w.step(q2)
-    except GraneError as exc:
-        _emit(
-            {
-                "error": "boundary",
-                "detail": str(exc),
-                "steps_done": exc.steps_done,
-                "seed": args.seed,
-            },
-            args,
-            [f"boundary hit: {exc}"],
-        )
-        return EXIT_INCONCLUSIVE
+    if args.map == "T":
+        back_symbols = []
+        for _ in range(args.backward):
+            q, i = ctx.table.step(q, forward=False)
+            back_symbols.append(i)
+        back_symbols.reverse()
+        q = p
+        symbols = []
+        for _ in range(args.steps):
+            q, i = ctx.table.step(q)
+            symbols.append(i)
+    else:
+        w = ctx.wedge
+        it = w.itinerary(p, args.steps, args.backward)
+        if not it.complete:
+            raise GraneError(
+                "orbit hit a boundary",
+                steps_done=(it.fwd_fail if it.fwd_fail is not None else it.bwd_fail),
+            )
+        symbols = list(it.symbols[it.start_offset :])
+        back_symbols = list(it.symbols[: it.start_offset])
+        for i in symbols:
+            q = w.maps[i].apply(q)
     sep = "," if args.map == "T" else ""
     obj = {
         "map": args.map,
@@ -147,26 +150,16 @@ def cmd_orbit(args) -> int:
         "itinerary": sep.join(str(s) for s in back_symbols)
         + "."
         + sep.join(str(s) for s in symbols),
-        "final": [q2.x.literal(), q2.y.literal()],
+        "final": [q.x.literal(), q.y.literal()],
         "seed": args.seed,
     }
-    _emit(obj, args, [f"itinerary {obj['itinerary']}", f"final {q2.literal()}"])
+    _emit(obj, args, [f"itinerary {obj['itinerary']}", f"final {q.literal()}"])
     return EXIT_OK
 
 
-def cmd_component(args) -> int:
-    _, w = build_table()
+def cmd_component(args, ctx) -> int:
     p = _parse_point(args.point)
-    try:
-        comp = find_periodic_component(w, p, _max_iter(args))
-    except GraneError as exc:
-        _emit({"error": "boundary", "detail": str(exc)}, args)
-        return EXIT_INCONCLUSIVE
-    except InconclusiveError as exc:
-        _emit({"error": "inconclusive", "detail": str(exc)}, args)
-        return EXIT_INCONCLUSIVE
-    from .search import component_periods
-
+    comp = find_periodic_component(ctx.wedge, p, ctx.max_iter)
     obj = comp.to_obj()
     obj["point_periods"] = component_periods(comp).to_obj()
     obj["seed"] = args.seed
@@ -181,17 +174,9 @@ def cmd_component(args) -> int:
     return EXIT_OK
 
 
-def cmd_first_return(args) -> int:
-    ctx = Context(seed=args.seed)
+def cmd_first_return(args, ctx) -> int:
     domain = _domain(ctx, args.region)
-    try:
-        rs = first_return_map(ctx.wedge, domain, _max_iter(args))
-    except SelfReturnError as exc:
-        _emit({"error": "self-return violated", "detail": str(exc)}, args)
-        return EXIT_FAIL
-    except InconclusiveError as exc:
-        _emit({"error": "inconclusive", "detail": str(exc)}, args)
-        return EXIT_INCONCLUSIVE
+    rs = first_return_map(ctx.wedge, domain, ctx.max_events)
     obj = rs.to_obj()
     obj["seed"] = args.seed
     sizes, nonconvex = rs.shape_census()
@@ -207,20 +192,15 @@ def cmd_first_return(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_partition(args) -> int:
-    ctx = Context(seed=args.seed)
+def cmd_verify_partition(args, ctx) -> int:
     domain = _domain(ctx, args.region)
-    try:
-        rep = verify_partition(
-            ctx.wedge,
-            domain,
-            label=args.region,
-            max_events=_max_iter(args),
-            max_iter=_max_iter(args),
-        )
-    except InconclusiveError as exc:
-        _emit({"error": "inconclusive", "detail": str(exc)}, args)
-        return EXIT_INCONCLUSIVE
+    rep = verify_partition(
+        ctx.wedge,
+        domain,
+        label=args.region,
+        max_events=ctx.max_events,
+        max_iter=ctx.max_iter,
+    )
     obj = rep.to_obj()
     obj["seed"] = args.seed
     _emit(
@@ -234,24 +214,21 @@ def cmd_verify_partition(args) -> int:
     return EXIT_OK if rep.exact_identity else EXIT_FAIL
 
 
-def cmd_aperiodic(args) -> int:
-    _, w = build_table()
-    s = build_similarity(w)
-    try:
-        wit = aperiodic_witness(
-            w, s, steps=args.steps, depth=args.depth, verify_spiral=args.verify_spiral
-        )
-    except InconclusiveError as exc:
-        _emit({"error": "inconclusive", "detail": str(exc)}, args)
-        return EXIT_INCONCLUSIVE
+def cmd_aperiodic(args, ctx) -> int:
+    wit = aperiodic_witness(
+        ctx.wedge,
+        ctx.sim,
+        steps=args.steps,
+        depth=args.depth,
+        verify_spiral=args.verify_spiral,
+        max_iter=ctx.max_iter,
+    )
     obj = wit.to_obj()
     obj["seed"] = args.seed
     if args.emit_spiral:
-        from .geom import region_to_obj as r2o
-
         spiral_obj = {
             "y": obj["y"],
-            "regions": [r2o(reg) for reg in wit.spiral],
+            "regions": [region_to_obj(reg) for reg in wit.spiral],
         }
         with open(args.emit_spiral, "w", encoding="utf-8") as fh:
             json.dump(spiral_obj, fh, indent=2, sort_keys=True)
@@ -268,7 +245,7 @@ def cmd_aperiodic(args) -> int:
     return EXIT_OK
 
 
-def cmd_periods(args) -> int:
+def cmd_periods(args, ctx) -> int:
     pset = full_period_set(args.bound)
     obj = pset.to_obj(witnesses=args.witnesses)
     obj["seed"] = args.seed
@@ -281,21 +258,19 @@ def cmd_periods(args) -> int:
     return EXIT_OK
 
 
-def cmd_render(args) -> int:
-    ctx = Context(seed=args.seed)
-    table, w = ctx.system
+def cmd_render(args, ctx) -> int:
     if args.what == "table":
-        scene = scene_table(table, w)
+        scene = scene_table(ctx.table, ctx.wedge)
     elif args.what == "components":
-        comps = [find_periodic_component(w, w.O[i], _max_iter(args)) for i in range(1, 5)]
-        scene = scene_components(w, comps)
+        comps = ctx.base_components()
+        scene = scene_components(ctx.wedge, [comps[i] for i in range(1, 5)])
     elif args.what == "spiral":
-        wit = aperiodic_witness(w, ctx.sim, steps=200, depth=5, verify_spiral=6)
+        wit = aperiodic_witness(
+            ctx.wedge, ctx.sim, steps=200, depth=5, verify_spiral=6, max_iter=ctx.max_iter
+        )
         scene = scene_spiral(ctx.sim, wit)
     elif args.what in ("partition-z4", "partition-z14"):
-        domain = ctx.domain(args.what.removeprefix("partition-"))
-        rep = verify_partition(w, domain, label=args.what, max_iter=_max_iter(args))
-        scene = scene_partition(rep)
+        scene = scene_partition(ctx.partition(args.what.removeprefix("partition-")))
     else:
         raise _Usage(f"unknown figure {args.what!r}")
     data = render_svg(scene)
@@ -313,14 +288,12 @@ def _check_names(text: str) -> list:
     return names
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, ctx) -> int:
     names = CHECK_NAMES if args.only is None else _check_names(args.only)
     skip = _check_names(args.skip or "")
     names = [n for n in names if n not in skip]
     if not names:
         raise _Usage("no checks selected")
-    cap = _max_iter(args)
-    ctx = Context(seed=args.seed, max_iter=cap, max_events=cap)
 
     width = max(len(n) for n in names) + 2
     failed = 0
@@ -427,16 +400,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except _Usage as exc:
+        cap = _max_iter(args)
+        return args.func(args, Context(seed=args.seed, max_iter=cap, max_events=cap))
+    except (_Usage, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InconclusiveError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    except tuple(kind for kind, _, _ in VERDICTS) as exc:
+        _, code, name = next(v for v in VERDICTS if isinstance(exc, v[0]))
+        obj = {"error": name, "detail": str(exc), "seed": args.seed}
+        if isinstance(exc, GraneError):
+            obj["steps_done"] = exc.steps_done
+        _emit(obj, args, [f"{name}: {exc}"])
+        return code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .errors import GraneError
 from .field import QS3
 from .geom import INTERIOR, Point
 
@@ -303,7 +304,7 @@ def cross_validate(
             continue
         try:
             res = w.orbit_period(p, orbit_cap)
-        except Exception:
+        except GraneError:
             skipped += 1
             continue
         if res is None:

@@ -245,10 +245,13 @@ def first_return_map(
     the domain.  Each retired fragment is pulled back through its composed
     isometry to give the source piece.  The domain must have the clean
     self-return property: a mapped fragment that straddles the domain
-    boundary raises SelfReturnError.
+    boundary raises SelfReturnError.  A domain that is unbounded or leaves
+    the wedge raises DomainError.
     """
     if not domain.is_bounded:
         raise DomainError("return domain must be bounded")
+    if any(ln.side(v) < 0 for ln in w.wedge_lines for v in domain.vertices):
+        raise DomainError("return domain must lie in the wedge")
     parts = domain.convex_parts()
     pending = [(domain, AffMap.identity(), 0)]
     finished = []

@@ -1,12 +1,15 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import dodeca
-from dodeca import cli
+from dodeca import checks, cli
 from dodeca.checks import CHECK_NAMES
-from dodeca.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from dodeca.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from dodeca.errors import InconclusiveError
+from dodeca.geom import Point, Region, overlap_status, region_to_json
 
 
 def run(capsys, *argv):
@@ -212,6 +215,9 @@ def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("DODECA_MAX_ITER", "nonsense")
     code, _, err = run(capsys, "component", "--point", "1,2")
     assert code == EXIT_USAGE
+    # also for a subcommand that iterates nothing
+    code, _, err = run(capsys, "periods", "--bound", "10")
+    assert code == EXIT_USAGE and "DODECA_MAX_ITER" in err
 
 
 def test_aperiodic_command(capsys, tmp_path):
@@ -236,3 +242,103 @@ def test_aperiodic_command(capsys, tmp_path):
     assert obj["steps_checked"] == 200
     data = json.loads(spiral.read_text())
     assert len(data["regions"]) >= 4
+
+
+def _region_file(tmp_path, name, vertices):
+    target = tmp_path / f"{name}.json"
+    target.write_text(region_to_json(Region.bounded([Point.parse(v) for v in vertices])))
+    return str(target)
+
+
+def test_region_outside_wedge_is_usage_error(capsys, tmp_path):
+    region = _region_file(tmp_path, "outside", ["10,0", "11,0", "10,1"])
+    for command in ("first-return", "verify-partition"):
+        code, out, err = run(capsys, command, "--region", region)
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: return domain must lie in the wedge\n"
+    # a malformed region file is a usage error too, not a disproof
+    malformed = ["not json", '{"kind": "bounded"}', '{"vertices": [["x", "1"]]}']
+    for i, text in enumerate(malformed):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "first-return", "--region", str(bad))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: cannot read region file")
+
+
+def test_failed_check_is_an_error_object(capsys, tmp_path, ctx):
+    # the triangle with legs 1/3 at O_3 lies inside W_3, whose tube enters it
+    vertices = ["-1+1*s3,1+1*s3", "-2/3+1*s3,1+1*s3", "-1+1*s3,4/3+1*s3"]
+    assert ctx.wedge.O[3] == Point.parse(vertices[0])
+    region = _region_file(tmp_path, "o3", vertices)
+    triangle = Region.bounded([Point.parse(v) for v in vertices])
+    assert overlap_status(triangle, ctx.sim.w3.region.convex_parts()) == "inside"
+    code, out, err = run(capsys, "--format", "json", "verify-partition", "--region", region)
+    assert code == EXIT_FAIL and err == ""
+    assert json.loads(out) == {
+        "error": "check failed",
+        "detail": "complementary component tube entered the domain",
+        "seed": 0,
+    }
+
+
+def test_aperiodic_obeys_the_cap(capsys):
+    argv = ["aperiodic", "--steps", "10", "--depth", "2", "--verify-spiral", "3"]
+    assert run(capsys, *argv)[0] == EXIT_OK
+    code, out, _ = run(capsys, "--max-iter", "5", *argv)
+    assert code == EXIT_INCONCLUSIVE
+    assert out.startswith("inconclusive: ")
+
+
+def test_one_context_per_run(capsys, monkeypatch, sim):
+    # main builds one Context per run, and its cap reaches every engine call
+    made = []
+
+    class Spy(checks.Context):
+        def __init__(self, **kw):
+            super().__init__(**kw)
+            made.append(self)
+
+    caps = []
+
+    def record(module, name, result=None):
+        real = getattr(module, name)
+
+        def call(*a, **kw):
+            bound = inspect.signature(real).bind(*a, **kw)
+            bound.apply_defaults()
+            args = bound.arguments
+            caps.append({k: args[k] for k in ("max_iter", "max_events") if k in args})
+            if result is None:
+                raise InconclusiveError(f"{name} stubbed")
+            return result
+
+        monkeypatch.setattr(module, name, call)
+
+    monkeypatch.setattr(cli, "Context", Spy)
+    for name in (
+        "find_periodic_component",
+        "first_return_map",
+        "verify_partition",
+        "aperiodic_witness",
+    ):
+        record(cli, name)
+    for name in ("find_periodic_component", "first_return_map"):
+        record(checks, name)
+    record(checks, "build_similarity", result=sim)
+    commands = [
+        ["component", "--point", "1,2"],
+        ["first-return", "--region", "z4"],
+        ["verify-partition", "--region", "z4"],
+        ["aperiodic"],
+        ["render", "--what", "components", "--out", "unused.svg"],
+        ["render", "--what", "spiral", "--out", "unused.svg"],
+        ["render", "--what", "partition-z4", "--out", "unused.svg"],
+    ]
+    for argv in commands:
+        before = len(caps)
+        code, out, _ = run(capsys, "--max-iter", "123", *argv)
+        assert code == EXIT_INCONCLUSIVE, argv
+        assert out.startswith("inconclusive: ") and "stubbed" in out
+        assert len(caps) > before and all(set(c.values()) == {123} for c in caps[before:])
+    assert [(c.max_iter, c.max_events) for c in made] == [(123, 123)] * len(commands)

@@ -146,3 +146,15 @@ def test_cross_validate_samples(ctx):
 def test_cross_validate_vacuous(ctx):
     cv = cross_validate(ctx.wedge, 100, components=(), samples=0, seed=0)
     assert cv.checked_orbits == 0 and cv.checked_components == 0
+
+
+def test_cross_validate_does_not_hide_crashes(ctx, monkeypatch):
+    # only a boundary hit skips a sample; a fault in the step code propagates
+    from dodeca.table import WedgeSystem
+
+    def crash(self, p, max_iter):
+        raise RuntimeError("broken step")
+
+    monkeypatch.setattr(WedgeSystem, "orbit_period", crash)
+    with pytest.raises(RuntimeError, match="broken step"):
+        cross_validate(ctx.wedge, 100, components=(), samples=1, seed=0)
