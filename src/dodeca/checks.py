@@ -202,9 +202,10 @@ def _inscribed(inner: Region, outer: Region) -> bool:
         ln = Line.through(a, b)
         seg2 = (b - a).norm2()
         found = False
+        on = ln.signs(ipts)
         for j in range(m):
             p, q = ipts[j], ipts[(j + 1) % m]
-            if ln.side(p) == 0 and ln.side(q) == 0:
+            if on[j] == 0 and on[(j + 1) % m] == 0:
                 tp = (p - a).dot(b - a)
                 tq = (q - a).dot(b - a)
                 if (
@@ -231,8 +232,7 @@ def check_construction_identities(ctx: Context) -> dict:
         gon = t.mirrored[i]
         _, j = t.step(gon.interior_point())
         lo, hi = t.cones[j]
-        for v in gon.vertices:
-            assert lo.side(v) >= 0 and hi.side(v) <= 0
+        assert min(lo.signs(gon.vertices)) >= 0 and max(hi.signs(gon.vertices)) <= 0
         image = gon.transformed(AffMap.point_reflection(t.vertices[j]))
         assert image == t.mirrored[(i + 5) % 12]
         images += 1

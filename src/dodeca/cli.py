@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification check failed (disproof), 2 an
 iteration cap was exhausted or a boundary was hit (inconclusive), 3 usage
-or parse error.  Every error object and every JSON result except ``build
+or parse error.  With ``--format json`` every subcommand prints one JSON
+object on stdout.  Every error object and every JSON result except ``build
 --dump-json`` records the seed that produced it; the caps are not recorded.
 ``--max-iter``, else the environment variable DODECA_MAX_ITER, sets one cap
 for every iteration and event budget of every subcommand.
@@ -97,7 +98,11 @@ def _domain(ctx, name):
 def cmd_build(args, ctx) -> int:
     table, w = ctx.system
     if not args.dump_json:
-        print("construction OK: 12-gon table, wedge system, rocket and necklace built")
+        _emit(
+            {"construction": "ok", "seed": args.seed},
+            args,
+            ["construction OK: 12-gon table, wedge system, rocket and necklace built"],
+        )
         return EXIT_OK
     obj = {
         "vertices": [[p.x.literal(), p.y.literal()] for p in table.vertices],
@@ -252,7 +257,11 @@ def cmd_periods(args, ctx) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
-        print(f"wrote {len(pset.periods)} periods to {args.json}")
+        _emit(
+            {"wrote": args.json, "n_periods": len(pset.periods), "seed": args.seed},
+            args,
+            [f"wrote {len(pset.periods)} periods to {args.json}"],
+        )
     else:
         _emit(obj, args, [" ".join(str(p) for p in pset.periods)])
     return EXIT_OK
@@ -276,7 +285,11 @@ def cmd_render(args, ctx) -> int:
     data = render_svg(scene)
     with open(args.out, "wb") as fh:
         fh.write(data)
-    print(f"wrote {args.out} ({len(data)} bytes)")
+    _emit(
+        {"what": args.what, "wrote": args.out, "bytes": len(data), "seed": args.seed},
+        args,
+        [f"wrote {args.out} ({len(data)} bytes)"],
+    )
     return EXIT_OK
 
 
@@ -310,14 +323,16 @@ def cmd_verify(args, ctx) -> int:
         line = f"{res.name:<{width}} {mark:<12} {res.seconds:9.2f}s"
         if res.error:
             line += f"  {res.error}"
-        print(line, flush=True)
+        if args.format == "text":
+            print(line, flush=True)
 
     results = run_checks(names, ctx, progress=progress)
     ok = sum(1 for r in results if r.ok)
-    print(f"{ok}/{len(results)} checks passed (seed={args.seed})")
+    obj = {"seed": args.seed, "results": [r.to_obj() for r in results]}
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"seed": args.seed, "results": [r.to_obj() for r in results]}, fh, indent=2)
+            json.dump(obj, fh, indent=2)
+    _emit({**obj, "passed": ok}, args, [f"{ok}/{len(results)} checks passed (seed={args.seed})"])
     if failed:
         return EXIT_FAIL
     if inconclusive:

@@ -29,17 +29,16 @@ _LIT_RE = re.compile(
 
 
 def pair_sign(p: int, q: int) -> int:
-    """Exact sign of p + q*sqrt(3) for integers p, q."""
-    if q == 0:
-        return 0 if p == 0 else (1 if p > 0 else -1)
-    if p == 0:
-        return 1 if q > 0 else -1
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    big = 1 if p * p > 3 * q * q else -1
-    return big if p > 0 else -big
+    """Exact sign of p + q*sqrt(3) for integers p, q.
+
+    When p and q disagree in sign it is the sign of p^2 - 3*q^2 taken
+    with p's sign (sqrt(3) is irrational, so that never vanishes).
+    """
+    if p > 0:
+        return 1 if q >= 0 or p * p > 3 * q * q else -1
+    if p < 0:
+        return -1 if q <= 0 or p * p > 3 * q * q else 1
+    return (q > 0) - (q < 0)
 
 
 class QS3:

@@ -12,6 +12,7 @@ with neighbouring regions and is excluded from classification hits.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .field import ONE, QS3, SQRT3_FLOAT, ZERO, pair_sign, qs3_parse
@@ -91,19 +92,11 @@ def _cross_sign(ax: QS3, ay: QS3, bx: QS3, by: QS3) -> int:
     return pair_sign(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1)
 
 
-def _affine(a: QS3, b: QS3, t: QS3, x: QS3, y: QS3) -> QS3:
-    """a*x + b*y + t over one common denominator, normalised once."""
-    da = a.r * x.r
-    db = b.r * y.r
-    dab = da * db
-    tr = t.r
-    return QS3._make(
-        ((a.p * x.p + 3 * a.q * x.q) * db + (b.p * y.p + 3 * b.q * y.q) * da) * tr
-        + t.p * dab,
-        ((a.p * x.q + a.q * x.p) * db + (b.p * y.q + b.q * y.p) * da) * tr
-        + t.q * dab,
-        dab * tr,
-    )
+def _clear_denominators(a: QS3, b: QS3, c: QS3) -> tuple:
+    """(a1, b1, a2, b2, a3, b3, m): m*a = a1 + b1*s3, and so on, m = lcm of the r."""
+    m = math.lcm(a.r, b.r, c.r)
+    u, v, w = m // a.r, m // b.r, m // c.r
+    return (a.p * u, a.q * u, b.p * v, b.q * v, c.p * w, c.q * w, m)
 
 
 def primitive_dir(d: Point) -> Point:
@@ -115,9 +108,13 @@ def primitive_dir(d: Point) -> Point:
 
 
 class Line:
-    """Line {p : nx*x + ny*y = c}.  Oriented: eval() > 0 is the left side."""
+    """Line {p : nx*x + ny*y = c}.  Oriented: eval() > 0 is the left side.
 
-    __slots__ = ("nx", "ny", "c")
+    ``_k`` holds nx, ny and c times the lcm of their denominators as six
+    integers (``_clear_denominators``); the exact signs read only these.
+    """
+
+    __slots__ = ("nx", "ny", "c", "_k")
 
     def __init__(self, nx: QS3, ny: QS3, c: QS3):
         if nx.is_zero() and ny.is_zero():
@@ -125,6 +122,7 @@ class Line:
         self.nx = nx
         self.ny = ny
         self.c = c
+        self._k = _clear_denominators(nx, ny, c)[:6]
 
     @staticmethod
     def through(a: Point, b: Point) -> "Line":
@@ -137,21 +135,37 @@ class Line:
         return self.nx * p.x + self.ny * p.y - self.c
 
     def side(self, p: Point) -> int:
-        """Exact sign of eval(p), on raw integers (no field allocations)."""
-        nx, ny, c = self.nx, self.ny, self.c
-        px, py = p.x, p.y
-        a1 = nx.p * px.p + 3 * nx.q * px.q
-        b1 = nx.p * px.q + nx.q * px.p
-        d1 = nx.r * px.r
-        a2 = ny.p * py.p + 3 * ny.q * py.q
-        b2 = ny.p * py.q + ny.q * py.p
-        d2 = ny.r * py.r
-        d12 = d1 * d2
-        cr = c.r
+        """Exact sign of eval(p): ``signs`` of one point, inlined."""
+        a1, b1, a2, b2, a3, b3 = self._k
+        x, y = p.x, p.y
+        xp, xq, xr, yp, yq, yr = x.p, x.q, x.r, y.p, y.q, y.r
         return pair_sign(
-            (a1 * d2 + a2 * d1) * cr - c.p * d12,
-            (b1 * d2 + b2 * d1) * cr - c.q * d12,
+            (a1 * xp + 3 * b1 * xq) * yr + (a2 * yp + 3 * b2 * yq - a3 * yr) * xr,
+            (a1 * xq + b1 * xp) * yr + (a2 * yq + b2 * yp - b3 * yr) * xr,
         )
+
+    def signs(self, pts) -> list[int]:
+        """Exact signs of eval(p) for a sequence of points, on raw integers.
+
+        With the line cleared to integers (a1 + b1*s3) x + (a2 + b2*s3) y =
+        a3 + b3*s3 and x = (xp + xq*s3)/xr, y = (yp + yq*s3)/yr, the sign
+        of eval(p) is that of xr*yr times it, whose rational and s3 parts
+        are integer polynomials: no field operation and no gcd.
+        """
+        a1, b1, a2, b2, a3, b3 = self._k
+        t1 = 3 * b1
+        t2 = 3 * b2
+        out = []
+        for p in pts:
+            x, y = p.x, p.y
+            xp, xq, xr, yp, yq, yr = x.p, x.q, x.r, y.p, y.q, y.r
+            out.append(
+                pair_sign(
+                    (a1 * xp + t1 * xq) * yr + (a2 * yp + t2 * yq - a3 * yr) * xr,
+                    (a1 * xq + b1 * xp) * yr + (a2 * yq + b2 * yp - b3 * yr) * xr,
+                )
+            )
+        return out
 
     def eval_dir(self, d: Point) -> QS3:
         return self.nx * d.x + self.ny * d.y
@@ -185,9 +199,12 @@ class AffMap:
     """Exact affine map x -> M x + t over QS3.
 
     Entries are fixed at construction; ``det_sign`` is the sign of det(M).
+    ``_rows`` holds each row (m_i0, m_i1, t_i) cleared to integers by
+    ``_clear_denominators``, built on first use: most composed maps are
+    never applied.
     """
 
-    __slots__ = ("m00", "m01", "m10", "m11", "tx", "ty", "det_sign")
+    __slots__ = ("m00", "m01", "m10", "m11", "tx", "ty", "det_sign", "_rows")
 
     def __init__(self, m00, m01, m10, m11, tx, ty):
         self.m00 = m00
@@ -197,6 +214,7 @@ class AffMap:
         self.tx = tx
         self.ty = ty
         self.det_sign = _cross_sign(m00, m01, m10, m11)
+        self._rows = None
 
     @staticmethod
     def identity() -> "AffMap":
@@ -227,31 +245,59 @@ class AffMap:
             center.y * (ONE - ratio),
         )
 
+    def map_points(self, pts, shift: bool = True) -> list[Point]:
+        """Images of a sequence of points (of vectors when not ``shift``).
+
+        A row cleared to integers (a + b*s3) x + (c + d*s3) y + (e + f*s3)
+        over m, at x = (xp + xq*s3)/xr and y = (yp + yq*s3)/yr, is one
+        integer pair over m*xr*yr: each coordinate is normalised once, by
+        one ``QS3._make``.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = (
+                _clear_denominators(self.m00, self.m01, self.tx),
+                _clear_denominators(self.m10, self.m11, self.ty),
+            )
+        (a0, b0, c0, d0, e0, f0, m0), (a1, b1, c1, d1, e1, f1, m1) = rows
+        if not shift:
+            e0 = f0 = e1 = f1 = 0
+        s0, u0, s1, u1 = 3 * b0, 3 * d0, 3 * b1, 3 * d1
+        make = QS3._make
+        out = []
+        for p in pts:
+            x, y = p.x, p.y
+            xp, xq, xr, yp, yq, yr = x.p, x.q, x.r, y.p, y.q, y.r
+            den = xr * yr
+            out.append(
+                Point(
+                    make(
+                        (a0 * xp + s0 * xq) * yr + (c0 * yp + u0 * yq + e0 * yr) * xr,
+                        (a0 * xq + b0 * xp) * yr + (c0 * yq + d0 * yp + f0 * yr) * xr,
+                        m0 * den,
+                    ),
+                    make(
+                        (a1 * xp + s1 * xq) * yr + (c1 * yp + u1 * yq + e1 * yr) * xr,
+                        (a1 * xq + b1 * xp) * yr + (c1 * yq + d1 * yp + f1 * yr) * xr,
+                        m1 * den,
+                    ),
+                )
+            )
+        return out
+
     def apply(self, p: Point) -> Point:
-        x, y = p.x, p.y
-        return Point(
-            _affine(self.m00, self.m01, self.tx, x, y),
-            _affine(self.m10, self.m11, self.ty, x, y),
-        )
+        return self.map_points((p,))[0]
 
     def apply_vec(self, d: Point) -> Point:
-        x, y = d.x, d.y
-        return Point(
-            _affine(self.m00, self.m01, ZERO, x, y),
-            _affine(self.m10, self.m11, ZERO, x, y),
-        )
+        return self.map_points((d,), shift=False)[0]
 
     def compose(self, inner: "AffMap") -> "AffMap":
-        """self o inner."""
-        a, b, c, d = self.m00, self.m01, self.m10, self.m11
-        return AffMap(
-            _affine(a, b, ZERO, inner.m00, inner.m10),
-            _affine(a, b, ZERO, inner.m01, inner.m11),
-            _affine(c, d, ZERO, inner.m00, inner.m10),
-            _affine(c, d, ZERO, inner.m01, inner.m11),
-            _affine(a, b, self.tx, inner.tx, inner.ty),
-            _affine(c, d, self.ty, inner.tx, inner.ty),
+        """self o inner: self maps the columns and the translation of inner."""
+        c0, c1 = self.map_points(
+            (Point(inner.m00, inner.m10), Point(inner.m01, inner.m11)), shift=False
         )
+        t = self.apply(Point(inner.tx, inner.ty))
+        return AffMap(c0.x, c1.x, c0.y, c1.y, t.x, t.y)
 
     def det(self) -> QS3:
         return self.m00 * self.m11 - self.m01 * self.m10
@@ -503,9 +549,8 @@ class Region:
 
     def _supports_all(self) -> bool:
         for ln in self.boundary_lines():
-            for p in self.vertices:
-                if ln.side(p) < 0:
-                    return False
+            if min(ln.signs(self.vertices)) < 0:
+                return False
             if not self.is_bounded:
                 if ln.eval_dir(self.entry_dir).sign() < 0:
                     return False
@@ -576,23 +621,17 @@ class Region:
     # -- transforms -------------------------------------------------------------
 
     def transformed(self, f: AffMap) -> "Region":
-        pts = [f.apply(p) for p in self.vertices]
-        if f.det_sign > 0:
-            # invertible orientation-preserving maps keep the normal form
-            # (orientation, collinearity, ray merging) intact
-            if self.is_bounded:
-                return Region(pts, _skip_checks=True)
-            return Region(
-                pts,
-                primitive_dir(f.apply_vec(self.entry_dir)),
-                primitive_dir(f.apply_vec(self.exit_dir)),
-                _skip_checks=True,
-            )
+        pts = f.map_points(self.vertices)
         if self.is_bounded:
+            if f.det_sign > 0:
+                # invertible orientation-preserving maps keep the normal form
+                # (orientation, collinearity, ray merging) intact
+                return Region(pts, _skip_checks=True)
             pts.reverse()
             return Region.bounded(pts)
-        e = f.apply_vec(self.entry_dir)
-        x = f.apply_vec(self.exit_dir)
+        e, x = f.map_points((self.entry_dir, self.exit_dir), shift=False)
+        if f.det_sign > 0:
+            return Region(pts, primitive_dir(e), primitive_dir(x), _skip_checks=True)
         pts.reverse()
         return Region.unbounded(x, pts, e)
 
@@ -747,7 +786,7 @@ def clip_convex(region: Region, line: Line, keep: int) -> Region | None:
 
 def _clip_convex_bounded(region: Region, line: Line, keep: int) -> Region | None:
     pts = region.vertices
-    sigs = [line.side(p) * keep for p in pts]
+    sigs = line.signs(pts) if keep > 0 else [-s for s in line.signs(pts)]
     if all(s >= 0 for s in sigs):
         return region if any(s > 0 for s in sigs) else None
     if all(s <= 0 for s in sigs):
@@ -778,7 +817,7 @@ def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
     """
     pts = region.vertices
     m = len(pts)
-    sigs = [line.side(p) * keep for p in pts]
+    sigs = line.signs(pts) if keep > 0 else [-s for s in line.signs(pts)]
     ve = line.eval_dir(region.entry_dir)
     vx = line.eval_dir(region.exit_dir)
     se = ve.sign() * keep or sigs[0]
@@ -833,7 +872,7 @@ def vertex_position(region: Region, lines) -> str:
     pts = region.vertices
     inside = True
     for ln in lines:
-        sides = [ln.side(p) for p in pts]
+        sides = ln.signs(pts)
         if max(sides) <= 0:
             return "disjoint"
         if min(sides) < 0:
@@ -875,7 +914,7 @@ def split_region(region: Region, line: Line):
 def _side_pieces_bounded(region: Region, line: Line, keep: int):
     pts = region.vertices
     n = len(pts)
-    sigs = [line.side(p) * keep for p in pts]
+    sigs = line.signs(pts) if keep > 0 else [-s for s in line.signs(pts)]
     if all(s >= 0 for s in sigs):
         return [region] if any(s > 0 for s in sigs) else []
     if all(s <= 0 for s in sigs):

@@ -250,7 +250,7 @@ def first_return_map(
     """
     if not domain.is_bounded:
         raise DomainError("return domain must be bounded")
-    if any(ln.side(v) < 0 for ln in w.wedge_lines for v in domain.vertices):
+    if any(min(ln.signs(domain.vertices)) < 0 for ln in w.wedge_lines):
         raise DomainError("return domain must lie in the wedge")
     parts = domain.convex_parts()
     pending = [(domain, AffMap.identity(), 0)]

@@ -216,6 +216,14 @@ class WedgeSystem:
             if ln.side(self.apex) < 0:
                 ln = ln.reversed()
             self.split_lines.append(ln)
+        # nesting: line k meets the closed wedge in the segment P_{k+1}
+        # Q_{k+1}, so its closed apex side there is the triangle apex,
+        # P_{k+1}, Q_{k+1}, which lies strictly on the apex side of line k+1
+        for k in range(1, 5):
+            tri = [self.apex, self.P[k + 1], self.Q[k + 1]]
+            assert all(self.wedge.classify(v) == BOUNDARY for v in tri)
+            assert self.split_lines[k - 1].signs(tri) == [1, 0, 0]
+            assert self.split_lines[k].signs(tri) == [1, 1, 1]
 
         # derive each piece map by folding T back into the wedge
         self.maps = {}
@@ -267,20 +275,29 @@ class WedgeSystem:
         """Index i with p in the open piece alpha_i.
 
         Raises DomainError outside the wedge and GraneError on any piece
-        boundary.
+        boundary.  In the closed wedge the split lines are nested (sign >= 0
+        on line k gives sign > 0 on line k+1, asserted at construction), so
+        the lines with p on their closed apex side are the last few: a
+        bisection finds the first, k, with p in alpha_k if its sign is > 0
+        and on the boundary of alpha_k if it is 0 (6 if there is none).
         """
         side = self.wedge.classify(p)
         if side == EXTERIOR:
             raise DomainError("point outside the wedge")
         if side == BOUNDARY:
             raise GraneError("point on the wedge boundary", point=p)
-        for k, ln in enumerate(self.split_lines, start=1):
-            s = ln.side(p)
-            if s > 0:
-                return k
-            if s == 0:
-                raise GraneError("point on a piece boundary", index=k, point=p)
-        return 6
+        lines = self.split_lines
+        lo, hi, s = 0, len(lines), None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            t = lines[mid].side(p)
+            if t >= 0:
+                hi, s = mid, t
+            else:
+                lo = mid + 1
+        if s == 0:
+            raise GraneError("point on a piece boundary", index=lo + 1, point=p)
+        return lo + 1
 
     def locate(self, region: Region) -> tuple[int | None, Line | None]:
         """Piece i of a bounded open region as ``(i, None)``, or ``(None, line)``.
@@ -289,16 +306,27 @@ class WedgeSystem:
         side (6 if none), unless that line also has a vertex strictly on its
         far side and so cuts the region.  No later line can cut it: alpha_k
         lies on the apex side of lines k..5 and on the far side of lines
-        1..k-1.  Raises GraneError when the region leaves the wedge.
+        1..k-1.  Once every vertex is in the closed wedge (else GraneError),
+        the split lines are nested there: a vertex with sign >= 0 on line k
+        has sign > 0 on line k+1.  So "some vertex has sign > 0" holds from
+        the first such line on, and a bisection finds that line in at most
+        three sign passes.
         """
         pts = region.vertices
-        if any(ln.side(p) < 0 for ln in self.wedge_lines for p in pts):
+        if any(min(ln.signs(pts)) < 0 for ln in self.wedge_lines):
             raise GraneError("region leaves the wedge")
-        for k, ln in enumerate(self.split_lines, start=1):
-            sides = [ln.side(p) for p in pts]
+        lines = self.split_lines
+        lo, hi, hit = 0, len(lines), None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            sides = lines[mid].signs(pts)
             if max(sides) > 0:
-                return (None, ln) if min(sides) < 0 else (k, None)
-        return 6, None
+                hi, hit = mid, sides
+            else:
+                lo = mid + 1
+        if hit is None:
+            return 6, None
+        return (None, lines[lo]) if min(hit) < 0 else (lo + 1, None)
 
     def piece_of(self, region: Region) -> int:
         """Index i with the bounded open region inside alpha_i, else GraneError."""

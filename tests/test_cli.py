@@ -147,6 +147,21 @@ def test_verify_subset(capsys):
     assert "construction-identities" in out and "PASS" in out
 
 
+def test_format_json_prints_one_object(capsys, tmp_path):
+    cases = [
+        ["verify", "--only", "construction-identities"],
+        ["render", "--what", "table", "--out", str(tmp_path / "t.svg")],
+        ["build"],
+        ["periods", "--bound", "60", "--json", str(tmp_path / "p.json")],
+    ]
+    for argv in cases:
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["seed"] == 0, argv
+    obj = json.loads(run(capsys, "--format", "json", *cases[0])[1])
+    assert obj["passed"] == 1 and obj["results"][0]["name"] == "construction-identities"
+
+
 def test_optimized_interpreter_refused():
     # python -O strips the assert statements that carry every check
     src = os.path.dirname(os.path.dirname(os.path.abspath(dodeca.__file__)))

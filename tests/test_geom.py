@@ -48,6 +48,14 @@ TURN_30 = AffMap.rotation(SQRT3_HALF, HALF, P(0, 0))
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
+def _pell_tiny(n=30):
+    """(2 - s3)^n = p - q*s3: about 7e-18 at n = 30, from two terms near 7.2e16."""
+    p, q = 1, 0
+    for _ in range(n):
+        p, q = 2 * p + 3 * q, p + 2 * q
+    return QS3._make(p, -q, 1)
+
+
 def first_quadrant_wedge():
     return Region.unbounded(Point(qs3(0), qs3(1)), [P(0, 0)], Point(qs3(1), qs3(0)))
 
@@ -396,12 +404,8 @@ def test_clip_convex_keeps_normal_form():
 
 
 def test_float_bbox_encloses_cancelling_coordinates():
-    # (2 - s3)^30 = p - q*s3 with Pell numbers p^2 - 3 q^2 = 1 is about
-    # 7e-18, and float() of it cancels two terms near 7.2e16 to 0.0
-    p, q = 1, 0
-    for _ in range(30):
-        p, q = 2 * p + 3 * q, p + 2 * q
-    x = QS3._make(p, -q, 1)
+    # float() of (2 - s3)^30 cancels its two terms to 0.0
+    x = _pell_tiny()
     tri = Region.bounded([Point(x, ZERO), Point(x + 1, ZERO), Point(x, ONE)])
     x0, y0, x1, y1 = (QS3(Fraction(v)) for v in tri.float_bbox())
     for v in tri.vertices:
@@ -515,6 +519,33 @@ def _rand_entry(rng):
     return QS3._make(rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 50))
 
 
+def test_line_kernel_matches_eval():
+    rng = random.Random(22)
+    tiny = _pell_tiny()
+    zeros = cancelling = 0
+    for _ in range(400):
+        nx, ny, c = (_rand_entry(rng) for _ in range(3))
+        if nx.is_zero() and ny.is_zero():
+            continue
+        ln = Line(nx, ny, c)
+        pts = [Point(_rand_entry(rng), _rand_entry(rng)) for _ in range(4)]
+        # points on the line, and pushed off it by multiples of tiny, so
+        # that eval cancels terms of about 1e16 down to about 1e-17
+        u = _rand_entry(rng)
+        on = Point(c / nx - ny / nx * u, u) if not nx.is_zero() else Point(u, c / ny)
+        pts.append(on)
+        for k in (1, -3):
+            pts.append(Point(on.x + tiny * k, on.y))
+            pts.append(Point(on.x, on.y - tiny * k))
+        want = [ln.eval(p).sign() for p in pts]
+        assert ln.signs(pts) == want
+        assert [ln.side(p) for p in pts] == want
+        assert ln.signs([]) == []
+        zeros += want.count(0)
+        cancelling += sum(1 for v in pts[5:] if 0 < abs(ln.eval(v)) < Fraction(1, 10**12))
+    assert zeros >= 380 and cancelling > 500
+
+
 def test_affmap_kernels_match_operators():
     rng = random.Random(20)
     for _ in range(500):
@@ -525,6 +556,9 @@ def test_affmap_kernels_match_operators():
             f.m00 * x + f.m01 * y + f.tx, f.m10 * x + f.m11 * y + f.ty
         )
         assert f.apply_vec(Point(x, y)) == Point(f.m00 * x + f.m01 * y, f.m10 * x + f.m11 * y)
+        cycle = [Point(_rand_entry(rng), _rand_entry(rng)) for _ in range(rng.randint(0, 7))]
+        assert f.map_points(cycle) == [f.apply(p) for p in cycle]
+        assert f.map_points(cycle, shift=False) == [f.apply_vec(p) for p in cycle]
         assert f.compose(g) == AffMap(
             f.m00 * g.m00 + f.m01 * g.m10,
             f.m00 * g.m01 + f.m01 * g.m11,

@@ -320,6 +320,100 @@ def test_piece_of_errors(system):
         w.locate(outside)
 
 
+def _scan_piece_index(w, p):
+    """piece_index by a linear scan of the split lines, on field signs."""
+    if w.wedge.classify(p) != INTERIOR:
+        raise GraneError("not in the open wedge")
+    for k, ln in enumerate(w.split_lines, start=1):
+        s = ln.eval(p).sign()
+        if s > 0:
+            return k
+        if s == 0:
+            raise GraneError("point on a piece boundary", index=k)
+    return 6
+
+
+def _scan_locate(w, region):
+    """locate by a linear scan of the split lines, on field signs."""
+    pts = region.vertices
+    if any(ln.eval(p).sign() < 0 for ln in w.wedge_lines for p in pts):
+        raise GraneError("region leaves the wedge")
+    for k, ln in enumerate(w.split_lines, start=1):
+        sides = [ln.eval(p).sign() for p in pts]
+        if max(sides) > 0:
+            return (None, ln) if min(sides) < 0 else (k, None)
+    return 6, None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GraneError as exc:
+        return ("grane", exc.index)
+
+
+def _spread_point(w, rng):
+    """A wedge point near the apex, across the bounded pieces or far out in alpha_6."""
+    scale = rng.choice((Fraction(1, 4), Fraction(2), Fraction(8)))
+    s, t = (scale * Fraction(rng.randint(1, 64), 64) for _ in range(2))
+    return w.apex + w.dir_p.scaled(s) + w.dir_q.scaled(t)
+
+
+def test_bisection_matches_linear_scan(system):
+    _, w = system
+    rng = random.Random(31)
+    eps = Fraction(1, 40)
+    # points on each split line inside the wedge: the segments P_{k+1} Q_{k+1}
+    # and, for line 5, the ray from Q_6 along the P-ray
+    on_line = []
+    for k in range(1, 6):
+        for t in (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)):
+            if k < 5:
+                a, b = w.P[k + 1], w.Q[k + 1]
+                on_line.append((k, a + (b - a).scaled(t)))
+            else:
+                on_line.append((k, w.Q[6] + w.dir_p.scaled(t * 4)))
+    for k, p in on_line:
+        assert w.split_lines[k - 1].eval(p).is_zero()
+        assert _outcome(w.piece_index, p) == ("grane", k)
+        assert _outcome(_scan_piece_index, w, p) == ("grane", k)
+    # seeded points and small triangles in all six pieces
+    points, regions = set(), set()
+    for _ in range(400):
+        p = _spread_point(w, rng)
+        want = _outcome(_scan_piece_index, w, p)
+        assert _outcome(w.piece_index, p) == want
+        points.add(want)
+        tri = Region.bounded([p, p + w.dir_p.scaled(eps), p + w.dir_q.scaled(eps)])
+        want = _outcome(_scan_locate, w, tri)
+        assert _outcome(w.locate, tri) == want
+        regions.add(want[0])
+    assert set(range(1, 7)) <= points and set(range(1, 7)) <= regions
+    # triangles with a vertex exactly on a split line, the others strictly
+    # on one side of it
+    small = Fraction(1, 200)
+    for k, p in on_line:
+        u = w.split_lines[k - 1].direction()
+        for d in (w.bisector_dir, -w.bisector_dir):
+            tri = Region.bounded([p, p + (d + u).scaled(small), p + (d - u).scaled(small)])
+            want = _scan_locate(w, tri)
+            assert want[0] == (k + 1 if d is w.bisector_dir else k)
+            assert w.locate(tri) == want
+    # triangles cut by one line (vertices in adjacent pieces) or by two or
+    # more: the same first cut line object as the scan
+    spans = []
+    for _ in range(300):
+        a, b = _spread_point(w, rng), _spread_point(w, rng)
+        if (b - a).cross_sign(w.dir_q) == 0:
+            continue
+        tri = Region.bounded([a, b, a + w.dir_q.scaled(eps)])
+        want = _outcome(_scan_locate, w, tri)
+        assert _outcome(w.locate, tri) == want
+        if want[0] is None:
+            spans.append(abs(w.piece_index(a) - w.piece_index(b)))
+    assert spans.count(1) > 20 and sum(1 for s in spans if s >= 2) > 20
+
+
 def test_itinerary_fixed_points(system):
     _, w = system
     assert w.itinerary(w.O[1], 5).text() == "11111"
