@@ -135,7 +135,12 @@ class Line:
         return self.nx * p.x + self.ny * p.y - self.c
 
     def side(self, p: Point) -> int:
-        """Exact sign of eval(p): ``signs`` of one point, inlined."""
+        """Exact sign of eval(p): the formula of ``signs`` for one point.
+
+        Written out, not ``self.signs((p,))[0]``: point location signs one
+        point against many lines, and the extra call, tuple and list made
+        the point-dynamics workload measurably slower.
+        """
         a1, b1, a2, b2, a3, b3 = self._k
         x, y = p.x, p.y
         xp, xq, xr, yp, yq, yr = x.p, x.q, x.r, y.p, y.q, y.r

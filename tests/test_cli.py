@@ -154,12 +154,14 @@ def test_format_json_prints_one_object(capsys, tmp_path):
         ["build"],
         ["periods", "--bound", "60", "--json", str(tmp_path / "p.json")],
     ]
+    objs = []
     for argv in cases:
         code, out, _ = run(capsys, "--format", "json", *argv)
         assert code == EXIT_OK
-        assert json.loads(out)["seed"] == 0, argv
-    obj = json.loads(run(capsys, "--format", "json", *cases[0])[1])
-    assert obj["passed"] == 1 and obj["results"][0]["name"] == "construction-identities"
+        objs.append(json.loads(out))
+        assert objs[-1]["seed"] == 0, argv
+    verify = objs[0]
+    assert verify["passed"] == 1 and verify["results"][0]["name"] == "construction-identities"
 
 
 def test_optimized_interpreter_refused():

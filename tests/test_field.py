@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca.field import ONE, QS3, SQRT3, SQRT3_FLOAT, ZERO, qs3, qs3_parse
+from dodeca.field import ONE, QS3, SQRT3, SQRT3_FLOAT, ZERO, pair_sign, qs3, qs3_parse
 
 
 def rand_qs3(rng, span=30):
@@ -93,6 +93,33 @@ def test_sign_multiplicative_randomized():
     for _ in range(1000):
         x, y = rand_qs3(rng), rand_qs3(rng)
         assert x.sign() * y.sign() == (x * y).sign()
+
+
+def _isqrt_sign(p, q):
+    """Sign of p + q*sqrt(3) by integer square roots: floor(|q|*sqrt(3)) =
+    isqrt(3*q*q), and |q|*sqrt(3) is irrational for q != 0."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    r = math.isqrt(3 * q * q)
+    if q > 0:
+        return 1 if r >= -p else -1
+    return 1 if p > r else -1
+
+
+def test_pair_sign_matches_isqrt_reference():
+    cases = [(p, q) for p in range(-40, 41) for q in range(-40, 41)]
+    # (2 + sqrt(3))^n = p_n + q_n*sqrt(3): p_n - q_n*sqrt(3) = (2 - sqrt(3))^n
+    p, q = 1, 0
+    for _ in range(60):
+        p, q = 2 * p + 3 * q, p + 2 * q
+        for dp in (-1, 0, 1):
+            cases += [(p + dp, -q), (-p + dp, q), (p + dp, q), (-p + dp, -q)]
+    rng = random.Random(20243)
+    for _ in range(2000):
+        bits = rng.choice((8, 64, 200))
+        cases.append((rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits)))
+    for p, q in cases:
+        assert pair_sign(p, q) == _isqrt_sign(p, q), (p, q)
 
 
 def test_sign_consistent_with_float():
