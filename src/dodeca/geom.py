@@ -99,6 +99,34 @@ def _clear_denominators(a: QS3, b: QS3, c: QS3) -> tuple:
     return (a.p * u, a.q * u, b.p * v, b.q * v, c.p * w, c.q * w, m)
 
 
+def raw_point(xp: int, xq: int, yp: int, yq: int, r: int) -> Point:
+    """The point ((xp + xq*s3)/r, (yp + yq*s3)/r), r >= 1, normalised."""
+    return Point(QS3._make(xp, xq, r), QS3._make(yp, yq, r))
+
+
+def raw_equals(p: Point, xp: int, xq: int, yp: int, yq: int, r: int) -> bool:
+    """p == raw_point(xp, xq, yp, yq, r), by cross-multiplication."""
+    x, y = p.x, p.y
+    return (
+        xp * x.r == x.p * r
+        and xq * x.r == x.q * r
+        and yp * y.r == y.p * r
+        and yq * y.r == y.q * r
+    )
+
+
+def float_interval(p: int, q: int, r: int) -> tuple[float, float]:
+    """Proven float enclosure (lo, hi) of (p + q*s3)/r, r >= 1.
+
+    Padded as ``Region.float_bbox`` pads a coordinate a + b*s3 (a = p/r,
+    b = q/r), so it holds however much ``a + b*s3`` cancels in floats.
+    """
+    a, b = p / r, q / r
+    f = a + b * SQRT3_FLOAT
+    pad = 1e-9 * (1.0 + abs(f)) + 1e-15 * (abs(a) + 2 * abs(b))
+    return f - pad, f + pad
+
+
 def primitive_dir(d: Point) -> Point:
     """Canonical representative of a ray direction (positive scaling)."""
     if d.x.is_zero() and d.y.is_zero():

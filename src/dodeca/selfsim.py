@@ -24,7 +24,10 @@ from .geom import (
     AffMap,
     Point,
     Region,
+    float_interval,
     overlap_status,
+    raw_equals,
+    raw_point,
 )
 from .search import (
     Component,
@@ -192,10 +195,28 @@ def match_return_systems(base: ReturnSystem, target: ReturnSystem, g: AffMap) ->
 
 
 def point_first_return(w: WedgeSystem, p: Point, domain: Region, max_iter: int = 10**6):
-    """First forward T'-iterate of p landing back inside the open domain."""
-    q = p
-    for n in range(1, max_iter + 1):
-        q, _ = w.step(q)
+    """First forward T'-iterate of p landing back inside the open domain.
+
+    Returns ``(q, n)`` with q = T'^n(p).  The iterates come from
+    ``w.raw_orbit``; one becomes a ``Point`` for the exact
+    ``domain.classify`` only when the proven float enclosures of its
+    coordinates (``float_interval``) meet the domain's proven
+    ``float_bbox``.  A point outside that box is neither in the domain nor
+    on its boundary, so the floats only prune exact tests and never decide
+    one.
+    """
+    inf = float("inf")
+    box = domain.float_bbox() if domain.is_bounded else (-inf, -inf, inf, inf)
+    x0, y0, x1, y1 = box
+    orbit = zip(range(1, max_iter + 1), w.raw_orbit(p))
+    for n, (xp, xq, yp, yq, r, _) in orbit:
+        lo, hi = float_interval(xp, xq, r)
+        if hi < x0 or lo > x1:
+            continue
+        lo, hi = float_interval(yp, yq, r)
+        if hi < y0 or lo > y1:
+            continue
+        q = raw_point(xp, xq, yp, yq, r)
         if domain.classify(q) == INTERIOR:
             return q, n
     raise DomainError("no return within the iteration cap")
@@ -315,16 +336,13 @@ def aperiodic_witness(
     assert gx.apply(y) == y
 
     boundary_hit = None
-    q = y
     n_done = 0
-    for n in range(1, steps + 1):
-        try:
-            q, _ = w.step(q)
-        except GraneError:
-            boundary_hit = n
-            break
-        assert q != y, f"fixed point returned after {n} steps"
-        n_done = n
+    try:
+        for n, (*q, _) in zip(range(1, steps + 1), w.raw_orbit(y)):
+            assert not raw_equals(y, *q), f"fixed point returned after {n} steps"
+            n_done = n
+    except GraneError:
+        boundary_hit = n_done + 1
 
     # strict nesting of the rockets, with y interior at every level
     level = s.X

@@ -26,7 +26,7 @@ successful build is itself a consistency check.
 from __future__ import annotations
 
 from .errors import DomainError, GraneError, InconclusiveError
-from .field import HALF, QS3, SQRT3_HALF, ZERO
+from .field import HALF, QS3, SQRT3_HALF, ZERO, pair_sign
 from .geom import (
     BOUNDARY,
     EXTERIOR,
@@ -35,8 +35,11 @@ from .geom import (
     Line,
     Point,
     Region,
+    _clear_denominators,
     clip_convex,
     primitive_dir,
+    raw_equals,
+    raw_point,
 )
 
 NUM_SIDES = 12
@@ -52,6 +55,13 @@ for _ in range(NUM_SIDES - 1):
 _ROT_INDEX = {
     (m.m00.key(), m.m01.key(), m.m10.key(), m.m11.key()): k for k, m in enumerate(ROT)
 }
+
+
+def _raw_row(k) -> tuple:
+    """Cleared (a1, b1, a2, b2, a3, b3) as ``raw_orbit`` reads it:
+    (a1, 3*b1, b1, a2, 3*b2, b2, a3, b3)."""
+    a1, b1, a2, b2, a3, b3 = k
+    return (a1, 3 * b1, b1, a2, 3 * b2, b2, a3, b3)
 
 
 def rotation_index(f: AffMap):
@@ -244,6 +254,20 @@ class WedgeSystem:
         self.translation_vec = Point(self.maps[6].tx, self.maps[6].ty)
         assert self.translation_vec == mv(3, 7) - mv(3, 1)
 
+        # for raw_orbit: the cleared wedge and split lines (Line._k), and
+        # each piece map's two rows cleared over one m, m*x' = (a + b*s3) x
+        # + (c + d*s3) y + (e + f*s3) and so for y'
+        self._raw_wedge = [_raw_row(ln._k) for ln in self.wedge_lines]
+        self._raw_splits = [_raw_row(ln._k) for ln in self.split_lines]
+        self._raw_maps = {}
+        for i, f in self.maps.items():
+            (*row0, m), (*row1, m1) = (
+                _clear_denominators(f.m00, f.m01, f.tx),
+                _clear_denominators(f.m10, f.m11, f.ty),
+            )
+            assert m == m1
+            self._raw_maps[i] = (_raw_row(row0), _raw_row(row1), m)
+
         self.inv_maps = {i: self.maps[i].inverse() for i in range(1, 7)}
         self.image_alpha = {
             i: self.alpha[i].transformed(self.maps[i]) for i in range(1, 7)
@@ -354,11 +378,83 @@ class WedgeSystem:
 
     # -- dynamics ----------------------------------------------------------------
 
+    def raw_orbit(self, p: Point):
+        """Forward T'-orbit of p on raw integers: yields (xp, xq, yp, yq, r, i).
+
+        The state is the point ((xp + xq*s3)/r, (yp + yq*s3)/r) over one
+        common denominator r >= 1, not normalised.  Each step signs it
+        against the cleared wedge and split lines (``Line._k``; r > 0 drops
+        out of the sign), finds its piece i as ``piece_index`` does, and
+        applies the rows of ``maps[i]`` cleared over one m: the image is over
+        r*m, and its four numerators are divided by m when all allow it,
+        else r becomes r*m.  So no step makes a QS3, a Point or a gcd.  Each
+        yield is the image and the piece of the point it came from.
+
+        Raises as ``piece_index`` does, at the first point of the orbit (p
+        included) not in an open piece: DomainError when a wedge sign is
+        < 0, else GraneError with the point, and the split line's index
+        when it lies on one.
+        """
+        xp, xq, yp, yq, _, _, r = _clear_denominators(p.x, p.y, ZERO)
+        wedge, splits, maps = self._raw_wedge, self._raw_splits, self._raw_maps
+        n_split = len(splits)
+        while True:
+            on_wedge = False
+            for a1, t1, b1, a2, t2, b2, a3, b3 in wedge:
+                s = pair_sign(
+                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
+                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
+                )
+                if s < 0:
+                    raise DomainError("point outside the wedge")
+                if s == 0:
+                    on_wedge = True
+            if on_wedge:
+                raise GraneError(
+                    "point on the wedge boundary", point=raw_point(xp, xq, yp, yq, r)
+                )
+            lo, hi, s = 0, n_split, None
+            while lo < hi:
+                mid = (lo + hi) // 2
+                a1, t1, b1, a2, t2, b2, a3, b3 = splits[mid]
+                t = pair_sign(
+                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
+                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
+                )
+                if t >= 0:
+                    hi, s = mid, t
+                else:
+                    lo = mid + 1
+            if s == 0:
+                raise GraneError(
+                    "point on a piece boundary",
+                    index=lo + 1,
+                    point=raw_point(xp, xq, yp, yq, r),
+                )
+            i = lo + 1
+            row0, row1, m = maps[i]
+            a0, t0, b0, c0, u0, d0, e0, f0 = row0
+            a1, t1, b1, c1, u1, d1, e1, f1 = row1
+            nxp = a0 * xp + t0 * xq + c0 * yp + u0 * yq + e0 * r
+            nxq = a0 * xq + b0 * xp + c0 * yq + d0 * yp + f0 * r
+            nyp = a1 * xp + t1 * xq + c1 * yp + u1 * yq + e1 * r
+            nyq = a1 * xq + b1 * xp + c1 * yq + d1 * yp + f1 * r
+            if m == 1:
+                xp, xq, yp, yq = nxp, nxq, nyp, nyq
+            elif nxp % m or nxq % m or nyp % m or nyq % m:
+                xp, xq, yp, yq, r = nxp, nxq, nyp, nyq, r * m
+            else:
+                xp, xq, yp, yq = nxp // m, nxq // m, nyp // m, nyq // m
+            yield xp, xq, yp, yq, r, i
+
     def step(self, p: Point, forward: bool = True) -> tuple[Point, int]:
-        """One application of T' (or its inverse); returns (image, symbol)."""
+        """One application of T' (or its inverse); returns (image, symbol).
+
+        Forward, it is the first step of ``raw_orbit``.
+        """
         if forward:
-            i = self.piece_index(p)
-            return self.maps[i].apply(p), i
+            xp, xq, yp, yq, r, i = next(self.raw_orbit(p))
+            return raw_point(xp, xq, yp, yq, r), i
         side = self.wedge.classify(p)
         if side == EXTERIOR:
             raise DomainError("point outside the wedge")
@@ -393,15 +489,11 @@ class WedgeSystem:
             symbols.append(sym)
         symbols.reverse()
         start_offset = len(symbols)
-        q = p
-        for k in range(n_fwd):
-            try:
-                sym = self.piece_index(q)
-            except GraneError:
-                fwd_fail = k
-                break
-            symbols.append(sym)
-            q = self.maps[sym].apply(q)
+        try:
+            for _, (*_, sym) in zip(range(n_fwd), self.raw_orbit(p)):
+                symbols.append(sym)
+        except GraneError:
+            fwd_fail = len(symbols) - start_offset
         return Itinerary(symbols, start_offset, fwd_fail=fwd_fail, bwd_fail=bwd_fail)
 
     def first_return_to_piece(self, p: Point, piece: int, max_iter: int = 10**6):
@@ -420,12 +512,10 @@ class WedgeSystem:
 
         Returns (period, visit_counts) or None when the cap is exhausted.
         """
-        q = p
         counts = [0] * 6
-        for n in range(1, max_iter + 1):
-            q, sym = self.step(q)
+        for n, (*q, sym) in zip(range(1, max_iter + 1), self.raw_orbit(p)):
             counts[sym - 1] += 1
-            if q == p:
+            if raw_equals(p, *q):
                 return n, tuple(counts)
         return None
 

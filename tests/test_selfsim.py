@@ -1,11 +1,22 @@
+import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dodeca.errors import DomainError
+from dodeca.errors import DomainError, GraneError
 from dodeca.field import QS3, ZERO, qs3
-from dodeca.geom import AffMap, Line, Point, overlap_status, split_region
+from dodeca.geom import (
+    BOUNDARY,
+    INTERIOR,
+    AffMap,
+    Line,
+    Point,
+    float_interval,
+    overlap_status,
+    split_region,
+)
 from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
@@ -134,9 +145,72 @@ def test_witness_rejects_non_contraction(ctx, sim):
 
 def test_point_first_return_matches_return_system(ctx, sim):
     w = ctx.wedge
-    rs = ctx.return_system("z4")
-    for piece in rs.pieces:
-        p = piece.source.interior_point()
-        ret, n = point_first_return(w, p, sim.Z4)
-        assert n == piece.return_time
-        assert ret == piece.map.apply(p)
+    for label in ("z4", "z14", "x"):
+        rs = ctx.return_system(label)
+        for piece in rs.pieces:
+            p = piece.source.interior_point()
+            ret, n = point_first_return(w, p, rs.domain)
+            assert n == piece.return_time
+            assert ret == piece.map.apply(p)
+
+
+def _reference_first_return(w, p, domain):
+    """point_first_return by piece_index, maps[i].apply and classify per iterate."""
+    q = p
+    for n in range(1, 10**5):
+        i = w.piece_index(q)
+        q = w.maps[i].apply(q)
+        if domain.classify(q) == INTERIOR:
+            return q, n
+    raise AssertionError("no return")
+
+
+def _return_outcome(fn, w, p, domain):
+    try:
+        return fn(w, p, domain)
+    except GraneError as exc:
+        return "grane", exc.index, exc.point
+
+
+def test_point_first_return_matches_reference_loop(ctx, sim):
+    w = ctx.wedge
+    rng = random.Random(412)
+    box = sim.Z4.float_bbox()
+    starts = []
+    while len(starts) < 50:
+        x = Fraction(rng.randint(int(box[0] * 512), int(box[2] * 512)), 512)
+        y = Fraction(rng.randint(int(box[1] * 512), int(box[3] * 512)), 512)
+        p = Point(QS3(x), QS3(y))
+        if sim.Z4.classify(p) == INTERIOR:
+            starts.append(p)
+    times = []
+    for p in starts:
+        for g, domain in ((None, sim.Z4), (sim.gammaX, sim.X), (sim.gamma1, sim.Z14)):
+            q = p if g is None else g.apply(p)
+            want = _return_outcome(_reference_first_return, w, q, domain)
+            assert _return_outcome(point_first_return, w, q, domain) == want
+            if want[0] != "grane":
+                times.append(want[1])
+    assert max(times) > 20  # long returns pass many screened-out iterates
+
+
+def test_float_interval_encloses_cancelling_coordinates(sim):
+    # gamma_1^k(Z'_4) for k <= 7: float(a + b*s3) cancels (see field.py),
+    # yet every vertex coordinate's enclosure must hold the exact value, and
+    # meet the domain's box, as point_first_return must never screen out a
+    # BOUNDARY point
+    scale = 10**60
+    s3_lo = Fraction(math.isqrt(3 * scale * scale), scale)
+    s3_hi = s3_lo + Fraction(1, scale)
+    rocket = sim.Z4
+    for k in range(8):
+        x0, y0, x1, y1 = rocket.float_bbox()
+        for v in rocket.vertices:
+            assert rocket.classify(v) == BOUNDARY
+            for c, box_lo, box_hi in ((v.x, x0, x1), (v.y, y0, y1)):
+                lo, hi = float_interval(c.p, c.q, c.r)
+                a, b = Fraction(c.p, c.r), Fraction(c.q, c.r)
+                low, high = sorted((a + b * s3_lo, a + b * s3_hi))
+                assert Fraction(lo) <= low and high <= Fraction(hi), (k, c)
+                assert lo <= box_hi and hi >= box_lo
+        rocket = rocket.transformed(sim.gamma1)

@@ -414,6 +414,56 @@ def test_bisection_matches_linear_scan(system):
     assert spans.count(1) > 20 and sum(1 for s in spans if s >= 2) > 20
 
 
+def _failure(fn, p):
+    """(error type, index, point) of the error fn(p) raises, else None."""
+    try:
+        fn(p)
+    except (DomainError, GraneError) as exc:
+        return type(exc), getattr(exc, "index", None), getattr(exc, "point", None)
+    return None
+
+
+def test_forward_step_matches_piece_maps(system):
+    _, w = system
+    rng = random.Random(37)
+    pieces = set()
+    for _ in range(400):
+        p = _spread_point(w, rng)
+        want = _failure(w.piece_index, p)
+        if want is not None:
+            assert _failure(w.step, p) == want
+            continue
+        i = w.piece_index(p)
+        assert w.step(p) == (w.maps[i].apply(p), i)
+        pieces.add(i)
+    assert pieces == set(range(1, 7))
+
+
+def test_forward_step_errors_match_piece_index(system):
+    _, w = system
+    special = [w.apex, *w.P.values(), *w.Q.values()]
+    # points on each split line, inside the wedge and beyond it
+    for k in range(1, 6):
+        a = w.P[k + 1] if k < 5 else w.Q[6] + w.dir_p
+        b = w.Q[k + 1]
+        special += [a + (b - a).scaled(t) for t in (Fraction(1, 3), Fraction(-1), 2)]
+        assert all(w.split_lines[k - 1].side(p) == 0 for p in special[-3:])
+    # one wedge sign 0, the other negative: the wedge lines beyond the apex
+    behind = [w.apex - w.dir_p, w.apex - w.dir_q]
+    for p in behind:
+        assert sorted(ln.side(p) for ln in w.wedge_lines) == [-1, 0]
+    indices = set()
+    for p in special + behind:
+        want = _failure(w.piece_index, p)
+        assert want is not None
+        assert _failure(w.step, p) == want
+        indices.add(want[1])
+    assert indices == {None, 1, 2, 3, 4, 5}
+    for p in behind:
+        assert _failure(w.step, p)[0] is DomainError
+    assert _failure(w.step, w.apex)[:2] == (GraneError, None)
+
+
 def test_itinerary_fixed_points(system):
     _, w = system
     assert w.itinerary(w.O[1], 5).text() == "11111"
@@ -446,6 +496,11 @@ def test_itinerary_reports_boundary_truncation(system):
     p = Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2)
     it = w.itinerary(p, 5)
     assert it.fwd_fail == 0 and it.symbols == ()
+    # one step before the boundary on split line 2, after a backward step
+    p = Point((w.P[3].x + w.Q[3].x) / 2, (w.P[3].y + w.Q[3].y) / 2)
+    q, _ = w.step(p, forward=False)
+    it = w.itinerary(q, 5, 1)
+    assert it.fwd_fail == 1 and it.start_offset == 1 and it.symbols == (3, 3)
 
 
 def test_wedge_conjugacy_with_alpha6_return(system):
