@@ -231,7 +231,8 @@ class Line:
 class AffMap:
     """Exact affine map x -> M x + t over QS3.
 
-    Entries are fixed at construction; ``det_sign`` is the sign of det(M).
+    Entries are fixed at construction; ``det_sign`` is the sign of det(M)
+    (computed unless the caller knows it).
     ``_rows`` holds each row (m_i0, m_i1, t_i) cleared to integers by
     ``_clear_denominators``, built on first use: most composed maps are
     never applied.
@@ -239,14 +240,16 @@ class AffMap:
 
     __slots__ = ("m00", "m01", "m10", "m11", "tx", "ty", "det_sign", "_rows")
 
-    def __init__(self, m00, m01, m10, m11, tx, ty):
+    def __init__(self, m00, m01, m10, m11, tx, ty, det_sign=None):
         self.m00 = m00
         self.m01 = m01
         self.m10 = m10
         self.m11 = m11
         self.tx = tx
         self.ty = ty
-        self.det_sign = _cross_sign(m00, m01, m10, m11)
+        if det_sign is None:
+            det_sign = _cross_sign(m00, m01, m10, m11)
+        self.det_sign = det_sign
         self._rows = None
 
     @staticmethod
@@ -278,6 +281,15 @@ class AffMap:
             center.y * (ONE - ratio),
         )
 
+    def _cleared(self):
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = (
+                _clear_denominators(self.m00, self.m01, self.tx),
+                _clear_denominators(self.m10, self.m11, self.ty),
+            )
+        return rows
+
     def map_points(self, pts, shift: bool = True) -> list[Point]:
         """Images of a sequence of points (of vectors when not ``shift``).
 
@@ -286,13 +298,7 @@ class AffMap:
         integer pair over m*xr*yr: each coordinate is normalised once, by
         one ``QS3._make``.
         """
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = (
-                _clear_denominators(self.m00, self.m01, self.tx),
-                _clear_denominators(self.m10, self.m11, self.ty),
-            )
-        (a0, b0, c0, d0, e0, f0, m0), (a1, b1, c1, d1, e1, f1, m1) = rows
+        (a0, b0, c0, d0, e0, f0, m0), (a1, b1, c1, d1, e1, f1, m1) = self._cleared()
         if not shift:
             e0 = f0 = e1 = f1 = 0
         s0, u0, s1, u1 = 3 * b0, 3 * d0, 3 * b1, 3 * d1
@@ -325,12 +331,39 @@ class AffMap:
         return self.map_points((d,), shift=False)[0]
 
     def compose(self, inner: "AffMap") -> "AffMap":
-        """self o inner: self maps the columns and the translation of inner."""
-        c0, c1 = self.map_points(
-            (Point(inner.m00, inner.m10), Point(inner.m01, inner.m11)), shift=False
-        )
-        t = self.apply(Point(inner.tx, inner.ty))
-        return AffMap(c0.x, c1.x, c0.y, c1.y, t.x, t.y)
+        """self o inner: self maps the columns and the translation of inner.
+
+        The ``map_points`` formula written out on the raw entries of inner,
+        one ``QS3._make`` per entry and no ``Point``; det(M N) = det(M)
+        det(N), so the sign of the determinant is a product.
+        """
+        (a0, b0, c0, d0, e0, f0, m0), (a1, b1, c1, d1, e1, f1, m1) = self._cleared()
+        s0, u0, s1, u1 = 3 * b0, 3 * d0, 3 * b1, 3 * d1
+        make = QS3._make
+        out = []
+        for x, y, k in (
+            (inner.m00, inner.m10, 0),
+            (inner.m01, inner.m11, 0),
+            (inner.tx, inner.ty, 1),
+        ):
+            xp, xq, xr, yp, yq, yr = x.p, x.q, x.r, y.p, y.q, y.r
+            den, ky = xr * yr, k * yr
+            out.append(
+                make(
+                    (a0 * xp + s0 * xq) * yr + (c0 * yp + u0 * yq + e0 * ky) * xr,
+                    (a0 * xq + b0 * xp) * yr + (c0 * yq + d0 * yp + f0 * ky) * xr,
+                    m0 * den,
+                )
+            )
+            out.append(
+                make(
+                    (a1 * xp + s1 * xq) * yr + (c1 * yp + u1 * yq + e1 * ky) * xr,
+                    (a1 * xq + b1 * xp) * yr + (c1 * yq + d1 * yp + f1 * ky) * xr,
+                    m1 * den,
+                )
+            )
+        n00, n10, n01, n11, tx, ty = out
+        return AffMap(n00, n01, n10, n11, tx, ty, self.det_sign * inner.det_sign)
 
     def det(self) -> QS3:
         return self.m00 * self.m11 - self.m01 * self.m10

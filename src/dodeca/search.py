@@ -9,7 +9,12 @@ Three layers build on the wedge map T':
 
 * :func:`first_return_map`: the first-return system of a polygon S: pieces
   mapped back into S by an isometry after a fixed number of T' steps, each
-  fragment split only by the one split line that cuts it.
+  fragment split only by the one split line that cuts it.  Each piece
+  records its T' itinerary, and :func:`return_tube` maps the source along
+  it into the piece's tower, proving every floor in its recorded piece by
+  two split-line sign tests.  Both walks sign the wedge lines once, at
+  their start: T' maps every closed piece into the closed wedge (asserted
+  when the ``WedgeSystem`` is built).
 
 * :func:`verify_partition`: tile the invariant rocket Z' exactly by the
   forward tubes of the return pieces of S plus the tubes of the periodic
@@ -196,7 +201,11 @@ class ReturnPiece:
     source: Region
     target: Region
     map: AffMap
-    return_time: int
+    itinerary: tuple  # itinerary[j]: the piece alpha_i that holds floor j
+
+    @property
+    def return_time(self) -> int:
+        return len(self.itinerary)
 
     def to_obj(self) -> dict:
         from .geom import region_to_obj
@@ -247,20 +256,27 @@ def first_return_map(
     self-return property: a mapped fragment that straddles the domain
     boundary raises SelfReturnError.  A domain that is unbounded or leaves
     the wedge raises DomainError.
+
+    The domain is signed against the wedge lines once: a fragment located
+    in a closed piece maps into the closed wedge (asserted when the
+    ``WedgeSystem`` is built), so every fragment stays there and is located
+    by the split lines alone (``locate_in_wedge``).  Each fragment carries
+    its itinerary as a parent-linked node (parent, i), shared by the parts
+    of a split; a retired fragment unrolls it into ``ReturnPiece.itinerary``.
     """
     if not domain.is_bounded:
         raise DomainError("return domain must be bounded")
-    if any(min(ln.signs(domain.vertices)) < 0 for ln in w.wedge_lines):
+    if not w.in_closed_wedge(domain):
         raise DomainError("return domain must lie in the wedge")
     parts = domain.convex_parts()
-    pending = [(domain, AffMap.identity(), 0)]
+    pending = [(domain, AffMap.identity(), None)]
     finished = []
     events = 0
     while pending:
-        pol, f, n = pending.pop()
-        i, cut = w.locate(pol)
+        pol, f, node = pending.pop()
+        i, cut = w.locate_in_wedge(pol)
         if cut is not None:
-            pending.extend((part, f, n) for part in split_region(pol, cut))
+            pending.extend((part, f, node) for part in split_region(pol, cut))
             continue
         events += 1
         if events > max_events:
@@ -272,16 +288,20 @@ def first_return_map(
         f2 = w.maps[i].compose(f)
         status = overlap_status(image, parts)
         if status == "inside":
-            finished.append((image, f2, n + 1))
+            finished.append((image, f2, (node, i)))
         elif status == "disjoint":
-            pending.append((image, f2, n + 1))
+            pending.append((image, f2, (node, i)))
         else:
             raise SelfReturnError("mapped fragment straddles the return domain")
     pieces = []
-    for target, f, n in finished:
+    for target, f, node in finished:
         source = target.transformed(f.inverse())
         assert source.transformed(f) == target
-        pieces.append(ReturnPiece(source, target, f, n))
+        itinerary = []
+        while node is not None:
+            node, i = node
+            itinerary.append(i)
+        pieces.append(ReturnPiece(source, target, f, tuple(reversed(itinerary))))
     pieces.sort(key=lambda p: p.source.canonical_key())
     rs = ReturnSystem(domain, tuple(pieces))
     _validate_return_system(rs)
@@ -301,17 +321,26 @@ def _validate_return_system(rs: ReturnSystem):
 
 
 def return_tube(w: WedgeSystem, piece: ReturnPiece):
-    """Forward images of the source for 0 <= j < return_time.
+    """Floors T'^j(source), 0 <= j < return_time: the piece's tower.
 
-    The last image maps onto the target in one more step; that closure is
-    asserted.
+    Maps along the recorded itinerary and proves each step: floor j must
+    lie in the open piece ``itinerary[j]`` (``WedgeSystem.in_piece``, two
+    split-line sign passes), else GraneError with index j.  That test
+    needs the floor in the closed wedge: the source is checked once, and
+    each later floor is the image of a closed piece, which T' keeps in the
+    closed wedge (asserted when the ``WedgeSystem`` is built).  The last
+    floor maps onto the target; that closure is asserted.
     """
-    tube = [piece.source]
     cur = piece.source
-    for _ in range(piece.return_time - 1):
-        cur = cur.transformed(w.maps[w.piece_of(cur)])
+    if not w.in_closed_wedge(cur):
+        raise GraneError("return source leaves the wedge")
+    tube = []
+    for j, i in enumerate(piece.itinerary):
+        if not w.in_piece(cur, i):
+            raise GraneError(f"floor {j} is not in alpha_{i}", index=j)
         tube.append(cur)
-    assert cur.transformed(w.maps[w.piece_of(cur)]) == piece.target
+        cur = cur.transformed(w.maps[i])
+    assert cur == piece.target
     return tube
 
 

@@ -272,6 +272,11 @@ class WedgeSystem:
         self.image_alpha = {
             i: self.alpha[i].transformed(self.maps[i]) for i in range(1, 7)
         }
+        # T' maps each closed piece into the closed wedge: a region located
+        # in a piece maps back into the wedge, so the region walks of
+        # first_return_map and return_tube sign the wedge lines only at
+        # their start
+        assert all(self.in_closed_wedge(r) for r in self.image_alpha.values())
         self.alpha_lines = {i: self.alpha[i].boundary_lines() for i in range(1, 7)}
         self.O = {i: self.maps[i].fixed_point() for i in range(1, 6)}
         for i in range(1, 6):
@@ -323,22 +328,41 @@ class WedgeSystem:
             raise GraneError("point on a piece boundary", index=lo + 1, point=p)
         return lo + 1
 
+    def in_closed_wedge(self, region: Region) -> bool:
+        """True when the closure of the region lies in the closed wedge.
+
+        Bounded: every vertex signs >= 0 on both wedge lines.  Unbounded
+        (convex): the region is its own clip by each line, rays included.
+        """
+        if not region.is_bounded:
+            return all(clip_convex(region, ln, +1) is region for ln in self.wedge_lines)
+        pts = region.vertices
+        return all(min(ln.signs(pts)) >= 0 for ln in self.wedge_lines)
+
     def locate(self, region: Region) -> tuple[int | None, Line | None]:
         """Piece i of a bounded open region as ``(i, None)``, or ``(None, line)``.
+
+        ``locate_in_wedge`` once every vertex is in the closed wedge, else
+        GraneError.
+        """
+        if not self.in_closed_wedge(region):
+            raise GraneError("region leaves the wedge")
+        return self.locate_in_wedge(region)
+
+    def locate_in_wedge(self, region: Region) -> tuple[int | None, Line | None]:
+        """``locate`` for a bounded open region known to lie in the closed wedge.
 
         The piece is the first split line with a vertex strictly on its apex
         side (6 if none), unless that line also has a vertex strictly on its
         far side and so cuts the region.  No later line can cut it: alpha_k
         lies on the apex side of lines k..5 and on the far side of lines
-        1..k-1.  Once every vertex is in the closed wedge (else GraneError),
-        the split lines are nested there: a vertex with sign >= 0 on line k
-        has sign > 0 on line k+1.  So "some vertex has sign > 0" holds from
-        the first such line on, and a bisection finds that line in at most
-        three sign passes.
+        1..k-1.  In the closed wedge the split lines are nested: a vertex
+        with sign >= 0 on line k has sign > 0 on line k+1.  So "some vertex
+        has sign > 0" holds from the first such line on, and a bisection
+        finds that line in at most three sign passes.  A region outside the
+        closed wedge gets no meaningful answer.
         """
         pts = region.vertices
-        if any(min(ln.signs(pts)) < 0 for ln in self.wedge_lines):
-            raise GraneError("region leaves the wedge")
         lines = self.split_lines
         lo, hi, hit = 0, len(lines), None
         while lo < hi:
@@ -351,6 +375,25 @@ class WedgeSystem:
         if hit is None:
             return 6, None
         return (None, lines[lo]) if min(hit) < 0 else (lo + 1, None)
+
+    def in_piece(self, region: Region, i: int) -> bool:
+        """True when a bounded open region in the closed wedge lies in alpha_i.
+
+        Two sign passes: every vertex on the closed far side of split line
+        i-1 (for i >= 2), and on the closed apex side of split line i with
+        one strictly there (for i <= 5).  By the nesting of the split lines
+        in the closed wedge (see ``locate_in_wedge``) the other lines then
+        hold too, so the closure lies in the closed piece and the open
+        region in the open one.
+        """
+        pts = region.vertices
+        lines = self.split_lines
+        if i >= 2 and max(lines[i - 2].signs(pts)) > 0:
+            return False
+        if i <= 5:
+            sides = lines[i - 1].signs(pts)
+            return min(sides) >= 0 and max(sides) > 0
+        return True
 
     def piece_of(self, region: Region) -> int:
         """Index i with the bounded open region inside alpha_i, else GraneError."""

@@ -568,6 +568,8 @@ def test_affmap_kernels_match_operators():
             f.m10 * g.tx + f.m11 * g.ty + f.ty,
         )
         assert f.det_sign == f.det().sign()
+        fg = f.compose(g)
+        assert fg.det_sign == fg.det().sign()
 
 
 def test_apply_normalises_once_per_coordinate(ctx, monkeypatch):
@@ -585,6 +587,9 @@ def test_apply_normalises_once_per_coordinate(ctx, monkeypatch):
         calls.clear()
         w.maps[i].apply(p)
         assert len(calls) == 2, i
+        calls.clear()
+        w.maps[i].compose(w.maps[7 - i])
+        assert len(calls) == 6, i
 
 
 def test_bounded_caches_area_of_stored_cycle():

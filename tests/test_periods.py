@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -22,6 +23,18 @@ from dodeca.periods import (
 
 def test_constants_checksum():
     assert constants_digest() == CONSTANTS_SHA256
+
+
+def test_m68_is_the_z4_visit_matrix(ctx):
+    # column j of M68 counts the visits to alpha_1..alpha_6 along the T'
+    # itinerary of Z'_4 return piece P[j]; no other relabelling fits
+    pieces = ctx.return_system("z4").pieces
+    visits = [tuple(p.itinerary.count(a + 1) for a in range(6)) for p in pieces]
+    columns = [tuple(row[j] for row in M68) for j in range(8)]
+    fits = [
+        P for P in permutations(range(8)) if all(columns[j] == visits[P[j]] for j in range(8))
+    ]
+    assert fits == [(3, 4, 2, 1, 7, 0, 5, 6)]
 
 
 def test_matrix_shapes():

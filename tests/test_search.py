@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from dodeca import search
-from dodeca.errors import InconclusiveError, SelfReturnError
+from dodeca.errors import GraneError, InconclusiveError, SelfReturnError
 from dodeca.field import QS3, ZERO
 from dodeca.geom import Point, Region, area2_within
 from dodeca.periods import period_of_h
@@ -122,6 +123,47 @@ def test_return_tube_replay(ctx):
     tube = return_tube(ctx.wedge, piece)
     assert len(tube) == piece.return_time
     assert tube[0] == piece.source
+
+
+def test_itineraries_match_the_piece_of_walk(ctx):
+    # the recorded itinerary is the symbol sequence of the region walk that
+    # locates every floor from scratch
+    w = ctx.wedge
+    for label in ("z1", "z4", "z14", "x"):
+        for piece in ctx.return_system(label).pieces:
+            cur, symbols = piece.source, []
+            for _ in range(piece.return_time):
+                i = w.piece_of(cur)
+                symbols.append(i)
+                cur = cur.transformed(w.maps[i])
+            assert cur == piece.target
+            assert tuple(symbols) == piece.itinerary
+            assert len(piece.itinerary) == piece.return_time
+    pieces = ctx.return_system("level3").pieces
+    assert sum(len(p.itinerary) for p in pieces) == 76450
+
+
+def test_return_tube_rejects_a_wrong_symbol(ctx):
+    w = ctx.wedge
+    piece = max(ctx.return_system("z4").pieces, key=lambda p: p.return_time)
+    j = piece.return_time // 2
+    symbols = list(piece.itinerary)
+    symbols[j] = symbols[j] % 6 + 1
+    bad = dataclasses.replace(piece, itinerary=tuple(symbols))
+    with pytest.raises(GraneError) as exc:
+        return_tube(w, bad)
+    assert exc.value.index == j
+
+
+def test_return_tube_rejects_a_source_outside_the_wedge(ctx):
+    w = ctx.wedge
+    piece = ctx.return_system("z4").pieces[0]
+    eps = Fraction(1, 64)
+    outside = Region.bounded(
+        [w.O[1], w.O[1] + w.dir_p.scaled(eps), w.apex - w.bisector_dir.scaled(eps)]
+    )
+    with pytest.raises(GraneError, match="wedge"):
+        return_tube(w, dataclasses.replace(piece, source=outside))
 
 
 def test_whole_rocket_returns_in_one_step(ctx):

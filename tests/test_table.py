@@ -320,6 +320,23 @@ def test_piece_of_errors(system):
         w.locate(outside)
 
 
+def test_pieces_map_into_the_closed_wedge(system):
+    # the lemma WedgeSystem asserts when it is built, on all six images;
+    # the point reflection through the apex carries the wedge onto the
+    # opposite cone, so it moves every image out of the closed wedge
+    _, w = system
+    out = AffMap.point_reflection(w.apex)
+    for i in range(1, 7):
+        img = w.image_alpha[i]
+        assert img.is_bounded == (i <= 4)
+        assert w.in_closed_wedge(img)
+        assert not w.in_closed_wedge(img.transformed(out))
+    # an unbounded region with its vertex in the wedge but a ray leaving it
+    # (the wedge turns from its Q-ray at 135° to its P-ray at 105°; a ray
+    # at 90° from O_5 crosses the P-ray)
+    assert not w.in_closed_wedge(Region.unbounded(w.dir_q, [w.O[5]], Point(ZERO, ONE)))
+
+
 def _scan_piece_index(w, p):
     """piece_index by a linear scan of the split lines, on field signs."""
     if w.wedge.classify(p) != INTERIOR:
@@ -343,6 +360,13 @@ def _scan_locate(w, region):
         if max(sides) > 0:
             return (None, ln) if min(sides) < 0 else (k, None)
     return 6, None
+
+
+def _check_in_piece(w, region, located):
+    """``w.in_piece`` holds for the piece of an ``(i, cut)`` answer of
+    ``locate`` alone, and for no piece when a line cuts the region."""
+    held = [k for k in range(1, 7) if w.in_piece(region, k)]
+    assert held == ([] if located[1] is not None else [located[0]])
 
 
 def _outcome(fn, *args):
@@ -387,6 +411,7 @@ def test_bisection_matches_linear_scan(system):
         tri = Region.bounded([p, p + w.dir_p.scaled(eps), p + w.dir_q.scaled(eps)])
         want = _outcome(_scan_locate, w, tri)
         assert _outcome(w.locate, tri) == want
+        _check_in_piece(w, tri, want)
         regions.add(want[0])
     assert set(range(1, 7)) <= points and set(range(1, 7)) <= regions
     # triangles with a vertex exactly on a split line, the others strictly
@@ -399,6 +424,7 @@ def test_bisection_matches_linear_scan(system):
             want = _scan_locate(w, tri)
             assert want[0] == (k + 1 if d is w.bisector_dir else k)
             assert w.locate(tri) == want
+            _check_in_piece(w, tri, want)
     # triangles cut by one line (vertices in adjacent pieces) or by two or
     # more: the same first cut line object as the scan
     spans = []
@@ -409,6 +435,7 @@ def test_bisection_matches_linear_scan(system):
         tri = Region.bounded([a, b, a + w.dir_q.scaled(eps)])
         want = _outcome(_scan_locate, w, tri)
         assert _outcome(w.locate, tri) == want
+        _check_in_piece(w, tri, want)
         if want[0] is None:
             spans.append(abs(w.piece_index(a) - w.piece_index(b)))
     assert spans.count(1) > 20 and sum(1 for s in spans if s >= 2) > 20
