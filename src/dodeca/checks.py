@@ -78,12 +78,14 @@ class CheckResult:
 
 
 class Context:
-    """Lazily built shared artifacts for the verification battery."""
+    """Lazily built shared artifacts for the verification battery.
 
-    def __init__(self, seed: int = 0, max_iter: int = 10**6, max_events: int = 10**6):
+    ``max_iter`` is the run's one cap: every iteration and event budget.
+    """
+
+    def __init__(self, seed: int = 0, max_iter: int = 10**6):
         self.seed = seed
         self.max_iter = max_iter
-        self.max_events = max_events
         self._cache = {}
 
     def _get(self, key, builder):
@@ -119,7 +121,7 @@ class Context:
     def return_system(self, label: str):
         return self._get(
             ("rs", label),
-            lambda: first_return_map(self.wedge, self.domain(label), self.max_events),
+            lambda: first_return_map(self.wedge, self.domain(label), self.max_iter),
         )
 
     def partition(self, label: str):
@@ -129,7 +131,7 @@ class Context:
                 self.wedge,
                 self.return_system(label).domain,
                 label=label,
-                max_events=self.max_events,
+                max_events=self.max_iter,
                 max_iter=self.max_iter,
                 return_system=self.return_system(label),
             ),

@@ -181,7 +181,7 @@ def cmd_component(args, ctx) -> int:
 
 def cmd_first_return(args, ctx) -> int:
     domain = _domain(ctx, args.region)
-    rs = first_return_map(ctx.wedge, domain, ctx.max_events)
+    rs = first_return_map(ctx.wedge, domain, ctx.max_iter)
     obj = rs.to_obj()
     obj["seed"] = args.seed
     sizes, nonconvex = rs.shape_census()
@@ -203,7 +203,7 @@ def cmd_verify_partition(args, ctx) -> int:
         ctx.wedge,
         domain,
         label=args.region,
-        max_events=ctx.max_events,
+        max_events=ctx.max_iter,
         max_iter=ctx.max_iter,
     )
     obj = rep.to_obj()
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         cap = _max_iter(args)
-        return args.func(args, Context(seed=args.seed, max_iter=cap, max_events=cap))
+        return args.func(args, Context(seed=args.seed, max_iter=cap))
     except (_Usage, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -93,10 +93,16 @@ def _cross_sign(ax: QS3, ay: QS3, bx: QS3, by: QS3) -> int:
 
 
 def _clear_denominators(a: QS3, b: QS3, c: QS3) -> tuple:
-    """(a1, b1, a2, b2, a3, b3, m): m*a = a1 + b1*s3, and so on, m = lcm of the r."""
+    """(a1, 3*b1, b1, a2, 3*b2, b2, a3, b3, m): m*a = a1 + b1*s3, and so on.
+
+    m is the lcm of the three denominators.  The products 3*b1 and 3*b2
+    are stored because every formula that reads a cleared row multiplies
+    b by s3*s3 = 3; the constant c has no such product.
+    """
     m = math.lcm(a.r, b.r, c.r)
     u, v, w = m // a.r, m // b.r, m // c.r
-    return (a.p * u, a.q * u, b.p * v, b.q * v, c.p * w, c.q * w, m)
+    b1, b2 = a.q * u, b.q * v
+    return (a.p * u, 3 * b1, b1, b.p * v, 3 * b2, b2, c.p * w, c.q * w, m)
 
 
 def raw_point(xp: int, xq: int, yp: int, yq: int, r: int) -> Point:
@@ -138,8 +144,9 @@ def primitive_dir(d: Point) -> Point:
 class Line:
     """Line {p : nx*x + ny*y = c}.  Oriented: eval() > 0 is the left side.
 
-    ``_k`` holds nx, ny and c times the lcm of their denominators as six
-    integers (``_clear_denominators``); the exact signs read only these.
+    ``_k`` holds nx, ny and c times the lcm of their denominators as
+    (a1, 3*b1, b1, a2, 3*b2, b2, a3, b3) (``_clear_denominators``); the
+    exact signs read only these, and so does ``WedgeSystem.raw_orbit``.
     """
 
     __slots__ = ("nx", "ny", "c", "_k")
@@ -150,7 +157,7 @@ class Line:
         self.nx = nx
         self.ny = ny
         self.c = c
-        self._k = _clear_denominators(nx, ny, c)[:6]
+        self._k = _clear_denominators(nx, ny, c)[:8]
 
     @staticmethod
     def through(a: Point, b: Point) -> "Line":
@@ -165,15 +172,15 @@ class Line:
     def side(self, p: Point) -> int:
         """Exact sign of eval(p): the formula of ``signs`` for one point.
 
-        Written out, not ``self.signs((p,))[0]``: point location signs one
-        point against many lines, and the extra call, tuple and list made
-        the point-dynamics workload measurably slower.
+        Written out, not ``self.signs((p,))[0]``: ``Region.classify`` signs
+        one point against many lines, and the extra call, tuple and list
+        made the point-dynamics workload measurably slower.
         """
-        a1, b1, a2, b2, a3, b3 = self._k
+        a1, t1, b1, a2, t2, b2, a3, b3 = self._k
         x, y = p.x, p.y
         xp, xq, xr, yp, yq, yr = x.p, x.q, x.r, y.p, y.q, y.r
         return pair_sign(
-            (a1 * xp + 3 * b1 * xq) * yr + (a2 * yp + 3 * b2 * yq - a3 * yr) * xr,
+            (a1 * xp + t1 * xq) * yr + (a2 * yp + t2 * yq - a3 * yr) * xr,
             (a1 * xq + b1 * xp) * yr + (a2 * yq + b2 * yp - b3 * yr) * xr,
         )
 
@@ -185,9 +192,7 @@ class Line:
         of eval(p) is that of xr*yr times it, whose rational and s3 parts
         are integer polynomials: no field operation and no gcd.
         """
-        a1, b1, a2, b2, a3, b3 = self._k
-        t1 = 3 * b1
-        t2 = 3 * b2
+        a1, t1, b1, a2, t2, b2, a3, b3 = self._k
         out = []
         for p in pts:
             x, y = p.x, p.y
@@ -234,8 +239,8 @@ class AffMap:
     Entries are fixed at construction; ``det_sign`` is the sign of det(M)
     (computed unless the caller knows it).
     ``_rows`` holds each row (m_i0, m_i1, t_i) cleared to integers by
-    ``_clear_denominators``, built on first use: most composed maps are
-    never applied.
+    ``_clear_denominators`` as (a, 3*b, b, c, 3*d, d, e, f, m), built on
+    first use: most composed maps are never applied.
     """
 
     __slots__ = ("m00", "m01", "m10", "m11", "tx", "ty", "det_sign", "_rows")
@@ -298,10 +303,11 @@ class AffMap:
         integer pair over m*xr*yr: each coordinate is normalised once, by
         one ``QS3._make``.
         """
-        (a0, b0, c0, d0, e0, f0, m0), (a1, b1, c1, d1, e1, f1, m1) = self._cleared()
+        row0, row1 = self._cleared()
+        a0, s0, b0, c0, u0, d0, e0, f0, m0 = row0
+        a1, s1, b1, c1, u1, d1, e1, f1, m1 = row1
         if not shift:
             e0 = f0 = e1 = f1 = 0
-        s0, u0, s1, u1 = 3 * b0, 3 * d0, 3 * b1, 3 * d1
         make = QS3._make
         out = []
         for p in pts:
@@ -337,8 +343,9 @@ class AffMap:
         one ``QS3._make`` per entry and no ``Point``; det(M N) = det(M)
         det(N), so the sign of the determinant is a product.
         """
-        (a0, b0, c0, d0, e0, f0, m0), (a1, b1, c1, d1, e1, f1, m1) = self._cleared()
-        s0, u0, s1, u1 = 3 * b0, 3 * d0, 3 * b1, 3 * d1
+        row0, row1 = self._cleared()
+        a0, s0, b0, c0, u0, d0, e0, f0, m0 = row0
+        a1, s1, b1, c1, u1, d1, e1, f1, m1 = row1
         make = QS3._make
         out = []
         for x, y, k in (

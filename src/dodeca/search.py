@@ -100,23 +100,23 @@ def find_periodic_component(
 ) -> Component:
     """Periodic component containing ``start`` (which must be periodic).
 
-    Carries a region U (initially the whole wedge) along the orbit,
-    cutting it down to the visited piece before each step.  When U repeats
+    Carries a region U (initially the whole wedge) along the orbit of
+    ``start``, which one ``raw_orbit`` generator follows and places,
+    cutting U down to the visited piece before each step.  When U repeats
     exactly, it is pushed forward until the starting point is interior.
 
-    Raises GraneError when the orbit hits a piece boundary and
-    InconclusiveError when the cap is exhausted (the point may then be
-    aperiodic).
+    Raises DomainError unless ``start`` is interior to the wedge,
+    GraneError when the orbit hits a piece boundary and InconclusiveError
+    when the cap is exhausted (the point may then be aperiodic).
     """
     if w.wedge.classify(start) != INTERIOR:
         raise DomainError("start point must be interior to the wedge")
     region = w.wedge
-    p = start
+    orbit = w.raw_orbit(start)
     seen = {region.canonical_key()}
     for _ in range(max_iter):
-        i = w.piece_index(p)
+        i = next(orbit)[-1]
         region = w.restrict_to_piece(region, i).transformed(w.maps[i])
-        p = w.maps[i].apply(p)
         key = region.canonical_key()
         if key in seen:
             break
@@ -128,9 +128,8 @@ def find_periodic_component(
     for _ in range(max_iter):
         if region.classify(start) == INTERIOR:
             break
-        i = w.piece_index(p)
+        i = next(orbit)[-1]
         region = w.restrict_to_piece(region, i).transformed(w.maps[i])
-        p = w.maps[i].apply(p)
     else:
         raise InconclusiveError("component never returned over the start point")
     if not region.is_bounded:
@@ -139,7 +138,17 @@ def find_periodic_component(
 
 
 def _close_component(w: WedgeSystem, region: Region, max_iter: int) -> Component:
-    """Walk the region cycle once to get period, rotation and visit counts."""
+    """Walk the region cycle once to get period, rotation and visit counts.
+
+    The region is signed against the wedge lines once, here: each later
+    region is the image of one located in a closed piece, which T' keeps
+    in the closed wedge (asserted when the ``WedgeSystem`` is built), so
+    every step is located by the split lines alone (``locate_in_wedge``).
+    Raises GraneError when the region leaves the wedge or a split line
+    cuts a region of the cycle.
+    """
+    if not w.in_closed_wedge(region):
+        raise GraneError("component region leaves the wedge")
     center = region.centroid()
     counts = [0] * 6
     key0 = region.canonical_key()
@@ -148,7 +157,9 @@ def _close_component(w: WedgeSystem, region: Region, max_iter: int) -> Component
     period = 0
     orbit = [region]
     while True:
-        i = w.piece_of(cur)
+        i, cut = w.locate_in_wedge(cur)
+        if cut is not None:
+            raise GraneError("region crosses a piece boundary")
         cur = cur.transformed(w.maps[i])
         composed = w.maps[i].compose(composed)
         counts[i - 1] += 1

@@ -57,13 +57,6 @@ _ROT_INDEX = {
 }
 
 
-def _raw_row(k) -> tuple:
-    """Cleared (a1, b1, a2, b2, a3, b3) as ``raw_orbit`` reads it:
-    (a1, 3*b1, b1, a2, 3*b2, b2, a3, b3)."""
-    a1, b1, a2, b2, a3, b3 = k
-    return (a1, 3 * b1, b1, a2, 3 * b2, b2, a3, b3)
-
-
 def rotation_index(f: AffMap):
     """Index k with linear part of f equal to rotation by 30°*k, else None."""
     return _ROT_INDEX.get((f.m00.key(), f.m01.key(), f.m10.key(), f.m11.key()))
@@ -239,7 +232,6 @@ class WedgeSystem:
         self.maps = {}
         for i in range(1, 7):
             sample = self.alpha[i].interior_point()
-            assert self.piece_index(sample) == i
             j = table.sector_index(sample)
             assert j == i + 1
             image, m = self.fold_into_wedge(
@@ -254,19 +246,11 @@ class WedgeSystem:
         self.translation_vec = Point(self.maps[6].tx, self.maps[6].ty)
         assert self.translation_vec == mv(3, 7) - mv(3, 1)
 
-        # for raw_orbit: the cleared wedge and split lines (Line._k), and
-        # each piece map's two rows cleared over one m, m*x' = (a + b*s3) x
-        # + (c + d*s3) y + (e + f*s3) and so for y'
-        self._raw_wedge = [_raw_row(ln._k) for ln in self.wedge_lines]
-        self._raw_splits = [_raw_row(ln._k) for ln in self.split_lines]
-        self._raw_maps = {}
+        # raw_orbit maps a point by the two cleared rows of maps[i] over one m
         for i, f in self.maps.items():
-            (*row0, m), (*row1, m1) = (
-                _clear_denominators(f.m00, f.m01, f.tx),
-                _clear_denominators(f.m10, f.m11, f.ty),
-            )
-            assert m == m1
-            self._raw_maps[i] = (_raw_row(row0), _raw_row(row1), m)
+            row0, row1 = f._cleared()
+            assert row0[-1] == row1[-1]
+            assert self.piece_index(self.alpha[i].interior_point()) == i
 
         self.inv_maps = {i: self.maps[i].inverse() for i in range(1, 7)}
         self.image_alpha = {
@@ -303,30 +287,10 @@ class WedgeSystem:
     def piece_index(self, p: Point) -> int:
         """Index i with p in the open piece alpha_i.
 
-        Raises DomainError outside the wedge and GraneError on any piece
-        boundary.  In the closed wedge the split lines are nested (sign >= 0
-        on line k gives sign > 0 on line k+1, asserted at construction), so
-        the lines with p on their closed apex side are the last few: a
-        bisection finds the first, k, with p in alpha_k if its sign is > 0
-        and on the boundary of alpha_k if it is 0 (6 if there is none).
+        The symbol of the first step of ``raw_orbit(p)``, with its errors:
+        DomainError outside the wedge, GraneError on any piece boundary.
         """
-        side = self.wedge.classify(p)
-        if side == EXTERIOR:
-            raise DomainError("point outside the wedge")
-        if side == BOUNDARY:
-            raise GraneError("point on the wedge boundary", point=p)
-        lines = self.split_lines
-        lo, hi, s = 0, len(lines), None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            t = lines[mid].side(p)
-            if t >= 0:
-                hi, s = mid, t
-            else:
-                lo = mid + 1
-        if s == 0:
-            raise GraneError("point on a piece boundary", index=lo + 1, point=p)
-        return lo + 1
+        return next(self.raw_orbit(p))[-1]
 
     def in_closed_wedge(self, region: Region) -> bool:
         """True when the closure of the region lies in the closed wedge.
@@ -339,22 +303,15 @@ class WedgeSystem:
         pts = region.vertices
         return all(min(ln.signs(pts)) >= 0 for ln in self.wedge_lines)
 
-    def locate(self, region: Region) -> tuple[int | None, Line | None]:
+    def locate_in_wedge(self, region: Region) -> tuple[int | None, Line | None]:
         """Piece i of a bounded open region as ``(i, None)``, or ``(None, line)``.
 
-        ``locate_in_wedge`` once every vertex is in the closed wedge, else
-        GraneError.
-        """
-        if not self.in_closed_wedge(region):
-            raise GraneError("region leaves the wedge")
-        return self.locate_in_wedge(region)
-
-    def locate_in_wedge(self, region: Region) -> tuple[int | None, Line | None]:
-        """``locate`` for a bounded open region known to lie in the closed wedge.
-
-        The piece is the first split line with a vertex strictly on its apex
-        side (6 if none), unless that line also has a vertex strictly on its
-        far side and so cuts the region.  No later line can cut it: alpha_k
+        The one exact region locator, for a region known to lie in the
+        closed wedge: its callers check ``in_closed_wedge`` once, at the
+        start of a walk, and T' keeps every later region there.  The piece
+        is the first split line with a vertex strictly on its apex side (6
+        if none), unless that line also has a vertex strictly on its far
+        side and so cuts the region.  No later line can cut it: alpha_k
         lies on the apex side of lines k..5 and on the far side of lines
         1..k-1.  In the closed wedge the split lines are nested: a vertex
         with sign >= 0 on line k has sign > 0 on line k+1.  So "some vertex
@@ -395,13 +352,6 @@ class WedgeSystem:
             return min(sides) >= 0 and max(sides) > 0
         return True
 
-    def piece_of(self, region: Region) -> int:
-        """Index i with the bounded open region inside alpha_i, else GraneError."""
-        i, cut = self.locate(region)
-        if cut is not None:
-            raise GraneError("region crosses a piece boundary")
-        return i
-
     def restrict_to_piece(self, region: Region, i: int) -> Region:
         """Intersection of a convex region with the open piece alpha_i."""
         out = region
@@ -424,22 +374,30 @@ class WedgeSystem:
     def raw_orbit(self, p: Point):
         """Forward T'-orbit of p on raw integers: yields (xp, xq, yp, yq, r, i).
 
-        The state is the point ((xp + xq*s3)/r, (yp + yq*s3)/r) over one
-        common denominator r >= 1, not normalised.  Each step signs it
-        against the cleared wedge and split lines (``Line._k``; r > 0 drops
-        out of the sign), finds its piece i as ``piece_index`` does, and
-        applies the rows of ``maps[i]`` cleared over one m: the image is over
-        r*m, and its four numerators are divided by m when all allow it,
-        else r becomes r*m.  So no step makes a QS3, a Point or a gcd.  Each
-        yield is the image and the piece of the point it came from.
+        The one code that places a point: every forward T' step on a point,
+        ``piece_index`` included, walks it.  The state is the point
+        ((xp + xq*s3)/r, (yp + yq*s3)/r) over one common denominator r >= 1,
+        not normalised.  Each step signs it against the cleared wedge and
+        split lines (``Line._k``; r > 0 drops out of the sign) and finds
+        its piece i.  In the closed wedge
+        the split lines are nested (sign >= 0 on line k gives sign > 0 on
+        line k+1, asserted at construction), so a bisection finds the first
+        line k with the point on its closed apex side: in alpha_k if its
+        sign is > 0, on the boundary of alpha_k if it is 0 (6 if there is
+        none).  The step then applies the cleared rows of ``maps[i]``
+        (``AffMap._cleared``, both over one m): the image is over r*m, and
+        its four numerators are divided by m when all allow it, else r
+        becomes r*m.  So no step makes a QS3, a Point or a gcd.  Each yield
+        is the image and the piece of the point it came from.
 
-        Raises as ``piece_index`` does, at the first point of the orbit (p
-        included) not in an open piece: DomainError when a wedge sign is
-        < 0, else GraneError with the point, and the split line's index
-        when it lies on one.
+        Raises at the first point of the orbit (p included) not in an open
+        piece: DomainError when a wedge sign is < 0, else GraneError with
+        the point, and the split line's index when it lies on one.
         """
-        xp, xq, yp, yq, _, _, r = _clear_denominators(p.x, p.y, ZERO)
-        wedge, splits, maps = self._raw_wedge, self._raw_splits, self._raw_maps
+        xp, _, xq, yp, _, yq, _, _, r = _clear_denominators(p.x, p.y, ZERO)
+        wedge = [ln._k for ln in self.wedge_lines]
+        splits = [ln._k for ln in self.split_lines]
+        maps = self.maps
         n_split = len(splits)
         while True:
             on_wedge = False
@@ -475,9 +433,9 @@ class WedgeSystem:
                     point=raw_point(xp, xq, yp, yq, r),
                 )
             i = lo + 1
-            row0, row1, m = maps[i]
-            a0, t0, b0, c0, u0, d0, e0, f0 = row0
-            a1, t1, b1, c1, u1, d1, e1, f1 = row1
+            row0, row1 = maps[i]._cleared()
+            a0, t0, b0, c0, u0, d0, e0, f0, m = row0
+            a1, t1, b1, c1, u1, d1, e1, f1, _ = row1
             nxp = a0 * xp + t0 * xq + c0 * yp + u0 * yq + e0 * r
             nxq = a0 * xq + b0 * xp + c0 * yq + d0 * yp + f0 * r
             nyp = a1 * xp + t1 * xq + c1 * yp + u1 * yq + e1 * r
@@ -540,12 +498,16 @@ class WedgeSystem:
         return Itinerary(symbols, start_offset, fwd_fail=fwd_fail, bwd_fail=bwd_fail)
 
     def first_return_to_piece(self, p: Point, piece: int, max_iter: int = 10**6):
-        """First forward return of T' to the open piece alpha_piece."""
-        q = p
-        for n in range(1, max_iter + 1):
-            q, _ = self.step(q)
-            if self.piece_index(q) == piece:
-                return q, n
+        """First forward return of T' to the open piece alpha_piece.
+
+        Yield n of ``raw_orbit`` carries the piece of T'^n(p), whose raw
+        state yield n-1 gave; only the returned point becomes a ``Point``.
+        """
+        q = None
+        for n, (*image, i) in zip(range(max_iter + 1), self.raw_orbit(p)):
+            if n and i == piece:
+                return raw_point(*q), n
+            q = image
         raise InconclusiveError(
             f"no return to alpha_{piece} within {max_iter} steps", iterations=max_iter
         )

@@ -209,11 +209,7 @@ def test_verify_cap_override(capsys, monkeypatch):
     run(capsys, "--max-iter", "123", "verify")
     monkeypatch.setenv("DODECA_MAX_ITER", "456")
     run(capsys, "verify")
-    assert [(c.max_iter, c.max_events) for c in seen] == [
-        (10**6, 10**6),
-        (123, 123),
-        (456, 456),
-    ]
+    assert [c.max_iter for c in seen] == [10**6, 123, 456]
 
 
 def test_usage_error_exit_code(capsys):
@@ -358,4 +354,4 @@ def test_one_context_per_run(capsys, monkeypatch, sim):
         assert code == EXIT_INCONCLUSIVE, argv
         assert out.startswith("inconclusive: ") and "stubbed" in out
         assert len(caps) > before and all(set(c.values()) == {123} for c in caps[before:])
-    assert [(c.max_iter, c.max_events) for c in made] == [(123, 123)] * len(commands)
+    assert [c.max_iter for c in made] == [123] * len(commands)

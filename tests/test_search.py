@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from dodeca import search
-from dodeca.errors import GraneError, InconclusiveError, SelfReturnError
+from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturnError
 from dodeca.field import QS3, ZERO
 from dodeca.geom import Point, Region, area2_within
 from dodeca.periods import period_of_h
 from dodeca.search import (
     CellPool,
     ReturnSystem,
+    _close_component,
     _validate_return_system,
     component_periods,
     find_periodic_component,
@@ -77,9 +78,33 @@ def test_component_idempotent_and_orbit_closes(ctx):
     assert comp.period == 37
     orbit = comp.orbit
     assert len(orbit) == 37
-    assert orbit[-1].transformed(w.maps[w.piece_of(orbit[-1])]) == comp.region
+    assert w.in_closed_wedge(orbit[-1])
+    i, cut = w.locate_in_wedge(orbit[-1])
+    assert cut is None and orbit[-1].transformed(w.maps[i]) == comp.region
     again = find_periodic_component(w, orbit[5].interior_point())
     assert again.region == orbit[5]
+
+
+def test_component_search_errors(ctx):
+    w = ctx.wedge
+    # the orbit of a point on split line 1 (the segment P2 Q2) stops at once
+    mid = Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2)
+    with pytest.raises(GraneError) as exc:
+        find_periodic_component(w, mid)
+    assert exc.value.index == 1
+    with pytest.raises(DomainError):
+        find_periodic_component(w, w.apex - w.bisector_dir)
+    # a region cycle whose first region a split line cuts, or that leaves
+    # the wedge
+    eps = Fraction(1, 64)
+    across = Region.bounded([mid + v.scaled(eps) for v in (w.dir_p, -w.dir_p, w.dir_q)])
+    with pytest.raises(GraneError, match="crosses"):
+        _close_component(w, across, 10)
+    outside = Region.bounded(
+        [w.O[1], w.O[1] + w.dir_p.scaled(eps), w.apex - w.bisector_dir.scaled(eps)]
+    )
+    with pytest.raises(GraneError, match="wedge"):
+        _close_component(w, outside, 10)
 
 
 def test_return_system_structure(ctx):
@@ -125,15 +150,17 @@ def test_return_tube_replay(ctx):
     assert tube[0] == piece.source
 
 
-def test_itineraries_match_the_piece_of_walk(ctx):
+def test_itineraries_match_the_located_walk(ctx):
     # the recorded itinerary is the symbol sequence of the region walk that
-    # locates every floor from scratch
+    # locates every floor from scratch, the wedge lines included
     w = ctx.wedge
     for label in ("z1", "z4", "z14", "x"):
         for piece in ctx.return_system(label).pieces:
             cur, symbols = piece.source, []
             for _ in range(piece.return_time):
-                i = w.piece_of(cur)
+                assert w.in_closed_wedge(cur)
+                i, cut = w.locate_in_wedge(cur)
+                assert cut is None
                 symbols.append(i)
                 cur = cur.transformed(w.maps[i])
             assert cur == piece.target

@@ -92,7 +92,10 @@ def test_y2_really_is_the_double_preimage(ctx, sim):
     y2 = sim.g1w4.region.transformed(sim.pullback_map)
     cur = y2
     for _ in range(2):
-        cur = cur.transformed(w.maps[w.piece_of(cur)])
+        assert w.in_closed_wedge(cur)
+        i, cut = w.locate_in_wedge(cur)
+        assert cut is None
+        cur = cur.transformed(w.maps[i])
     assert cur == sim.g1w4.region
 
 

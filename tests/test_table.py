@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca.errors import DomainError, GraneError
+from dodeca.errors import DomainError, GraneError, InconclusiveError
 from dodeca.field import ONE, QS3, SQRT3, ZERO, qs3
 from dodeca.geom import (
     EXTERIOR,
@@ -284,40 +284,36 @@ def test_piece_errors(system):
         w.piece_index(Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2))
 
 
-def test_piece_of_regions(system):
+def test_locate_in_wedge_regions(system):
     _, w = system
     for i in range(1, 5):
-        assert w.piece_of(w.alpha[i]) == i
-        assert w.locate(w.alpha[i]) == (i, None)
+        assert w.in_closed_wedge(w.alpha[i])
+        assert w.locate_in_wedge(w.alpha[i]) == (i, None)
     eps = Fraction(1, 64)
 
     def tri(c):
         d = [w.dir_p, w.dir_q, -w.bisector_dir]
         return Region.bounded([c + v.scaled(eps) for v in d])
 
-    assert w.piece_of(tri(w.O[5])) == 5
-    assert w.piece_of(tri(w.Q[6] + w.dir_p + w.dir_q)) == 6
-    assert w.locate(tri(w.O[5])) == (5, None)
-    assert w.locate(tri(w.Q[6] + w.dir_p + w.dir_q)) == (6, None)
+    for i, c in ((5, w.O[5]), (6, w.Q[6] + w.dir_p + w.dir_q)):
+        assert w.in_closed_wedge(tri(c))
+        assert w.locate_in_wedge(tri(c)) == (i, None)
 
 
-def test_piece_of_errors(system):
+def test_locate_in_wedge_errors(system):
     _, w = system
     eps = Fraction(1, 64)
     mid = Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2)
     d = [w.dir_p, -w.dir_p, w.dir_q]
     across = Region.bounded([mid + v.scaled(eps) for v in d])
-    with pytest.raises(GraneError):
-        w.piece_of(across)  # across the P2-Q2 boundary of alpha_1 and alpha_2
-    i, cut = w.locate(across)
+    # across the P2-Q2 boundary of alpha_1 and alpha_2
+    assert w.in_closed_wedge(across)
+    i, cut = w.locate_in_wedge(across)
     assert i is None and cut is w.split_lines[0]
     outside = Region.bounded(
         [w.O[1], w.O[1] + w.dir_p.scaled(eps), w.apex - w.bisector_dir.scaled(eps)]
     )
-    with pytest.raises(GraneError):
-        w.piece_of(outside)  # one vertex behind the apex, outside the wedge
-    with pytest.raises(GraneError):
-        w.locate(outside)
+    assert not w.in_closed_wedge(outside)  # one vertex behind the apex
 
 
 def test_pieces_map_into_the_closed_wedge(system):
@@ -338,20 +334,25 @@ def test_pieces_map_into_the_closed_wedge(system):
 
 
 def _scan_piece_index(w, p):
-    """piece_index by a linear scan of the split lines, on field signs."""
-    if w.wedge.classify(p) != INTERIOR:
-        raise GraneError("not in the open wedge")
+    """piece_index by a linear scan of the wedge and split lines, on field
+    signs, with the same failures: DomainError outside the wedge, else
+    GraneError with the point, and the split line's index when on one."""
+    wedge = [ln.eval(p).sign() for ln in w.wedge_lines]
+    if min(wedge) < 0:
+        raise DomainError("point outside the wedge")
+    if min(wedge) == 0:
+        raise GraneError("point on the wedge boundary", point=p)
     for k, ln in enumerate(w.split_lines, start=1):
         s = ln.eval(p).sign()
         if s > 0:
             return k
         if s == 0:
-            raise GraneError("point on a piece boundary", index=k)
+            raise GraneError("point on a piece boundary", index=k, point=p)
     return 6
 
 
 def _scan_locate(w, region):
-    """locate by a linear scan of the split lines, on field signs."""
+    """in_closed_wedge, then locate_in_wedge, by linear scans on field signs."""
     pts = region.vertices
     if any(ln.eval(p).sign() < 0 for ln in w.wedge_lines for p in pts):
         raise GraneError("region leaves the wedge")
@@ -362,9 +363,16 @@ def _scan_locate(w, region):
     return 6, None
 
 
+def _locate(w, region):
+    """What ``_scan_locate`` checks: in_closed_wedge, then locate_in_wedge."""
+    if not w.in_closed_wedge(region):
+        raise GraneError("region leaves the wedge")
+    return w.locate_in_wedge(region)
+
+
 def _check_in_piece(w, region, located):
     """``w.in_piece`` holds for the piece of an ``(i, cut)`` answer of
-    ``locate`` alone, and for no piece when a line cuts the region."""
+    ``locate_in_wedge`` alone, and for no piece when a line cuts the region."""
     held = [k for k in range(1, 7) if w.in_piece(region, k)]
     assert held == ([] if located[1] is not None else [located[0]])
 
@@ -410,7 +418,7 @@ def test_bisection_matches_linear_scan(system):
         points.add(want)
         tri = Region.bounded([p, p + w.dir_p.scaled(eps), p + w.dir_q.scaled(eps)])
         want = _outcome(_scan_locate, w, tri)
-        assert _outcome(w.locate, tri) == want
+        assert _outcome(_locate, w, tri) == want
         _check_in_piece(w, tri, want)
         regions.add(want[0])
     assert set(range(1, 7)) <= points and set(range(1, 7)) <= regions
@@ -423,7 +431,7 @@ def test_bisection_matches_linear_scan(system):
             tri = Region.bounded([p, p + (d + u).scaled(small), p + (d - u).scaled(small)])
             want = _scan_locate(w, tri)
             assert want[0] == (k + 1 if d is w.bisector_dir else k)
-            assert w.locate(tri) == want
+            assert _locate(w, tri) == want
             _check_in_piece(w, tri, want)
     # triangles cut by one line (vertices in adjacent pieces) or by two or
     # more: the same first cut line object as the scan
@@ -434,17 +442,17 @@ def test_bisection_matches_linear_scan(system):
             continue
         tri = Region.bounded([a, b, a + w.dir_q.scaled(eps)])
         want = _outcome(_scan_locate, w, tri)
-        assert _outcome(w.locate, tri) == want
+        assert _outcome(_locate, w, tri) == want
         _check_in_piece(w, tri, want)
         if want[0] is None:
-            spans.append(abs(w.piece_index(a) - w.piece_index(b)))
+            spans.append(abs(_scan_piece_index(w, a) - _scan_piece_index(w, b)))
     assert spans.count(1) > 20 and sum(1 for s in spans if s >= 2) > 20
 
 
-def _failure(fn, p):
-    """(error type, index, point) of the error fn(p) raises, else None."""
+def _failure(fn, *args):
+    """(error type, index, point) of the error fn(*args) raises, else None."""
     try:
-        fn(p)
+        fn(*args)
     except (DomainError, GraneError) as exc:
         return type(exc), getattr(exc, "index", None), getattr(exc, "point", None)
     return None
@@ -456,11 +464,13 @@ def test_forward_step_matches_piece_maps(system):
     pieces = set()
     for _ in range(400):
         p = _spread_point(w, rng)
-        want = _failure(w.piece_index, p)
+        want = _failure(_scan_piece_index, w, p)
+        assert _failure(w.piece_index, p) == want
         if want is not None:
             assert _failure(w.step, p) == want
             continue
-        i = w.piece_index(p)
+        i = _scan_piece_index(w, p)
+        assert w.piece_index(p) == i
         assert w.step(p) == (w.maps[i].apply(p), i)
         pieces.add(i)
     assert pieces == set(range(1, 7))
@@ -481,14 +491,68 @@ def test_forward_step_errors_match_piece_index(system):
         assert sorted(ln.side(p) for ln in w.wedge_lines) == [-1, 0]
     indices = set()
     for p in special + behind:
-        want = _failure(w.piece_index, p)
+        want = _failure(_scan_piece_index, w, p)
         assert want is not None
+        assert _failure(w.piece_index, p) == want
         assert _failure(w.step, p) == want
         indices.add(want[1])
     assert indices == {None, 1, 2, 3, 4, 5}
     for p in behind:
         assert _failure(w.step, p)[0] is DomainError
     assert _failure(w.step, w.apex)[:2] == (GraneError, None)
+
+
+def _scan_first_return(w, p, piece, max_iter):
+    """first_return_to_piece step by step: ``maps[i].apply`` on the piece
+    that ``_scan_piece_index`` finds."""
+    q = p
+    for n in range(1, max_iter + 1):
+        q = w.maps[_scan_piece_index(w, q)].apply(q)
+        if _scan_piece_index(w, q) == piece:
+            return q, n
+    raise InconclusiveError("no return", iterations=max_iter)
+
+
+def _return_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InconclusiveError as exc:
+        return InconclusiveError, exc.iterations
+    except (DomainError, GraneError) as exc:
+        return type(exc), getattr(exc, "index", None), getattr(exc, "point", None)
+
+
+def test_first_return_to_piece_matches_a_scanned_walk(system):
+    _, w = system
+    rng = random.Random(41)
+    # preimages of points on each split line: the walk hits it at step 1
+    starts = []
+    for k in range(1, 6):
+        a = w.P[k + 1] if k < 5 else w.Q[6] + w.dir_p
+        b = w.Q[k + 1]
+        for t in (Fraction(1, 3), Fraction(2, 3)):
+            try:
+                back, _ = w.step(a + (b - a).scaled(t), forward=False)
+            except GraneError:
+                continue
+            starts.append(back)
+    assert len(starts) >= 5
+    starts += [_spread_point(w, rng) for _ in range(40)]
+    kinds = set()
+    for p in starts:
+        for piece in range(1, 7):
+            want = _return_outcome(_scan_first_return, w, p, piece, 50)
+            assert _return_outcome(w.first_return_to_piece, p, piece, 50) == want
+            if want[0] is InconclusiveError or want[0] is GraneError:
+                kinds.add(want[0])
+                continue
+            kinds.add("return")
+            q, n = want
+            # the cap counts the returned step: n steps suffice, n - 1 do not
+            assert w.first_return_to_piece(p, piece, n) == want
+            with pytest.raises(InconclusiveError):
+                w.first_return_to_piece(p, piece, n - 1)
+    assert kinds == {"return", GraneError, InconclusiveError}
 
 
 def test_itinerary_fixed_points(system):
