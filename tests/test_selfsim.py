@@ -17,6 +17,7 @@ from dodeca.geom import (
     overlap_status,
     split_region,
 )
+from dodeca.search import find_periodic_component
 from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
@@ -135,9 +136,24 @@ def test_witness_fixed_point_exact(ctx, sim):
 
 def test_witness_spiral_growth(ctx):
     wit = ctx.witness(10**4, 8)
-    assert wit.spiral_tprime_periods[:3] == [1, 1, 37]
+    assert wit.spiral_tprime_periods == [1, 1, 37, 63, 20, 961, 1423, 754]
+    assert wit.spiral_return_periods == [1, 1, 11, 11, 11, 297, 473, 220]
     assert all(f >= 2 for f in wit.growth_factors)
-    assert len(wit.spiral_return_periods) == 8
+
+
+def test_witness_spiral_matches_the_component_search(ctx):
+    # the search from an interior point finds each short spiral component
+    # again, with the period the witness certified for it
+    w = ctx.wedge
+    wit = ctx.witness(10**4, 8)
+    short = [
+        (reg, n) for reg, n in zip(wit.spiral, wit.spiral_tprime_periods) if n <= 63
+    ]
+    assert len(short) == 5
+    for reg, n in short:
+        comp = find_periodic_component(w, reg.interior_point())
+        assert comp.region == reg
+        assert comp.period == n
 
 
 def test_witness_rejects_non_contraction(ctx, sim):
