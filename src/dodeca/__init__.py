@@ -30,6 +30,7 @@ from .periods import full_period_set, period_of_h
 from .search import (
     Component,
     ReturnSystem,
+    close_component,
     component_periods,
     find_periodic_component,
     first_return_map,
@@ -59,6 +60,7 @@ __all__ = [
     "aperiodic_witness",
     "build_similarity",
     "build_table",
+    "close_component",
     "component_periods",
     "find_periodic_component",
     "first_return_map",

@@ -3,9 +3,13 @@
 Three layers build on the wedge map T':
 
 * :func:`find_periodic_component`: given a periodic point, carry a region
-  through the dynamics, splitting it by the piece boundaries each step,
-  until the region repeats; the result is the maximal open polygon whose
-  points share the starting point's symbol sequence.
+  through the dynamics, cutting it by the piece boundaries where they cut
+  it, until the region repeats; the result is the maximal open polygon
+  whose points share the starting point's symbol sequence.
+  :func:`close_component` certifies a known region as such a component
+  in one walk of its cycle, without the search: every edge must lie on a
+  boundary line of the visited piece at some step of the cycle.  Every
+  component, found or known, carries that certificate.
 
 * :func:`first_return_map`: the first-return system of a polygon S: pieces
   mapped back into S by an isometry after a fixed number of T' steps, each
@@ -101,9 +105,12 @@ def find_periodic_component(
     """Periodic component containing ``start`` (which must be periodic).
 
     Carries a region U (initially the whole wedge) along the orbit of
-    ``start``, which one ``raw_orbit`` generator follows and places,
-    cutting U down to the visited piece before each step.  When U repeats
-    exactly, it is pushed forward until the starting point is interior.
+    ``start``, which one ``raw_orbit`` generator follows and places.  Once
+    U is bounded, ``locate_in_wedge`` finds its piece, which must be the
+    orbit's; U is cut down to the visited piece only while it is unbounded
+    or a split line cuts it.  When U repeats exactly, it is pushed forward
+    until the starting point is interior, and ``close_component`` walks and
+    certifies its cycle.
 
     Raises DomainError unless ``start`` is interior to the wedge,
     GraneError when the orbit hits a piece boundary and InconclusiveError
@@ -111,12 +118,23 @@ def find_periodic_component(
     """
     if w.wedge.classify(start) != INTERIOR:
         raise DomainError("start point must be interior to the wedge")
-    region = w.wedge
     orbit = w.raw_orbit(start)
+
+    def step(region):
+        # every region after the wedge is the image of a closed piece, so it
+        # lies in the closed wedge, as locate_in_wedge needs
+        i = next(orbit)[-1]
+        if region.is_bounded:
+            j, cut = w.locate_in_wedge(region)
+            if cut is None:
+                assert j == i, "the carried region left the orbit's piece"
+                return region.transformed(w.maps[i])
+        return w.restrict_to_piece(region, i).transformed(w.maps[i])
+
+    region = w.wedge
     seen = {region.canonical_key()}
     for _ in range(max_iter):
-        i = next(orbit)[-1]
-        region = w.restrict_to_piece(region, i).transformed(w.maps[i])
+        region = step(region)
         key = region.canonical_key()
         if key in seen:
             break
@@ -128,30 +146,47 @@ def find_periodic_component(
     for _ in range(max_iter):
         if region.classify(start) == INTERIOR:
             break
-        i = next(orbit)[-1]
-        region = w.restrict_to_piece(region, i).transformed(w.maps[i])
+        region = step(region)
     else:
         raise InconclusiveError("component never returned over the start point")
     if not region.is_bounded:
         raise InconclusiveError("recurrent region is unbounded")
-    return _close_component(w, region, max_iter)
+    return close_component(w, region, max_iter)
 
 
-def _close_component(w: WedgeSystem, region: Region, max_iter: int) -> Component:
-    """Walk the region cycle once to get period, rotation and visit counts.
+def close_component(
+    w: WedgeSystem, region: Region, max_iter: int = ALG1_MAX_ITER
+) -> Component:
+    """Certify a bounded region as a periodic component in one walk of its cycle.
 
-    The region is signed against the wedge lines once, here: each later
-    region is the image of one located in a closed piece, which T' keeps
-    in the closed wedge (asserted when the ``WedgeSystem`` is built), so
-    every step is located by the split lines alone (``locate_in_wedge``).
+    The walk gives the period, the rotation and the visit counts.  The
+    region is signed against the wedge lines once, here: each later region
+    is the image of one located in a closed piece, which T' keeps in the
+    closed wedge (asserted when the ``WedgeSystem`` is built), so every
+    step is located by the split lines alone (``locate_in_wedge``).
+
+    Maximality certificate: at each step the region's vertices are signed
+    against the boundary lines of its piece (``alpha_lines``), and edge k
+    is marked when both its endpoints lie on one of them; the signing stops
+    once every edge is marked.  T'^period turns the region about its
+    centroid and shifts its vertex labels by s, so later cycles mark edge
+    k where the first marked edge k + s: the marked set is closed under
+    that shift.  The points that share the cycle's itinerary form a convex
+    set S holding the region; at a marked step the points just across that
+    edge leave the closed piece, so S lies on the region's side of every
+    marked edge.  With every edge marked, S is the region: it is maximal.
+
     Raises GraneError when the region leaves the wedge or a split line
-    cuts a region of the cycle.
+    cuts a region of the cycle, and InconclusiveError when the cycle does
+    not close as a rotation about the centroid or an edge stays unmarked.
     """
     if not w.in_closed_wedge(region):
         raise GraneError("component region leaves the wedge")
     center = region.centroid()
     counts = [0] * 6
     key0 = region.canonical_key()
+    n = len(region.vertices)
+    unmarked = set(range(n))
     cur = region
     composed = AffMap.identity()
     period = 0
@@ -160,6 +195,10 @@ def _close_component(w: WedgeSystem, region: Region, max_iter: int) -> Component
         i, cut = w.locate_in_wedge(cur)
         if cut is not None:
             raise GraneError("region crosses a piece boundary")
+        if unmarked:
+            for ln in w.alpha_lines[i]:
+                on = [s == 0 for s in ln.signs(cur.vertices)]
+                unmarked = {k for k in unmarked if not (on[k] and on[(k + 1) % n])}
         cur = cur.transformed(w.maps[i])
         composed = w.maps[i].compose(composed)
         counts[i - 1] += 1
@@ -180,6 +219,11 @@ def _close_component(w: WedgeSystem, region: Region, max_iter: int) -> Component
             raise InconclusiveError("cycle rotation center differs from centroid")
     expected_l = (6 * period - sum((i + 1) * c for i, c in enumerate(counts))) % 12
     assert l == expected_l
+    # edge k shares the marks of edges k + shift, k + 2*shift, ...: the
+    # edges congruent to k modulo g
+    g = math.gcd(region.vertices.index(cur.vertices[0]), n)
+    if any(unmarked.issuperset(range(k, n, g)) for k in range(g)):
+        raise InconclusiveError("region is not a maximal component")
     return Component(region, period, l, center, tuple(counts), tuple(orbit))
 
 

@@ -32,6 +32,7 @@ from .geom import (
 from .search import (
     Component,
     ReturnSystem,
+    close_component,
     find_periodic_component,
 )
 from .table import WedgeSystem
@@ -326,7 +327,9 @@ def aperiodic_witness(
     hit).  (b) y is interior to gamma_X^k(X) for k <= depth, with strict
     nesting.  The spiral components Y_n and their measured return periods
     into Z'_4 document the at-least-doubling that makes any hypothetical
-    period exceed 2^depth.
+    period exceed 2^depth.  Each spiral region is known (Y_n+3 is
+    gamma_X(Y_n)), so ``close_component`` certifies it as a maximal
+    periodic component in one walk of its cycle, with no search.
     """
     gx = s.gammaX
     # strict contraction needed for a unique fixed point
@@ -364,8 +367,7 @@ def aperiodic_witness(
     tprime_periods = []
     return_periods = []
     for reg in spiral[:verify_spiral]:
-        comp = find_periodic_component(w, reg.interior_point(), max_iter)
-        assert comp.region == reg, "spiral region is not a component"
+        comp = close_component(w, reg, max_iter)
         tprime_periods.append(comp.period)
         return_periods.append(_return_period(comp, z4_parts))
     from fractions import Fraction

@@ -6,13 +6,13 @@ import pytest
 from dodeca import search
 from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturnError
 from dodeca.field import QS3, ZERO
-from dodeca.geom import Point, Region, area2_within
+from dodeca.geom import AffMap, Point, Region, area2_within
 from dodeca.periods import period_of_h
 from dodeca.search import (
     CellPool,
     ReturnSystem,
-    _close_component,
     _validate_return_system,
+    close_component,
     component_periods,
     find_periodic_component,
     first_return_map,
@@ -99,12 +99,39 @@ def test_component_search_errors(ctx):
     eps = Fraction(1, 64)
     across = Region.bounded([mid + v.scaled(eps) for v in (w.dir_p, -w.dir_p, w.dir_q)])
     with pytest.raises(GraneError, match="crosses"):
-        _close_component(w, across, 10)
+        close_component(w, across, 10)
     outside = Region.bounded(
         [w.O[1], w.O[1] + w.dir_p.scaled(eps), w.apex - w.bisector_dir.scaled(eps)]
     )
     with pytest.raises(GraneError, match="wedge"):
-        _close_component(w, outside, 10)
+        close_component(w, outside, 10)
+
+
+def test_close_component_certifies_maximality(ctx):
+    # one walk of the cycle certifies each known component, and rejects a
+    # region of the same cycle that is not maximal: the 9/10 shrink about
+    # the centroid still turns onto itself, but no edge of it ever lies on
+    # a piece boundary
+    w = ctx.wedge
+    wit = ctx.witness(10**4, 8)
+    spiral = list(zip(wit.spiral, wit.spiral_tprime_periods))
+    assert len(spiral) == 8
+    base = [(c.region, c.period) for c in ctx.base_components().values()]
+    assert len(base) == 4
+    parts = [
+        (pc.component.region, pc.component.period)
+        for label in ("z4", "z14")
+        for pc in ctx.partition(label).components
+    ]
+    assert len(parts) == 7 + 20
+    for region, period in spiral + base + parts:
+        comp = close_component(w, region)
+        assert comp.region == region and comp.period == period
+    shrink = Fraction(9, 10)
+    for region, _ in spiral + base:
+        inner = region.transformed(AffMap.homothety(region.centroid(), QS3(shrink)))
+        with pytest.raises(InconclusiveError, match="maximal"):
+            close_component(w, inner)
 
 
 def test_return_system_structure(ctx):
