@@ -34,7 +34,6 @@ from .search import (
     component_periods,
     find_periodic_component,
     first_return_map,
-    red_fraction_check,
     verify_partition,
 )
 from .selfsim import aperiodic_witness, build_similarity, verify_conjugacy
@@ -68,7 +67,6 @@ __all__ = [
     "period_of_h",
     "qs3",
     "qs3_parse",
-    "red_fraction_check",
     "region_from_json",
     "region_to_json",
     "split_region",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, GraneError
+from .errors import DomainError, GraneError, InconclusiveError
 from .field import QS3, ONE
 from .geom import (
     INTERIOR,
@@ -173,17 +173,18 @@ class ConjugacyReport:
         }
 
 
-def match_return_systems(base: ReturnSystem, target: ReturnSystem, g: AffMap) -> int:
+def match_return_systems(base: ReturnSystem, target: ReturnSystem, g: AffMap) -> tuple:
     """Verify that g carries the base return system piece-by-piece onto target.
 
     Sources map to sources, targets to targets, and each piece map is
-    conjugated by g, all as exact equalities.  Returns the number of
-    matched pieces; raises AssertionError on any mismatch.
+    conjugated by g, all as exact equalities.  Returns the matched target
+    pieces in base order (entry j is the image of base piece j); raises
+    AssertionError on any mismatch.
     """
-    assert len(base.pieces) == len(target.pieces)
+    assert len(base.pieces) == len(target.pieces), "systems differ in piece count"
     g_inv = g.inverse()
     by_key = {p.source.canonical_key(): p for p in target.pieces}
-    matched = 0
+    matched = []
     for p in base.pieces:
         img = p.source.transformed(g)
         q = by_key.get(img.canonical_key())
@@ -191,8 +192,51 @@ def match_return_systems(base: ReturnSystem, target: ReturnSystem, g: AffMap) ->
         assert q.target == p.target.transformed(g)
         assert q.map == g.compose(p.map).compose(g_inv)
         assert q.return_time >= 1
-        matched += 1
-    return matched
+        matched.append(q)
+    return tuple(matched)
+
+
+def visit_matrix(
+    base: ReturnSystem, sub: ReturnSystem, g: AffMap, max_iter: int = 10**6
+) -> tuple:
+    """Visits of the base return map's orbits of the sub pieces to the base sources.
+
+    ``g`` must carry ``base`` onto ``sub`` (``match_return_systems``), and
+    sub's domain must lie in base's.  W[i][j] counts the visits to base
+    source i along the R_base-orbit of g(A_j), the source of the sub piece
+    matched to base piece j, up to its first return to sub's domain.  Each
+    step places the region exactly (``overlap_status``): it lies inside
+    exactly one base source and meets no other, and each walk must end on
+    its sub piece's target.  A sub return is then the concatenation of the
+    base returns it visits, so the sub return times are Wᵀ times the base
+    ones, in base order.  Raises InconclusiveError when the walks take more
+    than ``max_iter`` steps in all.
+    """
+    matched = match_return_systems(base, sub, g)
+    n = len(base.pieces)
+    sources = [p.source.convex_parts() for p in base.pieces]
+    sub_parts = sub.domain.convex_parts()
+    w = [[0] * n for _ in range(n)]
+    steps = 0
+    for j, q in enumerate(matched):
+        region = q.source
+        while True:
+            steps += 1
+            if steps > max_iter:
+                raise InconclusiveError("visit walks exceeded the cap", max_iter)
+            statuses = [overlap_status(region, parts) for parts in sources]
+            assert (
+                statuses.count("inside") == 1 and statuses.count("disjoint") == n - 1
+            ), "a visit must lie in exactly one base source"
+            i = statuses.index("inside")
+            w[i][j] += 1
+            region = region.transformed(base.pieces[i].map)
+            status = overlap_status(region, sub_parts)
+            if status == "inside":
+                break
+            assert status == "disjoint", "a visit straddles the sub domain"
+        assert region == q.target, "the walk must end on its sub piece's target"
+    return tuple(map(tuple, w))
 
 
 def point_first_return(w: WedgeSystem, p: Point, domain: Region, max_iter: int = 10**6):
@@ -237,8 +281,8 @@ def verify_conjugacy(
     import random
     from fractions import Fraction
 
-    n14 = match_return_systems(rs4, rs14, s.gamma1)
-    nx = match_return_systems(rs4, rsx, s.gammaX)
+    n14 = len(match_return_systems(rs4, rs14, s.gamma1))
+    nx = len(match_return_systems(rs4, rsx, s.gammaX))
 
     rng = random.Random(seed)
     box = s.Z4.float_bbox()

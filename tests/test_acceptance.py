@@ -20,12 +20,22 @@ def test_criterion(ctx, name):
 
 
 def test_full_measure_carves_nothing(ctx, monkeypatch):
-    # full-measure reads the return towers: no partition, no CellPool
-    def carve(*args, **kwargs):
-        raise RuntimeError("full-measure reached the CellPool partition")
+    # full-measure reads only the z4 and z14 return systems: no partition,
+    # no CellPool, no level-3 system and no tower replay
+    def refuse(*args, **kwargs):
+        raise RuntimeError("full-measure reached a partition or a tower replay")
 
-    monkeypatch.setattr(search, "CellPool", carve)
-    monkeypatch.setattr(Context, "partition", carve)  # the cached ones too
+    real = Context.return_system
+
+    def return_system(self, label):
+        if label == "level3":
+            raise RuntimeError("full-measure built the level-3 return system")
+        return real(self, label)
+
+    monkeypatch.setattr(search, "CellPool", refuse)
+    monkeypatch.setattr(search, "return_tube", refuse)
+    monkeypatch.setattr(Context, "partition", refuse)  # the cached ones too
+    monkeypatch.setattr(Context, "return_system", return_system)
     res = run_checks(["full-measure"], ctx)[0]
     assert res.ok, res.error
 

@@ -19,6 +19,7 @@ from dodeca.periods import (
     period_of_h,
     replay_witness,
 )
+from dodeca.selfsim import visit_matrix
 
 
 def test_constants_checksum():
@@ -33,6 +34,18 @@ def test_m68_is_the_z4_visit_matrix(ctx):
     columns = [tuple(row[j] for row in M68) for j in range(8)]
     fits = [
         P for P in permutations(range(8)) if all(columns[j] == visits[P[j]] for j in range(8))
+    ]
+    assert fits == [(3, 4, 2, 1, 7, 0, 5, 6)]
+
+
+def test_m88_is_the_visit_matrix(ctx):
+    # M88 is the gamma_1 visit matrix W of the z4 and z14 return systems,
+    # relabelled by the P that fits M68; no other relabelling fits
+    w = visit_matrix(ctx.return_system("z4"), ctx.return_system("z14"), ctx.sim.gamma1)
+    fits = [
+        P
+        for P in permutations(range(8))
+        if all(M88[i][j] == w[P[i]][P[j]] for i in range(8) for j in range(8))
     ]
     assert fits == [(3, 4, 2, 1, 7, 0, 5, 6)]
 

@@ -5,25 +5,28 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca.errors import DomainError, GraneError
-from dodeca.field import QS3, ZERO, qs3
+from dodeca.checks import Context, run_checks
+from dodeca.errors import DomainError, GraneError, InconclusiveError
+from dodeca.field import ONE, QS3, ZERO, qs3, qs3_parse
 from dodeca.geom import (
     BOUNDARY,
     INTERIOR,
     AffMap,
     Line,
     Point,
+    area2_within,
     float_interval,
     overlap_status,
     split_region,
 )
-from dodeca.search import find_periodic_component
+from dodeca.search import find_periodic_component, return_tube
 from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
     match_return_systems,
     point_first_return,
     verify_conjugacy,
+    visit_matrix,
 )
 
 
@@ -121,6 +124,93 @@ def test_conjugacy_rejects_wrong_map(ctx, sim):
         match_return_systems(
             ctx.return_system("z4"), ctx.return_system("z14"), wrong
         )
+
+
+def test_visit_matrix_rejects_the_wrong_map(ctx, sim):
+    rs4, rs14 = ctx.return_system("z4"), ctx.return_system("z14")
+    for g in (sim.gammaX, sim.gamma4):
+        with pytest.raises(AssertionError, match="mapped source missing"):
+            visit_matrix(rs4, rs14, g)
+
+
+def test_visit_matrix_rejects_a_dropped_piece(ctx, sim):
+    rs14 = ctx.return_system("z14")
+    short = replace(rs14, pieces=rs14.pieces[1:])
+    with pytest.raises(AssertionError, match="piece count"):
+        visit_matrix(ctx.return_system("z4"), short, sim.gamma1)
+
+
+def test_visit_matrix_obeys_the_cap(ctx, sim):
+    rs4, rs14 = ctx.return_system("z4"), ctx.return_system("z14")
+    w = visit_matrix(rs4, rs14, sim.gamma1, max_iter=979)
+    assert sum(map(sum, w)) == 979
+    with pytest.raises(InconclusiveError):
+        visit_matrix(rs4, rs14, sim.gamma1, max_iter=978)
+
+
+def test_full_measure_rejects_a_corrupted_return_time(ctx, monkeypatch):
+    rs14 = ctx.return_system("z14")
+    p = rs14.pieces[0]
+    longer = replace(p, itinerary=p.itinerary + p.itinerary[-1:])
+    bad = replace(rs14, pieces=(longer,) + rs14.pieces[1:])
+    real = Context.return_system
+    monkeypatch.setattr(
+        Context,
+        "return_system",
+        lambda self, label: bad if label == "z14" else real(self, label),
+    )
+    res = run_checks(["full-measure"], ctx)[0]
+    assert not res.ok
+    assert "z14 return times must be Wᵀ times the z4 ones" in res.error
+
+
+def test_full_measure_matches_the_level3_towers(ctx, sim):
+    # the tower reference for full-measure's closed form: the return times
+    # and red areas read off the T' floors of the z4, z14 and level-3
+    # return systems
+    res = run_checks(["full-measure"], ctx)[0]
+    assert res.ok, res.error
+    d = res.details
+    w = ctx.wedge
+    lam2 = sim.ratio1 * sim.ratio1
+    labels = ("z4", "z14", "level3")
+    systems = [ctx.return_system(label) for label in labels]
+    zp = w.Zp.area2()
+    g = AffMap.identity()
+    for rs, lv in zip(systems, d["levels"]):
+        matched = match_return_systems(systems[0], rs, g)
+        assert [q.return_time for q in matched] == lv["return_times"]
+        green = sum((p.source.area2() * p.return_time for p in rs.pieces), ZERO)
+        assert ONE - green / zp == qs3_parse(lv["total_red_fraction"])
+        g = sim.gamma1.compose(g)
+
+    floors = {
+        label: [pol for p in rs.pieces for pol in return_tube(w, p)]
+        for label, rs in zip(labels, systems)
+    }
+
+    def red_within(label, target):
+        return target.area2() - area2_within(floors[label], target.convex_parts())
+
+    # the two-ahead fractions, and the transport identity: a z4 tower floor
+    # holds as much level-3 red as its source
+    pieces = systems[0].pieces
+    two_ahead = [qs3_parse(f) for f in d["two_ahead_fractions"]]
+    for p, frac in zip(pieces, two_ahead):
+        assert red_within("level3", p.source) == frac * p.source.area2()
+    assert min(two_ahead) == qs3_parse(d["min_two_ahead_fraction"])
+    for p, frac in zip(pieces[:2], two_ahead):
+        tube = return_tube(w, p)
+        for pol in (tube[len(tube) // 2], tube[-1]):
+            assert red_within("level3", pol) == frac * p.source.area2()
+
+    # the similarity ratio: level-3 red in Z'_14 is λ² times level-2 red in
+    # Z'_4, whose closed form counts the z14 floors in Z'_4 by W's columns
+    visits = [sum(col) for col in zip(*d["visit_matrix"])]
+    green = sum((p.source.area2() * v for p, v in zip(pieces, visits)), ZERO)
+    red2_in_z4 = sim.Z4.area2() - lam2 * green
+    assert red_within("z14", sim.Z4) == red2_in_z4
+    assert red_within("level3", sim.Z14) == lam2 * red2_in_z4
 
 
 def test_witness_fixed_point_exact(ctx, sim):
