@@ -366,14 +366,15 @@ def test_area2_within_clips_what_vertex_signs_leave_open():
     assert overlap_status(touching, [UNIT_SQUARE]) == "disjoint"
 
 
-def test_clip_convex_keeps_normal_form():
-    # a cut of a convex polygon in normal form needs no renormalising
-    rng = random.Random(5)
+def _random_cuts(seed):
+    """Random convex polygons in normal form with cut lines: lines through two
+    random points (kind 0), a vertex and a random point (kind 1), or two
+    vertices (kind 2), missing the polygon or not."""
+    rng = random.Random(seed)
 
     def rand_point(lo, hi):
         return P(Fraction(rng.randint(lo, hi), 16), Fraction(rng.randint(lo, hi), 16))
 
-    through_vertex = 0
     for _ in range(150):
         m = [QS3(Fraction(rng.randint(-32, 32), 16)) for _ in range(4)]
         if (m[0] * m[3] - m[1] * m[2]).sign() <= 0:
@@ -388,19 +389,133 @@ def test_clip_convex_keeps_normal_form():
                 a, b = rng.choice(pts), rand_point(-64, 64)
             else:
                 a, b = rng.sample(pts, 2)
-            if a == b:
-                continue
-            line = Line.through(a, b)
-            sides = [line.side(p) for p in pts]
-            if min(sides) >= 0 or max(sides) <= 0:
-                continue
-            through_vertex += 0 in sides
-            halves = [clip_convex(poly, line, keep) for keep in (+1, -1)]
-            for half in halves:
-                assert half.vertices == Region.bounded(half.vertices).vertices
-                assert half.area2().sign() > 0
-            assert halves[0].area2() + halves[1].area2() == poly.area2()
+            if a != b:
+                yield poly, Line.through(a, b)
+
+
+def test_clip_convex_keeps_normal_form():
+    # a cut of a convex polygon in normal form needs no renormalising
+    through_vertex = 0
+    for poly, line in _random_cuts(5):
+        sides = [line.side(p) for p in poly.vertices]
+        if min(sides) >= 0 or max(sides) <= 0:
+            continue
+        through_vertex += 0 in sides
+        halves = [clip_convex(poly, line, keep) for keep in (+1, -1)]
+        for half in halves:
+            assert half.vertices == Region.bounded(half.vertices).vertices
+            assert half.area2().sign() > 0
+        assert halves[0].area2() + halves[1].area2() == poly.area2()
     assert through_vertex > 20
+
+
+def _field_cross_point(a, b, sa, sb):
+    """Where segment ab meets a line with values sa, sb at its ends, in field
+    operations: the reference for the exact crossing kernel."""
+    t = sa / (sa - sb)
+    return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+
+
+def _field_clip(poly, line, keep):
+    """Sutherland-Hodgman cut of a bounded convex polygon to keep*eval >= 0,
+    in field operations: the polygon itself, None, or the new vertex list."""
+    pts = poly.vertices
+    n = len(pts)
+    vals = [line.eval(p) for p in pts]
+    sigs = [keep * v.sign() for v in vals]
+    if min(sigs) >= 0:
+        return poly if max(sigs) > 0 else None
+    if max(sigs) <= 0:
+        return None
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        if sigs[i] >= 0:
+            out.append(pts[i])
+        if sigs[i] * sigs[j] < 0:
+            out.append(_field_cross_point(pts[i], pts[j], vals[i], vals[j]))
+    return out
+
+
+def _scaled_cuts(sim):
+    """Cuts of the convex parts of gamma1^k(Z'_4), k <= 15, and of a hexagon
+    at a Z'_4 vertex under the same maps: lines through two vertices, a vertex
+    and the centroid, the centroid and an edge midpoint, and a line beside
+    the polygon.  At k = 15 the coordinates' numerators run to about 60 bits."""
+    g = AffMap.identity()
+    hexagon = HEXAGON.transformed(AffMap.translation(sim.Z4.vertices[0]))
+    for _ in range(16):
+        for poly in [hexagon.transformed(g)] + [
+            part.transformed(g) for part in sim.Z4.convex_parts()
+        ]:
+            pts = poly.vertices
+            c = poly.centroid()
+            mid = (pts[1] + pts[2]).scaled(HALF)
+            yield poly, Line.through(pts[0], pts[2])
+            yield poly, Line.through(pts[1], c)
+            yield poly, Line.through(c, mid)
+            yield poly, Line.through(pts[0] + (pts[0] - c), pts[1] + (pts[1] - c))
+        g = sim.gamma1.compose(g)
+
+
+def test_clip_convex_matches_field_reference(sim):
+    counts = {"miss": 0, "one vertex": 0, "two vertices": 0, "wide": 0}
+    cuts = list(_random_cuts(5)) + list(_scaled_cuts(sim))
+    for poly, line in cuts:
+        sides = line.signs(poly.vertices)
+        if min(sides) >= 0 or max(sides) <= 0:
+            counts["miss"] += 1
+        elif sides.count(0) == 1:
+            counts["one vertex"] += 1
+        elif sides.count(0) == 2:
+            counts["two vertices"] += 1
+        if max(abs(v.x.p).bit_length() for v in poly.vertices) > 55:
+            counts["wide"] += 1
+        for keep in (+1, -1):
+            want = _field_clip(poly, line, keep)
+            got = clip_convex(poly, line, keep)
+            if want is None or want is poly:
+                assert got is want
+            else:
+                assert got.vertices == tuple(want)
+    assert min(counts.values()) >= 20, counts
+
+
+def test_split_region_of_convex_matches_field_reference(sim):
+    for poly, line in list(_random_cuts(6)) + list(_scaled_cuts(sim)):
+        want = [_field_clip(poly, line, keep) for keep in (+1, -1)]
+        got = split_region(poly, line)
+        assert [r.vertices for r in got] == [
+            w.vertices if w is poly else tuple(w) for w in want if w is not None
+        ]
+
+
+def _cross_sum(pts):
+    total = ZERO
+    for i in range(len(pts)):
+        total = total + pts[i].cross(pts[(i + 1) % len(pts)])
+    return total
+
+
+def test_cycle_area_matches_cross_sum(sim):
+    rng = random.Random(23)
+    cycles = [ELL.vertices, sim.Z4.vertices, sim.X.vertices, HEXAGON.vertices]
+    cycles += [poly.vertices for poly, _ in _scaled_cuts(sim)]
+    for poly, line in _random_cuts(7):
+        cycles.append(poly.vertices)
+        half = clip_convex(poly, line, +1)
+        if half is not None:
+            cycles.append(half.vertices)
+    # unnormalised cycles with unrelated denominators, either orientation
+    for n in range(3, 9):
+        for _ in range(5):
+            cycles.append([Point(_rand_entry(rng), _rand_entry(rng)) for _ in range(n)])
+    cycles += [[], [P(1, 2)]]
+    assert max(v.x.r for cyc in cycles for v in cyc) > 10**6
+    for pts in cycles:
+        assert _cycle_signed_area2(pts) == _cross_sum(pts)
+        if len(pts) >= 3 and Region(pts).is_convex():
+            assert Region(pts).area2() == _cross_sum(pts)
 
 
 def test_float_bbox_encloses_cancelling_coordinates():
