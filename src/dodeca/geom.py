@@ -205,6 +205,40 @@ class Line:
             )
         return out
 
+    def crossing(self, a: Point, b: Point) -> Point:
+        """Where segment ab meets the line, a and b strictly on opposite sides.
+
+        P = (s_a*b - s_b*a) / (s_a - s_b) with s = eval.  On raw integers
+        the cleared value of eval(a) is S_a / (xr*yr) with S_a the pair of
+        ``signs``, so P's coordinates are quotients of integer pairs over
+        D = S_a*b.xr*b.yr - S_b*a.xr*a.yr; multiplying by the conjugate of D
+        leaves one ``QS3._make`` per coordinate.
+        """
+        a1, t1, b1, a2, t2, b2, a3, b3 = self._k
+        x, y = a.x, a.y
+        axp, axq, axr, ayp, ayq, ayr = x.p, x.q, x.r, y.p, y.q, y.r
+        x, y = b.x, b.y
+        bxp, bxq, bxr, byp, byq, byr = x.p, x.q, x.r, y.p, y.q, y.r
+        sa0 = (a1 * axp + t1 * axq) * ayr + (a2 * ayp + t2 * ayq - a3 * ayr) * axr
+        sa1 = (a1 * axq + b1 * axp) * ayr + (a2 * ayq + b2 * ayp - b3 * ayr) * axr
+        sb0 = (a1 * bxp + t1 * bxq) * byr + (a2 * byp + t2 * byq - a3 * byr) * bxr
+        sb1 = (a1 * bxq + b1 * bxp) * byr + (a2 * byq + b2 * byp - b3 * byr) * bxr
+        da, db = axr * ayr, bxr * byr
+        d0 = sa0 * db - sb0 * da
+        d1 = sa1 * db - sb1 * da
+        norm = d0 * d0 - 3 * d1 * d1
+        # x numerator: S_a*b.yr*(bxp + bxq*s3) - S_b*a.yr*(axp + axq*s3)
+        u0, u1, v0, v1 = sa0 * byr, sa1 * byr, sb0 * ayr, sb1 * ayr
+        n0 = u0 * bxp + 3 * u1 * bxq - v0 * axp - 3 * v1 * axq
+        n1 = u0 * bxq + u1 * bxp - v0 * axq - v1 * axp
+        px = QS3._make(n0 * d0 - 3 * n1 * d1, n1 * d0 - n0 * d1, norm)
+        # y numerator: S_a*b.xr*(byp + byq*s3) - S_b*a.xr*(ayp + ayq*s3)
+        u0, u1, v0, v1 = sa0 * bxr, sa1 * bxr, sb0 * axr, sb1 * axr
+        n0 = u0 * byp + 3 * u1 * byq - v0 * ayp - 3 * v1 * ayq
+        n1 = u0 * byq + u1 * byp - v0 * ayq - v1 * ayp
+        py = QS3._make(n0 * d0 - 3 * n1 * d1, n1 * d0 - n0 * d1, norm)
+        return Point(px, py)
+
     def eval_dir(self, d: Point) -> QS3:
         return self.nx * d.x + self.ny * d.y
 
@@ -476,11 +510,23 @@ def _strip_collinear_cycle(pts):
 
 
 def _cycle_signed_area2(pts) -> QS3:
-    total = ZERO
-    n = len(pts)
-    for i in range(n):
-        total = total + pts[i].cross(pts[(i + 1) % n])
-    return total
+    """Twice the signed area of a vertex cycle: the shoelace sum, on raw integers.
+
+    Over the lcm m of the vertex denominators every coordinate is an integer
+    pair, the sum of cross products is m*m times the doubled area, and one
+    ``QS3._make`` normalises it.
+    """
+    m = math.lcm(*[c.r for p in pts for c in (p.x, p.y)])
+    cyc = []
+    for p in pts:
+        x, y = p.x, p.y
+        u, v = m // x.r, m // y.r
+        cyc.append((x.p * u, x.q * u, y.p * v, y.q * v))
+    s0 = s1 = 0
+    for (xp, xq, yp, yq), (xp2, xq2, yp2, yq2) in zip(cyc[-1:] + cyc[:-1], cyc):
+        s0 += xp * yp2 - yp * xp2 + 3 * (xq * yq2 - yq * xq2)
+        s1 += xp * yq2 + xq * yp2 - yp * xq2 - yq * xp2
+    return QS3._make(s0, s1, m * m)
 
 
 class Region:
@@ -841,11 +887,6 @@ def _triangulate(pts):
 # -- halfplane clipping -------------------------------------------------------
 
 
-def _cross_point(a: Point, b: Point, sa: QS3, sb: QS3) -> Point:
-    t = sa / (sa - sb)
-    return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-
-
 def clip_convex(region: Region, line: Line, keep: int) -> Region | None:
     """Intersect a convex region with the closed halfplane keep*eval >= 0.
 
@@ -853,31 +894,41 @@ def clip_convex(region: Region, line: Line, keep: int) -> Region | None:
     bounded and unbounded convex regions; the result is again convex.
     """
     if region.is_bounded:
-        return _clip_convex_bounded(region, line, keep)
+        return split_convex(region, line)[0 if keep > 0 else 1]
     return _clip_unbounded(region, line, keep)
 
 
-def _clip_convex_bounded(region: Region, line: Line, keep: int) -> Region | None:
+def split_convex(region: Region, line: Line):
+    """Both closed sides of a bounded convex region: (eval >= 0, eval <= 0).
+
+    A side is None when its interior is empty, and the region itself when
+    the line leaves the region whole.  One sign pass, and one crossing per
+    cut edge shared by both sides (Sutherland-Hodgman, emitting both).
+    """
     pts = region.vertices
-    sigs = line.signs(pts) if keep > 0 else [-s for s in line.signs(pts)]
-    if all(s >= 0 for s in sigs):
-        return region if any(s > 0 for s in sigs) else None
-    if all(s <= 0 for s in sigs):
-        return None
-    out = []
+    sigs = line.signs(pts)
+    if min(sigs) >= 0:
+        return (region if max(sigs) > 0 else None), None
+    if max(sigs) <= 0:
+        return None, region
+    pos = []
+    neg = []
     n = len(pts)
     for i in range(n):
         j = (i + 1) % n
-        if sigs[i] >= 0:
-            out.append(pts[i])
-        if sigs[i] * sigs[j] < 0:
-            out.append(
-                _cross_point(pts[i], pts[j], line.eval(pts[i]), line.eval(pts[j]))
-            )
+        s = sigs[i]
+        if s >= 0:
+            pos.append(pts[i])
+        if s <= 0:
+            neg.append(pts[i])
+        if s * sigs[j] < 0:
+            cut = line.crossing(pts[i], pts[j])
+            pos.append(cut)
+            neg.append(cut)
     # vertices lie strictly on both sides, so the line meets the convex
     # boundary in exactly two points: the cut adds no duplicate or collinear
     # vertex, keeps the counter-clockwise order and leaves a positive area
-    return Region(out, _skip_checks=True)
+    return Region(pos, _skip_checks=True), Region(neg, _skip_checks=True)
 
 
 def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
@@ -915,11 +966,7 @@ def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
         if sigs[i] >= 0:
             chain.append(pts[i])
         if i + 1 < m and sigs[i] * sigs[i + 1] < 0:
-            chain.append(
-                _cross_point(
-                    pts[i], pts[i + 1], line.eval(pts[i]), line.eval(pts[i + 1])
-                )
-            )
+            chain.append(line.crossing(pts[i], pts[i + 1]))
     if sigs[-1] * sx < 0:
         t = -line.eval(pts[-1]) / vx
         chain.append(pts[-1] + region.exit_dir.scaled(t))
@@ -972,13 +1019,11 @@ def split_region(region: Region, line: Line):
     Returns one region per connected component per side; their closures
     cover the closure of the input and their areas add up exactly.
     """
-    if not region.is_bounded or region.is_convex():
-        pieces = []
-        for keep in (+1, -1):
-            piece = clip_convex(region, line, keep)
-            if piece is not None:
-                pieces.append(piece)
-        return pieces
+    if not region.is_bounded:
+        pieces = (clip_convex(region, line, +1), clip_convex(region, line, -1))
+        return [piece for piece in pieces if piece is not None]
+    if region.is_convex():
+        return [piece for piece in split_convex(region, line) if piece is not None]
     pieces = _side_pieces_bounded(region, line, +1)
     pieces.extend(_side_pieces_bounded(region, line, -1))
     return pieces
@@ -999,14 +1044,7 @@ def _side_pieces_bounded(region: Region, line: Line, keep: int):
         j = (i + 1) % n
         cyc.append((pts[i], sigs[i]))
         if sigs[i] * sigs[j] < 0:
-            cyc.append(
-                (
-                    _cross_point(
-                        pts[i], pts[j], line.eval(pts[i]), line.eval(pts[j])
-                    ),
-                    0,
-                )
-            )
+            cyc.append((line.crossing(pts[i], pts[j]), 0))
     m = len(cyc)
 
     # maximal arcs with sig >= 0 containing at least one strictly positive node

@@ -22,6 +22,7 @@ from dodeca.geom import (
     overlap_status,
     region_from_json,
     region_to_json,
+    split_convex,
     split_region,
     vertex_position,
 )
@@ -471,14 +472,41 @@ def test_clip_convex_matches_field_reference(sim):
             counts["two vertices"] += 1
         if max(abs(v.x.p).bit_length() for v in poly.vertices) > 55:
             counts["wide"] += 1
-        for keep in (+1, -1):
+        halves = split_convex(poly, line)
+        for keep, half in zip((+1, -1), halves):
             want = _field_clip(poly, line, keep)
             got = clip_convex(poly, line, keep)
             if want is None or want is poly:
-                assert got is want
+                assert got is want and half is want
             else:
-                assert got.vertices == tuple(want)
+                assert got.vertices == half.vertices == tuple(want)
     assert min(counts.values()) >= 20, counts
+
+
+def test_line_crossing_matches_field_formula(sim):
+    rng = random.Random(24)
+    cases = []
+    for poly, line in list(_random_cuts(8)) + list(_scaled_cuts(sim)):
+        pts = poly.vertices
+        cases += [(line, a, b) for a, b in zip(pts, pts[1:] + pts[:1])]
+    # unrelated denominators on the line and the points
+    for _ in range(300):
+        nx, ny, c = (_rand_entry(rng) for _ in range(3))
+        if not (nx.is_zero() and ny.is_zero()):
+            a, b = (Point(_rand_entry(rng), _rand_entry(rng)) for _ in range(2))
+            cases.append((Line(nx, ny, c), a, b))
+    crossed = wide = 0
+    for line, a, b in cases:
+        sa, sb = line.eval(a), line.eval(b)
+        if sa.sign() * sb.sign() >= 0:
+            continue
+        want = _field_cross_point(a, b, sa, sb)
+        assert line.crossing(a, b) == want
+        assert line.crossing(b, a) == want
+        assert line.eval(want).is_zero()
+        crossed += 1
+        wide += abs(a.x.p).bit_length() > 55
+    assert crossed > 300 and wide > 10
 
 
 def test_split_region_of_convex_matches_field_reference(sim):

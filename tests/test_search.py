@@ -310,10 +310,10 @@ def test_cell_pool_skips_separated_cells(monkeypatch):
     # closed outer side (touching at the vertex (4, 4))
     poly = Region.bounded([P(5, 3), P(5, 5), P(3, 5)])
 
-    def no_clip(region, line, keep):
-        raise AssertionError("clip_convex called on a separated cell")
+    def no_split(region, line):
+        raise AssertionError("split_convex called on a separated cell")
 
-    monkeypatch.setattr(search, "clip_convex", no_clip)
+    monkeypatch.setattr(search, "split_convex", no_split)
     assert pool.subtract(poly).is_zero()
     (kept,) = pool.cells.values()
     assert kept is cell

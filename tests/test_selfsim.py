@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,15 @@ from dodeca.geom import (
     AffMap,
     Line,
     Point,
+    Region,
     area2_within,
     float_interval,
     overlap_status,
     split_region,
+    vertex_position,
 )
-from dodeca.search import find_periodic_component, return_tube
+from dodeca import selfsim
+from dodeca.search import close_component, find_periodic_component, return_tube
 from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
@@ -244,6 +248,49 @@ def test_witness_spiral_matches_the_component_search(ctx):
         comp = find_periodic_component(w, reg.interior_point())
         assert comp.region == reg
         assert comp.period == n
+
+
+def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
+    parts = sim.Z4.convex_parts()
+    by_area = []
+    real_overlap_status = selfsim.overlap_status
+
+    def counted(poly, target_parts):
+        by_area.append(poly)
+        return real_overlap_status(poly, target_parts)
+
+    monkeypatch.setattr(selfsim, "overlap_status", counted)
+    # the short spiral components, against the exact overlap areas
+    wit = ctx.witness(10**4, 8)
+    by_area.clear()
+    placed = 0
+    for reg, visits in zip(wit.spiral[:5], wit.spiral_return_periods):
+        comp = close_component(ctx.wedge, reg)
+        statuses = [real_overlap_status(pol, parts) for pol in comp.orbit]
+        assert "straddle" not in statuses
+        assert selfsim._return_period(comp, parts) == statuses.count("inside") == visits
+        placed += len(comp.orbit)
+    assert placed == 122 and len(by_area) < 10, len(by_area)
+
+    def tri_at(c):
+        e = Fraction(1, 10**4)
+        return Region.bounded([Point(c.x + e, c.y), Point(c.x - e, c.y + e), Point(c.x - e, c.y - e)])
+
+    # a small triangle across an internal diagonal of Z'_4 is decided by area
+    (a, b), *_ = (
+        sorted(set(p.vertices) & set(q.vertices), key=Point.key)
+        for i, p in enumerate(parts)
+        for q in parts[i + 1 :]
+        if len(set(p.vertices) & set(q.vertices)) == 2
+    )
+    across = tri_at((a + b).scaled(Fraction(1, 2)))
+    assert [vertex_position(across, part.edge_lines()) for part in parts].count("unknown") == 2
+    by_area.clear()
+    assert selfsim._return_period(SimpleNamespace(orbit=[across]), parts) == 1
+    assert by_area == [across]
+    # one across the boundary of Z'_4 straddles it
+    with pytest.raises(AssertionError):
+        selfsim._return_period(SimpleNamespace(orbit=[tri_at(sim.Z4.vertices[0])]), parts)
 
 
 def test_witness_rejects_non_contraction(ctx, sim):
