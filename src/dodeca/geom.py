@@ -1021,12 +1021,11 @@ def split_region(region: Region, line: Line):
     """
     if not region.is_bounded:
         pieces = (clip_convex(region, line, +1), clip_convex(region, line, -1))
-        return [piece for piece in pieces if piece is not None]
-    if region.is_convex():
-        return [piece for piece in split_convex(region, line) if piece is not None]
-    pieces = _side_pieces_bounded(region, line, +1)
-    pieces.extend(_side_pieces_bounded(region, line, -1))
-    return pieces
+    elif region.is_convex():
+        pieces = split_convex(region, line)
+    else:
+        return _side_pieces_bounded(region, line, +1) + _side_pieces_bounded(region, line, -1)
+    return [piece for piece in pieces if piece is not None]
 
 
 def _side_pieces_bounded(region: Region, line: Line, keep: int):
