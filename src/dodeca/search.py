@@ -52,6 +52,7 @@ from .geom import (
     overlap_status,
     split_convex,
     split_region,
+    vertex_position,
 )
 from .periods import period_of_h
 from .table import WedgeSystem, rotation_index
@@ -484,23 +485,11 @@ class CellPool:
             cell = self.cells[cid]
             if not boxes_overlap(cell.float_bbox(), pbox):
                 continue
-            # sign the cell once against each edge line: a line with the cell
-            # on its closed outer side separates the two (the cell stays), and
-            # one with the cell on its closed inner side leaves every piece of
-            # the cell whole, so only the remaining lines cut
-            cuts = []
-            for ln in lines:
-                sides = ln.signs(cell.vertices)
-                if max(sides) <= 0:
-                    cuts = None
-                    break
-                if min(sides) < 0:
-                    cuts.append(ln)
-            if cuts is None:
+            if vertex_position(cell, lines) == "disjoint":
                 continue
             outside = []
             work = cell
-            for ln in cuts:
+            for ln in lines:
                 if work is None:
                     break
                 work, piece = split_convex(work, ln)
