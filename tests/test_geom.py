@@ -347,9 +347,11 @@ def test_area2_within_matches_clipping(ctx, sim):
             assert area2_within([pol], parts) == want
             total = total + want
             if want.is_zero():
-                seen.add("disjoint")
+                status = "disjoint"
             else:
-                seen.add("inside" if want == pol.area2() else "straddle")
+                status = "inside" if want == pol.area2() else "straddle"
+            assert overlap_status(pol, parts) == status
+            seen.add(status)
         assert area2_within(polys, parts) == total
     assert seen == {"inside", "disjoint", "straddle"}
 

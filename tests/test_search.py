@@ -8,6 +8,7 @@ from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturn
 from dodeca.field import QS3, ZERO
 from dodeca.geom import AffMap, Point, Region, area2_within
 from dodeca.periods import period_of_h
+from dodeca.table import ROT
 from dodeca.search import (
     CellPool,
     ReturnSystem,
@@ -107,6 +108,24 @@ def test_component_search_errors(ctx):
         close_component(w, outside, 10)
 
 
+def _composed_rotation(w, comp):
+    """Reference rotation index: compose the piece maps along the cycle,
+    match the linear part against ROT, and check that a rotation turns
+    about the centre (and that a zero turn is the identity)."""
+    f = AffMap.identity()
+    for reg in comp.orbit:
+        i, cut = w.locate_in_wedge(reg)
+        assert cut is None
+        f = w.maps[i].compose(f)
+    linear = (f.m00, f.m01, f.m10, f.m11)
+    (l,) = [k for k, r in enumerate(ROT) if (r.m00, r.m01, r.m10, r.m11) == linear]
+    if l == 0:
+        assert f == AffMap.identity()
+    else:
+        assert f.fixed_point() == comp.center
+    return l
+
+
 def test_close_component_certifies_maximality(ctx):
     # one walk of the cycle certifies each known component, and rejects a
     # region of the same cycle that is not maximal: the 9/10 shrink about
@@ -127,6 +146,7 @@ def test_close_component_certifies_maximality(ctx):
     for region, period in spiral + base + parts:
         comp = close_component(w, region)
         assert comp.region == region and comp.period == period
+        assert comp.rotation_l == _composed_rotation(w, comp)
     shrink = Fraction(9, 10)
     for region, _ in spiral + base:
         inner = region.transformed(AffMap.homothety(region.centroid(), QS3(shrink)))

@@ -22,7 +22,7 @@ from dodeca.geom import (
     split_region,
     vertex_position,
 )
-from dodeca import selfsim
+from dodeca import geom, selfsim
 from dodeca.search import close_component, find_periodic_component, return_tube
 from dodeca.selfsim import (
     aperiodic_witness,
@@ -253,24 +253,32 @@ def test_witness_spiral_matches_the_component_search(ctx):
 def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
     parts = sim.Z4.convex_parts()
     by_area = []
-    real_overlap_status = selfsim.overlap_status
+    real_area2_within = geom.area2_within
 
-    def counted(poly, target_parts):
-        by_area.append(poly)
-        return real_overlap_status(poly, target_parts)
+    def counted(polys, target_parts):
+        by_area.extend(polys)
+        return real_area2_within(polys, target_parts)
 
-    monkeypatch.setattr(selfsim, "overlap_status", counted)
-    # the short spiral components, against the exact overlap areas
+    def area_status(pol):
+        acc = real_area2_within([pol], parts)
+        if acc.is_zero():
+            return "disjoint"
+        return "inside" if acc == pol.area2() else "straddle"
+
+    monkeypatch.setattr(geom, "area2_within", counted)
+    # the short spiral components, against the exact overlap areas; the
+    # exact-area fallbacks are the regions that reach area2_within
     wit = ctx.witness(10**4, 8)
-    by_area.clear()
-    placed = 0
+    placed = fallbacks = 0
     for reg, visits in zip(wit.spiral[:5], wit.spiral_return_periods):
         comp = close_component(ctx.wedge, reg)
-        statuses = [real_overlap_status(pol, parts) for pol in comp.orbit]
+        statuses = [area_status(pol) for pol in comp.orbit]
         assert "straddle" not in statuses
+        by_area.clear()
         assert selfsim._return_period(comp, parts) == statuses.count("inside") == visits
         placed += len(comp.orbit)
-    assert placed == 122 and len(by_area) < 10, len(by_area)
+        fallbacks += len(by_area)
+    assert placed == 122 and fallbacks < 10, fallbacks
 
     def tri_at(c):
         e = Fraction(1, 10**4)
