@@ -243,7 +243,8 @@ def check_construction_identities(ctx: Context) -> dict:
     return {"gluing_identities": 12, "mirror_images": images}
 
 
-def check_fixed_points(ctx: Context, samples: int = 10**4) -> dict:
+def check_fixed_points(ctx: Context) -> dict:
+    samples = 10**4
     w = ctx.wedge
     for i in range(1, 6):
         img, sym = w.step(w.O[i])
@@ -363,7 +364,8 @@ def check_tube_partition(ctx: Context) -> dict:
     }
 
 
-def check_self_similarity(ctx: Context, samples: int = 1000) -> dict:
+def check_self_similarity(ctx: Context) -> dict:
+    samples = 1000
     s = ctx.sim
     assert s.g1w4.period == 37, f"gamma1(W4) period {s.g1w4.period} != 37"
     report = verify_conjugacy(
@@ -382,7 +384,8 @@ def check_self_similarity(ctx: Context, samples: int = 1000) -> dict:
     return report.to_obj()
 
 
-def check_aperiodic_witness(ctx: Context, steps: int = 10**4, depth: int = 8) -> dict:
+def check_aperiodic_witness(ctx: Context) -> dict:
+    steps, depth = 10**4, 8
     wit = ctx.witness(steps, depth)
     assert ctx.sim.gammaX.apply(wit.y) == wit.y
     assert wit.boundary_hit is None and wit.steps_checked == steps
@@ -468,7 +471,8 @@ def check_full_measure(ctx: Context) -> dict:
     }
 
 
-def check_period_set(ctx: Context, bound: int = 2000, samples: int = 120) -> dict:
+def check_period_set(ctx: Context) -> dict:
+    bound, samples = 2000, 120
     assert constants_digest() == CONSTANTS_SHA256
     pset = full_period_set(bound)
     # stability: recomputation is identical, witnesses replay to their h
@@ -511,7 +515,8 @@ def check_period_set(ctx: Context, bound: int = 2000, samples: int = 120) -> dic
     return out
 
 
-def check_kernel_properties(ctx: Context, cases: int = 1000) -> dict:
+def check_kernel_properties(ctx: Context) -> dict:
+    cases = 1000
     t, w = ctx.system
     rng = random.Random(ctx.seed + 10)
 

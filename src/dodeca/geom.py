@@ -1179,9 +1179,24 @@ def overlap_status(poly: Region, target_parts) -> str:
     """Trichotomy of a bounded region against a convex decomposition.
 
     target_parts: convex regions forming the target (disjoint interiors).
-    Returns "inside", "disjoint" or "straddle" from ``area2_within``.
+    Returns "inside", "disjoint" or "straddle" as the exact overlap area
+    decides them: "inside" once one closed part holds every vertex, else
+    ``area2_within`` over the parts that neither the float boxes nor the
+    vertex signs separate from the region.
     """
-    acc = area2_within([poly], target_parts)
+    box = poly.float_bbox()
+    unknown = []
+    for part in target_parts:
+        if part.is_bounded and not boxes_overlap(box, part.float_bbox()):
+            continue
+        where = vertex_position(poly, part.edge_lines())
+        if where == "inside":
+            return "inside"
+        if where == "unknown":
+            unknown.append(part)
+    if not unknown:
+        return "disjoint"
+    acc = area2_within([poly], unknown)
     if acc.is_zero():
         return "disjoint"
     return "inside" if acc == poly.area2() else "straddle"

@@ -260,16 +260,14 @@ def cross_validate(
     components=(),
     samples: int = 200,
     seed: int = 0,
-    orbit_cap: int = 4096,
-    direct_cap: int = 600,
 ) -> CrossValidation:
     """Check that every exactly computed orbit period lies in the period set.
 
     Components contribute their center and non-center point periods via
-    the fold-twist formula; small center periods are additionally verified
-    by direct iteration of the plain billiard map.  Random wedge points
-    that close up within the cap contribute their periods as well.  Any
-    period outside the enumerated set raises AssertionError.
+    the fold-twist formula; center periods up to 600 are additionally
+    verified by direct iteration of the plain billiard map.  Random wedge
+    points that close up within 4096 T'-steps contribute their periods as
+    well.  Any period outside the enumerated set raises AssertionError.
     """
     import random
     from fractions import Fraction
@@ -285,7 +283,7 @@ def cross_validate(
             if per_t <= pset.bound:
                 assert per_t in pset, f"component period {per_t} missing from the set"
                 verified.add(per_t)
-        if info.center_per_t <= direct_cap:
+        if info.center_per_t <= 600:
             direct = billiard_orbit_period(w.table, comp.center, info.center_per_t)
             assert direct == info.center_per_t
         checked_components += 1
@@ -303,7 +301,7 @@ def cross_validate(
         if w.Zp.classify(p) != INTERIOR:
             continue
         try:
-            res = w.orbit_period(p, orbit_cap)
+            res = w.orbit_period(p, 4096)
         except GraneError:
             skipped += 1
             continue

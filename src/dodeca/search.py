@@ -55,7 +55,7 @@ from .geom import (
     vertex_position,
 )
 from .periods import period_of_h
-from .table import WedgeSystem, rotation_index
+from .table import ROT, WedgeSystem
 
 ALG1_MAX_ITER = 10**6
 ALG2_MAX_EVENTS = 10**5
@@ -170,6 +170,14 @@ def close_component(
     closed wedge (asserted when the ``WedgeSystem`` is built), so every
     step is located by the split lines alone (``locate_in_wedge``).
 
+    Rotation certificate: ``w.maps[i]`` turns by 30°*(6 - i) (asserted
+    when the ``WedgeSystem`` is built), so T'^period turns by 30°*l with
+    l = 6*period - sum (i+1)*counts[i] mod 12.  It keeps orientation and
+    takes the region onto itself, so it fixes the centroid: it is the
+    rotation by 30°*l about the centroid, and it sends vertex 0 to the
+    vertex s where the walk's last image starts.  That is the one exact
+    check.
+
     Maximality certificate: at each step the region's vertices are signed
     against the boundary lines of its piece (``alpha_lines``), and edge k
     is marked when both its endpoints lie on one of them; the signing stops
@@ -183,7 +191,7 @@ def close_component(
 
     Raises GraneError when the region leaves the wedge or a split line
     cuts a region of the cycle, and InconclusiveError when the cycle does
-    not close as a rotation about the centroid or an edge stays unmarked.
+    not close, its rotation misplaces vertex 0 or an edge stays unmarked.
     """
     if not w.in_closed_wedge(region):
         raise GraneError("component region leaves the wedge")
@@ -193,7 +201,6 @@ def close_component(
     n = len(region.vertices)
     unmarked = set(range(n))
     cur = region
-    composed = AffMap.identity()
     period = 0
     orbit = [region]
     while True:
@@ -205,7 +212,6 @@ def close_component(
                 on = [s == 0 for s in ln.signs(cur.vertices)]
                 unmarked = {k for k in unmarked if not (on[k] and on[(k + 1) % n])}
         cur = cur.transformed(w.maps[i])
-        composed = w.maps[i].compose(composed)
         counts[i - 1] += 1
         period += 1
         if cur.canonical_key() == key0:
@@ -213,20 +219,13 @@ def close_component(
         orbit.append(cur)
         if period > max_iter:
             raise InconclusiveError("region cycle did not close", iterations=max_iter)
-    l = rotation_index(composed)
-    if l is None:
-        raise InconclusiveError("cycle map is not a rotation by a 30° multiple")
-    if l == 0:
-        if composed != AffMap.identity():
-            raise InconclusiveError("cycle map is a nontrivial translation")
-    else:
-        if composed.fixed_point() != center:
-            raise InconclusiveError("cycle rotation center differs from centroid")
-    expected_l = (6 * period - sum((i + 1) * c for i, c in enumerate(counts))) % 12
-    assert l == expected_l
-    # edge k shares the marks of edges k + shift, k + 2*shift, ...: the
+    l = (6 * period - sum((i + 1) * c for i, c in enumerate(counts))) % 12
+    s = region.vertices.index(cur.vertices[0])
+    if ROT[l].apply_vec(region.vertices[0] - center) != region.vertices[s] - center:
+        raise InconclusiveError("cycle rotation does not turn vertex 0 onto its image")
+    # edge k shares the marks of edges k + s, k + 2*s, ...: the
     # edges congruent to k modulo g
-    g = math.gcd(region.vertices.index(cur.vertices[0]), n)
+    g = math.gcd(s, n)
     if any(unmarked.issuperset(range(k, n, g)) for k in range(g)):
         raise InconclusiveError("region is not a maximal component")
     return Component(region, period, l, center, tuple(counts), tuple(orbit))
@@ -512,7 +511,10 @@ class CellPool:
 class PartitionComponent:
     component: Component
     periods: PeriodInfo
-    tube: list  # the region cycle
+
+    @property
+    def tube(self) -> tuple:  # the region cycle
+        return self.component.orbit
 
     def to_obj(self) -> dict:
         obj = self.component.to_obj()
@@ -620,14 +622,13 @@ def verify_partition(
         assert w.table.sides_parallel(
             comp.region
         ), "component sides must be parallel to table sides"
-        tube = comp.orbit
-        for pol in tube:
+        for pol in comp.orbit:
             st = overlap_status(pol, dom_parts)
             assert st == "disjoint", "complementary component tube entered the domain"
             removed = pool.subtract(pol)
             assert removed == pol.area2(), "periodic tube polygons must not overlap"
             red_area2 = red_area2 + pol.area2()
-        components.append(PartitionComponent(comp, component_periods(comp), tube))
+        components.append(PartitionComponent(comp, component_periods(comp)))
 
     report = PartitionReport(
         label=label,

@@ -28,7 +28,6 @@ from .geom import (
     overlap_status,
     raw_equals,
     raw_point,
-    vertex_position,
 )
 from .search import (
     Component,
@@ -347,26 +346,10 @@ class AperiodicWitness:
 
 
 def _return_period(comp: Component, domain_parts) -> int:
-    """Visits of the component's T'-cycle to the domain (its return period).
-
-    Each cycle region is placed by its vertex signs against the edge lines
-    of every convex part of the domain.  A region that some part leaves
-    undecided, and no part holds, may cross an internal diagonal of a
-    nonconvex domain; only then is the exact overlap area computed.
-    """
-    visits = 0
-    for pol in comp.orbit:
-        where = [vertex_position(pol, part.edge_lines()) for part in domain_parts]
-        if "inside" in where:
-            status = "inside"
-        elif "unknown" in where:
-            status = overlap_status(pol, domain_parts)
-        else:
-            status = "disjoint"
-        assert status != "straddle"
-        if status == "inside":
-            visits += 1
-    return visits
+    """Visits of the component's T'-cycle to the domain (its return period)."""
+    statuses = [overlap_status(pol, domain_parts) for pol in comp.orbit]
+    assert "straddle" not in statuses
+    return statuses.count("inside")
 
 
 def aperiodic_witness(

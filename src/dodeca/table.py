@@ -37,9 +37,11 @@ from .geom import (
     Region,
     _clear_denominators,
     clip_convex,
+    intersect_convex,
     primitive_dir,
     raw_equals,
     raw_point,
+    vertex_position,
 )
 
 NUM_SIDES = 12
@@ -50,16 +52,6 @@ _ROT1 = AffMap(SQRT3_HALF, -HALF, HALF, SQRT3_HALF, ZERO, ZERO)
 ROT = [AffMap.identity()]
 for _ in range(NUM_SIDES - 1):
     ROT.append(_ROT1.compose(ROT[-1]))
-
-# linear part -> rotation index, for recognising composed rotations
-_ROT_INDEX = {
-    (m.m00.key(), m.m01.key(), m.m10.key(), m.m11.key()): k for k, m in enumerate(ROT)
-}
-
-
-def rotation_index(f: AffMap):
-    """Index k with linear part of f equal to rotation by 30°*k, else None."""
-    return _ROT_INDEX.get((f.m00.key(), f.m01.key(), f.m10.key(), f.m11.key()))
 
 
 class Table:
@@ -239,7 +231,10 @@ class WedgeSystem:
             )
             assert m == (-i) % 12
             f = ROT[m].compose(AffMap.point_reflection(A[j]))
-            assert rotation_index(f) == (6 - i) % 12
+            # maps[i] turns by 30°*(6 - i): close_component reads its
+            # rotation from the visit counts
+            r = ROT[(6 - i) % 12]
+            assert (f.m00, f.m01, f.m10, f.m11) == (r.m00, r.m01, r.m10, r.m11)
             assert f.apply(sample) == image
             self.maps[i] = f
         assert self.maps[6].is_translation()
@@ -300,8 +295,7 @@ class WedgeSystem:
         """
         if not region.is_bounded:
             return all(clip_convex(region, ln, +1) is region for ln in self.wedge_lines)
-        pts = region.vertices
-        return all(min(ln.signs(pts)) >= 0 for ln in self.wedge_lines)
+        return vertex_position(region, self.wedge_lines) == "inside"
 
     def locate_in_wedge(self, region: Region) -> tuple[int | None, Line | None]:
         """Piece i of a bounded open region as ``(i, None)``, or ``(None, line)``.
@@ -354,11 +348,9 @@ class WedgeSystem:
 
     def restrict_to_piece(self, region: Region, i: int) -> Region:
         """Intersection of a convex region with the open piece alpha_i."""
-        out = region
-        for ln in self.alpha_lines[i]:
-            out = clip_convex(out, ln, +1)
-            if out is None:
-                raise GraneError(f"region does not meet alpha_{i}", index=i)
+        out = intersect_convex(region, self.alpha[i])
+        if out is None:
+            raise GraneError(f"region does not meet alpha_{i}", index=i)
         return out
 
     def fold_into_wedge(self, q: Point) -> tuple[Point, int]:

@@ -154,6 +154,18 @@ def test_close_component_certifies_maximality(ctx):
             close_component(w, inner)
 
 
+def test_close_component_rejects_a_misread_rotation(ctx, monkeypatch):
+    # the certificate's one exact check: with every rotation index off by
+    # one, the turn read from the visit counts misplaces vertex 0
+    w = ctx.wedge
+    wit = ctx.witness(10**4, 8)
+    regions = [c.region for c in ctx.base_components().values()] + wit.spiral[:8]
+    monkeypatch.setattr(search, "ROT", ROT[1:] + ROT[:1])
+    for region in regions:
+        with pytest.raises(InconclusiveError, match="vertex 0"):
+            close_component(w, region)
+
+
 def test_return_system_structure(ctx):
     rs = ctx.return_system("z4")
     total = ZERO
