@@ -8,7 +8,6 @@ from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturn
 from dodeca.field import QS3, ZERO
 from dodeca.geom import AffMap, Point, Region, area2_within
 from dodeca.periods import period_of_h
-from dodeca.table import ROT
 from dodeca.search import (
     CellPool,
     ReturnSystem,
@@ -19,6 +18,7 @@ from dodeca.search import (
     first_return_map,
     return_tube,
 )
+from dodeca.table import ROT
 
 
 def test_base_component_shapes(ctx):
@@ -126,7 +126,7 @@ def _composed_rotation(w, comp):
     return l
 
 
-def test_close_component_certifies_maximality(ctx):
+def test_close_component_certifies_maximality(ctx, monkeypatch):
     # one walk of the cycle certifies each known component, and rejects a
     # region of the same cycle that is not maximal: the 9/10 shrink about
     # the centroid still turns onto itself, but no edge of it ever lies on
@@ -152,16 +152,10 @@ def test_close_component_certifies_maximality(ctx):
         inner = region.transformed(AffMap.homothety(region.centroid(), QS3(shrink)))
         with pytest.raises(InconclusiveError, match="maximal"):
             close_component(w, inner)
-
-
-def test_close_component_rejects_a_misread_rotation(ctx, monkeypatch):
-    # the certificate's one exact check: with every rotation index off by
-    # one, the turn read from the visit counts misplaces vertex 0
-    w = ctx.wedge
-    wit = ctx.witness(10**4, 8)
-    regions = [c.region for c in ctx.base_components().values()] + wit.spiral[:8]
+    # the one exact rotation check: with every rotation index off by one,
+    # the turn read from the visit counts misplaces vertex 0
     monkeypatch.setattr(search, "ROT", ROT[1:] + ROT[:1])
-    for region in regions:
+    for region, _ in spiral + base:
         with pytest.raises(InconclusiveError, match="vertex 0"):
             close_component(w, region)
 
