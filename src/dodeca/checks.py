@@ -59,6 +59,9 @@ RED_FRACTION_GOLDENS = {
 }
 MIN_TWO_AHEAD_GOLDEN = "-892085+515046*s3"  # level-1 epsilon, about 0.84
 DOMAINS = ("z1", "z4", "z14", "x", "zp", "level3")
+# the aperiodic witness: T' steps checked, and the spiral nesting depth
+WITNESS_STEPS = 10**4
+WITNESS_DEPTH = 8
 
 
 @dataclass
@@ -149,11 +152,15 @@ class Context:
 
         return self._get("base_components", build)
 
-    def witness(self, steps: int = 10**4, depth: int = 8):
+    def witness(self):
         return self._get(
-            ("witness", steps, depth),
+            "witness",
             lambda: aperiodic_witness(
-                self.wedge, self.sim, steps=steps, depth=depth, verify_spiral=8
+                self.wedge,
+                self.sim,
+                steps=WITNESS_STEPS,
+                depth=WITNESS_DEPTH,
+                verify_spiral=WITNESS_DEPTH,
             ),
         )
 
@@ -385,11 +392,10 @@ def check_self_similarity(ctx: Context) -> dict:
 
 
 def check_aperiodic_witness(ctx: Context) -> dict:
-    steps, depth = 10**4, 8
-    wit = ctx.witness(steps, depth)
+    wit = ctx.witness()
     assert ctx.sim.gammaX.apply(wit.y) == wit.y
-    assert wit.boundary_hit is None and wit.steps_checked == steps
-    assert wit.nesting_depth >= depth
+    assert wit.boundary_hit is None and wit.steps_checked == WITNESS_STEPS
+    assert wit.nesting_depth >= WITNESS_DEPTH
     assert all(f >= 2 for f in wit.growth_factors)
     return wit.to_obj()
 

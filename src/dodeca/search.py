@@ -13,12 +13,19 @@ Three layers build on the wedge map T':
 
 * :func:`first_return_map`: the first-return system of a polygon S: pieces
   mapped back into S by an isometry after a fixed number of T' steps, each
-  fragment split only by the one split line that cuts it.  Each piece
+  fragment split only by the one split line that cuts it.  Every T' piece
+  map turns by a multiple of 30°, so each fragment is a rigid image
+  ROT[l](S') + t of a source polygon S' in S, and the walk carries it as
+  that frame (``table.Frame``): a step turns l and maps t on raw
+  integers, and S''s support values in the 12 side-normal directions
+  make each split-line test, and the test that a side normal separates
+  the fragment from S, one exact sign.  Regions are built only at cuts
+  and for the fragments no side normal separates from S.  Each piece
   records its T' itinerary, and :func:`return_tube` maps the source along
   it into the piece's tower, proving every floor in its recorded piece by
-  two split-line sign tests.  Both walks sign the wedge lines once, at
-  their start: T' maps every closed piece into the closed wedge (asserted
-  when the ``WedgeSystem`` is built).
+  two signs on the source's frame.  Both walks sign the wedge lines once,
+  at their start: T' maps every closed piece into the closed wedge
+  (asserted when the ``WedgeSystem`` is built).
 
 * :func:`verify_partition`: tile the invariant rocket Z' exactly by the
   forward tubes of the return pieces of S plus the tubes of the periodic
@@ -55,7 +62,7 @@ from .geom import (
     vertex_position,
 )
 from .periods import period_of_h
-from .table import ROT, WedgeSystem
+from .table import ROT, Frame, WedgeSystem
 
 ALG1_MAX_ITER = 10**6
 ALG2_MAX_EVENTS = 10**5
@@ -179,9 +186,9 @@ def close_component(
     check.
 
     Maximality certificate: at each step the region's vertices are signed
-    against the boundary lines of its piece (``alpha_lines``), and edge k
-    is marked when both its endpoints lie on one of them; the signing stops
-    once every edge is marked.  T'^period turns the region about its
+    against the boundary lines of its piece (``alpha[i].edge_lines()``),
+    and edge k is marked when both its endpoints lie on one of them; the
+    signing stops once every edge is marked.  T'^period turns the region about its
     centroid and shifts its vertex labels by s, so later cycles mark edge
     k where the first marked edge k + s: the marked set is closed under
     that shift.  The points that share the cycle's itinerary form a convex
@@ -208,7 +215,7 @@ def close_component(
         if cut is not None:
             raise GraneError("region crosses a piece boundary")
         if unmarked:
-            for ln in w.alpha_lines[i]:
+            for ln in w.alpha[i].edge_lines():
                 on = [s == 0 for s in ln.signs(cur.vertices)]
                 unmarked = {k for k in unmarked if not (on[k] and on[(k + 1) % n])}
         cur = cur.transformed(w.maps[i])
@@ -310,32 +317,50 @@ def first_return_map(
 
     Locate each pending fragment: split it by the one split line that cuts
     it, or map it by its piece isometry and retire it if it lands inside
-    the domain.  Each retired fragment is pulled back through its composed
-    isometry to give the source piece.  The domain must have the clean
-    self-return property: a mapped fragment that straddles the domain
-    boundary raises SelfReturnError.  A domain that is unbounded or leaves
-    the wedge raises DomainError.
+    the domain.  The domain must have the clean self-return property: a
+    mapped fragment that straddles the domain boundary raises
+    SelfReturnError.  A domain that is unbounded or leaves the wedge raises
+    DomainError.
+
+    Every fragment is a rigid image of a source polygon S in the domain,
+    so the walk carries it as a ``Frame`` (S, l, t) and builds no region
+    per step: ``locate_frame`` places it by one sign per split-line test,
+    ``step_frame`` maps it, and a side normal that separates it from the
+    domain's support values proves it disjoint from the domain.  A
+    ``Region`` is built only where the walk needs one: at a cut the frame's
+    region is split and each part pulled back to a new S, and a fragment
+    that no side normal separates is placed by ``overlap_status``.  A
+    retired fragment's source is its S and its map the frame's isometry,
+    so no map is composed or inverted per step.
 
     The domain is signed against the wedge lines once: a fragment located
     in a closed piece maps into the closed wedge (asserted when the
     ``WedgeSystem`` is built), so every fragment stays there and is located
-    by the split lines alone (``locate_in_wedge``).  Each fragment carries
-    its itinerary as a parent-linked node (parent, i), shared by the parts
-    of a split; a retired fragment unrolls it into ``ReturnPiece.itinerary``.
+    by the split lines alone.  Each fragment carries its itinerary as a
+    parent-linked node (parent, i), shared by the parts of a split; a
+    retired fragment unrolls it into ``ReturnPiece.itinerary``.
     """
     if not domain.is_bounded:
         raise DomainError("return domain must be bounded")
     if not w.in_closed_wedge(domain):
         raise DomainError("return domain must lie in the wedge")
     parts = domain.convex_parts()
-    pending = [(domain, AffMap.identity(), None)]
+    start = Frame(domain)
+    pending = [(start, None)]
     finished = []
     events = 0
     while pending:
-        pol, f, node = pending.pop()
-        i, cut = w.locate_in_wedge(pol)
+        fr, node = pending.pop()
+        i, cut = w.locate_frame(fr)
         if cut is not None:
-            pending.extend((part, f, node) for part in split_region(pol, cut))
+            halves = split_region(fr.region(), cut)
+            # a line that left the fragment whole would requeue it forever
+            # without spending the event budget
+            assert len(halves) >= 2, "the cut line leaves the fragment whole"
+            back = fr.map().inverse()
+            pending.extend(
+                (Frame(half.transformed(back), fr.l, fr.t), node) for half in halves
+            )
             continue
         events += 1
         if events > max_events:
@@ -343,24 +368,27 @@ def first_return_map(
                 "first-return expansion exceeded the event budget",
                 iterations=max_events,
             )
-        image = pol.transformed(w.maps[i])
-        f2 = w.maps[i].compose(f)
+        fr = w.step_frame(fr, i)
+        node = (node, i)
+        if fr.misses(start.h):
+            pending.append((fr, node))
+            continue
+        image = fr.region()
         status = overlap_status(image, parts)
         if status == "inside":
-            finished.append((image, f2, (node, i)))
+            finished.append((fr, image, node))
         elif status == "disjoint":
-            pending.append((image, f2, (node, i)))
+            pending.append((fr, node))
         else:
             raise SelfReturnError("mapped fragment straddles the return domain")
     pieces = []
-    for target, f, node in finished:
-        source = target.transformed(f.inverse())
-        assert source.transformed(f) == target
+    for fr, target, node in finished:
         itinerary = []
         while node is not None:
             node, i = node
             itinerary.append(i)
-        pieces.append(ReturnPiece(source, target, f, tuple(reversed(itinerary))))
+        itinerary.reverse()
+        pieces.append(ReturnPiece(fr.source, target, fr.map(), tuple(itinerary)))
     pieces.sort(key=lambda p: p.source.canonical_key())
     rs = ReturnSystem(domain, tuple(pieces))
     _validate_return_system(rs)
@@ -384,21 +412,24 @@ def return_tube(w: WedgeSystem, piece: ReturnPiece):
 
     Maps along the recorded itinerary and proves each step: floor j must
     lie in the open piece ``itinerary[j]`` (``WedgeSystem.in_piece``, two
-    split-line sign passes), else GraneError with index j.  That test
-    needs the floor in the closed wedge: the source is checked once, and
-    each later floor is the image of a closed piece, which T' keeps in the
-    closed wedge (asserted when the ``WedgeSystem`` is built).  The last
-    floor maps onto the target; that closure is asserted.
+    signs on the ``Frame`` of the source that walks with the floors), else
+    GraneError with index j.  That test needs the floor in the closed
+    wedge: the source is checked once, and each later floor is the image of
+    a closed piece, which T' keeps in the closed wedge (asserted when the
+    ``WedgeSystem`` is built).  The last floor maps onto the target; that
+    closure is asserted.
     """
     cur = piece.source
     if not w.in_closed_wedge(cur):
         raise GraneError("return source leaves the wedge")
+    fr = Frame(cur)
     tube = []
     for j, i in enumerate(piece.itinerary):
-        if not w.in_piece(cur, i):
+        if not w.in_piece(fr, i):
             raise GraneError(f"floor {j} is not in alpha_{i}", index=j)
         tube.append(cur)
         cur = cur.transformed(w.maps[i])
+        fr = w.step_frame(fr, i)
     assert cur == piece.target
     return tube
 

@@ -18,6 +18,10 @@ Contents:
   fixed points O_1..O_5 plus one translation), together with the invariant
   rocket hexagon Z' and the 60-vertex necklace region Z.
 
+* ``Frame``: a rigid image ROT[l](S) + t of a bounded polygon S, as the
+  region walks carry their fragments, placed against any line whose
+  normal is a side normal by S's support values, one sign per line.
+
 The piece maps are *derived* (fold T back into the wedge) rather than
 hard-coded, and the construction asserts the expected identities, so a
 successful build is itself a consistency check.
@@ -25,8 +29,10 @@ successful build is itself a consistency check.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError, GraneError, InconclusiveError
-from .field import HALF, QS3, SQRT3_HALF, ZERO, pair_sign
+from .field import HALF, ONE, QS3, SQRT3_HALF, ZERO, pair_sign
 from .geom import (
     BOUNDARY,
     EXTERIOR,
@@ -53,12 +59,143 @@ ROT = [AffMap.identity()]
 for _ in range(NUM_SIDES - 1):
     ROT.append(_ROT1.compose(ROT[-1]))
 
+# n_e = ROT[e](A_0 + A_1), the outward normal of table side A_e A_{e+1}
+# (asserted by ``Table``), on raw integers: (ap, 3*aq, aq, bp, 3*bq, bq)
+# for the vector (ap + aq*s3, bp + bq*s3), as ``Line._k`` stores a normal.
+# n_{e+6} = -n_e.
+SIDE_NORMALS = tuple(ROT[e].apply_vec(Point(QS3(2, 1), ONE)) for e in range(NUM_SIDES))
+assert all(c.r == 1 for n in SIDE_NORMALS for c in (n.x, n.y))
+_NORMALS = tuple(
+    (n.x.p, 3 * n.x.q, n.x.q, n.y.p, 3 * n.y.q, n.y.q) for n in SIDE_NORMALS
+)
+
+
+def support_values(region: Region) -> tuple:
+    """Support values of a bounded region in the 12 side-normal directions.
+
+    h[e] = max over the vertices s of n_e . s, as raw integers
+    ``(hp, hq, m)``: h[e] = (hp[e] + hq[e]*s3)/m over the lcm m of the
+    vertex denominators, compared by ``pair_sign``.
+    """
+    pts = region.vertices
+    m = math.lcm(*[c.r for p in pts for c in (p.x, p.y)])
+    raw = []
+    for p in pts:
+        x, y = p.x, p.y
+        u, v = m // x.r, m // y.r
+        raw.append((x.p * u, x.q * u, y.p * v, y.q * v))
+    hp, hq = [], []
+    for ap, ta, aq, bp, tb, bq in _NORMALS:
+        best = None
+        for xp, xq, yp, yq in raw:
+            P = ap * xp + ta * xq + bp * yp + tb * yq
+            Q = ap * xq + aq * xp + bp * yq + bq * yp
+            if best is None or pair_sign(P - best[0], Q - best[1]) > 0:
+                best = P, Q
+        hp.append(best[0])
+        hq.append(best[1])
+    return tuple(hp), tuple(hq), m
+
+
+class Frame:
+    """The region ROT[l](S) + t: a rigid image of a bounded source polygon S.
+
+    The region walks of ``search`` carry their fragments as frames: a T'
+    step ``WedgeSystem.step_frame`` turns l by 6 - i and maps t, held on
+    raw integers (xp, xq, yp, yq, r) over one denominator as
+    ``WedgeSystem.raw_orbit`` holds a point, and leaves S alone.  S's
+    support values h (``support_values``) are computed once, and since
+    ROT[l] turns n_{e-l} onto n_e, the largest n_e . x over the closed
+    region is n_e . t + h[(e - l) mod 12] (``exceeds``) and the smallest
+    is n_e . t - h[(e + 6 - l) mod 12].  So placing the region against a
+    line with normal along some n_e is one sign, whatever S's size.
+    """
+
+    __slots__ = ("source", "h", "l", "t")
+
+    def __init__(self, source: Region, l: int = 0, t=(0, 0, 0, 0, 1), h=None):
+        self.source = source
+        self.h = support_values(source) if h is None else h
+        self.l = l
+        self.t = t
+
+    def exceeds(self, e: int, cp: int, cq: int, cr: int) -> int:
+        """Sign of max n_e . x over the closed region minus (cp + cq*s3)/cr.
+
+        With t = ((xp + xq*s3)/r, (yp + yq*s3)/r) and h over m, the max
+        is ((n_e . (xp + xq*s3, yp + yq*s3))*m + h[e - l]*r) / (r*m), so
+        the sign is one ``pair_sign`` of integers (r, m, cr >= 1).
+        """
+        ap, ta, aq, bp, tb, bq = _NORMALS[e]
+        xp, xq, yp, yq, r = self.t
+        hp, hq, m = self.h
+        j = (e - self.l) % NUM_SIDES
+        rm = r * m
+        return pair_sign(
+            ((ap * xp + ta * xq + bp * yp + tb * yq) * m + hp[j] * r) * cr - cp * rm,
+            ((ap * xq + aq * xp + bp * yq + bq * yp) * m + hq[j] * r) * cr - cq * rm,
+        )
+
+    def misses(self, h) -> bool:
+        """True when some n_e separates the region from a polygon with support values h.
+
+        That is: max n_e . x over the region <= min n_e . y over the
+        polygon, which is -h[e + 6], for some e; the open sets are then
+        disjoint.  False decides nothing.
+        """
+        hp, hq, m = h
+        for e in range(NUM_SIDES):
+            o = (e + 6) % NUM_SIDES
+            if self.exceeds(e, -hp[o], -hq[o], m) <= 0:
+                return True
+        return False
+
+    def map(self) -> AffMap:
+        """The isometry x -> ROT[l] x + t that takes S onto the region."""
+        rot = ROT[self.l]
+        xp, xq, yp, yq, r = self.t
+        return AffMap(
+            rot.m00,
+            rot.m01,
+            rot.m10,
+            rot.m11,
+            QS3._make(xp, xq, r),
+            QS3._make(yp, yq, r),
+            1,
+        )
+
+    def region(self) -> Region:
+        return self.source.transformed(self.map())
+
+
+def _map_raw(rows, xp, xq, yp, yq, r):
+    """Image of the raw point ((xp + xq*s3)/r, (yp + yq*s3)/r) by cleared rows.
+
+    ``rows`` are the two rows of ``AffMap._cleared``, over one m: the image
+    is over r*m, and its four numerators are divided by m when all allow
+    it, else r becomes r*m.  No QS3, Point or gcd is made.
+    """
+    row0, row1 = rows
+    a0, t0, b0, c0, u0, d0, e0, f0, m = row0
+    a1, t1, b1, c1, u1, d1, e1, f1, _ = row1
+    nxp = a0 * xp + t0 * xq + c0 * yp + u0 * yq + e0 * r
+    nxq = a0 * xq + b0 * xp + c0 * yq + d0 * yp + f0 * r
+    nyp = a1 * xp + t1 * xq + c1 * yp + u1 * yq + e1 * r
+    nyq = a1 * xq + b1 * xp + c1 * yq + d1 * yp + f1 * r
+    if m == 1:
+        return nxp, nxq, nyp, nyq, r
+    if nxp % m or nxq % m or nyp % m or nyq % m:
+        return nxp, nxq, nyp, nyq, r * m
+    return nxp // m, nxq // m, nyp // m, nyq // m, r
+
 
 class Table:
     """The 12-gon table, its exterior sectors and the billiard map T."""
 
     def __init__(self):
         self.vertices = tuple(ROT[k].apply(Point(QS3(2), ZERO)) for k in range(12))
+        for e, n in enumerate(SIDE_NORMALS):
+            assert n == self.vertices[e] + self.vertices[(e + 1) % 12]
         self.side_lines = tuple(
             Line.through(self.vertices[i], self.vertices[(i + 1) % 12])
             for i in range(12)
@@ -241,7 +378,8 @@ class WedgeSystem:
         self.translation_vec = Point(self.maps[6].tx, self.maps[6].ty)
         assert self.translation_vec == mv(3, 7) - mv(3, 1)
 
-        # raw_orbit maps a point by the two cleared rows of maps[i] over one m
+        # _map_raw (raw_orbit, step_frame) reads both cleared rows of
+        # maps[i] over one m
         for i, f in self.maps.items():
             row0, row1 = f._cleared()
             assert row0[-1] == row1[-1]
@@ -256,7 +394,24 @@ class WedgeSystem:
         # first_return_map and return_tube sign the wedge lines only at
         # their start
         assert all(self.in_closed_wedge(r) for r in self.image_alpha.values())
-        self.alpha_lines = {i: self.alpha[i].boundary_lines() for i in range(1, 7)}
+        # each split line's normal is a positive multiple of some side
+        # normal n_e, so split line k's form has the sign of n_e . x - c:
+        # over a Frame's region its max is above c when
+        # exceeds(*_upper[k]) > 0, and its min is below c when
+        # exceeds(*_lower[k]) > 0, as min n_e . x - c = -(max n_{e+6} . x + c)
+        self._upper, self._lower = [], []
+        for ln in self.split_lines:
+            normal = Point(ln.nx, ln.ny)
+            es = [
+                e
+                for e, n in enumerate(SIDE_NORMALS)
+                if n.cross_sign(normal) == 0 and n.dot(normal).sign() > 0
+            ]
+            assert len(es) == 1
+            e = es[0]
+            c = ln.c * SIDE_NORMALS[e].norm2() / SIDE_NORMALS[e].dot(normal)
+            self._upper.append((e, c.p, c.q, c.r))
+            self._lower.append(((e + 6) % NUM_SIDES, -c.p, -c.q, c.r))
         self.O = {i: self.maps[i].fixed_point() for i in range(1, 6)}
         for i in range(1, 6):
             assert self.alpha[i].classify(self.O[i]) == INTERIOR
@@ -297,54 +452,81 @@ class WedgeSystem:
             return all(clip_convex(region, ln, +1) is region for ln in self.wedge_lines)
         return vertex_position(region, self.wedge_lines) == "inside"
 
+    def _locate(self, upper, lower) -> tuple[int | None, Line | None]:
+        """The bisection of ``locate_in_wedge`` and ``locate_frame``.
+
+        ``upper(k)`` and ``lower(k)`` are the signs of the largest and the
+        smallest value of split line k's form over the closed region.
+        """
+        lines = self.split_lines
+        lo, hi = 0, len(lines)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if upper(mid) > 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == len(lines):
+            return 6, None
+        return (None, lines[lo]) if lower(lo) < 0 else (lo + 1, None)
+
     def locate_in_wedge(self, region: Region) -> tuple[int | None, Line | None]:
         """Piece i of a bounded open region as ``(i, None)``, or ``(None, line)``.
 
-        The one exact region locator, for a region known to lie in the
-        closed wedge: its callers check ``in_closed_wedge`` once, at the
-        start of a walk, and T' keeps every later region there.  The piece
-        is the first split line with a vertex strictly on its apex side (6
-        if none), unless that line also has a vertex strictly on its far
-        side and so cuts the region.  No later line can cut it: alpha_k
-        lies on the apex side of lines k..5 and on the far side of lines
-        1..k-1.  In the closed wedge the split lines are nested: a vertex
-        with sign >= 0 on line k has sign > 0 on line k+1.  So "some vertex
-        has sign > 0" holds from the first such line on, and a bisection
-        finds that line in at most three sign passes.  A region outside the
-        closed wedge gets no meaningful answer.
+        The exact region locator, for a region known to lie in the closed
+        wedge: its callers check ``in_closed_wedge`` once, at the start of
+        a walk, and T' keeps every later region there.  The piece is the
+        first split line with a vertex strictly on its apex side (6 if
+        none), unless that line also has a vertex strictly on its far side
+        and so cuts the region.  No later line can cut it: alpha_k lies on
+        the apex side of lines k..5 and on the far side of lines 1..k-1.
+        In the closed wedge the split lines are nested: a vertex with sign
+        >= 0 on line k has sign > 0 on line k+1.  So "some vertex has sign
+        > 0" holds from the first such line on, and a bisection finds that
+        line in at most three sign passes.  A region outside the closed
+        wedge gets no meaningful answer.  ``locate_frame`` is the same
+        bisection on a ``Frame``, one sign per test.
         """
         pts = region.vertices
         lines = self.split_lines
-        lo, hi, hit = 0, len(lines), None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            sides = lines[mid].signs(pts)
-            if max(sides) > 0:
-                hi, hit = mid, sides
-            else:
-                lo = mid + 1
-        if hit is None:
-            return 6, None
-        return (None, lines[lo]) if min(hit) < 0 else (lo + 1, None)
+        signs = {}
 
-    def in_piece(self, region: Region, i: int) -> bool:
-        """True when a bounded open region in the closed wedge lies in alpha_i.
+        def sides(k):
+            s = signs.get(k)
+            if s is None:
+                s = signs[k] = lines[k].signs(pts)
+            return s
 
-        Two sign passes: every vertex on the closed far side of split line
-        i-1 (for i >= 2), and on the closed apex side of split line i with
-        one strictly there (for i <= 5).  By the nesting of the split lines
-        in the closed wedge (see ``locate_in_wedge``) the other lines then
-        hold too, so the closure lies in the closed piece and the open
-        region in the open one.
+        return self._locate(lambda k: max(sides(k)), lambda k: min(sides(k)))
+
+    def locate_frame(self, frame: Frame) -> tuple[int | None, Line | None]:
+        """``locate_in_wedge`` of the frame's region, one sign per test."""
+        up, low, exceeds = self._upper, self._lower, frame.exceeds
+        return self._locate(lambda k: exceeds(*up[k]), lambda k: -exceeds(*low[k]))
+
+    def in_piece(self, frame: Frame, i: int) -> bool:
+        """True when a frame's open region, in the closed wedge, lies in alpha_i.
+
+        Two signs: the closed region on the closed far side of split line
+        i-1 (for i >= 2), and on the closed apex side of split line i (for
+        i <= 5).  By the nesting of the split lines in the closed wedge
+        (see ``locate_in_wedge``) the other lines then hold too, so the
+        closure lies in the closed piece and the open region, which has
+        positive area, in the open one.
         """
-        pts = region.vertices
-        lines = self.split_lines
-        if i >= 2 and max(lines[i - 2].signs(pts)) > 0:
+        if i >= 2 and frame.exceeds(*self._upper[i - 2]) > 0:
             return False
-        if i <= 5:
-            sides = lines[i - 1].signs(pts)
-            return min(sides) >= 0 and max(sides) > 0
-        return True
+        return i == 6 or frame.exceeds(*self._lower[i - 1]) <= 0
+
+    def step_frame(self, frame: Frame, i: int) -> Frame:
+        """The frame of T'(region) for a region in piece i: maps[i] turns
+        by 30°*(6 - i) (asserted at construction) and maps t."""
+        return Frame(
+            frame.source,
+            (frame.l + 6 - i) % NUM_SIDES,
+            _map_raw(self.maps[i]._cleared(), *frame.t),
+            frame.h,
+        )
 
     def restrict_to_piece(self, region: Region, i: int) -> Region:
         """Intersection of a convex region with the open piece alpha_i."""
@@ -377,10 +559,9 @@ class WedgeSystem:
         line k with the point on its closed apex side: in alpha_k if its
         sign is > 0, on the boundary of alpha_k if it is 0 (6 if there is
         none).  The step then applies the cleared rows of ``maps[i]``
-        (``AffMap._cleared``, both over one m): the image is over r*m, and
-        its four numerators are divided by m when all allow it, else r
-        becomes r*m.  So no step makes a QS3, a Point or a gcd.  Each yield
-        is the image and the piece of the point it came from.
+        (``_map_raw``, which ``step_frame`` shares), so no step makes a
+        QS3, a Point or a gcd.  Each yield is the image and the piece of the
+        point it came from.
 
         Raises at the first point of the orbit (p included) not in an open
         piece: DomainError when a wedge sign is < 0, else GraneError with
@@ -425,19 +606,7 @@ class WedgeSystem:
                     point=raw_point(xp, xq, yp, yq, r),
                 )
             i = lo + 1
-            row0, row1 = maps[i]._cleared()
-            a0, t0, b0, c0, u0, d0, e0, f0, m = row0
-            a1, t1, b1, c1, u1, d1, e1, f1, _ = row1
-            nxp = a0 * xp + t0 * xq + c0 * yp + u0 * yq + e0 * r
-            nxq = a0 * xq + b0 * xp + c0 * yq + d0 * yp + f0 * r
-            nyp = a1 * xp + t1 * xq + c1 * yp + u1 * yq + e1 * r
-            nyq = a1 * xq + b1 * xp + c1 * yq + d1 * yp + f1 * r
-            if m == 1:
-                xp, xq, yp, yq = nxp, nxq, nyp, nyq
-            elif nxp % m or nxq % m or nyp % m or nyq % m:
-                xp, xq, yp, yq, r = nxp, nxq, nyp, nyq, r * m
-            else:
-                xp, xq, yp, yq = nxp // m, nxq // m, nyp // m, nyq // m
+            xp, xq, yp, yq, r = _map_raw(maps[i]._cleared(), xp, xq, yp, yq, r)
             yield xp, xq, yp, yq, r, i
 
     def step(self, p: Point, forward: bool = True) -> tuple[Point, int]:

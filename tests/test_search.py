@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from dodeca.search import (
     first_return_map,
     return_tube,
 )
-from dodeca.table import ROT
+from dodeca.table import ROT, Frame
 
 
 def test_base_component_shapes(ctx):
@@ -132,7 +134,7 @@ def test_close_component_certifies_maximality(ctx, monkeypatch):
     # the centroid still turns onto itself, but no edge of it ever lies on
     # a piece boundary
     w = ctx.wedge
-    wit = ctx.witness(10**4, 8)
+    wit = ctx.witness()
     spiral = list(zip(wit.spiral, wit.spiral_tprime_periods))
     assert len(spiral) == 8
     base = [(c.region, c.period) for c in ctx.base_components().values()]
@@ -221,6 +223,87 @@ def test_itineraries_match_the_located_walk(ctx):
             assert len(piece.itinerary) == piece.return_time
     pieces = ctx.return_system("level3").pieces
     assert sum(len(p.itinerary) for p in pieces) == 76450
+
+
+def _vertex_in_piece(w, region, i):
+    """Reference for ``in_piece``: two split-line sign passes over the
+    vertices, the apex side of line i with one vertex strictly there."""
+    lines = w.split_lines
+    if i >= 2 and max(lines[i - 2].signs(region.vertices)) > 0:
+        return False
+    if i <= 5:
+        sides = lines[i - 1].signs(region.vertices)
+        return min(sides) >= 0 and max(sides) > 0
+    return True
+
+
+def _check_frame(w, frame, floor, i):
+    # the frame is the floor, and its support values place it as the
+    # floor's vertex signs do
+    assert frame.region() == floor
+    assert w.locate_frame(frame) == w.locate_in_wedge(floor) == (i, None)
+    for k in range(1, 7):
+        assert w.in_piece(frame, k) == _vertex_in_piece(w, floor, k) == (k == i)
+
+
+def test_frame_locator_matches_vertex_signs(ctx):
+    # every z14 floor, and a seeded sample of the 76,450 level-3 floors,
+    # whose frames are walked along the whole itinerary
+    w = ctx.wedge
+    for piece in ctx.return_system("z14").pieces:
+        frame, floor = Frame(piece.source), piece.source
+        for i in piece.itinerary:
+            _check_frame(w, frame, floor, i)
+            frame, floor = w.step_frame(frame, i), floor.transformed(w.maps[i])
+        assert frame.region() == floor == piece.target
+        assert frame.map() == piece.map
+    rng = random.Random(18)
+    checked = 0
+    for piece in ctx.return_system("level3").pieces:
+        sample = set(rng.sample(range(piece.return_time), min(40, piece.return_time)))
+        frame = Frame(piece.source)
+        for j, i in enumerate(piece.itinerary):
+            if j in sample:
+                _check_frame(w, frame, frame.region(), i)
+                checked += 1
+            frame = w.step_frame(frame, i)
+        assert frame.region() == piece.target and frame.map() == piece.map
+    assert checked == 8 * 40
+
+
+def test_first_return_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
+    # the level-3 walk maps 47,595 fragments as frames: it builds a region
+    # only for the 6 cuts (the frame's region and its pulled-back parts)
+    # and for the 8 returns, composes no map and inverts one per cut
+    w, domain = ctx.wedge, ctx.domain("level3")
+    want = ctx.return_system("level3")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name] += 1
+            if name == "split_region":
+                calls["parts"] += len(out)
+            if name == "overlap_status":
+                calls[out] += 1
+            return out
+
+        return wrapper
+
+    for owner, name in (
+        (AffMap, "compose"),
+        (AffMap, "inverse"),
+        (Region, "transformed"),
+        (search, "split_region"),
+        (search, "overlap_status"),
+    ):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    assert first_return_map(w, domain) == want
+    assert calls["compose"] == 0
+    assert calls["split_region"] == calls["inverse"] == 6
+    assert calls["overlap_status"] == calls["inside"] == len(want.pieces) == 8
+    assert calls["transformed"] == 6 + calls["parts"] + 8
 
 
 def test_return_tube_rejects_a_wrong_symbol(ctx):

@@ -218,7 +218,7 @@ def test_full_measure_matches_the_level3_towers(ctx, sim):
 
 
 def test_witness_fixed_point_exact(ctx, sim):
-    wit = ctx.witness(10**4, 8)
+    wit = ctx.witness()
     assert sim.gammaX.apply(wit.y) == wit.y
     assert wit.y == Point(
         QS3(Fraction(-4, 7), Fraction(6, 7)), QS3(Fraction(12, 7), Fraction(2, 7))
@@ -229,7 +229,7 @@ def test_witness_fixed_point_exact(ctx, sim):
 
 
 def test_witness_spiral_growth(ctx):
-    wit = ctx.witness(10**4, 8)
+    wit = ctx.witness()
     assert wit.spiral_tprime_periods == [1, 1, 37, 63, 20, 961, 1423, 754]
     assert wit.spiral_return_periods == [1, 1, 11, 11, 11, 297, 473, 220]
     assert all(f >= 2 for f in wit.growth_factors)
@@ -239,7 +239,7 @@ def test_witness_spiral_matches_the_component_search(ctx):
     # the search from an interior point finds each short spiral component
     # again, with the period the witness certified for it
     w = ctx.wedge
-    wit = ctx.witness(10**4, 8)
+    wit = ctx.witness()
     short = [
         (reg, n) for reg, n in zip(wit.spiral, wit.spiral_tprime_periods) if n <= 63
     ]
@@ -268,7 +268,7 @@ def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
     monkeypatch.setattr(geom, "area2_within", counted)
     # the short spiral components, against the exact overlap areas; the
     # exact-area fallbacks are the regions that reach area2_within
-    wit = ctx.witness(10**4, 8)
+    wit = ctx.witness()
     placed = fallbacks = 0
     for reg, visits in zip(wit.spiral[:5], wit.spiral_return_periods):
         comp = close_component(ctx.wedge, reg)

@@ -12,7 +12,7 @@ from dodeca.geom import (
     Point,
     Region,
 )
-from dodeca.table import ROT, build_table
+from dodeca.table import ROT, Frame, build_table
 
 
 @pytest.fixture(scope="module")
@@ -371,9 +371,12 @@ def _locate(w, region):
 
 
 def _check_in_piece(w, region, located):
-    """``w.in_piece`` holds for the piece of an ``(i, cut)`` answer of
-    ``locate_in_wedge`` alone, and for no piece when a line cuts the region."""
-    held = [k for k in range(1, 7) if w.in_piece(region, k)]
+    """On the region's frame (l = 0, t = 0), ``locate_frame`` gives the
+    ``(i, cut)`` answer of ``locate_in_wedge``, and ``w.in_piece`` holds for
+    its piece alone, and for no piece when a line cuts the region."""
+    frame = Frame(region)
+    assert w.locate_frame(frame) == tuple(located)
+    held = [k for k in range(1, 7) if w.in_piece(frame, k)]
     assert held == ([] if located[1] is not None else [located[0]])
 
 
