@@ -745,9 +745,13 @@ class Region:
             if f.det_sign > 0:
                 # invertible orientation-preserving maps keep the normal form
                 # (orientation, collinearity, ray merging) intact
-                return Region(pts, _skip_checks=True)
-            pts.reverse()
-            return Region.bounded(pts)
+                out = Region(pts, _skip_checks=True)
+            else:
+                pts.reverse()
+                out = Region.bounded(pts)
+            # an invertible affine map keeps convexity
+            out._convex = self._convex
+            return out
         e, x = f.map_points((self.entry_dir, self.exit_dir), shift=False)
         if f.det_sign > 0:
             return Region(pts, primitive_dir(e), primitive_dir(x), _skip_checks=True)
@@ -981,23 +985,39 @@ def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
         return None
 
 
-def vertex_position(region: Region, lines) -> str:
-    """Place a bounded region against the convex set where every line is >= 0.
+def cutting_lines(region: Region, lines):
+    """The lines with vertices of a bounded region strictly on both sides.
 
-    Reads only the exact signs of the region's vertices: "inside" when all
-    of them are on the closed positive side of every line, "disjoint" when
-    one line has all of them on its closed negative side, else "unknown"
-    (the region may still miss the set).
+    Reads only the exact signs of the region's vertices.  None when one
+    line has every vertex on its closed negative side, which separates the
+    region from the convex set where every line is >= 0.  A line with every
+    vertex on its closed positive side leaves the region, and so every part
+    of it, whole: clipping by the cutting lines alone gives the pieces that
+    clipping by all the lines gives, in the same order.
     """
     pts = region.vertices
-    inside = True
+    cutting = []
     for ln in lines:
         sides = ln.signs(pts)
         if max(sides) <= 0:
-            return "disjoint"
+            return None
         if min(sides) < 0:
-            inside = False
-    return "inside" if inside else "unknown"
+            cutting.append(ln)
+    return cutting
+
+
+def vertex_position(region: Region, lines) -> str:
+    """Place a bounded region against the convex set where every line is >= 0.
+
+    "inside" when every vertex is on the closed positive side of every
+    line, "disjoint" when one line has all of them on its closed negative
+    side, else "unknown" (the region may still miss the set): the answer
+    of ``cutting_lines``.
+    """
+    cutting = cutting_lines(region, lines)
+    if cutting is None:
+        return "disjoint"
+    return "unknown" if cutting else "inside"
 
 
 def intersect_convex(a: Region, b_convex: Region) -> Region | None:

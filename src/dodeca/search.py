@@ -9,7 +9,8 @@ Three layers build on the wedge map T':
   :func:`close_component` certifies a known region as such a component
   in one walk of its cycle, without the search: every edge must lie on a
   boundary line of the visited piece at some step of the cycle.  Every
-  component, found or known, carries that certificate.
+  component, found or known, carries that certificate.  The cycle is
+  walked as a frame, like the walks below.
 
 * :func:`first_return_map`: the first-return system of a polygon S: pieces
   mapped back into S by an isometry after a fixed number of T' steps, each
@@ -21,11 +22,16 @@ Three layers build on the wedge map T':
   make each split-line test, and the test that a side normal separates
   the fragment from S, one exact sign.  Regions are built only at cuts
   and for the fragments no side normal separates from S.  Each piece
-  records its T' itinerary, and :func:`return_tube` maps the source along
-  it into the piece's tower, proving every floor in its recorded piece by
-  two signs on the source's frame.  Both walks sign the wedge lines once,
-  at their start: T' maps every closed piece into the closed wedge
-  (asserted when the ``WedgeSystem`` is built).
+  records its T' itinerary, and :func:`return_tube` steps the source's
+  frame along it, proving every floor of the piece's tower in its
+  recorded piece by two signs on the frame and building the floor from
+  it.  Every region a walk builds comes from its frame (``Frame.region``):
+  S''s rotated-vertex table (``table.SourceTable``), made once per walk,
+  gives each vertex of ROT[l](S') + t by integer products and sums, and
+  each distinct coordinate of the walk is normalised once and shared by
+  every region that has it.  The walks sign the wedge lines once, at
+  their start: T' maps every closed piece into the closed wedge (asserted
+  when the ``WedgeSystem`` is built).
 
 * :func:`verify_partition`: tile the invariant rocket Z' exactly by the
   forward tubes of the return pieces of S plus the tubes of the periodic
@@ -56,10 +62,10 @@ from .geom import (
     area2_within,
     boxes_overlap,
     clip_convex,  # unused here; the benchmark's tracer wraps search.clip_convex
+    cutting_lines,
     overlap_status,
     split_convex,
     split_region,
-    vertex_position,
 )
 from .periods import period_of_h
 from .table import ROT, Frame, WedgeSystem
@@ -175,7 +181,13 @@ def close_component(
     region is signed against the wedge lines once, here: each later region
     is the image of one located in a closed piece, which T' keeps in the
     closed wedge (asserted when the ``WedgeSystem`` is built), so every
-    step is located by the split lines alone (``locate_in_wedge``).
+    step is located by the split lines alone.  The walk carries the
+    region's ``Frame``: each step is located by ``locate_frame`` and each
+    region of the cycle is built from the frame.  The cycle closes at the
+    first image equal to the region; a rigid motion that takes the region
+    onto itself fixes its centroid, so only an image whose frame fixes the
+    centroid (``Frame.fixes``, on raw integers) is compared by its
+    canonical key.
 
     Rotation certificate: ``w.maps[i]`` turns by 30°*(6 - i) (asserted
     when the ``WedgeSystem`` is built), so T'^period turns by 30°*l with
@@ -207,21 +219,23 @@ def close_component(
     key0 = region.canonical_key()
     n = len(region.vertices)
     unmarked = set(range(n))
+    fr = Frame(region)
     cur = region
     period = 0
     orbit = [region]
     while True:
-        i, cut = w.locate_in_wedge(cur)
+        i, cut = w.locate_frame(fr)
         if cut is not None:
             raise GraneError("region crosses a piece boundary")
         if unmarked:
             for ln in w.alpha[i].edge_lines():
                 on = [s == 0 for s in ln.signs(cur.vertices)]
                 unmarked = {k for k in unmarked if not (on[k] and on[(k + 1) % n])}
-        cur = cur.transformed(w.maps[i])
+        fr = w.step_frame(fr, i)
+        cur = fr.region()
         counts[i - 1] += 1
         period += 1
-        if cur.canonical_key() == key0:
+        if fr.fixes(center) and cur.canonical_key() == key0:
             break
         orbit.append(cur)
         if period > max_iter:
@@ -370,7 +384,7 @@ def first_return_map(
             )
         fr = w.step_frame(fr, i)
         node = (node, i)
-        if fr.misses(start.h):
+        if fr.misses(start.shared.h):
             pending.append((fr, node))
             continue
         image = fr.region()
@@ -410,27 +424,26 @@ def _validate_return_system(rs: ReturnSystem):
 def return_tube(w: WedgeSystem, piece: ReturnPiece):
     """Floors T'^j(source), 0 <= j < return_time: the piece's tower.
 
-    Maps along the recorded itinerary and proves each step: floor j must
-    lie in the open piece ``itinerary[j]`` (``WedgeSystem.in_piece``, two
-    signs on the ``Frame`` of the source that walks with the floors), else
-    GraneError with index j.  That test needs the floor in the closed
-    wedge: the source is checked once, and each later floor is the image of
-    a closed piece, which T' keeps in the closed wedge (asserted when the
-    ``WedgeSystem`` is built).  The last floor maps onto the target; that
-    closure is asserted.
+    Steps the source's ``Frame`` along the recorded itinerary and proves
+    each step: floor j must lie in the open piece ``itinerary[j]``
+    (``WedgeSystem.in_piece``, two signs on the frame), else GraneError
+    with index j.  That test needs the floor in the closed wedge: the
+    source is checked once, and each later floor is the image of a closed
+    piece, which T' keeps in the closed wedge (asserted when the
+    ``WedgeSystem`` is built).  Each floor is built from its frame
+    (``Frame.region``), and the region of the frame after the last step
+    must be the target; that closure is asserted.
     """
-    cur = piece.source
-    if not w.in_closed_wedge(cur):
+    if not w.in_closed_wedge(piece.source):
         raise GraneError("return source leaves the wedge")
-    fr = Frame(cur)
+    fr = Frame(piece.source)
     tube = []
     for j, i in enumerate(piece.itinerary):
         if not w.in_piece(fr, i):
             raise GraneError(f"floor {j} is not in alpha_{i}", index=j)
-        tube.append(cur)
-        cur = cur.transformed(w.maps[i])
+        tube.append(fr.region())
         fr = w.step_frame(fr, i)
-    assert cur == piece.target
+    assert fr.region() == piece.target
     return tube
 
 
@@ -515,11 +528,12 @@ class CellPool:
             cell = self.cells[cid]
             if not boxes_overlap(cell.float_bbox(), pbox):
                 continue
-            if vertex_position(cell, lines) == "disjoint":
+            cutting = cutting_lines(cell, lines)
+            if cutting is None:
                 continue
             outside = []
             work = cell
-            for ln in lines:
+            for ln in cutting:
                 if work is None:
                     break
                 work, piece = split_convex(work, ln)

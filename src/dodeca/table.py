@@ -19,8 +19,10 @@ Contents:
   rocket hexagon Z' and the 60-vertex necklace region Z.
 
 * ``Frame``: a rigid image ROT[l](S) + t of a bounded polygon S, as the
-  region walks carry their fragments, placed against any line whose
-  normal is a side normal by S's support values, one sign per line.
+  region walks carry their regions, placed against any line whose
+  normal is a side normal by S's support values, one sign per line, and
+  built as a ``Region`` from S's ``SourceTable``: the 12 rotated vertex
+  lists of S on raw integers and the coordinates the walk has normalised.
 
 The piece maps are *derived* (fold T back into the wedge) rather than
 hard-coded, and the construction asserts the expected identities, so a
@@ -70,52 +72,78 @@ _NORMALS = tuple(
 )
 
 
-def support_values(region: Region) -> tuple:
-    """Support values of a bounded region in the 12 side-normal directions.
+class SourceTable:
+    """What every rigid image ROT[l](S) + t of one bounded polygon S shares.
 
-    h[e] = max over the vertices s of n_e . s, as raw integers
-    ``(hp, hq, m)``: h[e] = (hp[e] + hq[e]*s3)/m over the lcm m of the
-    vertex denominators, compared by ``pair_sign``.
+    Built once per source S and walk:
+
+    * ``rotated[l]``: the vertices of ROT[l](S), in S's order, on raw
+      integers (xp, xq, yp, yq) over one denominator m, for the coordinates
+      ((xp + xq*s3)/m, (yp + yq*s3)/m);
+    * ``h``: S's support values in the 12 side-normal directions,
+      h[e] = max over the vertices s of n_e . s, read off the table as
+      n_0 . ROT[-e] s (ROT[e] turns n_0 onto n_e), as raw integers
+      ``(hp, hq, m)``: h[e] = (hp[e] + hq[e]*s3)/m, compared by ``pair_sign``;
+    * S's convexity and doubled area, which a rigid motion keeps;
+    * ``values``: the canonical QS3 of each raw coordinate (P, Q, D) that a
+      region of the walk has been built with, so that each distinct value
+      is normalised once and shared by every region that has it.
+
+    The rotations are ``table.ROT``'s, and the table lives as long as the
+    frames of its walk.
     """
-    pts = region.vertices
-    m = math.lcm(*[c.r for p in pts for c in (p.x, p.y)])
-    raw = []
-    for p in pts:
-        x, y = p.x, p.y
-        u, v = m // x.r, m // y.r
-        raw.append((x.p * u, x.q * u, y.p * v, y.q * v))
-    hp, hq = [], []
-    for ap, ta, aq, bp, tb, bq in _NORMALS:
-        best = None
-        for xp, xq, yp, yq in raw:
-            P = ap * xp + ta * xq + bp * yp + tb * yq
-            Q = ap * xq + aq * xp + bp * yq + bq * yp
-            if best is None or pair_sign(P - best[0], Q - best[1]) > 0:
-                best = P, Q
-        hp.append(best[0])
-        hq.append(best[1])
-    return tuple(hp), tuple(hq), m
+
+    __slots__ = ("rotated", "m", "h", "convex", "area2", "values")
+
+    def __init__(self, source: Region):
+        turned = [ROT[l].map_points(source.vertices, shift=False) for l in range(NUM_SIDES)]
+        m = math.lcm(*[c.r for pts in turned for p in pts for c in (p.x, p.y)])
+        rotated = []
+        for pts in turned:
+            raw = []
+            for p in pts:
+                x, y = p.x, p.y
+                u, v = m // x.r, m // y.r
+                raw.append((x.p * u, x.q * u, y.p * v, y.q * v))
+            rotated.append(tuple(raw))
+        self.rotated = tuple(rotated)
+        self.m = m
+        ap, ta, aq, bp, tb, bq = _NORMALS[0]
+        hp, hq = [], []
+        for e in range(NUM_SIDES):
+            best = None
+            for xp, xq, yp, yq in self.rotated[-e]:
+                P = ap * xp + ta * xq + bp * yp + tb * yq
+                Q = ap * xq + aq * xp + bp * yq + bq * yp
+                if best is None or pair_sign(P - best[0], Q - best[1]) > 0:
+                    best = P, Q
+            hp.append(best[0])
+            hq.append(best[1])
+        self.h = tuple(hp), tuple(hq), m
+        self.convex = source.is_convex()
+        self.area2 = source.area2()
+        self.values = {}
 
 
 class Frame:
     """The region ROT[l](S) + t: a rigid image of a bounded source polygon S.
 
-    The region walks of ``search`` carry their fragments as frames: a T'
+    The region walks of ``search`` carry their regions as frames: a T'
     step ``WedgeSystem.step_frame`` turns l by 6 - i and maps t, held on
     raw integers (xp, xq, yp, yq, r) over one denominator as
-    ``WedgeSystem.raw_orbit`` holds a point, and leaves S alone.  S's
-    support values h (``support_values``) are computed once, and since
-    ROT[l] turns n_{e-l} onto n_e, the largest n_e . x over the closed
-    region is n_e . t + h[(e - l) mod 12] (``exceeds``) and the smallest
-    is n_e . t - h[(e + 6 - l) mod 12].  So placing the region against a
-    line with normal along some n_e is one sign, whatever S's size.
+    ``WedgeSystem.raw_orbit`` holds a point, and leaves S alone.  Every
+    frame of S shares S's ``SourceTable``.  Since ROT[l] turns n_{e-l}
+    onto n_e, the largest n_e . x over the closed region is
+    n_e . t + h[(e - l) mod 12] (``exceeds``) and the smallest is
+    n_e . t - h[(e + 6 - l) mod 12].  So placing the region against a line
+    with normal along some n_e is one sign, whatever S's size.
     """
 
-    __slots__ = ("source", "h", "l", "t")
+    __slots__ = ("source", "shared", "l", "t")
 
-    def __init__(self, source: Region, l: int = 0, t=(0, 0, 0, 0, 1), h=None):
+    def __init__(self, source: Region, l: int = 0, t=(0, 0, 0, 0, 1), shared=None):
         self.source = source
-        self.h = support_values(source) if h is None else h
+        self.shared = SourceTable(source) if shared is None else shared
         self.l = l
         self.t = t
 
@@ -128,7 +156,7 @@ class Frame:
         """
         ap, ta, aq, bp, tb, bq = _NORMALS[e]
         xp, xq, yp, yq, r = self.t
-        hp, hq, m = self.h
+        hp, hq, m = self.shared.h
         j = (e - self.l) % NUM_SIDES
         rm = r * m
         return pair_sign(
@@ -150,6 +178,23 @@ class Frame:
                 return True
         return False
 
+    def fixes(self, p: Point) -> bool:
+        """True when the motion x -> ROT[l] x + t fixes p, decided on raw integers.
+
+        With p over c, ROT[l] p over r1 (``_map_raw`` by ROT[l]'s cleared
+        rows) and t over r, ROT[l] p + t == p is four integer equations
+        over r1*r*c.
+        """
+        cxp, _, cxq, cyp, _, cyq, _, _, c = _clear_denominators(p.x, p.y, ZERO)
+        uxp, uxq, uyp, uyq, r1 = _map_raw(ROT[self.l]._cleared(), cxp, cxq, cyp, cyq, c)
+        xp, xq, yp, yq, r = self.t
+        return (
+            (uxp * r + xp * r1) * c == cxp * r1 * r
+            and (uxq * r + xq * r1) * c == cxq * r1 * r
+            and (uyp * r + yp * r1) * c == cyp * r1 * r
+            and (uyq * r + yq * r1) * c == cyq * r1 * r
+        )
+
     def map(self) -> AffMap:
         """The isometry x -> ROT[l] x + t that takes S onto the region."""
         rot = ROT[self.l]
@@ -165,7 +210,36 @@ class Frame:
         )
 
     def region(self) -> Region:
-        return self.source.transformed(self.map())
+        """The region ROT[l](S) + t, vertex k the image of S's vertex k.
+
+        Over D = m*r, vertex k is rotated[l][k]*r + t*m: integer products
+        and sums only.  Each coordinate (P, Q, D) is looked up in the walk's
+        ``values`` and normalised by ``QS3._make`` only when the walk meets
+        it first.  The motion keeps orientation, so the region keeps S's
+        normal form, convexity and area, as ``Region.transformed`` would.
+        """
+        shared = self.shared
+        values = shared.values
+        make = QS3._make
+        xp, xq, yp, yq, r = self.t
+        m = shared.m
+        d = m * r
+        xp, xq, yp, yq = xp * m, xq * m, yp * m, yq * m
+        pts = []
+        for vxp, vxq, vyp, vyq in shared.rotated[self.l]:
+            kx = (vxp * r + xp, vxq * r + xq, d)
+            x = values.get(kx)
+            if x is None:
+                x = values[kx] = make(*kx)
+            ky = (vyp * r + yp, vyq * r + yq, d)
+            y = values.get(ky)
+            if y is None:
+                y = values[ky] = make(*ky)
+            pts.append(Point(x, y))
+        out = Region(pts, _skip_checks=True)
+        out._convex = shared.convex
+        out._area = shared.area2
+        return out
 
 
 def _map_raw(rows, xp, xq, yp, yq, r):
@@ -525,7 +599,7 @@ class WedgeSystem:
             frame.source,
             (frame.l + 6 - i) % NUM_SIDES,
             _map_raw(self.maps[i]._cleared(), *frame.t),
-            frame.h,
+            frame.shared,
         )
 
     def restrict_to_piece(self, region: Region, i: int) -> Region:

@@ -273,8 +273,9 @@ def test_frame_locator_matches_vertex_signs(ctx):
 
 def test_first_return_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
     # the level-3 walk maps 47,595 fragments as frames: it builds a region
-    # only for the 6 cuts (the frame's region and its pulled-back parts)
-    # and for the 8 returns, composes no map and inverts one per cut
+    # only for the 6 cuts (the frame's region from its frame, and its parts
+    # pulled back by ``transformed``) and for the 8 returns (from their
+    # frames), composes no map and inverts one per cut
     w, domain = ctx.wedge, ctx.domain("level3")
     want = ctx.return_system("level3")
     calls = Counter()
@@ -295,6 +296,7 @@ def test_first_return_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
         (AffMap, "compose"),
         (AffMap, "inverse"),
         (Region, "transformed"),
+        (Frame, "region"),
         (search, "split_region"),
         (search, "overlap_status"),
     ):
@@ -303,7 +305,121 @@ def test_first_return_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
     assert calls["compose"] == 0
     assert calls["split_region"] == calls["inverse"] == 6
     assert calls["overlap_status"] == calls["inside"] == len(want.pieces) == 8
-    assert calls["transformed"] == 6 + calls["parts"] + 8
+    assert calls["region"] == 6 + 8
+    assert calls["transformed"] == calls["parts"]
+
+
+def _known_components(ctx):
+    """(region, period) of the 8 spiral, 4 base and 7 + 20 partition
+    components that ``test_close_component_certifies_maximality`` certifies."""
+    wit = ctx.witness()
+    spiral = list(zip(wit.spiral, wit.spiral_tprime_periods))
+    assert len(spiral) == 8
+    base = [(c.region, c.period) for c in ctx.base_components().values()]
+    assert len(base) == 4
+    parts = [
+        (pc.component.region, pc.component.period)
+        for label in ("z4", "z14")
+        for pc in ctx.partition(label).components
+    ]
+    assert len(parts) == 7 + 20
+    return spiral, base, parts
+
+
+def _vertex_tuple(region):
+    return tuple(p.key() for p in region.vertices)
+
+
+def _reference_cycle(w, region):
+    """The region cycle walked the long way: locate each region by its
+    vertex signs, map it by ``transformed`` and stop at the first image
+    whose canonical key is the region's."""
+    orbit, cur = [region], region
+    while True:
+        i, cut = w.locate_in_wedge(cur)
+        assert cut is None
+        cur = cur.transformed(w.maps[i])
+        if cur.canonical_key() == region.canonical_key():
+            return orbit
+        orbit.append(cur)
+
+
+def test_frame_regions_match_transformed(ctx):
+    # a frame's region, built from its source's rotated-vertex table, has
+    # exactly the vertices of the source mapped by the frame's isometry, in
+    # the same order: every floor of the z4 and z14 towers, and every step
+    # of the cycle of each known component
+    w = ctx.wedge
+    for label in ("z4", "z14"):
+        for piece in ctx.return_system(label).pieces:
+            frame = Frame(piece.source)
+            tube = return_tube(w, piece)
+            for floor, i in zip(tube, piece.itinerary):
+                want = piece.source.transformed(frame.map())
+                assert _vertex_tuple(frame.region()) == _vertex_tuple(want)
+                assert _vertex_tuple(floor) == _vertex_tuple(want)
+                frame = w.step_frame(frame, i)
+            assert frame.region() == piece.target
+    # the walks' translations all have r = 1; a translation over r = 6,
+    # not in lowest terms, at every turn
+    source = ctx.domain("z4")
+    for l in range(12):
+        frame = Frame(source, l, (2, 1, 4, -2, 6))
+        want = source.transformed(frame.map())
+        assert _vertex_tuple(frame.region()) == _vertex_tuple(want)
+    spiral, base, parts = _known_components(ctx)
+    for region, period in spiral + base + parts:
+        frame = Frame(region)
+        for _ in range(period):
+            want = region.transformed(frame.map())
+            got = frame.region()
+            assert _vertex_tuple(got) == _vertex_tuple(want)
+            assert got.is_convex() == want.is_convex() and got.area2() == want.area2()
+            i, cut = w.locate_frame(frame)
+            assert cut is None
+            frame = w.step_frame(frame, i)
+        assert frame.fixes(region.centroid()) and frame.region() == region
+        orbit = close_component(w, region).orbit
+        reference = _reference_cycle(w, region)
+        assert [_vertex_tuple(r) for r in orbit] == [_vertex_tuple(r) for r in reference]
+
+
+def test_walks_build_floors_from_frames(ctx, monkeypatch):
+    # the level-3 towers build their 76,450 floors from frames: no
+    # ``transformed`` call and a QS3 normalised once per distinct raw
+    # coordinate of a tube (567,660 coordinates, 113,577 of them distinct
+    # within their tube); close_component locates a cycle by its frame
+    w = ctx.wedge
+    level3, z14 = ctx.return_system("level3"), ctx.return_system("z14")
+    spiral, _, _ = _known_components(ctx)
+    region, period = spiral[-1]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Region, "transformed", counted("transformed", Region.transformed))
+    monkeypatch.setattr(QS3, "_make", staticmethod(counted("_make", QS3._make)))
+    monkeypatch.setattr(
+        type(w), "locate_in_wedge", counted("locate_in_wedge", type(w).locate_in_wedge)
+    )
+    floors = sum(len(return_tube(w, p)) for p in level3.pieces)
+    assert floors == 76450
+    assert calls["transformed"] == 0
+    assert calls["_make"] < 120_000
+    assert close_component(w, region).period == period == 754
+    assert calls["locate_in_wedge"] == 0
+    # within one tube, equal coordinate values are one object
+    for piece in z14.pieces:
+        seen = {}
+        for floor in return_tube(w, piece):
+            for p in floor.vertices:
+                for c in (p.x, p.y):
+                    assert seen.setdefault(c.key(), c) is c
 
 
 def test_return_tube_rejects_a_wrong_symbol(ctx):
