@@ -105,6 +105,20 @@ def _clear_denominators(a: QS3, b: QS3, c: QS3) -> tuple:
     return (a.p * u, 3 * b1, b1, b.p * v, 3 * b2, b2, c.p * w, c.q * w, m)
 
 
+def clear_points(pts) -> tuple:
+    """(m, raw): the points over the lcm m of their coordinate denominators.
+
+    raw[k] = (xp, xq, yp, yq) with point k = ((xp + xq*s3)/m, (yp + yq*s3)/m).
+    """
+    m = math.lcm(*[c.r for p in pts for c in (p.x, p.y)])
+    raw = []
+    for p in pts:
+        x, y = p.x, p.y
+        u, v = m // x.r, m // y.r
+        raw.append((x.p * u, x.q * u, y.p * v, y.q * v))
+    return m, raw
+
+
 def raw_point(xp: int, xq: int, yp: int, yq: int, r: int) -> Point:
     """The point ((xp + xq*s3)/r, (yp + yq*s3)/r), r >= 1, normalised."""
     return Point(QS3._make(xp, xq, r), QS3._make(yp, yq, r))
@@ -265,6 +279,40 @@ class Line:
 
     def __repr__(self):
         return f"Line({self.nx}, {self.ny}, {self.c})"
+
+
+def integer_edge_lines(pts) -> list[Line]:
+    """``Line.through`` of each edge of a vertex cycle, as a row of integers.
+
+    Edge a -> b with d the lcm of its four coordinate denominators, and
+    a = A/d, b = B/d for pairs A, B over Z[s3]: ``Line.through``'s row
+    (a.y - b.y, b.x - a.x, b.x*a.y - b.y*a.x) times d*d is
+    (d*(A.y - B.y), d*(B.x - A.x), B.x*A.y - B.y*A.x), integers of Z[s3].
+    So nx, ny and c are canonical ``QS3`` over 1, and the cleared row ``_k``
+    is the row itself: no field operation and no gcd.  A positive multiple
+    has the same signs, and ``Line.crossing`` (homogeneous in the row and
+    normalised by ``QS3._make``) gives the same point.
+    """
+    raw, lcm = QS3._raw, math.lcm
+    n = len(pts)
+    out = []
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        ax, ay, bx, by = a.x, a.y, b.x, b.y
+        d = lcm(ax.r, ay.r, bx.r, by.r)
+        u, v = d // ax.r, d // ay.r
+        axp, axq, ayp, ayq = ax.p * u, ax.q * u, ay.p * v, ay.q * v
+        u, v = d // bx.r, d // by.r
+        bxp, bxq, byp, byq = bx.p * u, bx.q * u, by.p * v, by.q * v
+        a1, b1 = d * (ayp - byp), d * (ayq - byq)
+        a2, b2 = d * (bxp - axp), d * (bxq - axq)
+        a3 = bxp * ayp + 3 * bxq * ayq - byp * axp - 3 * byq * axq
+        b3 = bxp * ayq + bxq * ayp - byp * axq - byq * axp
+        ln = object.__new__(Line)
+        ln.nx, ln.ny, ln.c = raw(a1, b1, 1), raw(a2, b2, 1), raw(a3, b3, 1)
+        ln._k = (a1, 3 * b1, b1, a2, 3 * b2, b2, a3, b3)
+        out.append(ln)
+    return out
 
 
 class AffMap:
@@ -516,12 +564,7 @@ def _cycle_signed_area2(pts) -> QS3:
     pair, the sum of cross products is m*m times the doubled area, and one
     ``QS3._make`` normalises it.
     """
-    m = math.lcm(*[c.r for p in pts for c in (p.x, p.y)])
-    cyc = []
-    for p in pts:
-        x, y = p.x, p.y
-        u, v = m // x.r, m // y.r
-        cyc.append((x.p * u, x.q * u, y.p * v, y.q * v))
+    m, cyc = clear_points(pts)
     s0 = s1 = 0
     for (xp, xq, yp, yq), (xp2, xq2, yp2, yq2) in zip(cyc[-1:] + cyc[:-1], cyc):
         s0 += xp * yp2 - yp * xp2 + 3 * (xq * yq2 - yq * xq2)

@@ -36,7 +36,11 @@ Three layers build on the wedge map T':
 * :func:`verify_partition`: tile the invariant rocket Z' exactly by the
   forward tubes of the return pieces of S plus the tubes of the periodic
   components that never enter S, with an exact (zero-tolerance) area
-  identity, by carving the tubes out of an arrangement of convex cells.
+  identity, by carving the tubes out of an arrangement of convex cells
+  (:class:`CellPool`).  The carve runs on raw integers: each cell is
+  cleared to one denominator when it enters the pool, each tube
+  polygon's edge lines are built from its vertices' integers, and a cell
+  is signed against a line by integer sums alone.
 
 Red fractions need neither layer's towers beyond Z'_14:
 ``selfsim.visit_matrix`` counts how the Z'_14 pieces visit the Z'_4
@@ -53,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, GraneError, InconclusiveError, SelfReturnError
-from .field import QS3, ZERO
+from .field import QS3, ZERO, pair_sign
 from .geom import (
     INTERIOR,
     AffMap,
@@ -61,14 +65,15 @@ from .geom import (
     Region,
     area2_within,
     boxes_overlap,
+    clear_points,
     clip_convex,  # unused here; the benchmark's tracer wraps search.clip_convex
-    cutting_lines,
+    integer_edge_lines,
     overlap_status,
     split_convex,
     split_region,
 )
 from .periods import period_of_h
-from .table import ROT, Frame, WedgeSystem
+from .table import ROT, Frame, WedgeSystem, side_normal_index
 
 ALG1_MAX_ITER = 10**6
 ALG2_MAX_EVENTS = 10**5
@@ -197,29 +202,48 @@ def close_component(
     vertex s where the walk's last image starts.  That is the one exact
     check.
 
-    Maximality certificate: at each step the region's vertices are signed
-    against the boundary lines of its piece (``alpha[i].edge_lines()``),
-    and edge k is marked when both its endpoints lie on one of them; the
-    signing stops once every edge is marked.  T'^period turns the region about its
-    centroid and shifts its vertex labels by s, so later cycles mark edge
-    k where the first marked edge k + s: the marked set is closed under
-    that shift.  The points that share the cycle's itinerary form a convex
-    set S holding the region; at a marked step the points just across that
-    edge leave the closed piece, so S lies on the region's side of every
-    marked edge.  With every edge marked, S is the region: it is maximal.
+    Maximality certificate: at each step edge k is marked when it lies on
+    a boundary line of its piece; the marking stops once every edge is
+    marked.  Every such line is n_e . x = c with the closed piece on
+    n_e . x <= c (``w.faces[i]``, asserted when the ``WedgeSystem`` is
+    built).  The image lies in the closed piece and is convex, so edge k
+    lies on that line exactly when the edge's outward normal is n_e and
+    the image's largest n_e . x is c.  The frame's image ROT[l](U) + t of
+    the region U turns U's edge k, with outward normal n_e', to n_{e'+l},
+    and ``Frame.exceeds`` reads the largest n_e . x off U's support
+    values: one sign per face, and no vertex is signed.  T'^period turns
+    the region about its centroid and shifts its vertex labels by s, so
+    later cycles mark edge k where the first marked edge k + s: the
+    marked set is closed under that shift.  The points that share the
+    cycle's itinerary form a convex set S holding the region; at a marked
+    step the points just across that edge leave the closed piece, so S
+    lies on the region's side of every marked edge.  With every edge
+    marked, S is the region: it is maximal.
 
     Raises GraneError when the region leaves the wedge or a split line
-    cuts a region of the cycle, and InconclusiveError when the cycle does
-    not close, its rotation misplaces vertex 0 or an edge stays unmarked.
+    cuts a region of the cycle, and InconclusiveError when the region is
+    not convex, the cycle does not close, its rotation misplaces vertex 0
+    or an edge stays unmarked.
     """
     if not w.in_closed_wedge(region):
         raise GraneError("component region leaves the wedge")
+    fr = Frame(region)
+    if not fr.shared.convex:
+        raise InconclusiveError("component region is not convex")
     center = region.centroid()
     counts = [0] * 6
     key0 = region.canonical_key()
-    n = len(region.vertices)
+    pts = region.vertices
+    n = len(pts)
     unmarked = set(range(n))
-    fr = Frame(region)
+    # edge_of[e] = k: edge k's outward normal is n_e (a convex cycle has
+    # at most one such edge; an edge along no side direction is never marked)
+    edge_of = {}
+    for k in range(n):
+        d = pts[(k + 1) % n] - pts[k]
+        e = side_normal_index(Point(d.y, -d.x))
+        if e is not None:
+            edge_of[e] = k
     cur = region
     period = 0
     orbit = [region]
@@ -228,9 +252,10 @@ def close_component(
         if cut is not None:
             raise GraneError("region crosses a piece boundary")
         if unmarked:
-            for ln in w.alpha[i].edge_lines():
-                on = [s == 0 for s in ln.signs(cur.vertices)]
-                unmarked = {k for k in unmarked if not (on[k] and on[(k + 1) % n])}
+            for e, cp, cq, cr in w.faces[i]:
+                k = edge_of.get((e - fr.l) % 12)
+                if k in unmarked and fr.exceeds(e, cp, cq, cr) == 0:
+                    unmarked.discard(k)
         fr = w.step_frame(fr, i)
         cur = fr.region()
         counts[i - 1] += 1
@@ -455,13 +480,25 @@ class CellPool:
 
     Subtracting a polygon replaces each overlapping cell by its exact
     difference pieces; the removed (doubled) area is returned so callers
-    can assert that claims never overlap.  Cells are indexed by a float
+    can assert that claims never overlap.  The carve runs on raw integers:
+    a cell's vertices are cleared to one denominator once, when the cell
+    enters the pool (``clear_points``), and each convex part of a
+    subtracted polygon gets its edge lines from its vertices' integers
+    (``integer_edge_lines``), so signing a cell against a line is two
+    integer sums per vertex with no field operation.  A cell that one edge
+    line separates is left as it is; any other is split (``split_convex``)
+    by the lines that cut it, in edge order.  Cells are indexed by a float
     grid of their proven boxes (``Region.float_bbox``), so subtraction
-    touches only nearby cells and misses none; every hit is decided exactly.
-    A cell that one edge line of the polygon separates is left as it is.
+    touches only nearby cells and misses none; every hit is decided
+    exactly.  Cells are visited in the iteration order of the set of grid
+    hits, and the ids they get decide ties in ``largest_cell``.
     """
 
-    GRID = 192
+    # buckets a side over the region's box, sized to the tube polygons:
+    # on the z14 partition a cell spans 7.5 buckets on average and a part
+    # meets 15 candidate cells (86 and 7 at 192 a side, where filing the
+    # triangles of Z' and the early pieces cost more than the hits saved)
+    GRID = 48
 
     def __init__(self, region: Region):
         box = region.float_bbox()
@@ -469,6 +506,8 @@ class CellPool:
         self._sx = (box[2] - box[0]) / self.GRID or 1.0
         self._sy = (box[3] - box[1]) / self.GRID or 1.0
         self.cells = {}
+        # cell id -> (its float_bbox, m, raw) with m, raw = clear_points(vertices)
+        self._raw = {}
         self._buckets = {}
         self._next_id = 0
         for part in region.convex_parts():
@@ -481,18 +520,29 @@ class CellPool:
         gy1 = max(0, min(self.GRID - 1, int((box[3] - self._y0) / self._sy)))
         return gx0, gx1, gy0, gy1
 
+    def _candidates(self, box) -> set:
+        """Ids of the cells in the buckets that a box meets."""
+        gx0, gx1, gy0, gy1 = self._span(box)
+        out = set()
+        for gx in range(gx0, gx1 + 1):
+            for gy in range(gy0, gy1 + 1):
+                out |= self._buckets.get((gx, gy), set())
+        return out
+
     def _add(self, cell: Region):
         cid = self._next_id
         self._next_id += 1
         self.cells[cid] = cell
-        gx0, gx1, gy0, gy1 = self._span(cell.float_bbox())
+        box = cell.float_bbox()
+        self._raw[cid] = (box, *clear_points(cell.vertices))
+        gx0, gx1, gy0, gy1 = self._span(box)
         for gx in range(gx0, gx1 + 1):
             for gy in range(gy0, gy1 + 1):
                 self._buckets.setdefault((gx, gy), set()).add(cid)
 
     def _remove(self, cid: int):
-        cell = self.cells.pop(cid)
-        gx0, gx1, gy0, gy1 = self._span(cell.float_bbox())
+        del self.cells[cid]
+        gx0, gx1, gy0, gy1 = self._span(self._raw.pop(cid)[0])
         for gx in range(gx0, gx1 + 1):
             for gy in range(gy0, gy1 + 1):
                 self._buckets[(gx, gy)].discard(cid)
@@ -507,7 +557,18 @@ class CellPool:
         return len(self.cells)
 
     def largest_cell(self) -> Region:
-        return max(self.cells.values(), key=Region.area2)
+        """The first cell of largest area in pool order, as ``max`` by area2.
+
+        Areas (p + q*s3)/r are compared on their integers by ``pair_sign``,
+        with no field subtraction or gcd.
+        """
+        best = bp = bq = br = None
+        for cell in self.cells.values():
+            a = cell.area2()
+            p, q, r = a.p, a.q, a.r
+            if best is None or pair_sign(p * br - bp * r, q * br - bq * r) > 0:
+                best, bp, bq, br = cell, p, q, r
+        return best
 
     def subtract(self, poly: Region) -> QS3:
         removed = ZERO
@@ -515,24 +576,52 @@ class CellPool:
             removed = removed + self._subtract_convex(part)
         return removed
 
+    def _cutting_lines(self, cid: int, lines):
+        """``geom.cutting_lines`` of a cell, on its cleared vertices.
+
+        A vertex (xp + xq*s3, yp + yq*s3)/m signs on a line's row
+        (a1 + b1*s3, a2 + b2*s3, a3 + b3*s3) as m times the line's form:
+        a1*xp + 3*b1*xq + a2*yp + 3*b2*yq - a3*m and
+        a1*xq + b1*xp + a2*yq + b2*yp - b3*m, one ``pair_sign``.
+        """
+        _, m, raw = self._raw[cid]
+        cutting = []
+        for ln in lines:
+            a1, t1, b1, a2, t2, b2, a3, b3 = ln._k
+            c0, c1 = a3 * m, b3 * m
+            pos = neg = False
+            for xp, xq, yp, yq in raw:
+                s = pair_sign(
+                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - c0,
+                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - c1,
+                )
+                if s > 0:
+                    pos = True
+                    if neg:
+                        break
+                elif s < 0:
+                    neg = True
+                    if pos:
+                        break
+            if not pos:
+                return None
+            if neg:
+                cutting.append(ln)
+        return cutting
+
     def _subtract_convex(self, part: Region) -> QS3:
         pbox = part.float_bbox()
-        lines = part.boundary_lines()
+        lines = integer_edge_lines(part.vertices)
         removed = ZERO
-        gx0, gx1, gy0, gy1 = self._span(pbox)
-        candidates = set()
-        for gx in range(gx0, gx1 + 1):
-            for gy in range(gy0, gy1 + 1):
-                candidates |= self._buckets.get((gx, gy), set())
-        for cid in candidates:
-            cell = self.cells[cid]
-            if not boxes_overlap(cell.float_bbox(), pbox):
+        rec = self._raw
+        for cid in self._candidates(pbox):
+            if not boxes_overlap(rec[cid][0], pbox):
                 continue
-            cutting = cutting_lines(cell, lines)
+            cutting = self._cutting_lines(cid, lines)
             if cutting is None:
                 continue
             outside = []
-            work = cell
+            work = self.cells[cid]
             for ln in cutting:
                 if work is None:
                     break

@@ -31,8 +31,6 @@ successful build is itself a consistency check.
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError, GraneError, InconclusiveError
 from .field import HALF, ONE, QS3, SQRT3_HALF, ZERO, pair_sign
 from .geom import (
@@ -44,6 +42,7 @@ from .geom import (
     Point,
     Region,
     _clear_denominators,
+    clear_points,
     clip_convex,
     intersect_convex,
     primitive_dir,
@@ -72,6 +71,27 @@ _NORMALS = tuple(
 )
 
 
+def side_normal_index(v: Point) -> int | None:
+    """The e with n_e a positive multiple of the vector v, or None."""
+    for e, n in enumerate(SIDE_NORMALS):
+        if n.cross_sign(v) == 0 and n.dot(v).sign() > 0:
+            return e
+    return None
+
+
+def _side_form(ln: Line) -> tuple:
+    """(e, cp, cq, cr): ln's form is a positive multiple of n_e . x - c.
+
+    c = (cp + cq*s3)/cr.  Asserts that ln's normal is along a side normal.
+    """
+    normal = Point(ln.nx, ln.ny)
+    e = side_normal_index(normal)
+    assert e is not None, "line normal is not a side normal"
+    n = SIDE_NORMALS[e]
+    c = ln.c * n.norm2() / n.dot(normal)
+    return e, c.p, c.q, c.r
+
+
 class SourceTable:
     """What every rigid image ROT[l](S) + t of one bounded polygon S shares.
 
@@ -96,17 +116,11 @@ class SourceTable:
     __slots__ = ("rotated", "m", "h", "convex", "area2", "values")
 
     def __init__(self, source: Region):
-        turned = [ROT[l].map_points(source.vertices, shift=False) for l in range(NUM_SIDES)]
-        m = math.lcm(*[c.r for pts in turned for p in pts for c in (p.x, p.y)])
-        rotated = []
-        for pts in turned:
-            raw = []
-            for p in pts:
-                x, y = p.x, p.y
-                u, v = m // x.r, m // y.r
-                raw.append((x.p * u, x.q * u, y.p * v, y.q * v))
-            rotated.append(tuple(raw))
-        self.rotated = tuple(rotated)
+        n = len(source.vertices)
+        m, raw = clear_points(
+            [p for l in range(NUM_SIDES) for p in ROT[l].map_points(source.vertices, shift=False)]
+        )
+        self.rotated = tuple(tuple(raw[l * n : (l + 1) * n]) for l in range(NUM_SIDES))
         self.m = m
         ap, ta, aq, bp, tb, bq = _NORMALS[0]
         hp, hq = [], []
@@ -240,6 +254,12 @@ class Frame:
         out._convex = shared.convex
         out._area = shared.area2
         return out
+
+
+def _flip(form: tuple) -> tuple:
+    """The ``_side_form`` of the same line, oriented the other way: n_{e+6} = -n_e."""
+    e, cp, cq, cr = form
+    return (e + 6) % NUM_SIDES, -cp, -cq, cr
 
 
 def _map_raw(rows, xp, xq, yp, yq, r):
@@ -473,19 +493,14 @@ class WedgeSystem:
         # over a Frame's region its max is above c when
         # exceeds(*_upper[k]) > 0, and its min is below c when
         # exceeds(*_lower[k]) > 0, as min n_e . x - c = -(max n_{e+6} . x + c)
-        self._upper, self._lower = [], []
-        for ln in self.split_lines:
-            normal = Point(ln.nx, ln.ny)
-            es = [
-                e
-                for e, n in enumerate(SIDE_NORMALS)
-                if n.cross_sign(normal) == 0 and n.dot(normal).sign() > 0
-            ]
-            assert len(es) == 1
-            e = es[0]
-            c = ln.c * SIDE_NORMALS[e].norm2() / SIDE_NORMALS[e].dot(normal)
-            self._upper.append((e, c.p, c.q, c.r))
-            self._lower.append(((e + 6) % NUM_SIDES, -c.p, -c.q, c.r))
+        self._upper = [_side_form(ln) for ln in self.split_lines]
+        self._lower = [_flip(form) for form in self._upper]
+        # so is every boundary line of every piece: faces[i] holds, per line
+        # of alpha[i].edge_lines(), (e, cp, cq, cr) with the closed piece on
+        # n_e . x <= (cp + cq*s3)/cr, the line's outer side
+        self.faces = {
+            i: [_flip(_side_form(ln)) for ln in a.edge_lines()] for i, a in self.alpha.items()
+        }
         self.O = {i: self.maps[i].fixed_point() for i in range(1, 6)}
         for i in range(1, 6):
             assert self.alpha[i].classify(self.O[i]) == INTERIOR

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,8 +8,18 @@ import pytest
 
 from dodeca import search
 from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturnError
-from dodeca.field import QS3, ZERO
-from dodeca.geom import AffMap, Point, Region, area2_within
+from dodeca.field import ONE, QS3, ZERO
+from dodeca.geom import (
+    AffMap,
+    Line,
+    Point,
+    Region,
+    area2_within,
+    boxes_overlap,
+    cutting_lines,
+    integer_edge_lines,
+    split_convex,
+)
 from dodeca.periods import period_of_h
 from dodeca.search import (
     CellPool,
@@ -19,8 +30,9 @@ from dodeca.search import (
     find_periodic_component,
     first_return_map,
     return_tube,
+    verify_partition,
 )
-from dodeca.table import ROT, Frame
+from dodeca.table import ROT, SIDE_NORMALS, Frame
 
 
 def test_base_component_shapes(ctx):
@@ -542,3 +554,157 @@ def test_cell_pool_skips_separated_cells(monkeypatch):
     assert pool.subtract(poly).is_zero()
     (kept,) = pool.cells.values()
     assert kept is cell
+
+
+class _ReferencePool(CellPool):
+    """The carve on field operations, over the same grid hits in the same
+    order: ``Line.through`` edge lines and ``geom.cutting_lines`` on the
+    cells' QS3 vertices, split by ``split_convex``."""
+
+    def _subtract_convex(self, part):
+        pbox = part.float_bbox()
+        lines = part.boundary_lines()
+        removed = ZERO
+        for cid in self._candidates(pbox):
+            cell = self.cells[cid]
+            if not boxes_overlap(cell.float_bbox(), pbox):
+                continue
+            cutting = cutting_lines(cell, lines)
+            if cutting is None:
+                continue
+            work, outside = cell, []
+            for ln in cutting:
+                if work is None:
+                    break
+                work, piece = split_convex(work, ln)
+                if piece is not None:
+                    outside.append(piece)
+            if work is None:
+                continue
+            removed = removed + work.area2()
+            self._remove(cid)
+            for piece in outside:
+                self._add(piece)
+        return removed
+
+
+@pytest.fixture(scope="module")
+def z14_carve(ctx):
+    """Z' carved by both pools: the z14 green tubes, then the tubes of the
+    first ten components in discovery order."""
+    w = ctx.wedge
+    green = [pol for p in ctx.return_system("z14").pieces for pol in return_tube(w, p)]
+    red = [pol for pc in ctx.partition("z14").components[:10] for pol in pc.tube]
+    pool, ref = CellPool(w.Zp), _ReferencePool(w.Zp)
+    removed = [(pool.subtract(pol), ref.subtract(pol)) for pol in green + red]
+    return green + red, pool, ref, removed
+
+
+def test_cell_pool_carve_matches_field_reference(z14_carve):
+    polys, pool, ref, removed = z14_carve
+    # the 37 nonconvex tube polygons are carved as triangles, whose
+    # diagonals run at multiples of 30 degrees
+    assert sum(not pol.is_convex() for pol in polys) == 37
+    assert all(a == b == pol.area2() for (a, b), pol in zip(removed, polys))
+    assert list(pool.cells) == list(ref.cells)
+    assert [c.vertices for c in pool.cells.values()] == [
+        c.vertices for c in ref.cells.values()
+    ]
+    # crossing points bring coordinates over 11
+    assert any(
+        c.r % 11 == 0 for cell in pool.cells.values() for v in cell.vertices for c in (v.x, v.y)
+    )
+
+
+def test_integer_edge_lines_match_line_through(z14_carve):
+    # one edge per direction and edge denominator, from the carved parts
+    # and the cells left: the directions are the 24 multiples of 15
+    # degrees and the 4 diagonals of the triangles of Z'
+    polys, pool, _, _ = z14_carve
+    cells = list(pool.cells.values())
+    sample = {}
+    for poly in [part for pol in polys for part in pol.convex_parts()] + cells:
+        pts = poly.vertices
+        n = len(pts)
+        for i in range(n):
+            a, b = pts[i], pts[(i + 1) % n]
+            angle = math.degrees(math.atan2(float(b.y - a.y), float(b.x - a.x)))
+            key = (round(angle, 6), math.lcm(a.x.r, a.y.r, b.x.r, b.y.r))
+            sample.setdefault(key, (poly, i))
+    directions = {angle for angle, _ in sample}
+    denominators = {d for _, d in sample}
+    assert set(range(-165, 181, 15)) < directions and len(directions) == 28
+    assert {1, 2, 3} <= denominators and any(d % 11 == 0 for d in denominators)
+    crossings = 0
+    for poly, i in sample.values():
+        pts = poly.vertices
+        a, b = pts[i], pts[(i + 1) % len(pts)]
+        ln, ref = integer_edge_lines(pts)[i], Line.through(a, b)
+        assert all(c.r == 1 for c in (ln.nx, ln.ny, ln.c))
+        assert ln.canonical_key() == ref.canonical_key()
+        # the reflection of the centroid through the edge's midpoint is
+        # across the line, and the segment meets it at that midpoint
+        p = poly.centroid()
+        q = a + b - p
+        mid = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+        assert ln.signs((p, q)) == ref.signs((p, q)) == [1, -1]
+        assert ln.crossing(p, q) == ref.crossing(p, q) == mid
+        box = poly.float_bbox()
+        for cell in cells:
+            if cell is poly or not boxes_overlap(cell.float_bbox(), box):
+                continue
+            vs = cell.vertices
+            signs = ln.signs(vs)
+            assert signs == ref.signs(vs)
+            for j in range(len(vs)):
+                u, v = vs[j], vs[(j + 1) % len(vs)]
+                if signs[j] * signs[(j + 1) % len(vs)] < 0:
+                    assert ln.crossing(u, v) == ref.crossing(u, v)
+                    crossings += 1
+    assert crossings > 0
+
+
+def test_cell_pool_grid_misses_no_cell(ctx, monkeypatch):
+    # every cell whose proven box meets a part's box is a grid candidate,
+    # from the first subtraction, which meets the triangles of Z', on
+    first_near = []
+    subtract = CellPool._subtract_convex
+
+    def checked(pool, part):
+        box = part.float_bbox()
+        near = {cid for cid, c in pool.cells.items() if boxes_overlap(c.float_bbox(), box)}
+        assert near <= pool._candidates(box)
+        if not first_near:
+            first_near.append(near)
+        return subtract(pool, part)
+
+    monkeypatch.setattr(CellPool, "_subtract_convex", checked)
+    w = ctx.wedge
+    rs = ctx.return_system("z4")
+    rep = verify_partition(w, rs.domain, label="z4", return_system=rs)
+    assert rep.to_obj() == ctx.partition("z4").to_obj()
+    n_triangles = len(w.Zp.convex_parts())
+    assert n_triangles == 4
+    assert first_near[0] and first_near[0] <= set(range(n_triangles))
+
+
+def test_piece_faces_are_the_piece_lines(ctx):
+    # faces[i][j] = (e, c) puts alpha_i on n_e . x <= c, with equality on
+    # the vertices of edge line j
+    w = ctx.wedge
+    for i, piece in w.alpha.items():
+        lines = piece.edge_lines()
+        assert len(w.faces[i]) == len(lines)
+        for (e, cp, cq, cr), ln in zip(w.faces[i], lines):
+            c = QS3._make(cp, cq, cr)
+            n = SIDE_NORMALS[e]
+            for v, s in zip(piece.vertices, ln.signs(piece.vertices)):
+                assert (n.dot(v) - c).sign() == -s
+
+
+def test_close_component_rejects_a_nonconvex_region(ctx):
+    # the marks read support values, which place only a convex region
+    z4 = ctx.sim.Z4
+    assert not z4.is_convex() and ctx.wedge.in_closed_wedge(z4)
+    with pytest.raises(InconclusiveError, match="not convex"):
+        close_component(ctx.wedge, z4)
