@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import GraneError
 from .field import QS3
@@ -94,7 +95,7 @@ def constants_digest() -> str:
 
 
 def mat_vec(m, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 WEIGHTS = (1, 2, 3, 4, 5, 6)

@@ -547,12 +547,6 @@ class CellPool:
             for gy in range(gy0, gy1 + 1):
                 self._buckets[(gx, gy)].discard(cid)
 
-    def total_area2(self) -> QS3:
-        total = ZERO
-        for c in self.cells.values():
-            total = total + c.area2()
-        return total
-
     def __len__(self):
         return len(self.cells)
 

@@ -473,9 +473,9 @@ class WedgeSystem:
         assert self.translation_vec == mv(3, 7) - mv(3, 1)
 
         # _map_raw (raw_orbit, step_frame) reads both cleared rows of
-        # maps[i] over one m
-        for i, f in self.maps.items():
-            row0, row1 = f._cleared()
+        # maps[i] over one m, bound here once
+        self._rows = {i: f._cleared() for i, f in self.maps.items()}
+        for i, (row0, row1) in self._rows.items():
             assert row0[-1] == row1[-1]
             assert self.piece_index(self.alpha[i].interior_point()) == i
 
@@ -613,7 +613,7 @@ class WedgeSystem:
         return Frame(
             frame.source,
             (frame.l + 6 - i) % NUM_SIDES,
-            _map_raw(self.maps[i]._cleared(), *frame.t),
+            _map_raw(self._rows[i], *frame.t),
             frame.shared,
         )
 
@@ -640,45 +640,59 @@ class WedgeSystem:
         The one code that places a point: every forward T' step on a point,
         ``piece_index`` included, walks it.  The state is the point
         ((xp + xq*s3)/r, (yp + yq*s3)/r) over one common denominator r >= 1,
-        not normalised.  Each step signs it against the cleared wedge and
-        split lines (``Line._k``; r > 0 drops out of the sign) and finds
-        its piece i.  In the closed wedge
-        the split lines are nested (sign >= 0 on line k gives sign > 0 on
-        line k+1, asserted at construction), so a bisection finds the first
-        line k with the point on its closed apex side: in alpha_k if its
-        sign is > 0, on the boundary of alpha_k if it is 0 (6 if there is
-        none).  The step then applies the cleared rows of ``maps[i]``
-        (``_map_raw``, which ``step_frame`` shares), so no step makes a
-        QS3, a Point or a gcd.  Each yield is the image and the piece of the
-        point it came from.
+        not normalised, signed against the cleared lines (``Line._k``;
+        r > 0 drops out of the sign).  Each yield is the image and the
+        piece of the point it came from.
 
-        Raises at the first point of the orbit (p included) not in an open
-        piece: DomainError when a wedge sign is < 0, else GraneError with
-        the point, and the split line's index when it lies on one.
+        The wedge lines are signed once, for p: DomainError when a sign is
+        < 0, else GraneError with p when one is 0.  Every later point is the
+        image of a point in an open piece.  The piece maps are isometries,
+        and T' maps each closed piece into the closed wedge (asserted at
+        construction), so it maps the open piece into the open wedge, and
+        no later wedge sign can be <= 0.
+
+        In the closed wedge the split lines are nested (sign >= 0 on line k
+        gives sign > 0 on line k+1, asserted at construction): "sign >= 0
+        on line k" is monotone in k, so a bisection in any probe order
+        finds the first line k with the point on its closed apex side.  The
+        point is in alpha_k if that sign is > 0, on the boundary of alpha_k
+        if it is 0 (GraneError with the point and index k), and in alpha_6
+        if there is no such line.  The bisection probes line 4, between
+        pieces 4 and 5, first; then line 5, or lines 3, 2, 1 down to the
+        first sign < 0.  That is 4, 4, 3, 2, 2, 2 signs in pieces 1..6,
+        against 3, 3, 2, 3, 3, 2 for a balanced bisection: with a share p_i
+        of the steps in piece i, it saves p4 + p5 - (p1 + p2 + p3) signs per
+        step, and wins while pieces 4 and 5 together take more steps than
+        pieces 1-3 together.  The benchmark's point orbits do: pieces 1..6
+        take 4.3/4.4/9.7/42.2/39.3/0% of the 135,905 steps of an ``orbits``
+        round and 4.6/4.2/14.9/41.8/34.4/0% of the 5,748 of a
+        ``partition-z14`` round.
+
+        The step then applies the cleared rows of ``maps[i]``, bound at
+        construction (``_map_raw``, which ``step_frame`` shares), so no
+        step makes a QS3, a Point or a gcd.
         """
         xp, _, xq, yp, _, yq, _, _, r = _clear_denominators(p.x, p.y, ZERO)
-        wedge = [ln._k for ln in self.wedge_lines]
+        on_wedge = False
+        for ln in self.wedge_lines:
+            a1, t1, b1, a2, t2, b2, a3, b3 = ln._k
+            s = pair_sign(
+                a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
+                a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
+            )
+            if s < 0:
+                raise DomainError("point outside the wedge")
+            if s == 0:
+                on_wedge = True
+        if on_wedge:
+            raise GraneError("point on the wedge boundary", point=p)
         splits = [ln._k for ln in self.split_lines]
-        maps = self.maps
+        rows = self._rows
         n_split = len(splits)
         while True:
-            on_wedge = False
-            for a1, t1, b1, a2, t2, b2, a3, b3 in wedge:
-                s = pair_sign(
-                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
-                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
-                )
-                if s < 0:
-                    raise DomainError("point outside the wedge")
-                if s == 0:
-                    on_wedge = True
-            if on_wedge:
-                raise GraneError(
-                    "point on the wedge boundary", point=raw_point(xp, xq, yp, yq, r)
-                )
-            lo, hi, s = 0, n_split, None
+            # line 4 (index 3) first, then always the line just below hi
+            lo, hi, mid, s = 0, n_split, 3, None
             while lo < hi:
-                mid = (lo + hi) // 2
                 a1, t1, b1, a2, t2, b2, a3, b3 = splits[mid]
                 t = pair_sign(
                     a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
@@ -688,6 +702,7 @@ class WedgeSystem:
                     hi, s = mid, t
                 else:
                     lo = mid + 1
+                mid = hi - 1
             if s == 0:
                 raise GraneError(
                     "point on a piece boundary",
@@ -695,7 +710,7 @@ class WedgeSystem:
                     point=raw_point(xp, xq, yp, yq, r),
                 )
             i = lo + 1
-            xp, xq, yp, yq, r = _map_raw(maps[i]._cleared(), xp, xq, yp, yq, r)
+            xp, xq, yp, yq, r = _map_raw(rows[i], xp, xq, yp, yq, r)
             yield xp, xq, yp, yq, r, i
 
     def step(self, p: Point, forward: bool = True) -> tuple[Point, int]:
@@ -716,15 +731,6 @@ class WedgeSystem:
             if c == INTERIOR:
                 return self.inv_maps[i].apply(p), i
         raise GraneError("point on a piece-image boundary", point=p)
-
-    def step_via_billiard(self, p: Point) -> tuple[Point, int]:
-        """T' computed the long way: one step of T, then fold.
-
-        Serves as an independent oracle for the derived piece maps.
-        """
-        q, _ = self.table.step(p)
-        image, m = self.fold_into_wedge(q)
-        return image, m
 
     def itinerary(self, p: Point, n_fwd: int, n_bwd: int = 0) -> Itinerary:
         symbols = []

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from dodeca import table
 from dodeca.errors import DomainError, GraneError, InconclusiveError
-from dodeca.field import ONE, QS3, SQRT3, ZERO, qs3
+from dodeca.field import ONE, QS3, SQRT3, ZERO, pair_sign, qs3
 from dodeca.geom import (
     EXTERIOR,
     INTERIOR,
     AffMap,
     Point,
     Region,
+    raw_equals,
+    raw_point,
 )
 from dodeca.table import ROT, Frame, build_table
 
@@ -36,14 +39,14 @@ def cone_dirs(t, i):
     return a[i - 1] - a[i], a[i] - a[(i + 1) % 12]
 
 
-def zp_interior_points(w, rng, count):
-    box = w.Zp.float_bbox()
+def interior_points(region, rng, count, den=64):
+    box = region.float_bbox()
     out = []
     while len(out) < count:
-        x = Fraction(rng.randint(int(box[0] * 64), int(box[2] * 64)), 64)
-        y = Fraction(rng.randint(int(box[1] * 64), int(box[3] * 64)), 64)
+        x = Fraction(rng.randint(int(box[0] * den), int(box[2] * den)), den)
+        y = Fraction(rng.randint(int(box[1] * den), int(box[3] * den)), den)
         p = Point(QS3(x), QS3(y))
-        if w.Zp.classify(p) == INTERIOR:
+        if region.classify(p) == INTERIOR:
             out.append(p)
     return out
 
@@ -179,7 +182,8 @@ def test_piece_maps_match_billiard_fold(system):
         try:
             i = w.piece_index(p)
             direct, sym = w.step(p)
-            oracle, m = w.step_via_billiard(p)
+            # T' the long way: one step of T, then fold into the wedge
+            oracle, m = w.fold_into_wedge(w.table.step(p)[0])
         except GraneError:
             continue
         assert sym == i
@@ -243,7 +247,7 @@ def test_forward_backward_inverse(system):
 def test_invariance_of_rocket(system):
     _, w = system
     rng = random.Random(97)
-    for p in zp_interior_points(w, rng, 10**4):
+    for p in interior_points(w.Zp, rng, 10**4):
         try:
             q, _ = w.step(p)
         except GraneError:
@@ -556,6 +560,45 @@ def test_first_return_to_piece_matches_a_scanned_walk(system):
             with pytest.raises(InconclusiveError):
                 w.first_return_to_piece(p, piece, n - 1)
     assert kinds == {"return", GraneError, InconclusiveError}
+
+
+def test_raw_orbit_signs_the_wedge_once(ctx, monkeypatch):
+    """Over the 10^4 steps of the aperiodic witness's orbit, the wedge lines
+    are signed for the start point alone, and line 4 is probed first: the
+    orbit stays in pieces 4 and 5 most of the time, two signs a step there.
+    Signing both wedge lines at every step makes 4.88 signs a step."""
+    w = ctx.wedge
+    y = ctx.sim.gammaX.fixed_point()
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return pair_sign(p, q)
+
+    monkeypatch.setattr(table, "pair_sign", counted)
+    steps = sum(1 for _ in zip(range(10**4), w.raw_orbit(y)))
+    assert steps == 10**4
+    assert calls[0] < 3.0 * steps
+
+
+def test_raw_orbit_matches_a_scanned_walk_over_long_orbits(ctx):
+    """2,000 steps of ``raw_orbit`` from the witness y, 20 seeded points of
+    Z'_4 and their gamma_1 images, against a walk that signs the wedge at
+    every step (``_scan_piece_index``) and applies ``maps[i]``: equal symbols
+    and points at every step, each point in the open wedge."""
+    w, s = ctx.wedge, ctx.sim
+    z4 = interior_points(s.Z4, random.Random(47), 20, den=512)
+    starts = [s.gammaX.fixed_point(), *z4, *(s.gamma1.apply(p) for p in z4)]
+    for p in starts:
+        q = p
+        steps = 0
+        for _, (*raw, i) in zip(range(2000), w.raw_orbit(p)):
+            assert i == _scan_piece_index(w, q)
+            q = w.maps[i].apply(q)
+            assert raw_equals(q, *raw)
+            assert w.wedge.classify(raw_point(*raw)) == INTERIOR
+            steps += 1
+        assert steps == 2000
 
 
 def test_itinerary_fixed_points(system):
