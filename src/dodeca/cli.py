@@ -54,15 +54,19 @@ VERDICTS = (
 
 
 def _max_iter(args) -> int:
-    env = os.environ.get("DODECA_MAX_ITER")
-    if args.max_iter is not None:
-        return args.max_iter
-    if env:
+    """The cap from ``--max-iter``, else DODECA_MAX_ITER, else 10**6; at least 1."""
+    cap, source = args.max_iter, "--max-iter"
+    if cap is None:
+        env = os.environ.get("DODECA_MAX_ITER")
+        if not env:
+            return 10**6
         try:
-            return int(env)
+            cap, source = int(env), "DODECA_MAX_ITER"
         except ValueError:
             raise DomainError(f"bad DODECA_MAX_ITER value: {env!r}")
-    return 10**6
+    if cap < 1:
+        raise DomainError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _emit(obj, args, text_lines):

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import GraneError
+from .errors import DomainError, GraneError
 from .field import QS3
 from .geom import INTERIOR, Point
 
@@ -157,7 +157,7 @@ def enumerate_h(bound: int):
     an exact repeat test.  The enumeration is exhaustive within the bound.
     """
     if bound < 1:
-        raise ValueError("bound must be positive")
+        raise DomainError("bound must be positive")
 
     def k_loop(h6, family, index, n):
         k = 0

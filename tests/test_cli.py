@@ -233,6 +233,28 @@ def test_env_cap_override(capsys, monkeypatch):
     assert code == EXIT_USAGE and "DODECA_MAX_ITER" in err
 
 
+def test_nonpositive_counts_are_usage_errors(capsys, monkeypatch):
+    # a cap below 1, from the flag or the variable, and a --bound below 1
+    # are usage errors, not an inconclusive search or a traceback
+    monkeypatch.delenv("DODECA_MAX_ITER", raising=False)
+    for argv in (
+        ["periods", "--bound", "0"],
+        ["periods", "--bound", "-3"],
+        ["--max-iter", "0", "first-return", "--region", "z4"],
+        ["--max-iter", "-1", "periods", "--bound", "10"],
+        ["--format", "json", "--max-iter", "0", "component", "--point", "1,2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+    for env in ("0", "-1"):
+        monkeypatch.setenv("DODECA_MAX_ITER", env)
+        code, out, err = run(capsys, "first-return", "--region", "z4")
+        assert code == EXIT_USAGE and out == "" and "DODECA_MAX_ITER" in err
+    # the flag overrides the variable, and 1 is a valid cap and bound
+    code, _, _ = run(capsys, "--max-iter", "1", "periods", "--bound", "1")
+    assert code == EXIT_OK
+
+
 def test_aperiodic_command(capsys, tmp_path):
     spiral = tmp_path / "spiral.json"
     code, out, _ = run(

@@ -10,6 +10,7 @@ from dodeca import search
 from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturnError
 from dodeca.field import ONE, QS3, ZERO
 from dodeca.geom import (
+    INTERIOR,
     AffMap,
     Line,
     Point,
@@ -33,6 +34,7 @@ from dodeca.search import (
     verify_partition,
 )
 from dodeca.table import ROT, SIDE_NORMALS, Frame
+from test_table import _scan_locate
 
 
 def test_base_component_shapes(ctx):
@@ -120,6 +122,78 @@ def test_component_search_errors(ctx):
     )
     with pytest.raises(GraneError, match="wedge"):
         close_component(w, outside, 10)
+
+
+def _reference_search(w, start):
+    """The component search as a region walk: carry the wedge along the
+    orbit of ``start``, place each bounded region by ``_scan_locate``, cut
+    it down to the orbit's piece only while it is unbounded or a split line
+    cuts it, and map it by ``transformed``.  At the first repeated
+    canonical key, step on until the start point is interior and certify
+    that region.  Returns the component and the number of cuts."""
+    orbit = w.raw_orbit(start)
+    cuts = 0
+
+    def step(region):
+        nonlocal cuts
+        i = next(orbit)[-1]
+        if region.is_bounded:
+            j, cut = _scan_locate(w, region)
+            if cut is None:
+                assert j == i
+                return region.transformed(w.maps[i])
+        cuts += 1
+        return w.restrict_to_piece(region, i).transformed(w.maps[i])
+
+    region, seen = w.wedge, set()
+    while region.canonical_key() not in seen:
+        seen.add(region.canonical_key())
+        region = step(region)
+    while region.classify(start) != INTERIOR:
+        region = step(region)
+    return close_component(w, region), cuts
+
+
+def test_component_search_matches_the_region_walk(ctx, monkeypatch):
+    # the same component, vertex labels included, for every region of its
+    # cycle, and the same cuts (restrict_to_piece calls) as the region walk,
+    # from the centres of the z4 and z14 partition components, O_1..O_5
+    # and gamma_1(O_4)
+    w = ctx.wedge
+    starts = [
+        pc.component.center for label in ("z4", "z14") for pc in ctx.partition(label).components
+    ]
+    assert len(starts) == 7 + 20
+    starts += [w.O[i] for i in range(1, 6)] + [ctx.sim.gamma1.apply(w.O[4])]
+    calls = Counter()
+    restrict = type(w).restrict_to_piece
+
+    def counted(*args):
+        calls["restrict"] += 1
+        return restrict(*args)
+
+    monkeypatch.setattr(type(w), "restrict_to_piece", counted)
+    found = []
+    for p in starts:
+        want, cuts = _reference_search(w, p)
+        calls.clear()
+        got = find_periodic_component(w, p)
+        assert got.to_obj() == want.to_obj()
+        assert [_vertex_tuple(r) for r in got.orbit] == [_vertex_tuple(r) for r in want.orbit]
+        assert calls["restrict"] == cuts
+        found.append((cuts, got.period, got.rotation_l, len(got.region.vertices)))
+    # O_5: two unbounded regions and four cuts before the period-1 12-gon
+    assert found[-2] == (6, 1, 1, 12)
+
+
+def test_component_search_cap_boundary(ctx):
+    # the least cap at which the search succeeds: the step of the first
+    # repeated region
+    w = ctx.wedge
+    for p, least in ((w.O[1], 11), (w.O[5], 7), (ctx.sim.gamma1.apply(w.O[4]), 217)):
+        assert find_periodic_component(w, p, least).center == p
+        with pytest.raises(InconclusiveError):
+            find_periodic_component(w, p, least - 1)
 
 
 def _composed_rotation(w, comp):
