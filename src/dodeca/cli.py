@@ -54,7 +54,6 @@ VERDICTS = (
 
 
 def _max_iter(args) -> int:
-    """The cap from ``--max-iter``, else DODECA_MAX_ITER, else 10**6; at least 1."""
     cap, source = args.max_iter, "--max-iter"
     if cap is None:
         env = os.environ.get("DODECA_MAX_ITER")

@@ -3,14 +3,14 @@
 Three layers build on the wedge map T':
 
 * :func:`find_periodic_component`: given a periodic point, carry a region
-  through the dynamics, cutting it by the piece boundaries where they cut
-  it, until the region repeats; the result is the maximal open polygon
-  whose points share the starting point's symbol sequence.
-  :func:`close_component` certifies a known region as such a component
-  in one walk of its cycle, without the search: every edge must lie on a
-  boundary line of the visited piece at some step of the cycle.  Every
-  component, found or known, carries that certificate.  The cycle is
-  walked as a frame, like the walks below.
+  along its orbit, cutting it by the piece boundaries where they cut it,
+  until the region repeats; the result is the maximal open polygon whose
+  points share the starting point's symbol sequence.  Once bounded, the
+  region is walked as a frame, like every walk below; a cut starts a new
+  frame.  :func:`close_component` certifies a known region as such a
+  component in one walk of its cycle, without the search: every edge must
+  lie on a boundary line of the visited piece at some step of the cycle.
+  Every component, found or known, carries that certificate.
 
 * :func:`first_return_map`: the first-return system of a polygon S: pieces
   mapped back into S by an isometry after a fixed number of T' steps, each
@@ -127,13 +127,19 @@ def find_periodic_component(
 ) -> Component:
     """Periodic component containing ``start`` (which must be periodic).
 
-    Carries a region U (initially the whole wedge) along the orbit of
-    ``start``, which one ``raw_orbit`` generator follows and places.  Once
-    U is bounded, ``locate_in_wedge`` finds its piece, which must be the
-    orbit's; U is cut down to the visited piece only while it is unbounded
-    or a split line cuts it.  When U repeats exactly, it is pushed forward
-    until the starting point is interior, and ``close_component`` walks and
-    certifies its cycle.
+    One walk of at most ``max_iter`` steps carries a region U, initially
+    the wedge, along the orbit of ``start`` (one ``raw_orbit`` generator)
+    and records each step's region and symbol.  U is cut down to the
+    orbit's piece while it is unbounded, and mapped by ``transformed``.
+    Once bounded, U is carried as a ``Frame``, placed by ``locate_frame``
+    (U is the image of a closed piece, so it lies in the closed wedge) and
+    mapped by ``step_frame``; a split line that cuts U starts a new frame
+    on U cut down to the piece.  At step n the walk meets the region of
+    step j again; the start point lies in the recorded region j + k for
+    one k < n - j (a cut loses area, which T' keeps, so the cycle has none).
+    The region at n is the one at j with its vertex labels turned by the
+    cycle's rotation: its frame is stepped k times along the recorded
+    symbols, and ``close_component`` certifies the region it reaches.
 
     Raises DomainError unless ``start`` is interior to the wedge,
     GraneError when the orbit hits a piece boundary and InconclusiveError
@@ -142,39 +148,41 @@ def find_periodic_component(
     if w.wedge.classify(start) != INTERIOR:
         raise DomainError("start point must be interior to the wedge")
     orbit = w.raw_orbit(start)
-
-    def step(region):
-        # every region after the wedge is the image of a closed piece, so it
-        # lies in the closed wedge, as locate_in_wedge needs
+    region, fr = w.wedge, None
+    regions, symbols = [region], []
+    seen = {region.canonical_key(): 0}
+    for n in range(1, max_iter + 1):
         i = next(orbit)[-1]
-        if region.is_bounded:
-            j, cut = w.locate_in_wedge(region)
-            if cut is None:
-                assert j == i, "the carried region left the orbit's piece"
-                return region.transformed(w.maps[i])
-        return w.restrict_to_piece(region, i).transformed(w.maps[i])
-
-    region = w.wedge
-    seen = {region.canonical_key()}
-    for _ in range(max_iter):
-        region = step(region)
-        key = region.canonical_key()
-        if key in seen:
+        if fr is not None:
+            piece, cut = w.locate_frame(fr)
+            assert cut is not None or piece == i, "the carried region left the orbit's piece"
+        if fr is None or cut is not None:
+            region = w.restrict_to_piece(region, i)
+            fr = Frame(region) if region.is_bounded else None
+        if fr is None:
+            region = region.transformed(w.maps[i])
+        else:
+            fr = w.step_frame(fr, i)
+            region = fr.region()
+        symbols.append(i)
+        j = seen.setdefault(region.canonical_key(), n)
+        if j < n:
             break
-        seen.add(key)
+        regions.append(region)
     else:
         raise InconclusiveError(
             "no region recurrence; point may be aperiodic", iterations=max_iter
         )
-    for _ in range(max_iter):
-        if region.classify(start) == INTERIOR:
+    if fr is None:
+        raise InconclusiveError("recurrent region is unbounded")
+    for k in range(n - j):
+        if regions[j + k].classify(start) == INTERIOR:
             break
-        region = step(region)
     else:
         raise InconclusiveError("component never returned over the start point")
-    if not region.is_bounded:
-        raise InconclusiveError("recurrent region is unbounded")
-    return close_component(w, region, max_iter)
+    for i in symbols[j : j + k]:
+        fr = w.step_frame(fr, i)
+    return close_component(w, fr.region(), max_iter)
 
 
 def close_component(

@@ -71,6 +71,12 @@ _NORMALS = tuple(
 )
 
 
+# the rows of ROT[l] over 2, as ``AffMap._cleared`` gives them without the
+# translation: every entry of ROT[l] is (a + b*s3)/2
+assert all(row[-1] in (1, 2) and row[6] == row[7] == 0 for f in ROT for row in f._cleared())
+_ROT_ROWS = tuple(tuple(c * (2 // row[-1]) for row in f._cleared() for c in row[:6]) for f in ROT)
+
+
 def side_normal_index(v: Point) -> int | None:
     """The e with n_e a positive multiple of the vector v, or None."""
     for e, n in enumerate(SIDE_NORMALS):
@@ -99,7 +105,8 @@ class SourceTable:
 
     * ``rotated[l]``: the vertices of ROT[l](S), in S's order, on raw
       integers (xp, xq, yp, yq) over one denominator m, for the coordinates
-      ((xp + xq*s3)/m, (yp + yq*s3)/m);
+      ((xp + xq*s3)/m, (yp + yq*s3)/m): m is twice the denominator that
+      ``clear_points`` gives S, as every entry of ROT[l] is (a + b*s3)/2;
     * ``h``: S's support values in the 12 side-normal directions,
       h[e] = max over the vertices s of n_e . s, read off the table as
       n_0 . ROT[-e] s (ROT[e] turns n_0 onto n_e), as raw integers
@@ -116,12 +123,16 @@ class SourceTable:
     __slots__ = ("rotated", "m", "h", "convex", "area2", "values")
 
     def __init__(self, source: Region):
-        n = len(source.vertices)
-        m, raw = clear_points(
-            [p for l in range(NUM_SIDES) for p in ROT[l].map_points(source.vertices, shift=False)]
+        m, raw = clear_points(source.vertices)
+        self.m = m = 2 * m
+        self.rotated = tuple(
+            tuple(
+                (a0 * xp + t0 * xq + c0 * yp + u0 * yq, a0 * xq + b0 * xp + c0 * yq + d0 * yp,
+                 a1 * xp + t1 * xq + c1 * yp + u1 * yq, a1 * xq + b1 * xp + c1 * yq + d1 * yp)
+                for xp, xq, yp, yq in raw
+            )
+            for a0, t0, b0, c0, u0, d0, a1, t1, b1, c1, u1, d1 in _ROT_ROWS
         )
-        self.rotated = tuple(tuple(raw[l * n : (l + 1) * n]) for l in range(NUM_SIDES))
-        self.m = m
         ap, ta, aq, bp, tb, bq = _NORMALS[0]
         hp, hq = [], []
         for e in range(NUM_SIDES):
@@ -541,57 +552,34 @@ class WedgeSystem:
             return all(clip_convex(region, ln, +1) is region for ln in self.wedge_lines)
         return vertex_position(region, self.wedge_lines) == "inside"
 
-    def _locate(self, upper, lower) -> tuple[int | None, Line | None]:
-        """The bisection of ``locate_in_wedge`` and ``locate_frame``.
+    def locate_frame(self, frame: Frame) -> tuple[int | None, Line | None]:
+        """Piece i of a frame's open region as ``(i, None)``, or ``(None, line)``.
 
-        ``upper(k)`` and ``lower(k)`` are the signs of the largest and the
-        smallest value of split line k's form over the closed region.
+        The exact region locator, for a region known to lie in the closed
+        wedge: its callers check ``in_closed_wedge`` once, at the start of
+        a walk, and T' keeps every later region there.  The piece is the
+        first split line with a point of the closed region strictly on its
+        apex side (6 if none), unless that line also has a point strictly on
+        its far side and so cuts the region.  No later line can cut it:
+        alpha_k lies on the apex side of lines k..5 and on the far side of
+        lines 1..k-1.  In the closed wedge the split lines are nested: a
+        point with sign >= 0 on line k has sign > 0 on line k+1.  So "some
+        point has sign > 0" holds from the first such line on, and a
+        bisection finds that line in at most three tests, each one sign read
+        off the frame (``_upper``, ``_lower``).  A region outside the closed
+        wedge gets no meaningful answer.
         """
-        lines = self.split_lines
+        lines, upper, exceeds = self.split_lines, self._upper, frame.exceeds
         lo, hi = 0, len(lines)
         while lo < hi:
             mid = (lo + hi) // 2
-            if upper(mid) > 0:
+            if exceeds(*upper[mid]) > 0:
                 hi = mid
             else:
                 lo = mid + 1
         if lo == len(lines):
             return 6, None
-        return (None, lines[lo]) if lower(lo) < 0 else (lo + 1, None)
-
-    def locate_in_wedge(self, region: Region) -> tuple[int | None, Line | None]:
-        """Piece i of a bounded open region as ``(i, None)``, or ``(None, line)``.
-
-        The exact region locator, for a region known to lie in the closed
-        wedge: its callers check ``in_closed_wedge`` once, at the start of
-        a walk, and T' keeps every later region there.  The piece is the
-        first split line with a vertex strictly on its apex side (6 if
-        none), unless that line also has a vertex strictly on its far side
-        and so cuts the region.  No later line can cut it: alpha_k lies on
-        the apex side of lines k..5 and on the far side of lines 1..k-1.
-        In the closed wedge the split lines are nested: a vertex with sign
-        >= 0 on line k has sign > 0 on line k+1.  So "some vertex has sign
-        > 0" holds from the first such line on, and a bisection finds that
-        line in at most three sign passes.  A region outside the closed
-        wedge gets no meaningful answer.  ``locate_frame`` is the same
-        bisection on a ``Frame``, one sign per test.
-        """
-        pts = region.vertices
-        lines = self.split_lines
-        signs = {}
-
-        def sides(k):
-            s = signs.get(k)
-            if s is None:
-                s = signs[k] = lines[k].signs(pts)
-            return s
-
-        return self._locate(lambda k: max(sides(k)), lambda k: min(sides(k)))
-
-    def locate_frame(self, frame: Frame) -> tuple[int | None, Line | None]:
-        """``locate_in_wedge`` of the frame's region, one sign per test."""
-        up, low, exceeds = self._upper, self._lower, frame.exceeds
-        return self._locate(lambda k: exceeds(*up[k]), lambda k: -exceeds(*low[k]))
+        return (None, lines[lo]) if exceeds(*self._lower[lo]) > 0 else (lo + 1, None)
 
     def in_piece(self, frame: Frame, i: int) -> bool:
         """True when a frame's open region, in the closed wedge, lies in alpha_i.
@@ -599,7 +587,7 @@ class WedgeSystem:
         Two signs: the closed region on the closed far side of split line
         i-1 (for i >= 2), and on the closed apex side of split line i (for
         i <= 5).  By the nesting of the split lines in the closed wedge
-        (see ``locate_in_wedge``) the other lines then hold too, so the
+        (see ``locate_frame``) the other lines then hold too, so the
         closure lies in the closed piece and the open region, which has
         positive area, in the open one.
         """

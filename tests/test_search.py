@@ -96,7 +96,7 @@ def test_component_idempotent_and_orbit_closes(ctx):
     orbit = comp.orbit
     assert len(orbit) == 37
     assert w.in_closed_wedge(orbit[-1])
-    i, cut = w.locate_in_wedge(orbit[-1])
+    i, cut = _scan_locate(w, orbit[-1])
     assert cut is None and orbit[-1].transformed(w.maps[i]) == comp.region
     again = find_periodic_component(w, orbit[5].interior_point())
     assert again.region == orbit[5]
@@ -157,6 +157,7 @@ def _reference_search(w, start):
 def test_component_search_matches_the_region_walk(ctx, monkeypatch):
     # the same component, vertex labels included, for every region of its
     # cycle, and the same cuts (restrict_to_piece calls) as the region walk,
+    # with no bounded region mapped by ``transformed``,
     # from the centres of the z4 and z14 partition components, O_1..O_5
     # and gamma_1(O_4)
     w = ctx.wedge
@@ -166,13 +167,18 @@ def test_component_search_matches_the_region_walk(ctx, monkeypatch):
     assert len(starts) == 7 + 20
     starts += [w.O[i] for i in range(1, 6)] + [ctx.sim.gamma1.apply(w.O[4])]
     calls = Counter()
-    restrict = type(w).restrict_to_piece
+    restrict, transformed = type(w).restrict_to_piece, Region.transformed
 
-    def counted(*args):
+    def counted_restrict(*args):
         calls["restrict"] += 1
         return restrict(*args)
 
-    monkeypatch.setattr(type(w), "restrict_to_piece", counted)
+    def counted_transformed(region, f):
+        calls["bounded transformed"] += region.is_bounded
+        return transformed(region, f)
+
+    monkeypatch.setattr(type(w), "restrict_to_piece", counted_restrict)
+    monkeypatch.setattr(Region, "transformed", counted_transformed)
     found = []
     for p in starts:
         want, cuts = _reference_search(w, p)
@@ -180,7 +186,7 @@ def test_component_search_matches_the_region_walk(ctx, monkeypatch):
         got = find_periodic_component(w, p)
         assert got.to_obj() == want.to_obj()
         assert [_vertex_tuple(r) for r in got.orbit] == [_vertex_tuple(r) for r in want.orbit]
-        assert calls["restrict"] == cuts
+        assert calls["restrict"] == cuts and calls["bounded transformed"] == 0
         found.append((cuts, got.period, got.rotation_l, len(got.region.vertices)))
     # O_5: two unbounded regions and four cuts before the period-1 12-gon
     assert found[-2] == (6, 1, 1, 12)
@@ -202,7 +208,7 @@ def _composed_rotation(w, comp):
     about the centre (and that a zero turn is the identity)."""
     f = AffMap.identity()
     for reg in comp.orbit:
-        i, cut = w.locate_in_wedge(reg)
+        i, cut = _scan_locate(w, reg)
         assert cut is None
         f = w.maps[i].compose(f)
     linear = (f.m00, f.m01, f.m10, f.m11)
@@ -299,8 +305,7 @@ def test_itineraries_match_the_located_walk(ctx):
         for piece in ctx.return_system(label).pieces:
             cur, symbols = piece.source, []
             for _ in range(piece.return_time):
-                assert w.in_closed_wedge(cur)
-                i, cut = w.locate_in_wedge(cur)
+                i, cut = _scan_locate(w, cur)
                 assert cut is None
                 symbols.append(i)
                 cur = cur.transformed(w.maps[i])
@@ -327,7 +332,7 @@ def _check_frame(w, frame, floor, i):
     # the frame is the floor, and its support values place it as the
     # floor's vertex signs do
     assert frame.region() == floor
-    assert w.locate_frame(frame) == w.locate_in_wedge(floor) == (i, None)
+    assert w.locate_frame(frame) == _scan_locate(w, floor) == (i, None)
     for k in range(1, 7):
         assert w.in_piece(frame, k) == _vertex_in_piece(w, floor, k) == (k == i)
 
@@ -422,7 +427,7 @@ def _reference_cycle(w, region):
     whose canonical key is the region's."""
     orbit, cur = [region], region
     while True:
-        i, cut = w.locate_in_wedge(cur)
+        i, cut = _scan_locate(w, cur)
         assert cut is None
         cur = cur.transformed(w.maps[i])
         if cur.canonical_key() == region.canonical_key():
@@ -474,7 +479,7 @@ def test_walks_build_floors_from_frames(ctx, monkeypatch):
     # the level-3 towers build their 76,450 floors from frames: no
     # ``transformed`` call and a QS3 normalised once per distinct raw
     # coordinate of a tube (567,660 coordinates, 113,577 of them distinct
-    # within their tube); close_component locates a cycle by its frame
+    # within their tube); close_component walks a cycle as frames
     w = ctx.wedge
     level3, z14 = ctx.return_system("level3"), ctx.return_system("z14")
     spiral, _, _ = _known_components(ctx)
@@ -490,15 +495,12 @@ def test_walks_build_floors_from_frames(ctx, monkeypatch):
 
     monkeypatch.setattr(Region, "transformed", counted("transformed", Region.transformed))
     monkeypatch.setattr(QS3, "_make", staticmethod(counted("_make", QS3._make)))
-    monkeypatch.setattr(
-        type(w), "locate_in_wedge", counted("locate_in_wedge", type(w).locate_in_wedge)
-    )
     floors = sum(len(return_tube(w, p)) for p in level3.pieces)
     assert floors == 76450
     assert calls["transformed"] == 0
     assert calls["_make"] < 120_000
     assert close_component(w, region).period == period == 754
-    assert calls["locate_in_wedge"] == 0
+    assert calls["transformed"] == 0
     # within one tube, equal coordinate values are one object
     for piece in z14.pieces:
         seen = {}

@@ -32,6 +32,7 @@ from dodeca.selfsim import (
     verify_conjugacy,
     visit_matrix,
 )
+from dodeca.table import Frame
 
 
 def test_contraction_ratios_exact(ctx):
@@ -101,7 +102,7 @@ def test_y2_really_is_the_double_preimage(ctx, sim):
     cur = y2
     for _ in range(2):
         assert w.in_closed_wedge(cur)
-        i, cut = w.locate_in_wedge(cur)
+        i, cut = w.locate_frame(Frame(cur))
         assert cut is None
         cur = cur.transformed(w.maps[i])
     assert cur == sim.g1w4.region

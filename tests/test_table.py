@@ -288,11 +288,11 @@ def test_piece_errors(system):
         w.piece_index(Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2))
 
 
-def test_locate_in_wedge_regions(system):
+def test_locate_frame_regions(system):
     _, w = system
     for i in range(1, 5):
         assert w.in_closed_wedge(w.alpha[i])
-        assert w.locate_in_wedge(w.alpha[i]) == (i, None)
+        assert w.locate_frame(Frame(w.alpha[i])) == (i, None)
     eps = Fraction(1, 64)
 
     def tri(c):
@@ -301,10 +301,10 @@ def test_locate_in_wedge_regions(system):
 
     for i, c in ((5, w.O[5]), (6, w.Q[6] + w.dir_p + w.dir_q)):
         assert w.in_closed_wedge(tri(c))
-        assert w.locate_in_wedge(tri(c)) == (i, None)
+        assert w.locate_frame(Frame(tri(c))) == (i, None)
 
 
-def test_locate_in_wedge_errors(system):
+def test_locate_frame_errors(system):
     _, w = system
     eps = Fraction(1, 64)
     mid = Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2)
@@ -312,7 +312,7 @@ def test_locate_in_wedge_errors(system):
     across = Region.bounded([mid + v.scaled(eps) for v in d])
     # across the P2-Q2 boundary of alpha_1 and alpha_2
     assert w.in_closed_wedge(across)
-    i, cut = w.locate_in_wedge(across)
+    i, cut = w.locate_frame(Frame(across))
     assert i is None and cut is w.split_lines[0]
     outside = Region.bounded(
         [w.O[1], w.O[1] + w.dir_p.scaled(eps), w.apex - w.bisector_dir.scaled(eps)]
@@ -356,7 +356,8 @@ def _scan_piece_index(w, p):
 
 
 def _scan_locate(w, region):
-    """in_closed_wedge, then locate_in_wedge, by linear scans on field signs."""
+    """in_closed_wedge, then locate_frame, by linear scans of the vertices'
+    field signs."""
     pts = region.vertices
     if any(ln.eval(p).sign() < 0 for ln in w.wedge_lines for p in pts):
         raise GraneError("region leaves the wedge")
@@ -368,18 +369,17 @@ def _scan_locate(w, region):
 
 
 def _locate(w, region):
-    """What ``_scan_locate`` checks: in_closed_wedge, then locate_in_wedge."""
+    """What ``_scan_locate`` checks: in_closed_wedge, then locate_frame on
+    the region's frame (l = 0, t = 0)."""
     if not w.in_closed_wedge(region):
         raise GraneError("region leaves the wedge")
-    return w.locate_in_wedge(region)
+    return w.locate_frame(Frame(region))
 
 
 def _check_in_piece(w, region, located):
-    """On the region's frame (l = 0, t = 0), ``locate_frame`` gives the
-    ``(i, cut)`` answer of ``locate_in_wedge``, and ``w.in_piece`` holds for
-    its piece alone, and for no piece when a line cuts the region."""
+    """``w.in_piece`` holds for the located piece alone, and for no piece
+    when a line cuts the region."""
     frame = Frame(region)
-    assert w.locate_frame(frame) == tuple(located)
     held = [k for k in range(1, 7) if w.in_piece(frame, k)]
     assert held == ([] if located[1] is not None else [located[0]])
 
