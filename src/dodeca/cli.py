@@ -124,6 +124,10 @@ def cmd_build(args, ctx) -> int:
 
 
 def cmd_orbit(args, ctx) -> int:
+    if args.steps < 0 or args.backward < 0:
+        raise _Usage(
+            f"--steps and --backward must be at least 0, got {args.steps}, {args.backward}"
+        )
     p = _parse_point(args.point)
     q = p
     if args.map == "T":

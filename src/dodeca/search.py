@@ -6,11 +6,16 @@ Three layers build on the wedge map T':
   along its orbit, cutting it by the piece boundaries where they cut it,
   until the region repeats; the result is the maximal open polygon whose
   points share the starting point's symbol sequence.  Once bounded, the
-  region is walked as a frame, like every walk below; a cut starts a new
-  frame.  :func:`close_component` certifies a known region as such a
-  component in one walk of its cycle, without the search: every edge must
-  lie on a boundary line of the visited piece at some step of the cycle.
-  Every component, found or known, carries that certificate.
+  region is walked as a frame, like every walk below; the image of a cut
+  starts a new frame.  The search keeps no history: the first repeat is
+  always the region just after the last cut (a cut loses area, which T'
+  keeps, and T' is injective on the open pieces), and the start point lies
+  in the regions whose step the period divides (the regions of one cycle
+  are disjoint maximal itinerary sets).  :func:`close_component`
+  certifies a known region as such a component in one walk of its cycle,
+  without the search: every edge must lie on a boundary line of the
+  visited piece at some step of the cycle.  Every component, found or
+  known, carries that certificate.
 
 * :func:`first_return_map`: the first-return system of a polygon S: pieces
   mapped back into S by an isometry after a fixed number of T' steps, each
@@ -128,18 +133,32 @@ def find_periodic_component(
     """Periodic component containing ``start`` (which must be periodic).
 
     One walk of at most ``max_iter`` steps carries a region U, initially
-    the wedge, along the orbit of ``start`` (one ``raw_orbit`` generator)
-    and records each step's region and symbol.  U is cut down to the
-    orbit's piece while it is unbounded, and mapped by ``transformed``.
-    Once bounded, U is carried as a ``Frame``, placed by ``locate_frame``
-    (U is the image of a closed piece, so it lies in the closed wedge) and
-    mapped by ``step_frame``; a split line that cuts U starts a new frame
-    on U cut down to the piece.  At step n the walk meets the region of
-    step j again; the start point lies in the recorded region j + k for
-    one k < n - j (a cut loses area, which T' keeps, so the cycle has none).
-    The region at n is the one at j with its vertex labels turned by the
-    cycle's rotation: its frame is stepped k times along the recorded
-    symbols, and ``close_component`` certifies the region it reaches.
+    the wedge, along the orbit of ``start`` (one ``raw_orbit`` generator).
+    U is cut down to the orbit's piece while it is unbounded, and mapped by
+    ``transformed``.  Once bounded, U is carried as a ``Frame``, placed by
+    ``locate_frame`` (U is the image of a closed piece, so it lies in the
+    closed wedge) and mapped by ``step_frame``.  A split line that cuts U
+    cuts it down to the piece, and the image of the cut, the region of
+    that step c, becomes the frame's source.  The walk keeps no other
+    region: it stops at the first step n whose region is the one of step c.
+
+    That is the walk's first repeat.  A cut loses area and T' keeps it, so
+    no region before c can come back after c.  T' is injective on the open
+    pieces, so a repeat at n of a region j > c would be one at n - 1 of
+    j - 1.  The repeat is found as ``close_component`` closes a cycle: a
+    rigid motion of the region onto itself fixes its centroid, so only a
+    frame that fixes the centroid (``Frame.fixes``) is compared by its
+    canonical key.  A region is built only at a cut, at such a centroid
+    return and once at the end.
+
+    The start point lies in region m >= c exactly when the period
+    P = n - c divides m.  From c on, region m is T'^m of the start's
+    component R (the points that share its whole itinerary), and R holds
+    the start.  Two regions of one cycle are maximal itinerary sets, so
+    they meet only when equal, which takes P | m.  So the frame is stepped
+    (-c) mod P more times along the orbit's symbols, and
+    ``close_component`` certifies the region it reaches, with the vertex
+    labels the walk gives it.
 
     Raises DomainError unless ``start`` is interior to the wedge,
     GraneError when the orbit hits a piece boundary and InconclusiveError
@@ -149,40 +168,32 @@ def find_periodic_component(
         raise DomainError("start point must be interior to the wedge")
     orbit = w.raw_orbit(start)
     region, fr = w.wedge, None
-    regions, symbols = [region], []
-    seen = {region.canonical_key(): 0}
     for n in range(1, max_iter + 1):
         i = next(orbit)[-1]
         if fr is not None:
             piece, cut = w.locate_frame(fr)
-            assert cut is not None or piece == i, "the carried region left the orbit's piece"
-        if fr is None or cut is not None:
-            region = w.restrict_to_piece(region, i)
-            fr = Frame(region) if region.is_bounded else None
-        if fr is None:
-            region = region.transformed(w.maps[i])
-        else:
-            fr = w.step_frame(fr, i)
+            if cut is None:
+                assert piece == i, "the carried region left the orbit's piece"
+                fr = w.step_frame(fr, i)
+                if fr.fixes(center) and fr.region().canonical_key() == key:
+                    break
+                continue
             region = fr.region()
-        symbols.append(i)
-        j = seen.setdefault(region.canonical_key(), n)
-        if j < n:
-            break
-        regions.append(region)
+        region = w.restrict_to_piece(region, i)
+        if region.is_bounded:
+            region = w.step_frame(Frame(region), i).region()
+            fr, c, center, key = Frame(region), n, region.centroid(), region.canonical_key()
+        else:
+            region = region.transformed(w.maps[i])
     else:
         raise InconclusiveError(
             "no region recurrence; point may be aperiodic", iterations=max_iter
         )
-    if fr is None:
-        raise InconclusiveError("recurrent region is unbounded")
-    for k in range(n - j):
-        if regions[j + k].classify(start) == INTERIOR:
-            break
-    else:
-        raise InconclusiveError("component never returned over the start point")
-    for i in symbols[j : j + k]:
-        fr = w.step_frame(fr, i)
-    return close_component(w, fr.region(), max_iter)
+    for _ in range(-c % (n - c)):
+        fr = w.step_frame(fr, next(orbit)[-1])
+    region = fr.region()
+    assert region.classify(start) == INTERIOR, "the component does not hold the start point"
+    return close_component(w, region, max_iter)
 
 
 def close_component(

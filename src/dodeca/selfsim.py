@@ -370,7 +370,14 @@ def aperiodic_witness(
     period exceed 2^depth.  Each spiral region is known (Y_n+3 is
     gamma_X(Y_n)), so ``close_component`` certifies it as a maximal
     periodic component in one walk of its cycle, with no search.
+
+    Raises DomainError when steps < 1, depth < 0 or verify_spiral < 0.
     """
+    if steps < 1 or depth < 0 or verify_spiral < 0:
+        raise DomainError(
+            "need steps >= 1, depth >= 0 and verify_spiral >= 0, "
+            f"got {steps}, {depth}, {verify_spiral}"
+        )
     gx = s.gammaX
     # strict contraction needed for a unique fixed point
     if (gx.m00 * gx.m00 + gx.m10 * gx.m10 - ONE).sign() >= 0:

@@ -243,6 +243,14 @@ def test_nonpositive_counts_are_usage_errors(capsys, monkeypatch):
         ["--max-iter", "0", "first-return", "--region", "z4"],
         ["--max-iter", "-1", "periods", "--bound", "10"],
         ["--format", "json", "--max-iter", "0", "component", "--point", "1,2"],
+        # no aperiodic check of fewer than 1 step, or of a negative depth or
+        # spiral count, and no orbit of a negative length
+        ["aperiodic", "--steps", "10", "--depth", "-1", "--verify-spiral", "-2"],
+        ["aperiodic", "--steps", "0"],
+        ["aperiodic", "--steps", "10", "--verify-spiral", "-1"],
+        ["orbit", "--point", "1,2", "--steps", "-3", "--backward", "-2"],
+        ["--format", "json", "orbit", "--point", "1,2", "--backward", "-1"],
+        ["orbit", "--point", "1,2", "--map", "T", "--steps", "-1"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
@@ -253,6 +261,14 @@ def test_nonpositive_counts_are_usage_errors(capsys, monkeypatch):
     # the flag overrides the variable, and 1 is a valid cap and bound
     code, _, _ = run(capsys, "--max-iter", "1", "periods", "--bound", "1")
     assert code == EXIT_OK
+    # the least valid counts
+    monkeypatch.delenv("DODECA_MAX_ITER")
+    code, out, _ = run(
+        capsys, "aperiodic", "--steps", "1", "--depth", "0", "--verify-spiral", "0"
+    )
+    assert code == EXIT_OK and "period lower bound 1" in out
+    code, out, _ = run(capsys, "orbit", "--point", "1,2", "--steps", "0")
+    assert code == EXIT_OK and "itinerary ." in out
 
 
 def test_aperiodic_command(capsys, tmp_path):

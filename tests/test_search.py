@@ -130,12 +130,16 @@ def _reference_search(w, start):
     it down to the orbit's piece only while it is unbounded or a split line
     cuts it, and map it by ``transformed``.  At the first repeated
     canonical key, step on until the start point is interior and certify
-    that region.  Returns the component and the number of cuts."""
+    that region.  Step n carries T'^n of the points that share the start's
+    first n symbols.  Returns the component, the number of cuts, the step
+    of the last cut, the step of the region that repeats, the step of its
+    repeat and the step of the certified region."""
     orbit = w.raw_orbit(start)
-    cuts = 0
+    cuts = last_cut = n = 0
 
     def step(region):
-        nonlocal cuts
+        nonlocal cuts, last_cut, n
+        n += 1
         i = next(orbit)[-1]
         if region.is_bounded:
             j, cut = _scan_locate(w, region)
@@ -143,15 +147,28 @@ def _reference_search(w, start):
                 assert j == i
                 return region.transformed(w.maps[i])
         cuts += 1
+        last_cut = n
         return w.restrict_to_piece(region, i).transformed(w.maps[i])
 
-    region, seen = w.wedge, set()
+    region, seen = w.wedge, {}
     while region.canonical_key() not in seen:
-        seen.add(region.canonical_key())
+        seen[region.canonical_key()] = n
         region = step(region)
+    repeated, repeat = seen[region.canonical_key()], n
     while region.classify(start) != INTERIOR:
         region = step(region)
-    return close_component(w, region), cuts
+    return close_component(w, region), cuts, last_cut, repeated, repeat, n
+
+
+def _reference_starts(ctx):
+    """The centres of the z4 and z14 partition components, O_1..O_5 and
+    gamma_1(O_4)."""
+    w = ctx.wedge
+    starts = [
+        pc.component.center for label in ("z4", "z14") for pc in ctx.partition(label).components
+    ]
+    assert len(starts) == 7 + 20
+    return starts + [w.O[i] for i in range(1, 6)] + [ctx.sim.gamma1.apply(w.O[4])]
 
 
 def test_component_search_matches_the_region_walk(ctx, monkeypatch):
@@ -159,13 +176,11 @@ def test_component_search_matches_the_region_walk(ctx, monkeypatch):
     # cycle, and the same cuts (restrict_to_piece calls) as the region walk,
     # with no bounded region mapped by ``transformed``,
     # from the centres of the z4 and z14 partition components, O_1..O_5
-    # and gamma_1(O_4)
+    # and gamma_1(O_4).  In the region walk the region that repeats is the
+    # one just after the last cut, and it repeats one period later; the
+    # certified region's step is a multiple of the period
     w = ctx.wedge
-    starts = [
-        pc.component.center for label in ("z4", "z14") for pc in ctx.partition(label).components
-    ]
-    assert len(starts) == 7 + 20
-    starts += [w.O[i] for i in range(1, 6)] + [ctx.sim.gamma1.apply(w.O[4])]
+    starts = _reference_starts(ctx)
     calls = Counter()
     restrict, transformed = type(w).restrict_to_piece, Region.transformed
 
@@ -181,7 +196,9 @@ def test_component_search_matches_the_region_walk(ctx, monkeypatch):
     monkeypatch.setattr(Region, "transformed", counted_transformed)
     found = []
     for p in starts:
-        want, cuts = _reference_search(w, p)
+        want, cuts, last_cut, repeated, repeat, final = _reference_search(w, p)
+        assert repeated == last_cut and repeat == last_cut + want.period
+        assert final % want.period == 0 and repeat <= final < repeat + want.period
         calls.clear()
         got = find_periodic_component(w, p)
         assert got.to_obj() == want.to_obj()
@@ -190,6 +207,51 @@ def test_component_search_matches_the_region_walk(ctx, monkeypatch):
         found.append((cuts, got.period, got.rotation_l, len(got.region.vertices)))
     # O_5: two unbounded regions and four cuts before the period-1 12-gon
     assert found[-2] == (6, 1, 1, 12)
+
+
+def test_component_search_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
+    # from the 33 reference starts, the search itself (``close_component``'s
+    # walk aside) builds regions from frames only at a cut (the region to
+    # cut and the image of the cut), where a frame fixes the centroid of
+    # the region after the last cut, and once at the end; it keys only the
+    # images of cuts and the regions of centroid returns
+    w = ctx.wedge
+    calls = Counter()
+    counting = True
+
+    def counted(name, fn, tally=lambda out: True):
+        def wrapper(*args):
+            out = fn(*args)
+            if counting and tally(out):
+                calls[name] += 1
+            return out
+
+        return wrapper
+
+    def uncounted_close_component(*args):
+        nonlocal counting
+        counting = False
+        try:
+            return close_component(*args)
+        finally:
+            counting = True
+
+    for owner, name in (
+        (Frame, "region"),
+        (Region, "canonical_key"),
+        (type(w), "restrict_to_piece"),
+    ):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    # only the fixes that answer True are centroid returns
+    monkeypatch.setattr(Frame, "fixes", counted("fixes", Frame.fixes, bool))
+    monkeypatch.setattr(search, "close_component", uncounted_close_component)
+    for p in _reference_starts(ctx):
+        calls.clear()
+        comp = find_periodic_component(w, p)
+        cuts, returns = calls["restrict_to_piece"], calls["fixes"]
+        assert calls["region"] <= 2 * cuts + returns + 1
+        assert calls["canonical_key"] <= cuts + returns and returns >= 1
+        assert comp.region.classify(p) == INTERIOR
 
 
 def test_component_search_cap_boundary(ctx):
