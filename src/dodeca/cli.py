@@ -16,6 +16,7 @@ objects.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -96,6 +97,14 @@ def _domain(ctx, name):
             return region_from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         raise _Usage(f"cannot read region file {name!r}: {exc!r}")
+
+
+def _open_out(name, mode="w"):
+    """An output file opened for writing, else a usage error."""
+    try:
+        return open(name, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise _Usage(f"cannot write {name!r}: {exc!r}")
 
 
 def cmd_build(args, ctx) -> int:
@@ -242,7 +251,7 @@ def cmd_aperiodic(args, ctx) -> int:
             "y": obj["y"],
             "regions": [region_to_obj(reg) for reg in wit.spiral],
         }
-        with open(args.emit_spiral, "w", encoding="utf-8") as fh:
+        with _open_out(args.emit_spiral) as fh:
             json.dump(spiral_obj, fh, indent=2, sort_keys=True)
     _emit(
         obj,
@@ -262,7 +271,7 @@ def cmd_periods(args, ctx) -> int:
     obj = pset.to_obj(witnesses=args.witnesses)
     obj["seed"] = args.seed
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _open_out(args.json) as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
         _emit(
             {"wrote": args.json, "n_periods": len(pset.periods), "seed": args.seed},
@@ -290,7 +299,7 @@ def cmd_render(args, ctx) -> int:
     else:
         raise _Usage(f"unknown figure {args.what!r}")
     data = render_svg(scene)
-    with open(args.out, "wb") as fh:
+    with _open_out(args.out, "wb") as fh:
         fh.write(data)
     _emit(
         {"what": args.what, "wrote": args.out, "bytes": len(data), "seed": args.seed},
@@ -333,12 +342,14 @@ def cmd_verify(args, ctx) -> int:
         if args.format == "text":
             print(line, flush=True)
 
-    results = run_checks(names, ctx, progress=progress)
-    ok = sum(1 for r in results if r.ok)
-    obj = {"seed": args.seed, "results": [r.to_obj() for r in results]}
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    # the file is opened before the battery runs, so a path that cannot be
+    # written fails at once, not after every check
+    with _open_out(args.json) if args.json else contextlib.nullcontext() as fh:
+        results = run_checks(names, ctx, progress=progress)
+        obj = {"seed": args.seed, "results": [r.to_obj() for r in results]}
+        if fh is not None:
             json.dump(obj, fh, indent=2)
+    ok = sum(1 for r in results if r.ok)
     _emit({**obj, "passed": ok}, args, [f"{ok}/{len(results)} checks passed (seed={args.seed})"])
     if failed:
         return EXIT_FAIL

@@ -58,7 +58,9 @@ field without spurious halving.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import DomainError, GraneError, InconclusiveError, SelfReturnError
@@ -138,18 +140,20 @@ def find_periodic_component(
     ``transformed``.  Once bounded, U is carried as a ``Frame``, placed by
     ``locate_frame`` (U is the image of a closed piece, so it lies in the
     closed wedge) and mapped by ``step_frame``.  A split line that cuts U
-    cuts it down to the piece, and the image of the cut, the region of
-    that step c, becomes the frame's source.  The walk keeps no other
-    region: it stops at the first step n whose region is the one of step c.
+    cuts it down to the piece, and the cut becomes the frame's source: the
+    frame of that step c is its image, and the walk keeps no other region.
+    It stops at the first step n whose region is the one of step c.
 
     That is the walk's first repeat.  A cut loses area and T' keeps it, so
     no region before c can come back after c.  T' is injective on the open
     pieces, so a repeat at n of a region j > c would be one at n - 1 of
     j - 1.  The repeat is found as ``close_component`` closes a cycle: a
-    rigid motion of the region onto itself fixes its centroid, so only a
-    frame that fixes the centroid (``Frame.fixes``) is compared by its
-    canonical key.  A region is built only at a cut, at such a centroid
-    return and once at the end.
+    rigid motion keeps centroids, so regions n and c can be equal only
+    when frame n sends the cut's centroid to the stored centroid of
+    region c (``Frame.sends``, on raw integers), and only then are they
+    compared by canonical key.  So each cut makes one ``SourceTable`` and
+    one centroid, and a region is built only at a cut (the region to cut
+    and region c), at such a centroid return and once at the end.
 
     The start point lies in region m >= c exactly when the period
     P = n - c divides m.  From c on, region m is T'^m of the start's
@@ -175,14 +179,14 @@ def find_periodic_component(
             if cut is None:
                 assert piece == i, "the carried region left the orbit's piece"
                 fr = w.step_frame(fr, i)
-                if fr.fixes(center) and fr.region().canonical_key() == key:
+                if fr.sends(g, center) and fr.region().canonical_key() == key:
                     break
                 continue
             region = fr.region()
         region = w.restrict_to_piece(region, i)
         if region.is_bounded:
-            region = w.step_frame(Frame(region), i).region()
-            fr, c, center, key = Frame(region), n, region.centroid(), region.canonical_key()
+            fr, c, g = w.step_frame(Frame(region), i), n, region.centroid()
+            center, key = fr.map().apply(g), fr.region().canonical_key()
         else:
             region = region.transformed(w.maps[i])
     else:
@@ -465,6 +469,22 @@ def _validate_return_system(rs: ReturnSystem):
             assert overlap.is_zero(), "return pieces must not overlap"
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, then restore its state.
+
+    The saved state is restored in a ``finally``, so a nested use, or an
+    error raised in the body, leaves the collector as it was found.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def return_tube(w: WedgeSystem, piece: ReturnPiece):
     """Floors T'^j(source), 0 <= j < return_time: the piece's tower.
 
@@ -477,18 +497,30 @@ def return_tube(w: WedgeSystem, piece: ReturnPiece):
     ``WedgeSystem`` is built).  Each floor is built from its frame
     (``Frame.region``), and the region of the frame after the last step
     must be the target; that closure is asserted.
+
+    The floors are built with the cyclic garbage collector paused, and the
+    collector is left in the state it was found in, also when the call
+    raises.  The walk makes no reference cycle (a floor holds a tuple of
+    ``Point``s of ``QS3``s of ints, a frame its ``SourceTable``), so the
+    collector could free nothing it makes, and reference counting frees
+    what it drops as before.  Every floor stays alive in the tube, so
+    with the collector on, the allocations trigger collections that scan
+    the growing tower again and again: about 900 of them over the 8
+    towers (76,450 floors) of the level-3 return system, a sixth of the
+    time of building that system and its towers.
     """
-    if not w.in_closed_wedge(piece.source):
-        raise GraneError("return source leaves the wedge")
-    fr = Frame(piece.source)
-    tube = []
-    for j, i in enumerate(piece.itinerary):
-        if not w.in_piece(fr, i):
-            raise GraneError(f"floor {j} is not in alpha_{i}", index=j)
-        tube.append(fr.region())
-        fr = w.step_frame(fr, i)
-    assert fr.region() == piece.target
-    return tube
+    with _collector_paused():
+        if not w.in_closed_wedge(piece.source):
+            raise GraneError("return source leaves the wedge")
+        fr = Frame(piece.source)
+        tube = []
+        for j, i in enumerate(piece.itinerary):
+            if not w.in_piece(fr, i):
+                raise GraneError(f"floor {j} is not in alpha_{i}", index=j)
+            tube.append(fr.region())
+            fr = w.step_frame(fr, i)
+        assert fr.region() == piece.target
+        return tube
 
 
 # -- exact cell arrangement for tube subtraction ----------------------------------

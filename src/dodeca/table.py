@@ -203,15 +203,17 @@ class Frame:
                 return True
         return False
 
-    def fixes(self, p: Point) -> bool:
-        """True when the motion x -> ROT[l] x + t fixes p, decided on raw integers.
+    def sends(self, p: Point, q: Point) -> bool:
+        """True when the motion x -> ROT[l] x + t takes p to q, decided on raw integers.
 
-        With p over c, ROT[l] p over r1 (``_map_raw`` by ROT[l]'s cleared
-        rows) and t over r, ROT[l] p + t == p is four integer equations
-        over r1*r*c.
+        With p over c, q over d, ROT[l] p over r1 (``_map_raw`` by
+        ROT[l]'s cleared rows) and t over r, ROT[l] p + t == q is four
+        integer equations over r1*r*d.
         """
         cxp, _, cxq, cyp, _, cyq, _, _, c = _clear_denominators(p.x, p.y, ZERO)
         uxp, uxq, uyp, uyq, r1 = _map_raw(ROT[self.l]._cleared(), cxp, cxq, cyp, cyq, c)
+        if q is not p:
+            cxp, _, cxq, cyp, _, cyq, _, _, c = _clear_denominators(q.x, q.y, ZERO)
         xp, xq, yp, yq, r = self.t
         return (
             (uxp * r + xp * r1) * c == cxp * r1 * r
@@ -219,6 +221,10 @@ class Frame:
             and (uyp * r + yp * r1) * c == cyp * r1 * r
             and (uyq * r + yq * r1) * c == cyq * r1 * r
         )
+
+    def fixes(self, p: Point) -> bool:
+        """True when the motion x -> ROT[l] x + t fixes p (``sends`` p to p)."""
+        return self.sends(p, p)
 
     def map(self) -> AffMap:
         """The isometry x -> ROT[l] x + t that takes S onto the region."""

@@ -295,6 +295,27 @@ def test_aperiodic_command(capsys, tmp_path):
     assert len(data["regions"]) >= 4
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # an output path that cannot be written (a missing directory, or a
+    # directory itself) is a usage error, not a traceback with the exit code
+    # of a failed check; verify opens its file before any check runs
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **kw: ran.append(a))
+    missing = str(tmp_path / "no" / "dir" / "out")
+    for argv in (
+        ["periods", "--bound", "3", "--json", missing],
+        ["periods", "--bound", "3", "--json", str(tmp_path)],
+        ["render", "--what", "table", "--out", missing],
+        ["aperiodic", "--steps", "10", "--depth", "1", "--emit-spiral", missing],
+        ["verify", "--only", "construction-identities", "--json", missing],
+        ["--format", "json", "verify", "--json", str(tmp_path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert err.startswith("error: cannot write "), argv
+    assert ran == [] and not (tmp_path / "no").exists()
+
+
 def _region_file(tmp_path, name, vertices):
     target = tmp_path / f"{name}.json"
     target.write_text(region_to_json(Region.bounded([Point.parse(v) for v in vertices])))

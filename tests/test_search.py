@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 from collections import Counter
@@ -33,7 +34,7 @@ from dodeca.search import (
     return_tube,
     verify_partition,
 )
-from dodeca.table import ROT, SIDE_NORMALS, Frame
+from dodeca.table import ROT, SIDE_NORMALS, Frame, SourceTable
 from test_table import _scan_locate
 
 
@@ -212,9 +213,10 @@ def test_component_search_matches_the_region_walk(ctx, monkeypatch):
 def test_component_search_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
     # from the 33 reference starts, the search itself (``close_component``'s
     # walk aside) builds regions from frames only at a cut (the region to
-    # cut and the image of the cut), where a frame fixes the centroid of
-    # the region after the last cut, and once at the end; it keys only the
-    # images of cuts and the regions of centroid returns
+    # cut and the image of the cut), where a frame sends the cut's centroid
+    # to the centroid of the image of the last cut, and once at the end; it
+    # keys only the images of cuts and the regions of centroid returns, and
+    # makes one source table per cut
     w = ctx.wedge
     calls = Counter()
     counting = True
@@ -240,17 +242,25 @@ def test_component_search_builds_regions_only_at_cuts_and_returns(ctx, monkeypat
         (Frame, "region"),
         (Region, "canonical_key"),
         (type(w), "restrict_to_piece"),
+        (SourceTable, "__init__"),
     ):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    # only the fixes that answer True are centroid returns
-    monkeypatch.setattr(Frame, "fixes", counted("fixes", Frame.fixes, bool))
+    # only the sends that answer True are centroid returns, and only the
+    # cuts to a bounded region start a frame
+    monkeypatch.setattr(Frame, "sends", counted("sends", Frame.sends, bool))
+    monkeypatch.setattr(
+        type(w),
+        "restrict_to_piece",
+        counted("bounded", type(w).restrict_to_piece, lambda out: out.is_bounded),
+    )
     monkeypatch.setattr(search, "close_component", uncounted_close_component)
     for p in _reference_starts(ctx):
         calls.clear()
         comp = find_periodic_component(w, p)
-        cuts, returns = calls["restrict_to_piece"], calls["fixes"]
+        cuts, returns = calls["restrict_to_piece"], calls["sends"]
         assert calls["region"] <= 2 * cuts + returns + 1
         assert calls["canonical_key"] <= cuts + returns and returns >= 1
+        assert calls["__init__"] == calls["bounded"] >= 1
         assert comp.region.classify(p) == INTERIOR
 
 
@@ -593,6 +603,70 @@ def test_return_tube_rejects_a_source_outside_the_wedge(ctx):
     )
     with pytest.raises(GraneError, match="wedge"):
         return_tube(w, dataclasses.replace(piece, source=outside))
+
+
+def test_return_tube_restores_the_collector_state(ctx, monkeypatch):
+    # the tower is built with the cyclic collector paused, and the call
+    # leaves it as it found it: on, off, or on after a floor fails mid-tower
+    w = ctx.wedge
+    piece = max(ctx.return_system("z4").pieces, key=lambda p: p.return_time)
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(return_tube(w, piece)) == piece.return_time
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    floors = iter(range(piece.return_time))
+    real_in_piece = type(w).in_piece
+
+    def fail_at_floor_3(self, fr, i):
+        assert not gc.isenabled()
+        return next(floors) != 3 and real_in_piece(self, fr, i)
+
+    monkeypatch.setattr(type(w), "in_piece", fail_at_floor_3)
+    with pytest.raises(GraneError) as exc:
+        return_tube(w, piece)
+    assert exc.value.index == 3 and gc.isenabled()
+
+
+def test_return_tube_runs_no_collection_and_leaves_no_cycle(ctx, monkeypatch):
+    # the floors and frames form no reference cycle, so pausing the
+    # collector frees nothing late: no collection runs while a z14 tower is
+    # built (read at each step, as the next allocation after the pause may
+    # start one), and building and dropping every z14 tower leaves no
+    # cyclic garbage
+    w = ctx.wedge
+    pieces = ctx.return_system("z14").pieces
+    piece = max(pieces, key=lambda p: p.return_time)
+    runs, seen = [], []
+    real_step_frame = type(w).step_frame
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    def step_frame(self, fr, i):
+        seen.append(len(runs))
+        return real_step_frame(self, fr, i)
+
+    monkeypatch.setattr(type(w), "step_frame", step_frame)
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        tube = return_tube(w, piece)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(tube) == len(seen) == piece.return_time
+    assert set(seen) == {0} and len(runs) <= 1
+    monkeypatch.undo()
+    del tube
+    gc.collect()
+    towers = [return_tube(w, piece) for piece in pieces]
+    assert sum(map(len, towers)) == sum(p.return_time for p in pieces)
+    del towers
+    assert gc.collect() == 0
 
 
 def test_whole_rocket_returns_in_one_step(ctx):
