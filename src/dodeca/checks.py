@@ -42,6 +42,7 @@ from .selfsim import (
     build_similarity,
     contraction_ratios,
     match_return_systems,
+    point_first_return,
     verify_conjugacy,
     visit_matrix,
 )
@@ -542,7 +543,7 @@ def check_kernel_properties(ctx: Context) -> dict:
             assert x * (ONE / x) == ONE
         assert qs3_parse(x.literal()) == x
 
-    # split-area conservation on random polygons (convex and nonconvex)
+    # split-area conservation on random convex polygons
     split_checked = 0
     while split_checked < cases:
         cx, cy = rng.randint(-4, 4), rng.randint(-4, 4)
@@ -605,7 +606,7 @@ def check_kernel_properties(ctx: Context) -> dict:
             tx, _ = w.step(p)
             hp = w.H.apply(p)
             assert w.piece_index(hp) == 6
-            ret, _ = w.first_return_to_piece(hp, 6, max_iter=10**5)
+            ret, _ = point_first_return(w, hp, w.alpha[6], 10**5)
         except GraneError:
             continue
         assert ret == w.H.apply(tx)

@@ -3,7 +3,10 @@
 Points, lines, affine maps and open polygonal regions (bounded simple
 polygons, and unbounded convex regions represented as a vertex chain with
 an entry and an exit ray).  All predicates are exact sign computations in
-the field; no tolerances appear anywhere.
+the field; no tolerances appear anywhere.  One cut test
+(:func:`cutting_lines`) finds the lines that cut a bounded region, on its
+vertices cleared to one denominator: the ``CellPool`` carve and
+:func:`overlap_status` (through :func:`vertex_position`) both use it.
 
 Open-set semantics: a Region denotes the open set; its boundary is shared
 with neighbouring regions and is excluded from classification hits.
@@ -419,40 +422,14 @@ class AffMap:
         return self.map_points((d,), shift=False)[0]
 
     def compose(self, inner: "AffMap") -> "AffMap":
-        """self o inner: self maps the columns and the translation of inner.
-
-        The ``map_points`` formula written out on the raw entries of inner,
-        one ``QS3._make`` per entry and no ``Point``; det(M N) = det(M)
-        det(N), so the sign of the determinant is a product.
-        """
-        row0, row1 = self._cleared()
-        a0, s0, b0, c0, u0, d0, e0, f0, m0 = row0
-        a1, s1, b1, c1, u1, d1, e1, f1, m1 = row1
-        make = QS3._make
-        out = []
-        for x, y, k in (
-            (inner.m00, inner.m10, 0),
-            (inner.m01, inner.m11, 0),
-            (inner.tx, inner.ty, 1),
-        ):
-            xp, xq, xr, yp, yq, yr = x.p, x.q, x.r, y.p, y.q, y.r
-            den, ky = xr * yr, k * yr
-            out.append(
-                make(
-                    (a0 * xp + s0 * xq) * yr + (c0 * yp + u0 * yq + e0 * ky) * xr,
-                    (a0 * xq + b0 * xp) * yr + (c0 * yq + d0 * yp + f0 * ky) * xr,
-                    m0 * den,
-                )
-            )
-            out.append(
-                make(
-                    (a1 * xp + s1 * xq) * yr + (c1 * yp + u1 * yq + e1 * ky) * xr,
-                    (a1 * xq + b1 * xp) * yr + (c1 * yq + d1 * yp + f1 * ky) * xr,
-                    m1 * den,
-                )
-            )
-        n00, n10, n01, n11, tx, ty = out
-        return AffMap(n00, n01, n10, n11, tx, ty, self.det_sign * inner.det_sign)
+        """self o inner: self maps the columns of inner as vectors and its
+        translation as a point; det(M N) = det(M) det(N), so the sign of the
+        determinant is a product."""
+        c0, c1 = self.map_points(
+            (Point(inner.m00, inner.m10), Point(inner.m01, inner.m11)), shift=False
+        )
+        t = self.apply(Point(inner.tx, inner.ty))
+        return AffMap(c0.x, c1.x, c0.y, c1.y, t.x, t.y, self.det_sign * inner.det_sign)
 
     def det(self) -> QS3:
         return self.m00 * self.m11 - self.m01 * self.m10
@@ -595,7 +572,7 @@ class Region:
         "_lines",
     )
 
-    def __init__(self, vertices, entry_dir=None, exit_dir=None, _skip_checks=False):
+    def __init__(self, vertices, entry_dir=None, exit_dir=None):
         self.vertices = tuple(vertices)
         self.entry_dir = entry_dir
         self.exit_dir = exit_dir
@@ -605,9 +582,8 @@ class Region:
         self._fbox = None
         self._convex = None
         self._lines = None
-        if not _skip_checks:
-            if (entry_dir is None) != (exit_dir is None):
-                raise ValueError("entry/exit rays must be given together")
+        if (entry_dir is None) != (exit_dir is None):
+            raise ValueError("entry/exit rays must be given together")
 
     # -- constructors ---------------------------------------------------------
 
@@ -620,7 +596,7 @@ class Region:
         if area2.sign() < 0:
             pts.reverse()
             area2 = -area2
-        reg = Region(pts, _skip_checks=True)
+        reg = Region(pts)
         reg._area = area2
         return reg
 
@@ -654,7 +630,7 @@ class Region:
                 i += 1
         if not pts:
             raise ValueError("unbounded region needs at least one vertex")
-        reg = Region(pts, entry_dir, exit_dir, _skip_checks=True)
+        reg = Region(pts, entry_dir, exit_dir)
         if not reg._supports_all():
             raise ValueError("unbounded region must be convex")
         return reg
@@ -665,13 +641,19 @@ class Region:
     def is_bounded(self) -> bool:
         return self.entry_dir is None
 
-    def boundary_lines(self):
-        """Oriented boundary lines, interior on the positive side."""
+    def edge_lines(self):
+        """Oriented boundary lines, interior on the positive side, cached.
+
+        A bounded region's are ``integer_edge_lines`` of its vertex cycle,
+        positive multiples of ``Line.through``'s: no collinear triples, so
+        no two edges of a convex cycle share a line.
+        """
+        if self._lines is not None:
+            return self._lines
         pts = self.vertices
         if self.is_bounded:
-            # no collinear triples, so no two edges of a convex cycle share a line
-            n = len(pts)
-            return [Line.through(pts[i], pts[(i + 1) % n]) for i in range(n)]
+            self._lines = integer_edge_lines(pts)
+            return self._lines
         e = self.entry_dir
         lines = [Line(e.y, -e.x, e.y * pts[0].x - e.x * pts[0].y)]
         for i in range(len(pts) - 1):
@@ -686,15 +668,8 @@ class Region:
             if k not in seen:
                 seen.add(k)
                 out.append(ln)
+        self._lines = out
         return out
-
-    def edge_lines(self):
-        """``boundary_lines()``, cached for point location and overlap targets."""
-        # CellPool takes the lines of every tube polygon uncached: keeping
-        # those would hold them all
-        if self._lines is None:
-            self._lines = self.boundary_lines()
-        return self._lines
 
     def is_convex(self) -> bool:
         if self._convex is None:
@@ -710,7 +685,7 @@ class Region:
         return self._convex
 
     def _supports_all(self) -> bool:
-        for ln in self.boundary_lines():
+        for ln in self.edge_lines():
             if min(ln.signs(self.vertices)) < 0:
                 return False
             if not self.is_bounded:
@@ -788,7 +763,7 @@ class Region:
             if f.det_sign > 0:
                 # invertible orientation-preserving maps keep the normal form
                 # (orientation, collinearity, ray merging) intact
-                out = Region(pts, _skip_checks=True)
+                out = Region(pts)
             else:
                 pts.reverse()
                 out = Region.bounded(pts)
@@ -797,7 +772,7 @@ class Region:
             return out
         e, x = f.map_points((self.entry_dir, self.exit_dir), shift=False)
         if f.det_sign > 0:
-            return Region(pts, primitive_dir(e), primitive_dir(x), _skip_checks=True)
+            return Region(pts, primitive_dir(e), primitive_dir(x))
         pts.reverse()
         return Region.unbounded(x, pts, e)
 
@@ -975,7 +950,7 @@ def split_convex(region: Region, line: Line):
     # vertices lie strictly on both sides, so the line meets the convex
     # boundary in exactly two points: the cut adds no duplicate or collinear
     # vertex, keeps the counter-clockwise order and leaves a positive area
-    return Region(pos, _skip_checks=True), Region(neg, _skip_checks=True)
+    return Region(pos), Region(neg)
 
 
 def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
@@ -1028,23 +1003,44 @@ def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
         return None
 
 
-def cutting_lines(region: Region, lines):
+def cutting_lines(m: int, raw, lines):
     """The lines with vertices of a bounded region strictly on both sides.
 
-    Reads only the exact signs of the region's vertices.  None when one
-    line has every vertex on its closed negative side, which separates the
-    region from the convex set where every line is >= 0.  A line with every
-    vertex on its closed positive side leaves the region, and so every part
-    of it, whole: clipping by the cutting lines alone gives the pieces that
-    clipping by all the lines gives, in the same order.
+    The region's vertices come cleared to one denominator, as
+    ``clear_points`` gives them: vertex (xp + xq*s3, yp + yq*s3)/m signs on a
+    line's cleared row (a1 + b1*s3, a2 + b2*s3, a3 + b3*s3) as m times the
+    line's form, a1*xp + 3*b1*xq + a2*yp + 3*b2*yq - a3*m and
+    a1*xq + b1*xp + a2*yq + b2*yp - b3*m, one ``pair_sign`` and no field
+    operation; a line is left once vertices on both sides are seen.
+
+    None when one line has every vertex on its closed negative side, which
+    separates the region from the convex set where every line is >= 0.  A
+    line with every vertex on its closed positive side leaves the region,
+    and so every part of it, whole: clipping by the cutting lines alone
+    gives the pieces that clipping by all the lines gives, in the same
+    order.
     """
-    pts = region.vertices
     cutting = []
     for ln in lines:
-        sides = ln.signs(pts)
-        if max(sides) <= 0:
+        a1, t1, b1, a2, t2, b2, a3, b3 = ln._k
+        c0, c1 = a3 * m, b3 * m
+        pos = neg = False
+        for xp, xq, yp, yq in raw:
+            s = pair_sign(
+                a1 * xp + t1 * xq + a2 * yp + t2 * yq - c0,
+                a1 * xq + b1 * xp + a2 * yq + b2 * yp - c1,
+            )
+            if s > 0:
+                pos = True
+                if neg:
+                    break
+            elif s < 0:
+                neg = True
+                if pos:
+                    break
+        if not pos:
             return None
-        if min(sides) < 0:
+        if neg:
             cutting.append(ln)
     return cutting
 
@@ -1055,9 +1051,9 @@ def vertex_position(region: Region, lines) -> str:
     "inside" when every vertex is on the closed positive side of every
     line, "disjoint" when one line has all of them on its closed negative
     side, else "unknown" (the region may still miss the set): the answer
-    of ``cutting_lines``.
+    of ``cutting_lines`` on the region's cleared vertices.
     """
-    cutting = cutting_lines(region, lines)
+    cutting = cutting_lines(*clear_points(region.vertices), lines)
     if cutting is None:
         return "disjoint"
     return "unknown" if cutting else "inside"

@@ -45,7 +45,8 @@ Three layers build on the wedge map T':
   (:class:`CellPool`).  The carve runs on raw integers: each cell is
   cleared to one denominator when it enters the pool, each tube
   polygon's edge lines are built from its vertices' integers, and a cell
-  is signed against a line by integer sums alone.
+  is signed against a line by integer sums alone (``geom.cutting_lines``,
+  the one cut test, which ``overlap_status`` uses too).
 
 Red fractions need neither layer's towers beyond Z'_14:
 ``selfsim.visit_matrix`` counts how the Z'_14 pieces visit the Z'_4
@@ -74,6 +75,7 @@ from .geom import (
     boxes_overlap,
     clear_points,
     clip_convex,  # unused here; the benchmark's tracer wraps search.clip_convex
+    cutting_lines,
     integer_edge_lines,
     overlap_status,
     split_convex,
@@ -536,9 +538,10 @@ class CellPool:
     enters the pool (``clear_points``), and each convex part of a
     subtracted polygon gets its edge lines from its vertices' integers
     (``integer_edge_lines``), so signing a cell against a line is two
-    integer sums per vertex with no field operation.  A cell that one edge
-    line separates is left as it is; any other is split (``split_convex``)
-    by the lines that cut it, in edge order.  Cells are indexed by a float
+    integer sums per vertex with no field operation (``cutting_lines``, the
+    cut test that ``vertex_position`` shares).  A cell that one edge line
+    separates is left as it is; any other is split (``split_convex``) by
+    the lines that cut it, in edge order.  Cells are indexed by a float
     grid of their proven boxes (``Region.float_bbox``), so subtraction
     touches only nearby cells and misses none; every hit is decided
     exactly.  Cells are visited in the iteration order of the set of grid
@@ -557,7 +560,7 @@ class CellPool:
         self._sx = (box[2] - box[0]) / self.GRID or 1.0
         self._sy = (box[3] - box[1]) / self.GRID or 1.0
         self.cells = {}
-        # cell id -> (its float_bbox, m, raw) with m, raw = clear_points(vertices)
+        # cell id -> (m, raw) = clear_points(its vertices)
         self._raw = {}
         self._buckets = {}
         self._next_id = 0
@@ -584,16 +587,15 @@ class CellPool:
         cid = self._next_id
         self._next_id += 1
         self.cells[cid] = cell
-        box = cell.float_bbox()
-        self._raw[cid] = (box, *clear_points(cell.vertices))
-        gx0, gx1, gy0, gy1 = self._span(box)
+        self._raw[cid] = clear_points(cell.vertices)
+        gx0, gx1, gy0, gy1 = self._span(cell.float_bbox())
         for gx in range(gx0, gx1 + 1):
             for gy in range(gy0, gy1 + 1):
                 self._buckets.setdefault((gx, gy), set()).add(cid)
 
     def _remove(self, cid: int):
-        del self.cells[cid]
-        gx0, gx1, gy0, gy1 = self._span(self._raw.pop(cid)[0])
+        gx0, gx1, gy0, gy1 = self._span(self.cells.pop(cid).float_bbox())
+        del self._raw[cid]
         for gx in range(gx0, gx1 + 1):
             for gy in range(gy0, gy1 + 1):
                 self._buckets[(gx, gy)].discard(cid)
@@ -621,52 +623,20 @@ class CellPool:
             removed = removed + self._subtract_convex(part)
         return removed
 
-    def _cutting_lines(self, cid: int, lines):
-        """``geom.cutting_lines`` of a cell, on its cleared vertices.
-
-        A vertex (xp + xq*s3, yp + yq*s3)/m signs on a line's row
-        (a1 + b1*s3, a2 + b2*s3, a3 + b3*s3) as m times the line's form:
-        a1*xp + 3*b1*xq + a2*yp + 3*b2*yq - a3*m and
-        a1*xq + b1*xp + a2*yq + b2*yp - b3*m, one ``pair_sign``.
-        """
-        _, m, raw = self._raw[cid]
-        cutting = []
-        for ln in lines:
-            a1, t1, b1, a2, t2, b2, a3, b3 = ln._k
-            c0, c1 = a3 * m, b3 * m
-            pos = neg = False
-            for xp, xq, yp, yq in raw:
-                s = pair_sign(
-                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - c0,
-                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - c1,
-                )
-                if s > 0:
-                    pos = True
-                    if neg:
-                        break
-                elif s < 0:
-                    neg = True
-                    if pos:
-                        break
-            if not pos:
-                return None
-            if neg:
-                cutting.append(ln)
-        return cutting
-
     def _subtract_convex(self, part: Region) -> QS3:
         pbox = part.float_bbox()
+        # not part.edge_lines(), which the kept tube polygons would hold
         lines = integer_edge_lines(part.vertices)
         removed = ZERO
-        rec = self._raw
+        cells, rec = self.cells, self._raw
         for cid in self._candidates(pbox):
-            if not boxes_overlap(rec[cid][0], pbox):
+            work = cells[cid]
+            if not boxes_overlap(work.float_bbox(), pbox):
                 continue
-            cutting = self._cutting_lines(cid, lines)
+            cutting = cutting_lines(*rec[cid], lines)
             if cutting is None:
                 continue
             outside = []
-            work = self.cells[cid]
             for ln in cutting:
                 if work is None:
                     break

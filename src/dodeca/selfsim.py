@@ -248,7 +248,7 @@ def point_first_return(w: WedgeSystem, p: Point, domain: Region, max_iter: int =
     coordinates (``float_interval``) meet the domain's proven
     ``float_bbox``.  A point outside that box is neither in the domain nor
     on its boundary, so the floats only prune exact tests and never decide
-    one.
+    one.  A cap that runs out is inconclusive (``InconclusiveError``).
     """
     inf = float("inf")
     box = domain.float_bbox() if domain.is_bounded else (-inf, -inf, inf, inf)
@@ -264,7 +264,7 @@ def point_first_return(w: WedgeSystem, p: Point, domain: Region, max_iter: int =
         q = raw_point(xp, xq, yp, yq, r)
         if domain.classify(q) == INTERIOR:
             return q, n
-    raise DomainError("no return within the iteration cap")
+    raise InconclusiveError(f"no return within {max_iter} steps", iterations=max_iter)
 
 
 def verify_conjugacy(

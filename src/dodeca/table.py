@@ -31,7 +31,7 @@ successful build is itself a consistency check.
 
 from __future__ import annotations
 
-from .errors import DomainError, GraneError, InconclusiveError
+from .errors import DomainError, GraneError
 from .field import HALF, ONE, QS3, SQRT3_HALF, ZERO, pair_sign
 from .geom import (
     BOUNDARY,
@@ -267,7 +267,7 @@ class Frame:
             if y is None:
                 y = values[ky] = make(*ky)
             pts.append(Point(x, y))
-        out = Region(pts, _skip_checks=True)
+        out = Region(pts)
         out._convex = shared.convex
         out._area = shared.area2
         return out
@@ -424,7 +424,7 @@ class WedgeSystem:
         assert dp.cross(b).sign() > 0 and b.cross(dq).sign() > 0
         assert (dp.dot(b) ** 2) * dq.norm2() == (dq.dot(b) ** 2) * dp.norm2()
         self.wedge = Region.unbounded(self.dir_q, [self.apex], self.dir_p)
-        self.wedge_lines = self.wedge.boundary_lines()
+        self.wedge_lines = self.wedge.edge_lines()
 
         # P_i: ray A_0 A_1 meets ray A_{i+1} A_i; Q_j: ray A_1 A_2 meets
         # ray A_{j+1} A_j.
@@ -746,21 +746,6 @@ class WedgeSystem:
         except GraneError:
             fwd_fail = len(symbols) - start_offset
         return Itinerary(symbols, start_offset, fwd_fail=fwd_fail, bwd_fail=bwd_fail)
-
-    def first_return_to_piece(self, p: Point, piece: int, max_iter: int = 10**6):
-        """First forward return of T' to the open piece alpha_piece.
-
-        Yield n of ``raw_orbit`` carries the piece of T'^n(p), whose raw
-        state yield n-1 gave; only the returned point becomes a ``Point``.
-        """
-        q = None
-        for n, (*image, i) in zip(range(max_iter + 1), self.raw_orbit(p)):
-            if n and i == piece:
-                return raw_point(*q), n
-            q = image
-        raise InconclusiveError(
-            f"no return to alpha_{piece} within {max_iter} steps", iterations=max_iter
-        )
 
     def orbit_period(self, p: Point, max_iter: int):
         """Exact least period of p under T' with per-piece visit counts.

@@ -361,10 +361,10 @@ def test_area2_within_clips_what_vertex_signs_leave_open():
     # separates them: only a poly edge cuts the part off
     part = Region.bounded([P(0, 0), P(2, 0), P(1, 2)])
     over_apex = Region.bounded([P(-1, "3/2"), P(3, "3/2"), P(3, 3), P(-1, 3)])
-    assert vertex_position(over_apex, part.boundary_lines()) == "unknown"
+    assert vertex_position(over_apex, part.edge_lines()) == "unknown"
     assert area2_within([over_apex], [part]) == qs3(Fraction(1, 4))
     touching = Region.bounded([P(0, 2), P(2, 0), P(3, 3)])
-    assert vertex_position(touching, UNIT_SQUARE.boundary_lines()) == "unknown"
+    assert vertex_position(touching, UNIT_SQUARE.edge_lines()) == "unknown"
     assert area2_within([touching], [UNIT_SQUARE]).is_zero()
     assert overlap_status(touching, [UNIT_SQUARE]) == "disjoint"
 
@@ -735,6 +735,13 @@ def test_apply_normalises_once_per_coordinate(ctx, monkeypatch):
         calls.clear()
         w.maps[i].compose(w.maps[7 - i])
         assert len(calls) == 6, i
+
+
+def test_region_needs_both_rays_or_neither():
+    with pytest.raises(ValueError, match="together"):
+        Region([P(0, 0)], entry_dir=P(1, 0))
+    with pytest.raises(ValueError, match="together"):
+        Region([P(0, 0)], exit_dir=P(0, 1))
 
 
 def test_bounded_caches_area_of_stored_cycle():

@@ -18,6 +18,7 @@ from dodeca.geom import (
     Region,
     area2_within,
     boxes_overlap,
+    clear_points,
     cutting_lines,
     integer_edge_lines,
     split_convex,
@@ -772,20 +773,45 @@ def test_cell_pool_skips_separated_cells(monkeypatch):
     assert kept is cell
 
 
+def _reference_cutting_lines(region, lines):
+    """The cut test on field-built signs: ``Line.signs`` of every vertex,
+    read by max and min."""
+    cutting = []
+    for ln in lines:
+        sides = ln.signs(region.vertices)
+        if max(sides) <= 0:
+            return None
+        if min(sides) < 0:
+            cutting.append(ln)
+    return cutting
+
+
+def _through_lines(region):
+    """``Line.through`` of each edge of a bounded region."""
+    pts = region.vertices
+    return [Line.through(a, b) for a, b in zip(pts, pts[1:] + pts[:1])]
+
+
 class _ReferencePool(CellPool):
     """The carve on field operations, over the same grid hits in the same
-    order: ``Line.through`` edge lines and ``geom.cutting_lines`` on the
-    cells' QS3 vertices, split by ``split_convex``."""
+    order: ``Line.through`` edge lines and ``_reference_cutting_lines`` on
+    the cells' QS3 vertices, split by ``split_convex``.  Every (cell, part)
+    pair whose boxes meet is kept in ``met``."""
+
+    def __init__(self, region):
+        self.met = []
+        super().__init__(region)
 
     def _subtract_convex(self, part):
         pbox = part.float_bbox()
-        lines = part.boundary_lines()
+        lines = _through_lines(part)
         removed = ZERO
         for cid in self._candidates(pbox):
             cell = self.cells[cid]
             if not boxes_overlap(cell.float_bbox(), pbox):
                 continue
-            cutting = cutting_lines(cell, lines)
+            self.met.append((cell, part))
+            cutting = _reference_cutting_lines(cell, lines)
             if cutting is None:
                 continue
             work, outside = cell, []
@@ -830,6 +856,27 @@ def test_cell_pool_carve_matches_field_reference(z14_carve):
     assert any(
         c.r % 11 == 0 for cell in pool.cells.values() for v in cell.vertices for c in (v.x, v.y)
     )
+
+
+def test_cutting_lines_matches_the_field_reference(z14_carve):
+    # the one cut test, on cleared vertices, against max and min of
+    # Line.signs, for every pair the carve meets and both kinds of lines
+    _, _, ref, _ = z14_carve
+    assert len(ref.met) > 1000
+
+    def indices(cut, lines):
+        return None if cut is None else [lines.index(ln) for ln in cut]
+
+    answers = set()
+    for cell, part in ref.met:
+        cleared = clear_points(cell.vertices)
+        through = _through_lines(part)
+        want = indices(_reference_cutting_lines(cell, through), through)
+        assert indices(cutting_lines(*cleared, through), through) == want
+        lines = integer_edge_lines(part.vertices)
+        assert indices(cutting_lines(*cleared, lines), lines) == want
+        answers.add("none" if want is None else "cut" if want else "inside")
+    assert answers == {"none", "inside", "cut"}
 
 
 def test_integer_edge_lines_match_line_through(z14_carve):

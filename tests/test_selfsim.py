@@ -319,6 +319,19 @@ def test_point_first_return_matches_return_system(ctx, sim):
             assert ret == piece.map.apply(p)
 
 
+def test_point_first_return_cap_is_inconclusive(ctx, sim):
+    # the longest z4 return: its own time as cap returns, one step less
+    # runs the cap out, which is inconclusive, not a domain error
+    w = ctx.wedge
+    piece = max(ctx.return_system("z4").pieces, key=lambda pc: pc.return_time)
+    assert piece.return_time == 53
+    p = piece.source.interior_point()
+    assert point_first_return(w, p, sim.Z4, 53) == (piece.map.apply(p), 53)
+    with pytest.raises(InconclusiveError) as info:
+        point_first_return(w, p, sim.Z4, 52)
+    assert info.value.iterations == 52
+
+
 def _reference_first_return(w, p, domain):
     """point_first_return by piece_index, maps[i].apply and classify per iterate."""
     q = p

@@ -15,6 +15,7 @@ from dodeca.geom import (
     raw_equals,
     raw_point,
 )
+from dodeca.selfsim import point_first_return
 from dodeca.table import ROT, Frame, build_table
 
 
@@ -510,8 +511,8 @@ def test_forward_step_errors_match_piece_index(system):
 
 
 def _scan_first_return(w, p, piece, max_iter):
-    """first_return_to_piece step by step: ``maps[i].apply`` on the piece
-    that ``_scan_piece_index`` finds."""
+    """point_first_return to alpha_piece step by step: ``maps[i].apply`` on
+    the piece that ``_scan_piece_index`` finds."""
     q = p
     for n in range(1, max_iter + 1):
         q = w.maps[_scan_piece_index(w, q)].apply(q)
@@ -529,7 +530,7 @@ def _return_outcome(fn, *args):
         return type(exc), getattr(exc, "index", None), getattr(exc, "point", None)
 
 
-def test_first_return_to_piece_matches_a_scanned_walk(system):
+def test_point_first_return_to_a_piece_matches_a_scanned_walk(system):
     _, w = system
     rng = random.Random(41)
     # preimages of points on each split line: the walk hits it at step 1
@@ -545,20 +546,24 @@ def test_first_return_to_piece_matches_a_scanned_walk(system):
             starts.append(back)
     assert len(starts) >= 5
     starts += [_spread_point(w, rng) for _ in range(40)]
+
+    def to_piece(p, piece, cap):
+        return point_first_return(w, p, w.alpha[piece], cap)
+
     kinds = set()
     for p in starts:
         for piece in range(1, 7):
             want = _return_outcome(_scan_first_return, w, p, piece, 50)
-            assert _return_outcome(w.first_return_to_piece, p, piece, 50) == want
+            assert _return_outcome(to_piece, p, piece, 50) == want
             if want[0] is InconclusiveError or want[0] is GraneError:
                 kinds.add(want[0])
                 continue
             kinds.add("return")
             q, n = want
             # the cap counts the returned step: n steps suffice, n - 1 do not
-            assert w.first_return_to_piece(p, piece, n) == want
+            assert to_piece(p, piece, n) == want
             with pytest.raises(InconclusiveError):
-                w.first_return_to_piece(p, piece, n - 1)
+                to_piece(p, piece, n - 1)
     assert kinds == {"return", GraneError, InconclusiveError}
 
 
@@ -650,7 +655,7 @@ def test_wedge_conjugacy_with_alpha6_return(system):
             tx, _ = w.step(x)
             hx = w.H.apply(x)
             assert w.piece_index(hx) == 6
-            ret, _ = w.first_return_to_piece(hx, 6, max_iter=20000)
+            ret, _ = point_first_return(w, hx, w.alpha[6], 20000)
         except GraneError:
             continue
         assert ret == w.H.apply(tx)
