@@ -394,10 +394,10 @@ def check_self_similarity(ctx: Context) -> dict:
 
 def check_aperiodic_witness(ctx: Context) -> dict:
     wit = ctx.witness()
-    assert ctx.sim.gammaX.apply(wit.y) == wit.y
+    assert ctx.sim.gammaX.apply(wit.y) == wit.y, "y must be the fixed point of gamma_X"
     assert wit.boundary_hit is None and wit.steps_checked == WITNESS_STEPS
     assert wit.nesting_depth >= WITNESS_DEPTH
-    assert all(f >= 2 for f in wit.growth_factors)
+    assert all(f >= 2 for f in wit.growth_factors), "every growth factor must be at least 2"
     return wit.to_obj()
 
 

@@ -35,7 +35,7 @@ from .search import (
     close_component,
     find_periodic_component,
 )
-from .table import WedgeSystem
+from .table import Frame, WedgeSystem
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,10 @@ def build_similarity(w: WedgeSystem, max_iter: int = 10**6) -> SimilaritySystem:
     """Construct the contractions, derived rockets, X and gamma_X.
 
     Raises DomainError when a pullback step would split the small rocket
-    (it never does: each preimage stays inside a single piece image, which
-    is verified exactly here).
+    (it never does).  iota keeps the closed wedge, so iota(Z'_14) lies in
+    it, and T' keeps a region of a closed piece there: each region the
+    pullback places meets ``locate_frame``'s precondition, and the locator
+    decides exactly that it lies in one open piece.
     """
     ratio1, ratio4 = contraction_ratios(w)
     gamma1 = AffMap.homothety(w.apex, ratio1)
@@ -101,26 +103,19 @@ def build_similarity(w: WedgeSystem, max_iter: int = 10**6) -> SimilaritySystem:
     for ratio, o in ((ratio1, w.O[1]), (ratio4, w.O[4])):
         assert (o - w.apex).norm2() == ratio * ratio * (w.O[5] - w.apex).norm2()
 
-    cur = z14
-    pullback = AffMap.identity()
+    # T'^-1 = iota T' iota (``WedgeSystem.iota``), so X = iota T'^2 iota(Z'_14)
+    fr = Frame(z14.transformed(w.iota))
+    pullback = w.iota
     pieces = []
     for _ in range(2):
-        hit = None
-        for i in range(1, 7):
-            status = overlap_status(cur, w.image_alpha[i].convex_parts())
-            if status == "inside":
-                hit = i
-                break
-            if status == "straddle":
-                raise DomainError(
-                    f"pullback would split the rocket across piece image {i}"
-                )
-        if hit is None:
-            raise DomainError("rocket not contained in any piece image")
-        cur = cur.transformed(w.inv_maps[hit])
-        pullback = w.inv_maps[hit].compose(pullback)
-        pieces.append(hit)
-    x = cur
+        i, cut = w.locate_frame(fr)
+        if cut is not None:
+            raise DomainError(f"pullback would split the rocket across split line {cut}")
+        fr = w.step_frame(fr, i)
+        pullback = w.maps[i].compose(pullback)
+        pieces.append(i)
+    pullback = w.iota.compose(pullback)
+    x = z14.transformed(pullback)
     gamma_x = pullback.compose(gamma1)
     assert z4.transformed(gamma_x) == x
     assert gamma_x.det().sign() > 0

@@ -16,7 +16,9 @@ Contents:
   symmetry: a 30° wedge with apex A_1 on which T induces a piecewise
   isometry T' with six pieces alpha_1..alpha_6 (five rotations about the
   fixed points O_1..O_5 plus one translation), together with the invariant
-  rocket hexagon Z' and the 60-vertex necklace region Z.
+  rocket hexagon Z' and the 60-vertex necklace region Z, and the reversing
+  symmetry iota, a reflection with T'^-1 = iota T' iota, through which
+  every backward step is a forward one.
 
 * ``Frame``: a rigid image ROT[l](S) + t of a bounded polygon S, as the
   region walks carry their regions, placed against any line whose
@@ -496,15 +498,25 @@ class WedgeSystem:
             assert row0[-1] == row1[-1]
             assert self.piece_index(self.alpha[i].interior_point()) == i
 
-        self.inv_maps = {i: self.maps[i].inverse() for i in range(1, 7)}
-        self.image_alpha = {
-            i: self.alpha[i].transformed(self.maps[i]) for i in range(1, 7)
-        }
-        # T' maps each closed piece into the closed wedge: a region located
-        # in a piece maps back into the wedge, so the region walks of
-        # first_return_map and return_tube sign the wedge lines only at
-        # their start
-        assert all(self.in_closed_wedge(r) for r in self.image_alpha.values())
+        # the reversing symmetry iota: the reflection in the wedge bisector,
+        # linear part ROT[8] diag(1, -1), fixing the apex.  It keeps the
+        # wedge, maps each piece alpha_i onto its image T'(alpha_i) and
+        # conjugates maps[i] to its inverse, so T'^-1 = iota T' iota off
+        # the piece boundaries and ``itinerary`` steps backward by stepping
+        # iota(p) forward
+        lin = ROT[8].compose(AffMap(ONE, ZERO, ZERO, -ONE, ZERO, ZERO))
+        self.iota = iota = AffMap.translation(self.apex - lin.apply(self.apex)).compose(lin)
+        assert iota.compose(iota) == AffMap.identity()
+        assert self.wedge.transformed(iota) == self.wedge
+        for i, f in self.maps.items():
+            image = self.alpha[i].transformed(f)
+            assert self.alpha[i].transformed(iota) == image
+            assert iota.compose(f).compose(iota).compose(f) == AffMap.identity()
+            # T' maps each closed piece into the closed wedge: a region
+            # located in a piece maps back into the wedge, so the region
+            # walks of first_return_map and return_tube sign the wedge lines
+            # only at their start
+            assert self.in_closed_wedge(image)
         # each split line's normal is a positive multiple of some side
         # normal n_e, so split line k's form has the sign of n_e . x - c:
         # over a Frame's region its max is above c when
@@ -631,8 +643,9 @@ class WedgeSystem:
     def raw_orbit(self, p: Point):
         """Forward T'-orbit of p on raw integers: yields (xp, xq, yp, yq, r, i).
 
-        The one code that places a point: every forward T' step on a point,
-        ``piece_index`` included, walks it.  The state is the point
+        The one code that places a point: every T' step on a point,
+        ``piece_index`` and the backward steps of ``itinerary`` included,
+        walks it.  The state is the point
         ((xp + xq*s3)/r, (yp + yq*s3)/r) over one common denominator r >= 1,
         not normalised, signed against the cleared lines (``Line._k``;
         r > 0 drops out of the sign).  Each yield is the image and the
@@ -707,45 +720,40 @@ class WedgeSystem:
             xp, xq, yp, yq, r = _map_raw(rows[i], xp, xq, yp, yq, r)
             yield xp, xq, yp, yq, r, i
 
-    def step(self, p: Point, forward: bool = True) -> tuple[Point, int]:
-        """One application of T' (or its inverse); returns (image, symbol).
+    def step(self, p: Point) -> tuple[Point, int]:
+        """One application of T'; returns (image, symbol).
 
-        Forward, it is the first step of ``raw_orbit``.
+        It is the first step of ``raw_orbit``.
         """
-        if forward:
-            xp, xq, yp, yq, r, i = next(self.raw_orbit(p))
-            return raw_point(xp, xq, yp, yq, r), i
-        side = self.wedge.classify(p)
-        if side == EXTERIOR:
-            raise DomainError("point outside the wedge")
-        if side == BOUNDARY:
-            raise GraneError("point on the wedge boundary", point=p)
-        for i in range(1, 7):
-            c = self.image_alpha[i].classify(p)
-            if c == INTERIOR:
-                return self.inv_maps[i].apply(p), i
-        raise GraneError("point on a piece-image boundary", point=p)
+        xp, xq, yp, yq, r, i = next(self.raw_orbit(p))
+        return raw_point(xp, xq, yp, yq, r), i
 
     def itinerary(self, p: Point, n_fwd: int, n_bwd: int = 0) -> Itinerary:
+        """The symbols of n_bwd backward and n_fwd forward T' steps from p.
+
+        Backward steps walk iota: T'^-k = iota T'^k iota, and iota maps
+        each image T'(alpha_i) onto alpha_i, so the k-th backward symbol of
+        p is the k-th forward symbol of iota(p).  iota maps the wedge, its
+        boundary and the image boundaries onto the wedge, its boundary and
+        the piece boundaries, so ``raw_orbit(iota(p))`` raises DomainError
+        off the wedge and GraneError on its boundary, and stops on an image
+        boundary, exactly where the backward walk does.
+        """
+        back, bwd_fail = self._symbols(self.iota.apply(p), n_bwd)
+        ahead, fwd_fail = self._symbols(p, n_fwd)
+        back.reverse()
+        return Itinerary(back + ahead, len(back), fwd_fail=fwd_fail, bwd_fail=bwd_fail)
+
+    def _symbols(self, p: Point, n: int) -> tuple[list, int | None]:
+        """The first n symbols of ``raw_orbit(p)``, and the number read
+        before a GraneError (None when there was none)."""
         symbols = []
-        bwd_fail = None
-        fwd_fail = None
-        q = p
-        for k in range(n_bwd):
-            try:
-                q, sym = self.step(q, forward=False)
-            except GraneError:
-                bwd_fail = k
-                break
-            symbols.append(sym)
-        symbols.reverse()
-        start_offset = len(symbols)
         try:
-            for _, (*_, sym) in zip(range(n_fwd), self.raw_orbit(p)):
+            for _, (*_, sym) in zip(range(n), self.raw_orbit(p)):
                 symbols.append(sym)
         except GraneError:
-            fwd_fail = len(symbols) - start_offset
-        return Itinerary(symbols, start_offset, fwd_fail=fwd_fail, bwd_fail=bwd_fail)
+            return symbols, len(symbols)
+        return symbols, None
 
     def orbit_period(self, p: Point, max_iter: int):
         """Exact least period of p under T' with per-piece visit counts.

@@ -65,6 +65,38 @@ def test_orbit_fixed_point(capsys):
     assert obj["final"] == ["0+2/3*s3", "2+0*s3"]
 
 
+def test_orbit_backward(capsys):
+    code, out, _ = run(
+        capsys,
+        "--format",
+        "json",
+        "orbit",
+        "--point",
+        "0,3",
+        "--steps",
+        "6",
+        "--backward",
+        "4",
+    )
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["itinerary"] == "4343.434343"
+    assert obj["final"] == ["-7+4*s3", "-4+4*s3"]
+
+
+def test_orbit_backward_stops_on_a_piece_image_boundary(capsys):
+    # the preimage of this point lies on the common edge of T'(alpha_4) and
+    # T'(alpha_5): one backward step succeeds, the second stops there
+    argv = ["--format", "json", "orbit", "--point=-1+1/2*s3,5/2+2*s3", "--steps", "2"]
+    code, out, _ = run(capsys, *argv, "--backward", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["itinerary"] == "5.45"
+    code, out, _ = run(capsys, *argv, "--backward", "3")
+    assert code == EXIT_INCONCLUSIVE
+    obj = json.loads(out)
+    assert obj["error"] == "boundary" and obj["steps_done"] == 1
+
+
 def test_orbit_billiard_map(capsys):
     code, out, _ = run(
         capsys,

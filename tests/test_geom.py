@@ -336,7 +336,8 @@ def _seeded_polys(rng, region, count):
 def test_area2_within_matches_clipping(ctx, sim):
     rng = random.Random(8)
     seen = set()
-    for target in (sim.Z4, ctx.wedge.image_alpha[6]):
+    w = ctx.wedge
+    for target in (sim.Z4, w.alpha[6].transformed(w.maps[6])):
         parts = target.convex_parts()
         polys = _seeded_polys(rng, target, 60)
         total = ZERO

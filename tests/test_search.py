@@ -738,6 +738,13 @@ def test_validate_return_system_rejects_overlapping_pieces(ctx):
         _validate_return_system(ReturnSystem(domain, pieces))
 
 
+def test_validate_return_system_rejects_a_missing_piece(ctx):
+    # the remaining pieces are disjoint, so only the tiling test can fail
+    rs = ctx.return_system("z4")
+    with pytest.raises(AssertionError, match="return sources must tile the domain"):
+        _validate_return_system(ReturnSystem(rs.domain, rs.pieces[1:]))
+
+
 def _pool_area2(pool):
     return sum((c.area2() for c in pool.cells.values()), ZERO)
 

@@ -169,6 +169,30 @@ def test_full_measure_rejects_a_corrupted_return_time(ctx, monkeypatch):
     assert "z14 return times must be Wᵀ times the z4 ones" in res.error
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda wit: replace(wit, growth_factors=[1, *wit.growth_factors[1:]]),
+            "every growth factor must be at least 2",
+        ),
+        (
+            lambda wit: replace(wit, y=Point(wit.y.x + ONE, wit.y.y)),
+            "y must be the fixed point of gamma_X",
+        ),
+    ],
+    ids=["growth-factor-1", "y-off-the-fixed-point"],
+)
+def test_aperiodic_witness_rejects_a_corrupted_witness(ctx, monkeypatch, corrupt, message):
+    # a witness that did not come from aperiodic_witness, as only the
+    # check's own asserts can reject it
+    real = Context.witness
+    monkeypatch.setattr(Context, "witness", lambda self: corrupt(real(self)))
+    res = run_checks(["aperiodic-witness"], ctx)[0]
+    assert not res.ok
+    assert res.error == message
+
+
 def test_full_measure_matches_the_level3_towers(ctx, sim):
     # the tower reference for full-measure's closed form: the return times
     # and red areas read off the T' floors of the z4, z14 and level-3

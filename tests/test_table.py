@@ -7,6 +7,7 @@ from dodeca import table
 from dodeca.errors import DomainError, GraneError, InconclusiveError
 from dodeca.field import ONE, QS3, SQRT3, ZERO, pair_sign, qs3
 from dodeca.geom import (
+    BOUNDARY,
     EXTERIOR,
     INTERIOR,
     AffMap,
@@ -238,10 +239,11 @@ def test_forward_backward_inverse(system):
         p = wedge_point(w, rng)
         try:
             q, i = w.step(p)
-            back, j = w.step(q, forward=False)
+            # T'^-1 = iota T' iota
+            back, j = w.step(w.iota.apply(q))
         except GraneError:
             continue
-        assert back == p and i == j
+        assert w.iota.apply(back) == p and i == j
         checked += 1
 
 
@@ -328,7 +330,8 @@ def test_pieces_map_into_the_closed_wedge(system):
     _, w = system
     out = AffMap.point_reflection(w.apex)
     for i in range(1, 7):
-        img = w.image_alpha[i]
+        img = w.alpha[i].transformed(w.maps[i])
+        assert img == w.alpha[i].transformed(w.iota)
         assert img.is_bounded == (i <= 4)
         assert w.in_closed_wedge(img)
         assert not w.in_closed_wedge(img.transformed(out))
@@ -534,13 +537,14 @@ def test_point_first_return_to_a_piece_matches_a_scanned_walk(system):
     _, w = system
     rng = random.Random(41)
     # preimages of points on each split line: the walk hits it at step 1
+    step_back = _backward_reference(w)
     starts = []
     for k in range(1, 6):
         a = w.P[k + 1] if k < 5 else w.Q[6] + w.dir_p
         b = w.Q[k + 1]
         for t in (Fraction(1, 3), Fraction(2, 3)):
             try:
-                back, _ = w.step(a + (b - a).scaled(t), forward=False)
+                back, _ = step_back(a + (b - a).scaled(t))
             except GraneError:
                 continue
             starts.append(back)
@@ -631,6 +635,88 @@ def test_itinerary_shift(system):
         checked += 1
 
 
+def _backward_reference(w):
+    """The backward step T'^-1 by a scan of the six piece images, as a
+    function p -> (preimage, symbol): p is classified against each image
+    alpha_i.transformed(maps[i]), and maps[i].inverse() applied to it.
+    DomainError outside the wedge, GraneError on its boundary or on an
+    image boundary."""
+    images = {i: a.transformed(w.maps[i]) for i, a in w.alpha.items()}
+    inverses = {i: f.inverse() for i, f in w.maps.items()}
+
+    def step_back(p):
+        side = w.wedge.classify(p)
+        if side == EXTERIOR:
+            raise DomainError("point outside the wedge")
+        if side == BOUNDARY:
+            raise GraneError("point on the wedge boundary", point=p)
+        for i, img in images.items():
+            if img.classify(p) == INTERIOR:
+                return inverses[i].apply(p), i
+        raise GraneError("point on a piece-image boundary", point=p)
+
+    return step_back
+
+
+def _backward_outcome(step_back, p, n):
+    """(symbols, bwd_fail) of n backward steps from p by ``step_back``, as
+    ``itinerary(p, 0, n)`` reports them, or DomainError."""
+    symbols = []
+    try:
+        for _ in range(n):
+            p, i = step_back(p)
+            symbols.append(i)
+    except DomainError:
+        return DomainError
+    except GraneError:
+        return tuple(reversed(symbols)), len(symbols)
+    return tuple(reversed(symbols)), None
+
+
+def _itinerary_backward_outcome(w, p, n):
+    try:
+        it = w.itinerary(p, 0, n)
+    except DomainError:
+        return DomainError
+    assert it.start_offset == len(it.symbols)
+    return it.symbols, it.bwd_fail
+
+
+def test_itinerary_backward_matches_a_scanned_reference(system):
+    """Backward itineraries through iota against the image scan of
+    ``_backward_reference``: equal symbols and truncation, at sampled wedge
+    points and at points on the image boundaries, reached after 0, 1 and 2
+    backward steps; the same DomainError off the wedge."""
+    _, w = system
+    step_back = _backward_reference(w)
+    rng = random.Random(43)
+    starts = [wedge_point(w, rng) for _ in range(300)]
+    # points on the image edges inside the wedge, and their images one and
+    # two steps on, which stop there going back
+    for i, a in w.alpha.items():
+        img = a.transformed(w.maps[i])
+        vs = img.vertices
+        edges = list(zip(vs, vs[1:] + vs[:1] if img.is_bounded else vs[1:]))
+        if not img.is_bounded:
+            edges += [(vs[0] + img.entry_dir, vs[0]), (vs[-1], vs[-1] + img.exit_dir)]
+        for u, v in edges:
+            for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+                q = u + (v - u).scaled(t)
+                for _ in range(3):
+                    starts.append(q)
+                    try:
+                        q, _ = w.step(q)
+                    except GraneError:
+                        break
+    starts += [w.apex, w.apex - w.bisector_dir, w.apex + w.dir_p]
+    fails = set()
+    for p in starts:
+        want = _backward_outcome(step_back, p, 6)
+        assert _itinerary_backward_outcome(w, p, 6) == want
+        fails.add(want if want is DomainError else want[1])
+    assert {DomainError, None, 0, 1, 2} <= fails
+
+
 def test_itinerary_reports_boundary_truncation(system):
     _, w = system
     # the apex of alpha_6 maps onto a piece boundary after a few steps of
@@ -640,7 +726,7 @@ def test_itinerary_reports_boundary_truncation(system):
     assert it.fwd_fail == 0 and it.symbols == ()
     # one step before the boundary on split line 2, after a backward step
     p = Point((w.P[3].x + w.Q[3].x) / 2, (w.P[3].y + w.Q[3].y) / 2)
-    q, _ = w.step(p, forward=False)
+    q, _ = _backward_reference(w)(p)
     it = w.itinerary(q, 5, 1)
     assert it.fwd_fail == 1 and it.start_offset == 1 and it.symbols == (3, 3)
 
