@@ -160,8 +160,7 @@ def cmd_orbit(args, ctx) -> int:
             )
         symbols = list(it.symbols[it.start_offset :])
         back_symbols = list(it.symbols[: it.start_offset])
-        for i in symbols:
-            q = w.maps[i].apply(q)
+        q = it.end
     sep = "," if args.map == "T" else ""
     obj = {
         "map": args.map,

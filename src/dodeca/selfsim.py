@@ -234,32 +234,89 @@ def visit_matrix(
     return tuple(map(tuple, w))
 
 
+def _interior_test(domain: Region):
+    """The test "is this raw T'-iterate interior to the open domain?".
+
+    Returns ``interior(xp, xq, yp, yq, r)``: the iterate as a ``Point``
+    when it lies in the open domain, else None.  An iterate becomes a
+    ``Point`` for the exact ``domain.classify`` only when the proven float
+    enclosures of its coordinates (``float_interval``) meet the domain's
+    proven ``float_bbox``.  A point outside that box is neither in the
+    domain nor on its boundary, so the floats only prune exact tests and
+    never decide one.
+    """
+    inf = float("inf")
+    x0, y0, x1, y1 = domain.float_bbox() if domain.is_bounded else (-inf, -inf, inf, inf)
+    classify = domain.classify
+
+    def interior(xp, xq, yp, yq, r):
+        lo, hi = float_interval(xp, xq, r)
+        if hi < x0 or lo > x1:
+            return None
+        lo, hi = float_interval(yp, yq, r)
+        if hi < y0 or lo > y1:
+            return None
+        q = raw_point(xp, xq, yp, yq, r)
+        return q if classify(q) == INTERIOR else None
+
+    return interior
+
+
 def point_first_return(w: WedgeSystem, p: Point, domain: Region, max_iter: int = 10**6):
     """First forward T'-iterate of p landing back inside the open domain.
 
     Returns ``(q, n)`` with q = T'^n(p).  The iterates come from
-    ``w.raw_orbit``; one becomes a ``Point`` for the exact
-    ``domain.classify`` only when the proven float enclosures of its
-    coordinates (``float_interval``) meet the domain's proven
-    ``float_bbox``.  A point outside that box is neither in the domain nor
-    on its boundary, so the floats only prune exact tests and never decide
-    one.  A cap that runs out is inconclusive (``InconclusiveError``).
+    ``w.raw_orbit`` and are tested by ``_interior_test``.  A cap that runs
+    out is inconclusive (``InconclusiveError``).
     """
-    inf = float("inf")
-    box = domain.float_bbox() if domain.is_bounded else (-inf, -inf, inf, inf)
-    x0, y0, x1, y1 = box
-    orbit = zip(range(1, max_iter + 1), w.raw_orbit(p))
-    for n, (xp, xq, yp, yq, r, _) in orbit:
-        lo, hi = float_interval(xp, xq, r)
-        if hi < x0 or lo > x1:
-            continue
-        lo, hi = float_interval(yp, yq, r)
-        if hi < y0 or lo > y1:
-            continue
-        q = raw_point(xp, xq, yp, yq, r)
-        if domain.classify(q) == INTERIOR:
+    interior = _interior_test(domain)
+    for n, (xp, xq, yp, yq, r, _) in zip(range(1, max_iter + 1), w.raw_orbit(p)):
+        q = interior(xp, xq, yp, yq, r)
+        if q is not None:
             return q, n
     raise InconclusiveError(f"no return within {max_iter} steps", iterations=max_iter)
+
+
+def paired_first_returns(
+    w: WedgeSystem, s: SimilaritySystem, p4: Point, r4: Point, max_iter: int = 10**6
+) -> tuple:
+    """The first returns of gamma_X(p4) to X and of gamma_1(p4) to Z'_14, from one walk.
+
+    r4 must be the first return of p4 to Z'_4.  Returns
+    ``((rx, n_x), (r14, n14))``, equal to ``point_first_return`` from
+    px = gamma_X(p4) into X and from p14 = gamma_1(p4) into Z'_14.
+    T'^2(px) = p14 (``verify_conjugacy`` gives the argument), so the orbit
+    of px passes through p14 at step 2 and is the orbit of p14 from there
+    on: one ``w.raw_orbit(px)`` carries both returns.  Asserts, on the
+    way: gamma_X(r4) = rx as soon as rx is found, the state after step 2
+    equal to p14 (``raw_equals``), and gamma_1(r4) = r14.
+
+    Each half keeps its own cap: InconclusiveError when X is not reached
+    within max_iter steps, or Z'_14 within max_iter steps after step 2.
+    A GraneError on the walk propagates, as it does from either walk alone.
+    """
+    px = s.gammaX.apply(p4)
+    p14 = s.gamma1.apply(p4)
+    assert s.X.classify(px) == INTERIOR
+    in_x, in_14 = _interior_test(s.X), _interior_test(s.Z14)
+    rx = r14 = None
+    for n, (xp, xq, yp, yq, r, _) in enumerate(w.raw_orbit(px), 1):
+        if rx is None:
+            if n > max_iter:
+                raise InconclusiveError(f"no return to X within {max_iter} steps", max_iter)
+            rx = in_x(xp, xq, yp, yq, r)
+            if rx is not None:
+                n_x = n
+                assert s.gammaX.apply(r4) == rx, "gamma_X must conjugate the returns"
+        if n == 2:
+            assert raw_equals(p14, xp, xq, yp, yq, r), "T'^2 gamma_X must be gamma_1"
+        elif n > 2 and r14 is None:
+            if n > max_iter + 2:
+                raise InconclusiveError(f"no return to Z'_14 within {max_iter} steps", max_iter)
+            r14, n14 = in_14(xp, xq, yp, yq, r), n - 2
+        if rx is not None and r14 is not None:
+            assert s.gamma1.apply(r4) == r14, "gamma_1 must conjugate the returns"
+            return (rx, n_x), (r14, n14)
 
 
 def verify_conjugacy(
@@ -272,7 +329,19 @@ def verify_conjugacy(
     seed: int = 0,
     max_iter: int = 10**6,
 ) -> ConjugacyReport:
-    """Exact piece-level conjugacies plus sampled commuting squares."""
+    """Exact piece-level conjugacies plus sampled commuting squares.
+
+    gamma_1 and gamma_X carry the return system of Z'_4 piece by piece onto
+    those of Z'_14 and X (``match_return_systems``).  Each sample p4,
+    interior to Z'_4, checks the squares at a point: with r4 its first
+    return to Z'_4, gamma_X(r4) and gamma_1(r4) must be the first returns
+    of gamma_X(p4) to X and of gamma_1(p4) to Z'_14.  X = pullback(Z'_14),
+    where pullback = iota T'^2 iota is T'^-2 by the reversing symmetry
+    T'^-1 = iota T' iota, and gamma_X = pullback ∘ gamma_1.  So
+    T'^2(gamma_X p) = gamma_1 p, and one orbit, that of gamma_X(p4),
+    carries both returns (``paired_first_returns``).  A sample whose walks
+    meet a boundary (GraneError) is counted as skipped.
+    """
     import random
     from fractions import Fraction
 
@@ -288,23 +357,12 @@ def verify_conjugacy(
         p4 = Point(QS3(x), QS3(y))
         if s.Z4.classify(p4) != INTERIOR:
             continue
-        px = s.gammaX.apply(p4)
-        assert s.X.classify(px) == INTERIOR
         try:
             r4, _ = point_first_return(w, p4, s.Z4, max_iter)
-            rx, _ = point_first_return(w, px, s.X, max_iter)
+            paired_first_returns(w, s, p4, r4, max_iter)
         except GraneError:
             skipped += 1
             continue
-        assert s.gammaX.apply(r4) == rx
-        # the gamma_1 version against Z'_14
-        p14 = s.gamma1.apply(p4)
-        try:
-            r14, _ = point_first_return(w, p14, s.Z14, max_iter)
-        except GraneError:
-            skipped += 1
-            continue
-        assert s.gamma1.apply(r4) == r14
         checked += 1
     return ConjugacyReport(n14, nx, checked, skipped)
 

@@ -391,14 +391,16 @@ class Itinerary:
     ``symbols[start_offset]`` is the symbol of the starting point itself;
     earlier entries come from backward steps.  When a boundary is hit the
     itinerary is truncated on that side and ``fwd_fail``/``bwd_fail``
-    record how many steps succeeded.
+    record how many steps succeeded.  ``end`` is the point the forward
+    steps reached: T'^k(p) after the k forward symbols.
     """
 
-    def __init__(self, symbols, start_offset, fwd_fail=None, bwd_fail=None):
+    def __init__(self, symbols, start_offset, end, fwd_fail=None, bwd_fail=None):
         self.symbols = tuple(symbols)
         self.start_offset = start_offset
         self.fwd_fail = fwd_fail
         self.bwd_fail = bwd_fail
+        self.end = end
 
     @property
     def complete(self) -> bool:
@@ -739,21 +741,25 @@ class WedgeSystem:
         off the wedge and GraneError on its boundary, and stops on an image
         boundary, exactly where the backward walk does.
         """
-        back, bwd_fail = self._symbols(self.iota.apply(p), n_bwd)
-        ahead, fwd_fail = self._symbols(p, n_fwd)
+        back, bwd_fail, _ = self._symbols(self.iota.apply(p), n_bwd)
+        ahead, fwd_fail, last = self._symbols(p, n_fwd)
         back.reverse()
-        return Itinerary(back + ahead, len(back), fwd_fail=fwd_fail, bwd_fail=bwd_fail)
+        end = p if last is None else raw_point(*last)
+        return Itinerary(back + ahead, len(back), end, fwd_fail=fwd_fail, bwd_fail=bwd_fail)
 
-    def _symbols(self, p: Point, n: int) -> tuple[list, int | None]:
-        """The first n symbols of ``raw_orbit(p)``, and the number read
-        before a GraneError (None when there was none)."""
+    def _symbols(self, p: Point, n: int) -> tuple[list, int | None, list | None]:
+        """The first n symbols of ``raw_orbit(p)``, the number read before
+        a GraneError (None when there was none), and the raw state
+        (xp, xq, yp, yq, r) the last of them reached (None when none was
+        read)."""
         symbols = []
+        last = None
         try:
-            for _, (*_, sym) in zip(range(n), self.raw_orbit(p)):
+            for _, (*last, sym) in zip(range(n), self.raw_orbit(p)):
                 symbols.append(sym)
         except GraneError:
-            return symbols, len(symbols)
-        return symbols, None
+            return symbols, len(symbols), last
+        return symbols, None, last
 
     def orbit_period(self, p: Point, max_iter: int):
         """Exact least period of p under T' with per-piece visit counts.

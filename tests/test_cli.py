@@ -97,6 +97,22 @@ def test_orbit_backward_stops_on_a_piece_image_boundary(capsys):
     assert obj["error"] == "boundary" and obj["steps_done"] == 1
 
 
+def test_orbit_final_matches_a_replay_of_the_symbols(capsys, ctx):
+    # the final point comes from the walk that read the symbols; replaying
+    # them with the piece maps on QS3 points must land on the same point
+    w = ctx.wedge
+    y = ctx.witness().y
+    point = f"--point={y.x.literal()},{y.y.literal()}"
+    code, out, _ = run(capsys, "--format", "json", "orbit", point, "--steps", "20000")
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert len(obj["symbols_forward"]) == 20000
+    q = y
+    for i in obj["symbols_forward"]:
+        q = w.maps[i].apply(q)
+    assert obj["final"] == [q.x.literal(), q.y.literal()]
+
+
 def test_orbit_billiard_map(capsys):
     code, out, _ = run(
         capsys,

@@ -28,6 +28,7 @@ from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
     match_return_systems,
+    paired_first_returns,
     point_first_return,
     verify_conjugacy,
     visit_matrix,
@@ -129,6 +130,88 @@ def test_conjugacy_rejects_wrong_map(ctx, sim):
         match_return_systems(
             ctx.return_system("z4"), ctx.return_system("z14"), wrong
         )
+
+
+def _z4_samples(sim, seed, count):
+    """Dyadic points interior to Z'_4, drawn as ``verify_conjugacy`` draws them."""
+    rng = random.Random(seed)
+    box = sim.Z4.float_bbox()
+    starts = []
+    while len(starts) < count:
+        x = Fraction(rng.randint(int(box[0] * 512), int(box[2] * 512)), 512)
+        y = Fraction(rng.randint(int(box[1] * 512), int(box[3] * 512)), 512)
+        p = Point(QS3(x), QS3(y))
+        if sim.Z4.classify(p) == INTERIOR:
+            starts.append(p)
+    return starts
+
+
+def test_paired_walk_matches_the_separate_walks(ctx, sim):
+    # one walk from gamma_X(p4) reads both returns that two
+    # point_first_return walks read from gamma_X(p4) and gamma_1(p4)
+    w = ctx.wedge
+    times = []
+    for p4 in _z4_samples(sim, 2027, 200):
+        r4, _ = point_first_return(w, p4, sim.Z4)
+        (rx, n_x), (r14, n14) = paired_first_returns(w, sim, p4, r4)
+        assert (rx, n_x) == point_first_return(w, sim.gammaX.apply(p4), sim.X)
+        assert (r14, n14) == point_first_return(w, sim.gamma1.apply(p4), sim.Z14)
+        assert n_x == n14
+        times.append(n_x)
+    assert max(times) > 20
+
+
+@pytest.mark.parametrize("field", ["gamma1", "gammaX"])
+def test_conjugacy_rejects_a_corrupted_similarity(ctx, sim, field):
+    # a small shift moves gamma_1(p4) or gamma_X(p4) off the other's
+    # image under T'^2: the sampled squares fail, and so does the paired
+    # walk's step-2 identity
+    shift = AffMap.translation(Point(QS3(Fraction(1, 2**20)), ZERO))
+    bad = replace(sim, **{field: shift.compose(getattr(sim, field))})
+    w = ctx.wedge
+    with pytest.raises(AssertionError):
+        verify_conjugacy(
+            w,
+            bad,
+            ctx.return_system("z4"),
+            ctx.return_system("z14"),
+            ctx.return_system("x"),
+            samples=5,
+            seed=5,
+        )
+    p4 = _z4_samples(sim, 2027, 1)[0]
+    r4, _ = point_first_return(w, p4, sim.Z4)
+    with pytest.raises(AssertionError, match="T'\\^2 gamma_X must be gamma_1"):
+        paired_first_returns(w, bad, p4, r4)
+
+
+def test_paired_walk_rejects_a_wrong_return(ctx, sim):
+    # with the true maps, a wrong Z'_4 return fails the square at rx, and
+    # Z'_4 in place of Z'_14 (it holds Z'_14, so the walk meets it earlier)
+    # fails the square at r14
+    w = ctx.wedge
+    p4 = _z4_samples(sim, 2027, 1)[0]
+    with pytest.raises(AssertionError, match="gamma_X must conjugate the returns"):
+        paired_first_returns(w, sim, p4, p4)
+    r4, _ = point_first_return(w, p4, sim.Z4)
+    with pytest.raises(AssertionError, match="gamma_1 must conjugate the returns"):
+        paired_first_returns(w, replace(sim, Z14=sim.Z4), p4, r4)
+
+
+def test_paired_walk_cap_is_inconclusive(ctx, sim):
+    # the longest X return, time 987: its own time as cap returns, one step
+    # less runs the cap out
+    w = ctx.wedge
+    piece = max(ctx.return_system("x").pieces, key=lambda pc: pc.return_time)
+    assert piece.return_time == 987
+    px = piece.source.interior_point()
+    p4 = sim.gammaX.inverse().apply(px)
+    r4, _ = point_first_return(w, p4, sim.Z4)
+    (rx, n_x), _ = paired_first_returns(w, sim, p4, r4, 987)
+    assert (rx, n_x) == (piece.map.apply(px), 987)
+    with pytest.raises(InconclusiveError, match="no return to X") as info:
+        paired_first_returns(w, sim, p4, r4, 986)
+    assert info.value.iterations == 986
 
 
 def test_visit_matrix_rejects_the_wrong_map(ctx, sim):
@@ -376,17 +459,8 @@ def _return_outcome(fn, w, p, domain):
 
 def test_point_first_return_matches_reference_loop(ctx, sim):
     w = ctx.wedge
-    rng = random.Random(412)
-    box = sim.Z4.float_bbox()
-    starts = []
-    while len(starts) < 50:
-        x = Fraction(rng.randint(int(box[0] * 512), int(box[2] * 512)), 512)
-        y = Fraction(rng.randint(int(box[1] * 512), int(box[3] * 512)), 512)
-        p = Point(QS3(x), QS3(y))
-        if sim.Z4.classify(p) == INTERIOR:
-            starts.append(p)
     times = []
-    for p in starts:
+    for p in _z4_samples(sim, 412, 50):
         for g, domain in ((None, sim.Z4), (sim.gammaX, sim.X), (sim.gamma1, sim.Z14)):
             q = p if g is None else g.apply(p)
             want = _return_outcome(_reference_first_return, w, q, domain)
