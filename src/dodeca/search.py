@@ -25,18 +25,18 @@ Three layers build on the wedge map T':
   that frame (``table.Frame``): a step turns l and maps t on raw
   integers, and S''s support values in the 12 side-normal directions
   make each split-line test, and the test that a side normal separates
-  the fragment from S, one exact sign.  Regions are built only at cuts
-  and for the fragments no side normal separates from S.  Each piece
-  records its T' itinerary, and :func:`return_tube` steps the source's
-  frame along it, proving every floor of the piece's tower in its
-  recorded piece by two signs on the frame and building the floor from
-  it.  Every region a walk builds comes from its frame (``Frame.region``):
-  S''s rotated-vertex table (``table.SourceTable``), made once per walk,
-  gives each vertex of ROT[l](S') + t by integer products and sums, and
-  each distinct coordinate of the walk is normalised once and shared by
-  every region that has it.  The walks sign the wedge lines once, at
-  their start: T' maps every closed piece into the closed wedge (asserted
-  when the ``WedgeSystem`` is built).
+  the fragment from S, one exact sign, read off one integer row per
+  form and rotation.  Regions are built only at cuts and for the
+  fragments no side normal separates from S.  Each piece records its T'
+  itinerary, and :func:`return_tube` steps the source's raw (l, t) along
+  it, proving every floor of the piece's tower in its recorded piece by
+  two signs and building the floor.  Every region a walk builds comes
+  from S''s table (``table.SourceTable``), made once per walk: its
+  rotated vertices give each vertex of ROT[l](S') + t by integer
+  products and sums, and each distinct coordinate of the walk is
+  normalised once and shared by every region that has it.  The walks
+  sign the wedge lines once, at their start: T' maps every closed piece
+  into the closed wedge (asserted when the ``WedgeSystem`` is built).
 
 * :func:`verify_partition`: tile the invariant rocket Z' exactly by the
   forward tubes of the return pieces of S plus the tubes of the periodic
@@ -82,7 +82,7 @@ from .geom import (
     split_region,
 )
 from .periods import period_of_h
-from .table import ROT, Frame, WedgeSystem, side_normal_index
+from .table import ROT, SPLIT_FORMS, Frame, SourceTable, WedgeSystem, side_normal_index
 
 ALG1_MAX_ITER = 10**6
 ALG2_MAX_EVENTS = 10**5
@@ -389,8 +389,12 @@ def first_return_map(
     Every fragment is a rigid image of a source polygon S in the domain,
     so the walk carries it as a ``Frame`` (S, l, t) and builds no region
     per step: ``locate_frame`` places it by one sign per split-line test,
-    ``step_frame`` maps it, and a side normal that separates it from the
-    domain's support values proves it disjoint from the domain.  A
+    ``step_frame`` maps it, and a side normal n_e that separates it from
+    the domain proves it disjoint from the domain.  That is one sign per
+    e, the fragment's largest n_e . x against the domain's smallest,
+    -h[e + 6] from the domain's support values h: the walk adds these 12
+    forms to the split forms of each source's ``SourceTable``, which folds
+    each into one integer row per rotation when the walk first signs it.  A
     ``Region`` is built only where the walk needs one: at a cut the frame's
     region is split and each part pulled back to a new S, and a fragment
     that no side normal separates is placed by ``overlap_status``.  A
@@ -409,8 +413,14 @@ def first_return_map(
     if not w.in_closed_wedge(domain):
         raise DomainError("return domain must lie in the wedge")
     parts = domain.convex_parts()
-    start = Frame(domain)
-    pending = [(start, None)]
+    # form len(SPLIT_FORMS) + e: a fragment's max n_e . x at most the
+    # domain's min n_e . y, which is -h[e + 6], separates the open sets;
+    # h comes from a table of its own, since the start's table takes
+    # these forms
+    hp, hq, m = SourceTable(domain).h
+    forms = SPLIT_FORMS + tuple((e, -hp[(e + 6) % 12], -hq[(e + 6) % 12], m) for e in range(12))
+    apart = range(len(SPLIT_FORMS), len(forms))
+    pending = [(Frame(domain, shared=SourceTable(domain, forms)), None)]
     finished = []
     events = 0
     while pending:
@@ -422,9 +432,9 @@ def first_return_map(
             # without spending the event budget
             assert len(halves) >= 2, "the cut line leaves the fragment whole"
             back = fr.map().inverse()
-            pending.extend(
-                (Frame(half.transformed(back), fr.l, fr.t), node) for half in halves
-            )
+            for half in halves:
+                source = half.transformed(back)
+                pending.append((Frame(source, fr.l, fr.t, SourceTable(source, forms)), node))
             continue
         events += 1
         if events > max_events:
@@ -434,7 +444,8 @@ def first_return_map(
             )
         fr = w.step_frame(fr, i)
         node = (node, i)
-        if fr.misses(start.shared.h):
+        sign, l, t = fr.shared.sign, fr.l, fr.t
+        if any(sign(l, k, t) <= 0 for k in apart):
             pending.append((fr, node))
             continue
         image = fr.region()
@@ -490,38 +501,40 @@ def _collector_paused():
 def return_tube(w: WedgeSystem, piece: ReturnPiece):
     """Floors T'^j(source), 0 <= j < return_time: the piece's tower.
 
-    Steps the source's ``Frame`` along the recorded itinerary and proves
+    Steps the source's image ROT[l](source) + t, as the raw pair (l, t),
+    along the recorded itinerary (``WedgeSystem.step_raw``) and proves
     each step: floor j must lie in the open piece ``itinerary[j]``
-    (``WedgeSystem.in_piece``, two signs on the frame), else GraneError
-    with index j.  That test needs the floor in the closed wedge: the
-    source is checked once, and each later floor is the image of a closed
-    piece, which T' keeps in the closed wedge (asserted when the
-    ``WedgeSystem`` is built).  Each floor is built from its frame
-    (``Frame.region``), and the region of the frame after the last step
-    must be the target; that closure is asserted.
+    (``WedgeSystem.in_piece``, two signs of the source's ``SourceTable``),
+    else GraneError with index j.  That test needs the floor in the closed
+    wedge: the source is checked once, and each later floor is the image
+    of a closed piece, which T' keeps in the closed wedge (asserted when
+    the ``WedgeSystem`` is built).  Each floor is built by the table
+    (``SourceTable.region``), so no ``Frame`` is made, and the region
+    after the last step must be the target; that closure is asserted.
 
     The floors are built with the cyclic garbage collector paused, and the
     collector is left in the state it was found in, also when the call
     raises.  The walk makes no reference cycle (a floor holds a tuple of
-    ``Point``s of ``QS3``s of ints, a frame its ``SourceTable``), so the
-    collector could free nothing it makes, and reference counting frees
-    what it drops as before.  Every floor stays alive in the tube, so
-    with the collector on, the allocations trigger collections that scan
-    the growing tower again and again: about 900 of them over the 8
-    towers (76,450 floors) of the level-3 return system, a sixth of the
-    time of building that system and its towers.
+    ``Point``s of ``QS3``s of ints), so the collector could free nothing
+    it makes, and reference counting frees what it drops as before.
+    Every floor stays alive in the tube, so with the collector on, the
+    allocations trigger collections that scan the growing tower again
+    and again: about 900 of them over the 8 towers (76,450 floors) of the
+    level-3 return system, a sixth of the time of building that system
+    and its towers.
     """
     with _collector_paused():
         if not w.in_closed_wedge(piece.source):
             raise GraneError("return source leaves the wedge")
-        fr = Frame(piece.source)
+        table = SourceTable(piece.source)
+        l, t = 0, (0, 0, 0, 0, 1)
         tube = []
         for j, i in enumerate(piece.itinerary):
-            if not w.in_piece(fr, i):
+            if not w.in_piece(table, l, t, i):
                 raise GraneError(f"floor {j} is not in alpha_{i}", index=j)
-            tube.append(fr.region())
-            fr = w.step_frame(fr, i)
-        assert fr.region() == piece.target
+            tube.append(table.region(l, t))
+            l, t = w.step_raw(l, t, i)
+        assert table.region(l, t) == piece.target
         return tube
 
 

@@ -237,20 +237,23 @@ def visit_matrix(
 def _interior_test(domain: Region):
     """The test "is this raw T'-iterate interior to the open domain?".
 
-    Returns ``interior(xp, xq, yp, yq, r)``: the iterate as a ``Point``
-    when it lies in the open domain, else None.  An iterate becomes a
-    ``Point`` for the exact ``domain.classify`` only when the proven float
-    enclosures of its coordinates (``float_interval``) meet the domain's
-    proven ``float_bbox``.  A point outside that box is neither in the
-    domain nor on its boundary, so the floats only prune exact tests and
-    never decide one.
+    Returns ``interior(xp, xq, yp, yq, r, x=None)``: the iterate as a
+    ``Point`` when it lies in the open domain, else None.  An iterate
+    becomes a ``Point`` for the exact ``domain.classify`` only when the
+    proven float enclosures of its coordinates (``float_interval``) meet
+    the domain's proven ``float_bbox``.  A point outside that box is
+    neither in the domain nor on its boundary, so the floats only prune
+    exact tests and never decide one.  ``x``, when given, is the
+    enclosure ``float_interval(xp, xq, r)``, computed once by a caller
+    that tests the iterate against more than one domain; the enclosure
+    of y is computed only when x's meets the box.
     """
     inf = float("inf")
     x0, y0, x1, y1 = domain.float_bbox() if domain.is_bounded else (-inf, -inf, inf, inf)
     classify = domain.classify
 
-    def interior(xp, xq, yp, yq, r):
-        lo, hi = float_interval(xp, xq, r)
+    def interior(xp, xq, yp, yq, r, x=None):
+        lo, hi = float_interval(xp, xq, r) if x is None else x
         if hi < x0 or lo > x1:
             return None
         lo, hi = float_interval(yp, yq, r)
@@ -287,7 +290,8 @@ def paired_first_returns(
     px = gamma_X(p4) into X and from p14 = gamma_1(p4) into Z'_14.
     T'^2(px) = p14 (``verify_conjugacy`` gives the argument), so the orbit
     of px passes through p14 at step 2 and is the orbit of p14 from there
-    on: one ``w.raw_orbit(px)`` carries both returns.  Asserts, on the
+    on: one ``w.raw_orbit(px)`` carries both returns, and one float
+    enclosure of each iterate's x serves both tests.  Asserts, on the
     way: gamma_X(r4) = rx as soon as rx is found, the state after step 2
     equal to p14 (``raw_equals``), and gamma_1(r4) = r14.
 
@@ -301,10 +305,11 @@ def paired_first_returns(
     in_x, in_14 = _interior_test(s.X), _interior_test(s.Z14)
     rx = r14 = None
     for n, (xp, xq, yp, yq, r, _) in enumerate(w.raw_orbit(px), 1):
+        x = float_interval(xp, xq, r)
         if rx is None:
             if n > max_iter:
                 raise InconclusiveError(f"no return to X within {max_iter} steps", max_iter)
-            rx = in_x(xp, xq, yp, yq, r)
+            rx = in_x(xp, xq, yp, yq, r, x)
             if rx is not None:
                 n_x = n
                 assert s.gammaX.apply(r4) == rx, "gamma_X must conjugate the returns"
@@ -313,7 +318,7 @@ def paired_first_returns(
         elif n > 2 and r14 is None:
             if n > max_iter + 2:
                 raise InconclusiveError(f"no return to Z'_14 within {max_iter} steps", max_iter)
-            r14, n14 = in_14(xp, xq, yp, yq, r), n - 2
+            r14, n14 = in_14(xp, xq, yp, yq, r, x), n - 2
         if rx is not None and r14 is not None:
             assert s.gamma1.apply(r4) == r14, "gamma_1 must conjugate the returns"
             return (rx, n_x), (r14, n14)

@@ -20,11 +20,13 @@ Contents:
   symmetry iota, a reflection with T'^-1 = iota T' iota, through which
   every backward step is a forward one.
 
-* ``Frame``: a rigid image ROT[l](S) + t of a bounded polygon S, as the
-  region walks carry their regions, placed against any line whose
-  normal is a side normal by S's support values, one sign per line, and
-  built as a ``Region`` from S's ``SourceTable``: the 12 rotated vertex
-  lists of S on raw integers and the coordinates the walk has normalised.
+* ``SourceTable`` and ``Frame``: a rigid image ROT[l](S) + t of a
+  bounded polygon S, as the region walks carry their regions.  S's
+  table holds what every such image shares: the 12 rotated vertex lists
+  of S on raw integers, from which a region is built, the coordinates
+  the walk has normalised, and, per rotation l, one integer row per line
+  the walk places the image against (a line whose normal is a side
+  normal), so that each placement is one sign, whatever S's size.
 
 The piece maps are *derived* (fold T back into the wedge) rather than
 hard-coded, and the construction asserts the expected identities, so a
@@ -78,6 +80,19 @@ _NORMALS = tuple(
 assert all(row[-1] in (1, 2) and row[6] == row[7] == 0 for f in ROT for row in f._cleared())
 _ROT_ROWS = tuple(tuple(c * (2 // row[-1]) for row in f._cleared() for c in row[:6]) for f in ROT)
 
+# split line k of the wedge (k = 1..5) is the side line n_{k+1} . x =
+# 4 + 2*s3 of table side A_{k+1} A_{k+2}, oriented apex side > 0, so its
+# ``_side_form`` is (k + 7, -4, -2, 1) (asserted by ``WedgeSystem``).
+# SPLIT_FORMS holds these five "upper" forms at positions k - 1, then
+# their flips, the "lower" forms, at positions _LOWER + k - 1: a region
+# has a point strictly on line k's apex side when its max over the upper
+# form exceeds 0, and one strictly on the far side when its max over the
+# lower form does, as min n_e . x - c = -(max n_{e+6} . x + c)
+_LOWER = 5
+SPLIT_FORMS = tuple(((k + 7) % NUM_SIDES, -4, -2, 1) for k in range(1, 6)) + tuple(
+    ((k + 1) % NUM_SIDES, 4, 2, 1) for k in range(1, 6)
+)
+
 
 def side_normal_index(v: Point) -> int | None:
     """The e with n_e a positive multiple of the vector v, or None."""
@@ -113,18 +128,24 @@ class SourceTable:
       h[e] = max over the vertices s of n_e . s, read off the table as
       n_0 . ROT[-e] s (ROT[e] turns n_0 onto n_e), as raw integers
       ``(hp, hq, m)``: h[e] = (hp[e] + hq[e]*s3)/m, compared by ``pair_sign``;
+    * ``forms``: the forms (e, cp, cq, cr) the walk places an image
+      against, ``SPLIT_FORMS`` unless the walk adds its own, and
+      ``rows[l][k]``: forms[k] folded with h for rotation l into one row
+      of 8 integers (``sign``), compiled when the walk first signs it;
     * S's convexity and doubled area, which a rigid motion keeps;
     * ``values``: the canonical QS3 of each raw coordinate (P, Q, D) that a
       region of the walk has been built with, so that each distinct value
       is normalised once and shared by every region that has it.
 
-    The rotations are ``table.ROT``'s, and the table lives as long as the
-    frames of its walk.
+    An image is the raw pair (l, t), with t = (xp, xq, yp, yq, r) for the
+    translation ((xp + xq*s3)/r, (yp + yq*s3)/r), r >= 1, as
+    ``WedgeSystem.raw_orbit`` holds a point.  The rotations are
+    ``table.ROT``'s, and the table lives as long as the walk.
     """
 
-    __slots__ = ("rotated", "m", "h", "convex", "area2", "values")
+    __slots__ = ("rotated", "m", "h", "forms", "rows", "convex", "area2", "values")
 
-    def __init__(self, source: Region):
+    def __init__(self, source: Region, forms: tuple = SPLIT_FORMS):
         m, raw = clear_points(source.vertices)
         self.m = m = 2 * m
         self.rotated = tuple(
@@ -147,9 +168,76 @@ class SourceTable:
             hp.append(best[0])
             hq.append(best[1])
         self.h = tuple(hp), tuple(hq), m
+        self.forms = forms
+        self.rows = [[None] * len(forms) for _ in range(NUM_SIDES)]
         self.convex = source.is_convex()
         self.area2 = source.area2()
         self.values = {}
+
+    def sign(self, l: int, k: int, t: tuple) -> int:
+        """``Frame.exceeds(*forms[k])`` of the image ROT[l](S) + t.
+
+        Since ROT[l] turns n_{e-l} onto n_e, the largest n_e . x over the
+        closed image is n_e . t + h[(e - l) mod 12], and with h over m and
+        forms[k] = (e, cp, cq, cr) the sign of that minus (cp + cq*s3)/cr
+        is the ``pair_sign`` of two integers linear in t's integers.  Their
+        coefficients, n_e's cleared entries times m*cr and
+        h[(e - l) mod 12]*cr - c*m, are ``rows[l][k]``, compiled here once.
+        """
+        row = self.rows[l][k]
+        if row is None:
+            e, cp, cq, cr = self.forms[k]
+            ap, ta, aq, bp, tb, bq = _NORMALS[e]
+            hp, hq, m = self.h
+            j = (e - l) % NUM_SIDES
+            f = m * cr
+            row = self.rows[l][k] = (
+                ap * f, ta * f, aq * f, bp * f, tb * f, bq * f,
+                hp[j] * cr - cp * m, hq[j] * cr - cq * m,
+            )
+        a1, t1, b1, a2, t2, b2, kp, kq = row
+        xp, xq, yp, yq, r = t
+        return pair_sign(
+            a1 * xp + t1 * xq + a2 * yp + t2 * yq + kp * r,
+            a1 * xq + b1 * xp + a2 * yq + b2 * yp + kq * r,
+        )
+
+    def region(self, l: int, t: tuple) -> Region:
+        """The region ROT[l](S) + t, vertex k the image of S's vertex k.
+
+        Over D = m*r, vertex k is rotated[l][k]*r + t*m: integer products
+        and sums only.  Each coordinate (P, Q, D) is looked up in
+        ``values`` and normalised by ``QS3._make`` only when the walk meets
+        it first, and the points take their coordinates as they are, with
+        no ``Point.__init__``.  The motion keeps orientation, so the region
+        keeps S's normal form, convexity and area, as
+        ``Region.transformed`` would.
+        """
+        values = self.values
+        make = QS3._make
+        new_point = Point.__new__
+        xp, xq, yp, yq, r = t
+        m = self.m
+        d = m * r
+        xp, xq, yp, yq = xp * m, xq * m, yp * m, yq * m
+        pts = []
+        for vxp, vxq, vyp, vyq in self.rotated[l]:
+            kx = (vxp * r + xp, vxq * r + xq, d)
+            x = values.get(kx)
+            if x is None:
+                x = values[kx] = make(*kx)
+            ky = (vyp * r + yp, vyq * r + yq, d)
+            y = values.get(ky)
+            if y is None:
+                y = values[ky] = make(*ky)
+            p = new_point(Point)
+            p.x = x
+            p.y = y
+            pts.append(p)
+        out = Region(pts)
+        out._convex = self.convex
+        out._area = self.area2
+        return out
 
 
 class Frame:
@@ -159,11 +247,9 @@ class Frame:
     step ``WedgeSystem.step_frame`` turns l by 6 - i and maps t, held on
     raw integers (xp, xq, yp, yq, r) over one denominator as
     ``WedgeSystem.raw_orbit`` holds a point, and leaves S alone.  Every
-    frame of S shares S's ``SourceTable``.  Since ROT[l] turns n_{e-l}
-    onto n_e, the largest n_e . x over the closed region is
-    n_e . t + h[(e - l) mod 12] (``exceeds``) and the smallest is
-    n_e . t - h[(e + 6 - l) mod 12].  So placing the region against a line
-    with normal along some n_e is one sign, whatever S's size.
+    frame of S shares S's ``SourceTable``, which places the region
+    against each of its forms by one sign (``SourceTable.sign``) and
+    builds it (``region``).
     """
 
     __slots__ = ("source", "shared", "l", "t")
@@ -177,9 +263,11 @@ class Frame:
     def exceeds(self, e: int, cp: int, cq: int, cr: int) -> int:
         """Sign of max n_e . x over the closed region minus (cp + cq*s3)/cr.
 
-        With t = ((xp + xq*s3)/r, (yp + yq*s3)/r) and h over m, the max
-        is ((n_e . (xp + xq*s3, yp + yq*s3))*m + h[e - l]*r) / (r*m), so
-        the sign is one ``pair_sign`` of integers (r, m, cr >= 1).
+        ``close_component`` reads it for the piece faces, and it is the
+        reference formula of ``SourceTable.sign``, for any form.  With
+        t = ((xp + xq*s3)/r, (yp + yq*s3)/r) and h over m, the max is
+        ((n_e . (xp + xq*s3, yp + yq*s3))*m + h[e - l]*r) / (r*m), so the
+        sign is one ``pair_sign`` of integers (r, m, cr >= 1).
         """
         ap, ta, aq, bp, tb, bq = _NORMALS[e]
         xp, xq, yp, yq, r = self.t
@@ -190,20 +278,6 @@ class Frame:
             ((ap * xp + ta * xq + bp * yp + tb * yq) * m + hp[j] * r) * cr - cp * rm,
             ((ap * xq + aq * xp + bp * yq + bq * yp) * m + hq[j] * r) * cr - cq * rm,
         )
-
-    def misses(self, h) -> bool:
-        """True when some n_e separates the region from a polygon with support values h.
-
-        That is: max n_e . x over the region <= min n_e . y over the
-        polygon, which is -h[e + 6], for some e; the open sets are then
-        disjoint.  False decides nothing.
-        """
-        hp, hq, m = h
-        for e in range(NUM_SIDES):
-            o = (e + 6) % NUM_SIDES
-            if self.exceeds(e, -hp[o], -hq[o], m) <= 0:
-                return True
-        return False
 
     def sends(self, p: Point, q: Point) -> bool:
         """True when the motion x -> ROT[l] x + t takes p to q, decided on raw integers.
@@ -243,36 +317,8 @@ class Frame:
         )
 
     def region(self) -> Region:
-        """The region ROT[l](S) + t, vertex k the image of S's vertex k.
-
-        Over D = m*r, vertex k is rotated[l][k]*r + t*m: integer products
-        and sums only.  Each coordinate (P, Q, D) is looked up in the walk's
-        ``values`` and normalised by ``QS3._make`` only when the walk meets
-        it first.  The motion keeps orientation, so the region keeps S's
-        normal form, convexity and area, as ``Region.transformed`` would.
-        """
-        shared = self.shared
-        values = shared.values
-        make = QS3._make
-        xp, xq, yp, yq, r = self.t
-        m = shared.m
-        d = m * r
-        xp, xq, yp, yq = xp * m, xq * m, yp * m, yq * m
-        pts = []
-        for vxp, vxq, vyp, vyq in shared.rotated[self.l]:
-            kx = (vxp * r + xp, vxq * r + xq, d)
-            x = values.get(kx)
-            if x is None:
-                x = values[kx] = make(*kx)
-            ky = (vyp * r + yp, vyq * r + yq, d)
-            y = values.get(ky)
-            if y is None:
-                y = values[ky] = make(*ky)
-            pts.append(Point(x, y))
-        out = Region(pts)
-        out._convex = shared.convex
-        out._area = shared.area2
-        return out
+        """The region ROT[l](S) + t (``SourceTable.region``)."""
+        return self.shared.region(self.l, self.t)
 
 
 def _flip(form: tuple) -> tuple:
@@ -493,7 +539,7 @@ class WedgeSystem:
         self.translation_vec = Point(self.maps[6].tx, self.maps[6].ty)
         assert self.translation_vec == mv(3, 7) - mv(3, 1)
 
-        # _map_raw (raw_orbit, step_frame) reads both cleared rows of
+        # _map_raw (raw_orbit, step_raw) reads both cleared rows of
         # maps[i] over one m, bound here once
         self._rows = {i: f._cleared() for i, f in self.maps.items()}
         for i, (row0, row1) in self._rows.items():
@@ -520,12 +566,10 @@ class WedgeSystem:
             # only at their start
             assert self.in_closed_wedge(image)
         # each split line's normal is a positive multiple of some side
-        # normal n_e, so split line k's form has the sign of n_e . x - c:
-        # over a Frame's region its max is above c when
-        # exceeds(*_upper[k]) > 0, and its min is below c when
-        # exceeds(*_lower[k]) > 0, as min n_e . x - c = -(max n_{e+6} . x + c)
-        self._upper = [_side_form(ln) for ln in self.split_lines]
-        self._lower = [_flip(form) for form in self._upper]
+        # normal n_e: SPLIT_FORMS holds the lines' forms, signed apex side
+        # > 0, and their flips, which every SourceTable signs by default
+        assert [_side_form(ln) for ln in self.split_lines] == list(SPLIT_FORMS[:_LOWER])
+        assert [_flip(form) for form in SPLIT_FORMS[:_LOWER]] == list(SPLIT_FORMS[_LOWER:])
         # so is every boundary line of every piece: faces[i] holds, per line
         # of alpha[i].edge_lines(), (e, cp, cq, cr) with the closed piece on
         # n_e . x <= (cp + cq*s3)/cr, the line's outer side
@@ -585,45 +629,45 @@ class WedgeSystem:
         lines 1..k-1.  In the closed wedge the split lines are nested: a
         point with sign >= 0 on line k has sign > 0 on line k+1.  So "some
         point has sign > 0" holds from the first such line on, and a
-        bisection finds that line in at most three tests, each one sign read
-        off the frame (``_upper``, ``_lower``).  A region outside the closed
-        wedge gets no meaningful answer.
+        bisection finds that line in at most three tests, each one sign of
+        the frame's source table (``SourceTable.sign`` on ``SPLIT_FORMS``).
+        A region outside the closed wedge gets no meaningful answer.
         """
-        lines, upper, exceeds = self.split_lines, self._upper, frame.exceeds
-        lo, hi = 0, len(lines)
+        sign, l, t = frame.shared.sign, frame.l, frame.t
+        lo, hi = 0, _LOWER
         while lo < hi:
             mid = (lo + hi) // 2
-            if exceeds(*upper[mid]) > 0:
+            if sign(l, mid, t) > 0:
                 hi = mid
             else:
                 lo = mid + 1
-        if lo == len(lines):
+        if lo == _LOWER:
             return 6, None
-        return (None, lines[lo]) if exceeds(*self._lower[lo]) > 0 else (lo + 1, None)
+        return (None, self.split_lines[lo]) if sign(l, _LOWER + lo, t) > 0 else (lo + 1, None)
 
-    def in_piece(self, frame: Frame, i: int) -> bool:
-        """True when a frame's open region, in the closed wedge, lies in alpha_i.
+    def in_piece(self, table: SourceTable, l: int, t: tuple, i: int) -> bool:
+        """True when the open region ROT[l](S) + t, in the closed wedge, lies in alpha_i.
 
-        Two signs: the closed region on the closed far side of split line
-        i-1 (for i >= 2), and on the closed apex side of split line i (for
-        i <= 5).  By the nesting of the split lines in the closed wedge
-        (see ``locate_frame``) the other lines then hold too, so the
-        closure lies in the closed piece and the open region, which has
-        positive area, in the open one.
+        S is ``table``'s source.  Two signs (``SourceTable.sign``): the
+        closed region on the closed far side of split line i-1 (for
+        i >= 2), and on the closed apex side of split line i (for i <= 5).
+        By the nesting of the split lines in the closed wedge (see
+        ``locate_frame``) the other lines then hold too, so the closure
+        lies in the closed piece and the open region, which has positive
+        area, in the open one.
         """
-        if i >= 2 and frame.exceeds(*self._upper[i - 2]) > 0:
+        if i >= 2 and table.sign(l, i - 2, t) > 0:
             return False
-        return i == 6 or frame.exceeds(*self._lower[i - 1]) <= 0
+        return i == 6 or table.sign(l, _LOWER + i - 1, t) <= 0
+
+    def step_raw(self, l: int, t: tuple, i: int) -> tuple[int, tuple]:
+        """The image (l, t) of T'(ROT[l](S) + t) for a region in piece i:
+        maps[i] turns by 30°*(6 - i) (asserted at construction) and maps t."""
+        return (l + 6 - i) % NUM_SIDES, _map_raw(self._rows[i], *t)
 
     def step_frame(self, frame: Frame, i: int) -> Frame:
-        """The frame of T'(region) for a region in piece i: maps[i] turns
-        by 30°*(6 - i) (asserted at construction) and maps t."""
-        return Frame(
-            frame.source,
-            (frame.l + 6 - i) % NUM_SIDES,
-            _map_raw(self._rows[i], *frame.t),
-            frame.shared,
-        )
+        """The frame of T'(region) for a region in piece i (``step_raw``)."""
+        return Frame(frame.source, *self.step_raw(frame.l, frame.t, i), frame.shared)
 
     def restrict_to_piece(self, region: Region, i: int) -> Region:
         """Intersection of a convex region with the open piece alpha_i."""
@@ -678,7 +722,7 @@ class WedgeSystem:
         ``partition-z14`` round.
 
         The step then applies the cleared rows of ``maps[i]``, bound at
-        construction (``_map_raw``, which ``step_frame`` shares), so no
+        construction (``_map_raw``, which ``step_raw`` shares), so no
         step makes a QS3, a Point or a gcd.
         """
         xp, _, xq, yp, _, yq, _, _, r = _clear_denominators(p.x, p.y, ZERO)

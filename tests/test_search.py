@@ -35,7 +35,7 @@ from dodeca.search import (
     return_tube,
     verify_partition,
 )
-from dodeca.table import ROT, SIDE_NORMALS, Frame, SourceTable
+from dodeca.table import ROT, SIDE_NORMALS, SPLIT_FORMS, Frame, SourceTable
 from test_table import _scan_locate
 
 
@@ -407,7 +407,44 @@ def _check_frame(w, frame, floor, i):
     assert frame.region() == floor
     assert w.locate_frame(frame) == _scan_locate(w, floor) == (i, None)
     for k in range(1, 7):
-        assert w.in_piece(frame, k) == _vertex_in_piece(w, floor, k) == (k == i)
+        held = w.in_piece(frame.shared, frame.l, frame.t, k)
+        assert held == _vertex_in_piece(w, floor, k) == (k == i)
+
+
+def test_compiled_rows_sign_as_exceeds(ctx):
+    # every row a SourceTable compiles signs its image as the reference
+    # formula Frame.exceeds does: the 5 upper and 5 lower split forms,
+    # every piece face and the domain's 12 separation forms, at every
+    # rotation, for every source of the z4, z14 and level-3 return systems,
+    # at seeded raw translations over r = 1, 2 and 6 and at the first
+    # floors of each tower
+    w = ctx.wedge
+    rng = random.Random(28)
+    faces = tuple(form for i in range(1, 7) for form in w.faces[i])
+    seen = Counter()
+    for label in ("z4", "z14", "level3"):
+        rs = ctx.return_system(label)
+        hp, hq, m = SourceTable(rs.domain).h
+        apart = tuple((e, -hp[(e + 6) % 12], -hq[(e + 6) % 12], m) for e in range(12))
+        forms = SPLIT_FORMS + faces + apart
+        for piece in rs.pieces:
+            table = SourceTable(piece.source, forms)
+            images = [
+                (l, (*(rng.randint(-50 * r, 50 * r) for _ in range(4)), r))
+                for l in range(12)
+                for r in (1, 2, 6)
+            ]
+            frame = Frame(piece.source, 0, (0, 0, 0, 0, 1), table)
+            for i in piece.itinerary[:20]:
+                images.append((frame.l, frame.t))
+                frame = w.step_frame(frame, i)
+            for l, t in images:
+                frame = Frame(piece.source, l, t, table)
+                for k, form in enumerate(forms):
+                    s = table.sign(l, k, t)
+                    assert s == frame.exceeds(*form), (label, l, t, form)
+                    seen[s] += 1
+    assert set(seen) == {-1, 0, 1}
 
 
 def test_frame_locator_matches_vertex_signs(ctx):
@@ -619,17 +656,23 @@ def test_return_tube_restores_the_collector_state(ctx, monkeypatch):
             assert gc.isenabled() == enabled
     finally:
         gc.enable()
-    floors = iter(range(piece.return_time))
-    real_in_piece = type(w).in_piece
+    # floor 3 fails through a wrong symbol at index 3, and each floor
+    # built before it is observed with the collector paused
+    symbols = list(piece.itinerary)
+    symbols[3] = symbols[3] % 6 + 1
+    bad = dataclasses.replace(piece, itinerary=tuple(symbols))
+    real_region = SourceTable.region
+    built = []
 
-    def fail_at_floor_3(self, fr, i):
+    def region(self, l, t):
         assert not gc.isenabled()
-        return next(floors) != 3 and real_in_piece(self, fr, i)
+        built.append(l)
+        return real_region(self, l, t)
 
-    monkeypatch.setattr(type(w), "in_piece", fail_at_floor_3)
+    monkeypatch.setattr(SourceTable, "region", region)
     with pytest.raises(GraneError) as exc:
-        return_tube(w, piece)
-    assert exc.value.index == 3 and gc.isenabled()
+        return_tube(w, bad)
+    assert exc.value.index == 3 and gc.isenabled() and len(built) == 3
 
 
 def test_return_tube_runs_no_collection_and_leaves_no_cycle(ctx, monkeypatch):
@@ -642,24 +685,25 @@ def test_return_tube_runs_no_collection_and_leaves_no_cycle(ctx, monkeypatch):
     pieces = ctx.return_system("z14").pieces
     piece = max(pieces, key=lambda p: p.return_time)
     runs, seen = [], []
-    real_step_frame = type(w).step_frame
+    real_region = SourceTable.region
 
     def count(phase, info):
         if phase == "start":
             runs.append(info["generation"])
 
-    def step_frame(self, fr, i):
+    def region(self, l, t):
         seen.append(len(runs))
-        return real_step_frame(self, fr, i)
+        return real_region(self, l, t)
 
-    monkeypatch.setattr(type(w), "step_frame", step_frame)
+    monkeypatch.setattr(SourceTable, "region", region)
     gc.collect()
     gc.callbacks.append(count)
     try:
         tube = return_tube(w, piece)
     finally:
         gc.callbacks.remove(count)
-    assert len(tube) == len(seen) == piece.return_time
+    # one region per floor, and one more for the closure check
+    assert len(tube) == len(seen) - 1 == piece.return_time
     assert set(seen) == {0} and len(runs) <= 1
     monkeypatch.undo()
     del tube

@@ -384,7 +384,7 @@ def _check_in_piece(w, region, located):
     """``w.in_piece`` holds for the located piece alone, and for no piece
     when a line cuts the region."""
     frame = Frame(region)
-    held = [k for k in range(1, 7) if w.in_piece(frame, k)]
+    held = [k for k in range(1, 7) if w.in_piece(frame.shared, frame.l, frame.t, k)]
     assert held == ([] if located[1] is not None else [located[0]])
 
 
