@@ -330,6 +330,22 @@ def check_base_components(ctx: Context) -> dict:
     return {"components": 4}
 
 
+def _assert_reversible(w, rs, label: str):
+    """T'^-1 = iota T' iota, and iota keeps the domain and conjugates each
+    return map R_j to its inverse: iota(A_j) = B_j = R_j(A_j), iota R_j
+    iota R_j = id, and the itinerary is a palindrome."""
+    iota = w.iota
+    assert rs.domain.transformed(iota) == rs.domain, f"iota must keep the {label} domain"
+    for p in rs.pieces:
+        assert (
+            p.source.transformed(iota) == p.target
+        ), f"iota must map each {label} source onto its target"
+        assert (
+            iota.compose(p.map).compose(iota).compose(p.map) == AffMap.identity()
+        ), f"iota R iota R must be the identity on every {label} piece"
+        assert p.itinerary == p.itinerary[::-1], f"every {label} itinerary must be a palindrome"
+
+
 def check_first_return_structure(ctx: Context) -> dict:
     rs1 = ctx.return_system("z1")
     sizes, nonconvex = rs1.shape_census()
@@ -347,6 +363,8 @@ def check_first_return_structure(ctx: Context) -> dict:
         assert sizes == [3, 3, 4, 4, 4, 4, 4, 4]
         assert nonconvex == 1
         details[f"{label}_pieces"] = 8
+        _assert_reversible(ctx.wedge, rs, label)
+        details[f"{label}_reversible_pieces"] = len(rs.pieces)
 
     matched = match_return_systems(
         ctx.return_system("z4"), ctx.return_system("z14"), ctx.sim.gamma1

@@ -6,12 +6,13 @@ Three layers build on the wedge map T':
   along its orbit, cutting it by the piece boundaries where they cut it,
   until the region repeats; the result is the maximal open polygon whose
   points share the starting point's symbol sequence.  Once bounded, the
-  region is walked as a frame, like every walk below; the image of a cut
-  starts a new frame.  The search keeps no history: the first repeat is
-  always the region just after the last cut (a cut loses area, which T'
-  keeps, and T' is injective on the open pieces), and the start point lies
-  in the regions whose step the period divides (the regions of one cycle
-  are disjoint maximal itinerary sets).  :func:`close_component`
+  region is walked as a raw rigid image (l, t) of a source, like every
+  walk below; a cut becomes the new source.  The search keeps no
+  history: the first repeat is always the region just after the last cut
+  (a cut loses area, which T' keeps, and T' is injective on the open
+  pieces), and the start point lies in the regions whose step the period
+  divides (the regions of one cycle are disjoint maximal itinerary
+  sets).  :func:`close_component`
   certifies a known region as such a component in one walk of its cycle,
   without the search: every edge must lie on a boundary line of the
   visited piece at some step of the cycle.  Every component, found or
@@ -21,22 +22,24 @@ Three layers build on the wedge map T':
   mapped back into S by an isometry after a fixed number of T' steps, each
   fragment split only by the one split line that cuts it.  Every T' piece
   map turns by a multiple of 30°, so each fragment is a rigid image
-  ROT[l](S') + t of a source polygon S' in S, and the walk carries it as
-  that frame (``table.Frame``): a step turns l and maps t on raw
+  ROT[l](S') + t of a source polygon S' in S.  Every walk here holds its
+  region that way, as S''s table (``table.SourceTable``) and the raw pair
+  (l, t): a step (``WedgeSystem.step_raw``) turns l and maps t on raw
   integers, and S''s support values in the 12 side-normal directions
-  make each split-line test, and the test that a side normal separates
-  the fragment from S, one exact sign, read off one integer row per
-  form and rotation.  Regions are built only at cuts and for the
-  fragments no side normal separates from S.  Each piece records its T'
-  itinerary, and :func:`return_tube` steps the source's raw (l, t) along
-  it, proving every floor of the piece's tower in its recorded piece by
-  two signs and building the floor.  Every region a walk builds comes
-  from S''s table (``table.SourceTable``), made once per walk: its
-  rotated vertices give each vertex of ROT[l](S') + t by integer
-  products and sums, and each distinct coordinate of the walk is
-  normalised once and shared by every region that has it.  The walks
-  sign the wedge lines once, at their start: T' maps every closed piece
-  into the closed wedge (asserted when the ``WedgeSystem`` is built).
+  make each split-line test, the test that a side normal separates the
+  fragment from S and each piece-face test of :func:`close_component`
+  one exact sign, read off one integer row per form and rotation.
+  Regions are built only at cuts and for the fragments no side normal
+  separates from S.  Each piece records its T' itinerary, and
+  :func:`return_tube` steps the source's (l, t) along it, proving every
+  floor of the piece's tower in its recorded piece by two signs and
+  building the floor.  Every region a walk builds comes from its table,
+  made once per source and walk: its rotated vertices give each vertex
+  of ROT[l](S') + t by integer products and sums, and each distinct
+  coordinate of the walk is normalised once and shared by every region
+  that has it.  The walks sign the wedge lines once, at their start: T'
+  maps every closed piece into the closed wedge (asserted when the
+  ``WedgeSystem`` is built).
 
 * :func:`verify_partition`: tile the invariant rocket Z' exactly by the
   forward tubes of the return pieces of S plus the tubes of the periodic
@@ -82,7 +85,16 @@ from .geom import (
     split_region,
 )
 from .periods import period_of_h
-from .table import ROT, SPLIT_FORMS, Frame, SourceTable, WedgeSystem, side_normal_index
+from .table import (
+    FORMS,
+    ORIGIN,
+    ROT,
+    SourceTable,
+    WedgeSystem,
+    rigid_map,
+    sends,
+    side_normal_index,
+)
 
 ALG1_MAX_ITER = 10**6
 ALG2_MAX_EVENTS = 10**5
@@ -139,29 +151,31 @@ def find_periodic_component(
     One walk of at most ``max_iter`` steps carries a region U, initially
     the wedge, along the orbit of ``start`` (one ``raw_orbit`` generator).
     U is cut down to the orbit's piece while it is unbounded, and mapped by
-    ``transformed``.  Once bounded, U is carried as a ``Frame``, placed by
-    ``locate_frame`` (U is the image of a closed piece, so it lies in the
-    closed wedge) and mapped by ``step_frame``.  A split line that cuts U
-    cuts it down to the piece, and the cut becomes the frame's source: the
-    frame of that step c is its image, and the walk keeps no other region.
-    It stops at the first step n whose region is the one of step c.
+    ``transformed``.  Once bounded, U is carried as the image (l, t) of a
+    source over its ``SourceTable``, placed by ``WedgeSystem.locate`` (U
+    is the image of a closed piece, so it lies in the closed wedge) and
+    mapped by ``step_raw``.  A split line that cuts U cuts it down to the
+    piece, and the cut becomes the new source: the (l, t) of that step c
+    is its image, and the walk keeps no other region.  It stops at the
+    first step n whose region is the one of step c.
 
     That is the walk's first repeat.  A cut loses area and T' keeps it, so
     no region before c can come back after c.  T' is injective on the open
     pieces, so a repeat at n of a region j > c would be one at n - 1 of
     j - 1.  The repeat is found as ``close_component`` closes a cycle: a
     rigid motion keeps centroids, so regions n and c can be equal only
-    when frame n sends the cut's centroid to the stored centroid of
-    region c (``Frame.sends``, on raw integers), and only then are they
-    compared by canonical key.  So each cut makes one ``SourceTable`` and
-    one centroid, and a region is built only at a cut (the region to cut
-    and region c), at such a centroid return and once at the end.
+    when the motion (l, t) of step n sends the cut's centroid to the
+    stored centroid of region c (``table.sends``, on raw integers), and
+    only then are they compared by canonical key.  So each cut makes one
+    ``SourceTable`` and one centroid, and a region is built only at a cut
+    (the region to cut and region c), at such a centroid return and once
+    at the end.
 
     The start point lies in region m >= c exactly when the period
     P = n - c divides m.  From c on, region m is T'^m of the start's
     component R (the points that share its whole itinerary), and R holds
     the start.  Two regions of one cycle are maximal itinerary sets, so
-    they meet only when equal, which takes P | m.  So the frame is stepped
+    they meet only when equal, which takes P | m.  So (l, t) is stepped
     (-c) mod P more times along the orbit's symbols, and
     ``close_component`` certifies the region it reaches, with the vertex
     labels the walk gives it.
@@ -173,22 +187,23 @@ def find_periodic_component(
     if w.wedge.classify(start) != INTERIOR:
         raise DomainError("start point must be interior to the wedge")
     orbit = w.raw_orbit(start)
-    region, fr = w.wedge, None
+    region, table = w.wedge, None
     for n in range(1, max_iter + 1):
         i = next(orbit)[-1]
-        if fr is not None:
-            piece, cut = w.locate_frame(fr)
+        if table is not None:
+            piece, cut = w.locate(table, l, t)
             if cut is None:
                 assert piece == i, "the carried region left the orbit's piece"
-                fr = w.step_frame(fr, i)
-                if fr.sends(g, center) and fr.region().canonical_key() == key:
+                l, t = w.step_raw(l, t, i)
+                if sends(l, t, g, center) and table.region(l, t).canonical_key() == key:
                     break
                 continue
-            region = fr.region()
+            region = table.region(l, t)
         region = w.restrict_to_piece(region, i)
         if region.is_bounded:
-            fr, c, g = w.step_frame(Frame(region), i), n, region.centroid()
-            center, key = fr.map().apply(g), fr.region().canonical_key()
+            table, c, g = SourceTable(region), n, region.centroid()
+            l, t = w.step_raw(0, ORIGIN, i)
+            center, key = rigid_map(l, t).apply(g), table.region(l, t).canonical_key()
         else:
             region = region.transformed(w.maps[i])
     else:
@@ -196,8 +211,8 @@ def find_periodic_component(
             "no region recurrence; point may be aperiodic", iterations=max_iter
         )
     for _ in range(-c % (n - c)):
-        fr = w.step_frame(fr, next(orbit)[-1])
-    region = fr.region()
+        l, t = w.step_raw(l, t, next(orbit)[-1])
+    region = table.region(l, t)
     assert region.classify(start) == INTERIOR, "the component does not hold the start point"
     return close_component(w, region, max_iter)
 
@@ -211,13 +226,14 @@ def close_component(
     region is signed against the wedge lines once, here: each later region
     is the image of one located in a closed piece, which T' keeps in the
     closed wedge (asserted when the ``WedgeSystem`` is built), so every
-    step is located by the split lines alone.  The walk carries the
-    region's ``Frame``: each step is located by ``locate_frame`` and each
-    region of the cycle is built from the frame.  The cycle closes at the
-    first image equal to the region; a rigid motion that takes the region
-    onto itself fixes its centroid, so only an image whose frame fixes the
-    centroid (``Frame.fixes``, on raw integers) is compared by its
-    canonical key.
+    step is located by the split lines alone.  The walk carries the image
+    (l, t) of the region over the region's ``SourceTable``: each step is
+    located by ``WedgeSystem.locate`` and each region of the cycle is
+    built by the table.  The cycle closes at the first image equal to the
+    region; a rigid motion that takes the region onto itself fixes its
+    centroid, so only an image whose motion fixes the centroid
+    (``table.sends`` from the centroid to itself, on raw integers) is
+    compared by its canonical key.
 
     Rotation certificate: ``w.maps[i]`` turns by 30°*(6 - i) (asserted
     when the ``WedgeSystem`` is built), so T'^period turns by 30°*l with
@@ -230,13 +246,14 @@ def close_component(
     Maximality certificate: at each step edge k is marked when it lies on
     a boundary line of its piece; the marking stops once every edge is
     marked.  Every such line is n_e . x = c with the closed piece on
-    n_e . x <= c (``w.faces[i]``, asserted when the ``WedgeSystem`` is
-    built).  The image lies in the closed piece and is convex, so edge k
-    lies on that line exactly when the edge's outward normal is n_e and
-    the image's largest n_e . x is c.  The frame's image ROT[l](U) + t of
-    the region U turns U's edge k, with outward normal n_e', to n_{e'+l},
-    and ``Frame.exceeds`` reads the largest n_e . x off U's support
-    values: one sign per face, and no vertex is signed.  T'^period turns
+    n_e . x <= c: a form of ``table.FORMS``, whose index ``w.faces[i]``
+    holds (asserted when the ``WedgeSystem`` is built).  The image lies in
+    the closed piece and is convex, so edge k lies on that line exactly
+    when the edge's outward normal is n_e and the image's largest n_e . x
+    is c.  The image ROT[l](U) + t of the region U turns U's edge k, with
+    outward normal n_e', to n_{e'+l}, and ``SourceTable.sign`` reads the
+    largest n_e . x off U's support values, in the form's compiled row:
+    one sign per face, and no vertex is signed.  T'^period turns
     the region about its centroid and shifts its vertex labels by s, so
     later cycles mark edge k where the first marked edge k + s: the
     marked set is closed under that shift.  The points that share the
@@ -252,8 +269,8 @@ def close_component(
     """
     if not w.in_closed_wedge(region):
         raise GraneError("component region leaves the wedge")
-    fr = Frame(region)
-    if not fr.shared.convex:
+    table, l, t = SourceTable(region), 0, ORIGIN
+    if not table.convex:
         raise InconclusiveError("component region is not convex")
     center = region.centroid()
     counts = [0] * 6
@@ -273,19 +290,19 @@ def close_component(
     period = 0
     orbit = [region]
     while True:
-        i, cut = w.locate_frame(fr)
+        i, cut = w.locate(table, l, t)
         if cut is not None:
             raise GraneError("region crosses a piece boundary")
         if unmarked:
-            for e, cp, cq, cr in w.faces[i]:
-                k = edge_of.get((e - fr.l) % 12)
-                if k in unmarked and fr.exceeds(e, cp, cq, cr) == 0:
+            for f in w.faces[i]:
+                k = edge_of.get((FORMS[f][0] - l) % 12)
+                if k in unmarked and table.sign(l, f, t) == 0:
                     unmarked.discard(k)
-        fr = w.step_frame(fr, i)
-        cur = fr.region()
+        l, t = w.step_raw(l, t, i)
+        cur = table.region(l, t)
         counts[i - 1] += 1
         period += 1
-        if fr.fixes(center) and cur.canonical_key() == key0:
+        if sends(l, t, center, center) and cur.canonical_key() == key0:
             break
         orbit.append(cur)
         if period > max_iter:
@@ -387,26 +404,28 @@ def first_return_map(
     DomainError.
 
     Every fragment is a rigid image of a source polygon S in the domain,
-    so the walk carries it as a ``Frame`` (S, l, t) and builds no region
-    per step: ``locate_frame`` places it by one sign per split-line test,
-    ``step_frame`` maps it, and a side normal n_e that separates it from
-    the domain proves it disjoint from the domain.  That is one sign per
-    e, the fragment's largest n_e . x against the domain's smallest,
-    -h[e + 6] from the domain's support values h: the walk adds these 12
-    forms to the split forms of each source's ``SourceTable``, which folds
-    each into one integer row per rotation when the walk first signs it.  A
-    ``Region`` is built only where the walk needs one: at a cut the frame's
-    region is split and each part pulled back to a new S, and a fragment
-    that no side normal separates is placed by ``overlap_status``.  A
-    retired fragment's source is its S and its map the frame's isometry,
-    so no map is composed or inverted per step.
+    so the walk carries it as S's ``SourceTable`` and the raw image
+    (l, t), and builds no region per step: ``WedgeSystem.locate`` places
+    it by one sign per split-line test, ``step_raw`` maps it, and a side
+    normal n_e that separates it from the domain proves it disjoint from
+    the domain.  That is one sign per e, the fragment's largest n_e . x
+    against the domain's smallest, -h[e + 6] from the domain's support
+    values h: the walk adds these 12 forms to the default forms of each
+    source's table, which folds each into one integer row per rotation
+    when the walk first signs it.  A ``Region`` is built only where the
+    walk needs one: at a cut the image is split and each part pulled back
+    to a new S, and a fragment that no side normal separates is placed by
+    ``overlap_status``.  A retired fragment's source is its S and its map
+    the isometry ``rigid_map(l, t)``, so no map is composed or inverted
+    per step.
 
     The domain is signed against the wedge lines once: a fragment located
     in a closed piece maps into the closed wedge (asserted when the
     ``WedgeSystem`` is built), so every fragment stays there and is located
     by the split lines alone.  Each fragment carries its itinerary as a
     parent-linked node (parent, i), shared by the parts of a split; a
-    retired fragment unrolls it into ``ReturnPiece.itinerary``.
+    retired fragment unrolls it into ``ReturnPiece.itinerary``.  The walk
+    runs with the cyclic garbage collector paused (``_collector_paused``).
     """
     if not domain.is_bounded:
         raise DomainError("return domain must be bounded")
@@ -418,52 +437,52 @@ def first_return_map(
     # h comes from a table of its own, since the start's table takes
     # these forms
     hp, hq, m = SourceTable(domain).h
-    forms = SPLIT_FORMS + tuple((e, -hp[(e + 6) % 12], -hq[(e + 6) % 12], m) for e in range(12))
-    apart = range(len(SPLIT_FORMS), len(forms))
-    pending = [(Frame(domain, shared=SourceTable(domain, forms)), None)]
+    forms = FORMS + tuple((e, -hp[(e + 6) % 12], -hq[(e + 6) % 12], m) for e in range(12))
+    apart = range(len(FORMS), len(forms))
+    pending = [(SourceTable(domain, forms), 0, ORIGIN, None)]
     finished = []
     events = 0
-    while pending:
-        fr, node = pending.pop()
-        i, cut = w.locate_frame(fr)
-        if cut is not None:
-            halves = split_region(fr.region(), cut)
-            # a line that left the fragment whole would requeue it forever
-            # without spending the event budget
-            assert len(halves) >= 2, "the cut line leaves the fragment whole"
-            back = fr.map().inverse()
-            for half in halves:
-                source = half.transformed(back)
-                pending.append((Frame(source, fr.l, fr.t, SourceTable(source, forms)), node))
-            continue
-        events += 1
-        if events > max_events:
-            raise InconclusiveError(
-                "first-return expansion exceeded the event budget",
-                iterations=max_events,
-            )
-        fr = w.step_frame(fr, i)
-        node = (node, i)
-        sign, l, t = fr.shared.sign, fr.l, fr.t
-        if any(sign(l, k, t) <= 0 for k in apart):
-            pending.append((fr, node))
-            continue
-        image = fr.region()
-        status = overlap_status(image, parts)
-        if status == "inside":
-            finished.append((fr, image, node))
-        elif status == "disjoint":
-            pending.append((fr, node))
-        else:
-            raise SelfReturnError("mapped fragment straddles the return domain")
+    with _collector_paused():
+        while pending:
+            table, l, t, node = pending.pop()
+            i, cut = w.locate(table, l, t)
+            if cut is not None:
+                halves = split_region(table.region(l, t), cut)
+                # a line that left the fragment whole would requeue it
+                # forever without spending the event budget
+                assert len(halves) >= 2, "the cut line leaves the fragment whole"
+                back = rigid_map(l, t).inverse()
+                for half in halves:
+                    pending.append((SourceTable(half.transformed(back), forms), l, t, node))
+                continue
+            events += 1
+            if events > max_events:
+                raise InconclusiveError(
+                    "first-return expansion exceeded the event budget",
+                    iterations=max_events,
+                )
+            l, t = w.step_raw(l, t, i)
+            node = (node, i)
+            sign = table.sign
+            if any(sign(l, k, t) <= 0 for k in apart):
+                pending.append((table, l, t, node))
+                continue
+            image = table.region(l, t)
+            status = overlap_status(image, parts)
+            if status == "inside":
+                finished.append((table.source, rigid_map(l, t), image, node))
+            elif status == "disjoint":
+                pending.append((table, l, t, node))
+            else:
+                raise SelfReturnError("mapped fragment straddles the return domain")
     pieces = []
-    for fr, target, node in finished:
+    for source, f, target, node in finished:
         itinerary = []
         while node is not None:
             node, i = node
             itinerary.append(i)
         itinerary.reverse()
-        pieces.append(ReturnPiece(fr.source, target, fr.map(), tuple(itinerary)))
+        pieces.append(ReturnPiece(source, target, f, tuple(itinerary)))
     pieces.sort(key=lambda p: p.source.canonical_key())
     rs = ReturnSystem(domain, tuple(pieces))
     _validate_return_system(rs)
@@ -487,7 +506,16 @@ def _collector_paused():
     """Run the body with the cyclic garbage collector off, then restore its state.
 
     The saved state is restored in a ``finally``, so a nested use, or an
-    error raised in the body, leaves the collector as it was found.
+    error raised in the body, leaves the collector as it was found.  The
+    region walks of ``first_return_map`` and ``return_tube`` run in it.
+    They make no reference cycle (itinerary nodes (parent, i), tables, and
+    regions of ``Point``s of ``QS3``s of ints), so the collector could
+    free nothing they make, and reference counting frees what they drop.
+    They keep what they build alive, so with the collector on their
+    allocations start collections that scan it, and all else the process
+    holds, again and again: about 900 over the 8 level-3 towers (76,450
+    floors, a sixth of the time of building them) and 69 in one level-3
+    ``first_return_map`` call, one of them a full pass.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -509,25 +537,14 @@ def return_tube(w: WedgeSystem, piece: ReturnPiece):
     wedge: the source is checked once, and each later floor is the image
     of a closed piece, which T' keeps in the closed wedge (asserted when
     the ``WedgeSystem`` is built).  Each floor is built by the table
-    (``SourceTable.region``), so no ``Frame`` is made, and the region
-    after the last step must be the target; that closure is asserted.
-
-    The floors are built with the cyclic garbage collector paused, and the
-    collector is left in the state it was found in, also when the call
-    raises.  The walk makes no reference cycle (a floor holds a tuple of
-    ``Point``s of ``QS3``s of ints), so the collector could free nothing
-    it makes, and reference counting frees what it drops as before.
-    Every floor stays alive in the tube, so with the collector on, the
-    allocations trigger collections that scan the growing tower again
-    and again: about 900 of them over the 8 towers (76,450 floors) of the
-    level-3 return system, a sixth of the time of building that system
-    and its towers.
+    (``SourceTable.region``), and the region after the last step must be
+    the target; that closure is asserted.  The floors are built with the
+    cyclic garbage collector paused (``_collector_paused``).
     """
     with _collector_paused():
         if not w.in_closed_wedge(piece.source):
             raise GraneError("return source leaves the wedge")
-        table = SourceTable(piece.source)
-        l, t = 0, (0, 0, 0, 0, 1)
+        table, l, t = SourceTable(piece.source), 0, ORIGIN
         tube = []
         for j, i in enumerate(piece.itinerary):
             if not w.in_piece(table, l, t, i):

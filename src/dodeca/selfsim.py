@@ -35,7 +35,7 @@ from .search import (
     close_component,
     find_periodic_component,
 )
-from .table import Frame, WedgeSystem
+from .table import ORIGIN, SourceTable, WedgeSystem
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ def build_similarity(w: WedgeSystem, max_iter: int = 10**6) -> SimilaritySystem:
     Raises DomainError when a pullback step would split the small rocket
     (it never does).  iota keeps the closed wedge, so iota(Z'_14) lies in
     it, and T' keeps a region of a closed piece there: each region the
-    pullback places meets ``locate_frame``'s precondition, and the locator
-    decides exactly that it lies in one open piece.
+    pullback places, carried as the raw image (l, t) of iota(Z'_14) over
+    its ``SourceTable``, meets ``WedgeSystem.locate``'s precondition, and
+    the locator decides exactly that it lies in one open piece.
     """
     ratio1, ratio4 = contraction_ratios(w)
     gamma1 = AffMap.homothety(w.apex, ratio1)
@@ -104,14 +105,14 @@ def build_similarity(w: WedgeSystem, max_iter: int = 10**6) -> SimilaritySystem:
         assert (o - w.apex).norm2() == ratio * ratio * (w.O[5] - w.apex).norm2()
 
     # T'^-1 = iota T' iota (``WedgeSystem.iota``), so X = iota T'^2 iota(Z'_14)
-    fr = Frame(z14.transformed(w.iota))
+    table, l, t = SourceTable(z14.transformed(w.iota)), 0, ORIGIN
     pullback = w.iota
     pieces = []
     for _ in range(2):
-        i, cut = w.locate_frame(fr)
+        i, cut = w.locate(table, l, t)
         if cut is not None:
             raise DomainError(f"pullback would split the rocket across split line {cut}")
-        fr = w.step_frame(fr, i)
+        l, t = w.step_raw(l, t, i)
         pullback = w.maps[i].compose(pullback)
         pieces.append(i)
     pullback = w.iota.compose(pullback)

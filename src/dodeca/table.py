@@ -20,13 +20,16 @@ Contents:
   symmetry iota, a reflection with T'^-1 = iota T' iota, through which
   every backward step is a forward one.
 
-* ``SourceTable`` and ``Frame``: a rigid image ROT[l](S) + t of a
-  bounded polygon S, as the region walks carry their regions.  S's
-  table holds what every such image shares: the 12 rotated vertex lists
-  of S on raw integers, from which a region is built, the coordinates
-  the walk has normalised, and, per rotation l, one integer row per line
-  the walk places the image against (a line whose normal is a side
-  normal), so that each placement is one sign, whatever S's size.
+* ``SourceTable``: a region walk carries each region as a rigid image
+  ROT[l](S) + t of a bounded polygon S, held as the raw pair (l, t) over
+  S's table, and a T' step (``WedgeSystem.step_raw``) turns l and maps t.
+  The table holds what every such image shares: the 12 rotated vertex
+  lists of S on raw integers, from which a region is built, the
+  coordinates the walk has normalised, and, per rotation l, one integer
+  row per line the walk places the image against (a line whose normal
+  is a side normal), so that each placement is one sign, whatever S's
+  size.  ``rigid_map`` and ``sends`` read the motion x -> ROT[l] x + t
+  itself.
 
 The piece maps are *derived* (fold T back into the wedge) rather than
 hard-coded, and the construction asserts the expected identities, so a
@@ -92,6 +95,14 @@ _LOWER = 5
 SPLIT_FORMS = tuple(((k + 7) % NUM_SIDES, -4, -2, 1) for k in range(1, 6)) + tuple(
     ((k + 1) % NUM_SIDES, 4, 2, 1) for k in range(1, 6)
 )
+# FORMS, the forms every SourceTable signs by default: the split forms,
+# then the two wedge lines flipped, closed wedge on n_e . x <= c (side
+# line A_1 A_2 and side line A_0 A_1), so that every face of every piece
+# is one of them (``WedgeSystem.faces`` holds their indices)
+FORMS = SPLIT_FORMS + ((7, -4, -2, 1), (0, 4, 2, 1))
+
+# the raw zero translation (xp, xq, yp, yq, r): a walk starts at (0, ORIGIN)
+ORIGIN = (0, 0, 0, 0, 1)
 
 
 def side_normal_index(v: Point) -> int | None:
@@ -129,7 +140,7 @@ class SourceTable:
       n_0 . ROT[-e] s (ROT[e] turns n_0 onto n_e), as raw integers
       ``(hp, hq, m)``: h[e] = (hp[e] + hq[e]*s3)/m, compared by ``pair_sign``;
     * ``forms``: the forms (e, cp, cq, cr) the walk places an image
-      against, ``SPLIT_FORMS`` unless the walk adds its own, and
+      against, ``FORMS`` followed by any the walk adds, and
       ``rows[l][k]``: forms[k] folded with h for rotation l into one row
       of 8 integers (``sign``), compiled when the walk first signs it;
     * S's convexity and doubled area, which a rigid motion keeps;
@@ -139,13 +150,15 @@ class SourceTable:
 
     An image is the raw pair (l, t), with t = (xp, xq, yp, yq, r) for the
     translation ((xp + xq*s3)/r, (yp + yq*s3)/r), r >= 1, as
-    ``WedgeSystem.raw_orbit`` holds a point.  The rotations are
-    ``table.ROT``'s, and the table lives as long as the walk.
+    ``WedgeSystem.raw_orbit`` holds a point; S itself is (0, ORIGIN) and
+    ``source``.  The rotations are ``table.ROT``'s, and the table lives
+    as long as the walk.
     """
 
-    __slots__ = ("rotated", "m", "h", "forms", "rows", "convex", "area2", "values")
+    __slots__ = ("source", "rotated", "m", "h", "forms", "rows", "convex", "area2", "values")
 
-    def __init__(self, source: Region, forms: tuple = SPLIT_FORMS):
+    def __init__(self, source: Region, forms: tuple = FORMS):
+        self.source = source
         m, raw = clear_points(source.vertices)
         self.m = m = 2 * m
         self.rotated = tuple(
@@ -175,14 +188,15 @@ class SourceTable:
         self.values = {}
 
     def sign(self, l: int, k: int, t: tuple) -> int:
-        """``Frame.exceeds(*forms[k])`` of the image ROT[l](S) + t.
+        """Sign of max n_e . x over the closed image ROT[l](S) + t minus c.
 
-        Since ROT[l] turns n_{e-l} onto n_e, the largest n_e . x over the
-        closed image is n_e . t + h[(e - l) mod 12], and with h over m and
-        forms[k] = (e, cp, cq, cr) the sign of that minus (cp + cq*s3)/cr
-        is the ``pair_sign`` of two integers linear in t's integers.  Their
-        coefficients, n_e's cleared entries times m*cr and
-        h[(e - l) mod 12]*cr - c*m, are ``rows[l][k]``, compiled here once.
+        forms[k] = (e, cp, cq, cr), with c = (cp + cq*s3)/cr.  Since
+        ROT[l] turns n_{e-l} onto n_e, the largest n_e . x over the image
+        is n_e . t + h[(e - l) mod 12], and with h over m the sign of that
+        minus c is the ``pair_sign`` of two integers linear in t's
+        integers.  Their coefficients, n_e's cleared entries times m*cr
+        and h[(e - l) mod 12]*cr - c*m, are ``rows[l][k]``, compiled here
+        once.
         """
         row = self.rows[l][k]
         if row is None:
@@ -240,85 +254,33 @@ class SourceTable:
         return out
 
 
-class Frame:
-    """The region ROT[l](S) + t: a rigid image of a bounded source polygon S.
+def rigid_map(l: int, t: tuple) -> AffMap:
+    """The isometry x -> ROT[l] x + t that takes a source S onto its image (l, t)."""
+    rot = ROT[l]
+    xp, xq, yp, yq, r = t
+    tx, ty = QS3._make(xp, xq, r), QS3._make(yp, yq, r)
+    return AffMap(rot.m00, rot.m01, rot.m10, rot.m11, tx, ty, 1)
 
-    The region walks of ``search`` carry their regions as frames: a T'
-    step ``WedgeSystem.step_frame`` turns l by 6 - i and maps t, held on
-    raw integers (xp, xq, yp, yq, r) over one denominator as
-    ``WedgeSystem.raw_orbit`` holds a point, and leaves S alone.  Every
-    frame of S shares S's ``SourceTable``, which places the region
-    against each of its forms by one sign (``SourceTable.sign``) and
-    builds it (``region``).
+
+def sends(l: int, t: tuple, p: Point, q: Point) -> bool:
+    """True when x -> ROT[l] x + t takes p to q, decided on raw integers.
+
+    With p over c, q over d, ROT[l] p over r1 (``_map_raw`` by ROT[l]'s
+    cleared rows) and t over r, ROT[l] p + t == q is four integer
+    equations over r1*r*d.  ``sends(l, t, p, p)`` tests that the motion
+    fixes p.
     """
-
-    __slots__ = ("source", "shared", "l", "t")
-
-    def __init__(self, source: Region, l: int = 0, t=(0, 0, 0, 0, 1), shared=None):
-        self.source = source
-        self.shared = SourceTable(source) if shared is None else shared
-        self.l = l
-        self.t = t
-
-    def exceeds(self, e: int, cp: int, cq: int, cr: int) -> int:
-        """Sign of max n_e . x over the closed region minus (cp + cq*s3)/cr.
-
-        ``close_component`` reads it for the piece faces, and it is the
-        reference formula of ``SourceTable.sign``, for any form.  With
-        t = ((xp + xq*s3)/r, (yp + yq*s3)/r) and h over m, the max is
-        ((n_e . (xp + xq*s3, yp + yq*s3))*m + h[e - l]*r) / (r*m), so the
-        sign is one ``pair_sign`` of integers (r, m, cr >= 1).
-        """
-        ap, ta, aq, bp, tb, bq = _NORMALS[e]
-        xp, xq, yp, yq, r = self.t
-        hp, hq, m = self.shared.h
-        j = (e - self.l) % NUM_SIDES
-        rm = r * m
-        return pair_sign(
-            ((ap * xp + ta * xq + bp * yp + tb * yq) * m + hp[j] * r) * cr - cp * rm,
-            ((ap * xq + aq * xp + bp * yq + bq * yp) * m + hq[j] * r) * cr - cq * rm,
-        )
-
-    def sends(self, p: Point, q: Point) -> bool:
-        """True when the motion x -> ROT[l] x + t takes p to q, decided on raw integers.
-
-        With p over c, q over d, ROT[l] p over r1 (``_map_raw`` by
-        ROT[l]'s cleared rows) and t over r, ROT[l] p + t == q is four
-        integer equations over r1*r*d.
-        """
-        cxp, _, cxq, cyp, _, cyq, _, _, c = _clear_denominators(p.x, p.y, ZERO)
-        uxp, uxq, uyp, uyq, r1 = _map_raw(ROT[self.l]._cleared(), cxp, cxq, cyp, cyq, c)
-        if q is not p:
-            cxp, _, cxq, cyp, _, cyq, _, _, c = _clear_denominators(q.x, q.y, ZERO)
-        xp, xq, yp, yq, r = self.t
-        return (
-            (uxp * r + xp * r1) * c == cxp * r1 * r
-            and (uxq * r + xq * r1) * c == cxq * r1 * r
-            and (uyp * r + yp * r1) * c == cyp * r1 * r
-            and (uyq * r + yq * r1) * c == cyq * r1 * r
-        )
-
-    def fixes(self, p: Point) -> bool:
-        """True when the motion x -> ROT[l] x + t fixes p (``sends`` p to p)."""
-        return self.sends(p, p)
-
-    def map(self) -> AffMap:
-        """The isometry x -> ROT[l] x + t that takes S onto the region."""
-        rot = ROT[self.l]
-        xp, xq, yp, yq, r = self.t
-        return AffMap(
-            rot.m00,
-            rot.m01,
-            rot.m10,
-            rot.m11,
-            QS3._make(xp, xq, r),
-            QS3._make(yp, yq, r),
-            1,
-        )
-
-    def region(self) -> Region:
-        """The region ROT[l](S) + t (``SourceTable.region``)."""
-        return self.shared.region(self.l, self.t)
+    cxp, _, cxq, cyp, _, cyq, _, _, c = _clear_denominators(p.x, p.y, ZERO)
+    uxp, uxq, uyp, uyq, r1 = _map_raw(ROT[l]._cleared(), cxp, cxq, cyp, cyq, c)
+    if q is not p:
+        cxp, _, cxq, cyp, _, cyq, _, _, c = _clear_denominators(q.x, q.y, ZERO)
+    xp, xq, yp, yq, r = t
+    return (
+        (uxp * r + xp * r1) * c == cxp * r1 * r
+        and (uxq * r + xq * r1) * c == cxq * r1 * r
+        and (uyp * r + yp * r1) * c == cyp * r1 * r
+        and (uyq * r + yq * r1) * c == cyq * r1 * r
+    )
 
 
 def _flip(form: tuple) -> tuple:
@@ -571,10 +533,12 @@ class WedgeSystem:
         assert [_side_form(ln) for ln in self.split_lines] == list(SPLIT_FORMS[:_LOWER])
         assert [_flip(form) for form in SPLIT_FORMS[:_LOWER]] == list(SPLIT_FORMS[_LOWER:])
         # so is every boundary line of every piece: faces[i] holds, per line
-        # of alpha[i].edge_lines(), (e, cp, cq, cr) with the closed piece on
-        # n_e . x <= (cp + cq*s3)/cr, the line's outer side
+        # of alpha[i].edge_lines(), the index k of FORMS[k] = (e, cp, cq, cr)
+        # with the closed piece on n_e . x <= (cp + cq*s3)/cr, the line's
+        # outer side (``index`` raises unless it is a split or wedge form)
         self.faces = {
-            i: [_flip(_side_form(ln)) for ln in a.edge_lines()] for i, a in self.alpha.items()
+            i: [FORMS.index(_flip(_side_form(ln))) for ln in a.edge_lines()]
+            for i, a in self.alpha.items()
         }
         self.O = {i: self.maps[i].fixed_point() for i in range(1, 6)}
         for i in range(1, 6):
@@ -616,24 +580,25 @@ class WedgeSystem:
             return all(clip_convex(region, ln, +1) is region for ln in self.wedge_lines)
         return vertex_position(region, self.wedge_lines) == "inside"
 
-    def locate_frame(self, frame: Frame) -> tuple[int | None, Line | None]:
-        """Piece i of a frame's open region as ``(i, None)``, or ``(None, line)``.
+    def locate(self, table: SourceTable, l: int, t: tuple) -> tuple[int | None, Line | None]:
+        """Piece i of the open region ROT[l](S) + t as ``(i, None)``, or ``(None, line)``.
 
-        The exact region locator, for a region known to lie in the closed
-        wedge: its callers check ``in_closed_wedge`` once, at the start of
-        a walk, and T' keeps every later region there.  The piece is the
-        first split line with a point of the closed region strictly on its
-        apex side (6 if none), unless that line also has a point strictly on
-        its far side and so cuts the region.  No later line can cut it:
-        alpha_k lies on the apex side of lines k..5 and on the far side of
-        lines 1..k-1.  In the closed wedge the split lines are nested: a
-        point with sign >= 0 on line k has sign > 0 on line k+1.  So "some
-        point has sign > 0" holds from the first such line on, and a
-        bisection finds that line in at most three tests, each one sign of
-        the frame's source table (``SourceTable.sign`` on ``SPLIT_FORMS``).
-        A region outside the closed wedge gets no meaningful answer.
+        S is ``table``'s source.  The exact region locator, for a region
+        known to lie in the closed wedge: its callers check
+        ``in_closed_wedge`` once, at the start of a walk, and T' keeps
+        every later region there.  The piece is the first split line with
+        a point of the closed region strictly on its apex side (6 if none),
+        unless that line also has a point strictly on its far side and so
+        cuts the region.  No later line can cut it: alpha_k lies on the
+        apex side of lines k..5 and on the far side of lines 1..k-1.  In
+        the closed wedge the split lines are nested: a point with sign >= 0
+        on line k has sign > 0 on line k+1.  So "some point has sign > 0"
+        holds from the first such line on, and a bisection finds that line
+        in at most three tests, each one sign of the table
+        (``SourceTable.sign`` on ``SPLIT_FORMS``).  A region outside the
+        closed wedge gets no meaningful answer.
         """
-        sign, l, t = frame.shared.sign, frame.l, frame.t
+        sign = table.sign
         lo, hi = 0, _LOWER
         while lo < hi:
             mid = (lo + hi) // 2
@@ -652,7 +617,7 @@ class WedgeSystem:
         closed region on the closed far side of split line i-1 (for
         i >= 2), and on the closed apex side of split line i (for i <= 5).
         By the nesting of the split lines in the closed wedge (see
-        ``locate_frame``) the other lines then hold too, so the closure
+        ``locate``) the other lines then hold too, so the closure
         lies in the closed piece and the open region, which has positive
         area, in the open one.
         """
@@ -664,10 +629,6 @@ class WedgeSystem:
         """The image (l, t) of T'(ROT[l](S) + t) for a region in piece i:
         maps[i] turns by 30°*(6 - i) (asserted at construction) and maps t."""
         return (l + 6 - i) % NUM_SIDES, _map_raw(self._rows[i], *t)
-
-    def step_frame(self, frame: Frame, i: int) -> Frame:
-        """The frame of T'(region) for a region in piece i (``step_raw``)."""
-        return Frame(frame.source, *self.step_raw(frame.l, frame.t, i), frame.shared)
 
     def restrict_to_piece(self, region: Region, i: int) -> Region:
         """Intersection of a convex region with the open piece alpha_i."""

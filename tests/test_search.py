@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from dodeca import search
+from dodeca.checks import Context, run_checks
 from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturnError
-from dodeca.field import ONE, QS3, ZERO
+from dodeca.field import ONE, QS3, ZERO, pair_sign
 from dodeca.geom import (
     INTERIOR,
     AffMap,
@@ -35,7 +36,7 @@ from dodeca.search import (
     return_tube,
     verify_partition,
 )
-from dodeca.table import ROT, SIDE_NORMALS, SPLIT_FORMS, Frame, SourceTable
+from dodeca.table import FORMS, ORIGIN, ROT, SIDE_NORMALS, SourceTable, rigid_map
 from test_table import _scan_locate
 
 
@@ -213,9 +214,10 @@ def test_component_search_matches_the_region_walk(ctx, monkeypatch):
 
 def test_component_search_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
     # from the 33 reference starts, the search itself (``close_component``'s
-    # walk aside) builds regions from frames only at a cut (the region to
-    # cut and the image of the cut), where a frame sends the cut's centroid
-    # to the centroid of the image of the last cut, and once at the end; it
+    # walk aside) builds regions from its source tables only at a cut (the
+    # region to cut and the image of the cut), where the motion (l, t) sends
+    # the cut's centroid to the centroid of the image of the last cut, and
+    # once at the end; it
     # keys only the images of cuts and the regions of centroid returns, and
     # makes one source table per cut
     w = ctx.wedge
@@ -240,15 +242,15 @@ def test_component_search_builds_regions_only_at_cuts_and_returns(ctx, monkeypat
             counting = True
 
     for owner, name in (
-        (Frame, "region"),
+        (SourceTable, "region"),
         (Region, "canonical_key"),
         (type(w), "restrict_to_piece"),
         (SourceTable, "__init__"),
     ):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     # only the sends that answer True are centroid returns, and only the
-    # cuts to a bounded region start a frame
-    monkeypatch.setattr(Frame, "sends", counted("sends", Frame.sends, bool))
+    # cuts to a bounded region start a source table
+    monkeypatch.setattr(search, "sends", counted("sends", search.sends, bool))
     monkeypatch.setattr(
         type(w),
         "restrict_to_piece",
@@ -401,32 +403,52 @@ def _vertex_in_piece(w, region, i):
     return True
 
 
-def _check_frame(w, frame, floor, i):
-    # the frame is the floor, and its support values place it as the
-    # floor's vertex signs do
-    assert frame.region() == floor
-    assert w.locate_frame(frame) == _scan_locate(w, floor) == (i, None)
+def _check_image(w, table, l, t, floor, i):
+    # the image (l, t) is the floor, and its support values place it as
+    # the floor's vertex signs do
+    assert table.region(l, t) == floor
+    assert w.locate(table, l, t) == _scan_locate(w, floor) == (i, None)
     for k in range(1, 7):
-        held = w.in_piece(frame.shared, frame.l, frame.t, k)
+        held = w.in_piece(table, l, t, k)
         assert held == _vertex_in_piece(w, floor, k) == (k == i)
+
+
+def _exceeds(table, l, t, e, cp, cq, cr):
+    """Reference for ``SourceTable.sign``: the sign of max n_e . x over the
+    closed image ROT[l](S) + t minus (cp + cq*s3)/cr, written out over the
+    table's support values h.  With t = ((xp + xq*s3)/r, (yp + yq*s3)/r)
+    and h over m, the max is ((n_e . (xp + xq*s3, yp + yq*s3))*m +
+    h[e - l]*r) / (r*m), so the sign is one ``pair_sign`` of integers
+    (r, m, cr >= 1)."""
+    n = SIDE_NORMALS[e]
+    ap, aq, bp, bq = n.x.p, n.x.q, n.y.p, n.y.q
+    xp, xq, yp, yq, r = t
+    hp, hq, m = table.h
+    j = (e - l) % 12
+    rm = r * m
+    return pair_sign(
+        ((ap * xp + 3 * aq * xq + bp * yp + 3 * bq * yq) * m + hp[j] * r) * cr - cp * rm,
+        ((ap * xq + aq * xp + bp * yq + bq * yp) * m + hq[j] * r) * cr - cq * rm,
+    )
 
 
 def test_compiled_rows_sign_as_exceeds(ctx):
     # every row a SourceTable compiles signs its image as the reference
-    # formula Frame.exceeds does: the 5 upper and 5 lower split forms,
-    # every piece face and the domain's 12 separation forms, at every
-    # rotation, for every source of the z4, z14 and level-3 return systems,
-    # at seeded raw translations over r = 1, 2 and 6 and at the first
-    # floors of each tower
+    # formula _exceeds does: the default forms (the 5 upper and 5 lower
+    # split forms and the 2 wedge-line forms, which hold every piece face)
+    # and the domain's 12 separation forms, at every rotation, for every
+    # source of the z4, z14 and level-3 return systems, at seeded raw
+    # translations over r = 1, 2 and 6 and at the first floors of each
+    # tower
     w = ctx.wedge
     rng = random.Random(28)
-    faces = tuple(form for i in range(1, 7) for form in w.faces[i])
+    assert {k for i in range(1, 7) for k in w.faces[i]} == set(range(len(FORMS)))
     seen = Counter()
     for label in ("z4", "z14", "level3"):
         rs = ctx.return_system(label)
         hp, hq, m = SourceTable(rs.domain).h
         apart = tuple((e, -hp[(e + 6) % 12], -hq[(e + 6) % 12], m) for e in range(12))
-        forms = SPLIT_FORMS + faces + apart
+        forms = FORMS + apart
         for piece in rs.pieces:
             table = SourceTable(piece.source, forms)
             images = [
@@ -434,49 +456,48 @@ def test_compiled_rows_sign_as_exceeds(ctx):
                 for l in range(12)
                 for r in (1, 2, 6)
             ]
-            frame = Frame(piece.source, 0, (0, 0, 0, 0, 1), table)
+            l, t = 0, ORIGIN
             for i in piece.itinerary[:20]:
-                images.append((frame.l, frame.t))
-                frame = w.step_frame(frame, i)
+                images.append((l, t))
+                l, t = w.step_raw(l, t, i)
             for l, t in images:
-                frame = Frame(piece.source, l, t, table)
                 for k, form in enumerate(forms):
                     s = table.sign(l, k, t)
-                    assert s == frame.exceeds(*form), (label, l, t, form)
+                    assert s == _exceeds(table, l, t, *form), (label, l, t, form)
                     seen[s] += 1
     assert set(seen) == {-1, 0, 1}
 
 
 def test_frame_locator_matches_vertex_signs(ctx):
     # every z14 floor, and a seeded sample of the 76,450 level-3 floors,
-    # whose frames are walked along the whole itinerary
+    # whose raw images (l, t) are walked along the whole itinerary
     w = ctx.wedge
     for piece in ctx.return_system("z14").pieces:
-        frame, floor = Frame(piece.source), piece.source
+        table, l, t, floor = SourceTable(piece.source), 0, ORIGIN, piece.source
         for i in piece.itinerary:
-            _check_frame(w, frame, floor, i)
-            frame, floor = w.step_frame(frame, i), floor.transformed(w.maps[i])
-        assert frame.region() == floor == piece.target
-        assert frame.map() == piece.map
+            _check_image(w, table, l, t, floor, i)
+            (l, t), floor = w.step_raw(l, t, i), floor.transformed(w.maps[i])
+        assert table.region(l, t) == floor == piece.target
+        assert rigid_map(l, t) == piece.map
     rng = random.Random(18)
     checked = 0
     for piece in ctx.return_system("level3").pieces:
         sample = set(rng.sample(range(piece.return_time), min(40, piece.return_time)))
-        frame = Frame(piece.source)
+        table, l, t = SourceTable(piece.source), 0, ORIGIN
         for j, i in enumerate(piece.itinerary):
             if j in sample:
-                _check_frame(w, frame, frame.region(), i)
+                _check_image(w, table, l, t, table.region(l, t), i)
                 checked += 1
-            frame = w.step_frame(frame, i)
-        assert frame.region() == piece.target and frame.map() == piece.map
+            l, t = w.step_raw(l, t, i)
+        assert table.region(l, t) == piece.target and rigid_map(l, t) == piece.map
     assert checked == 8 * 40
 
 
 def test_first_return_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
-    # the level-3 walk maps 47,595 fragments as frames: it builds a region
-    # only for the 6 cuts (the frame's region from its frame, and its parts
-    # pulled back by ``transformed``) and for the 8 returns (from their
-    # frames), composes no map and inverts one per cut
+    # the level-3 walk maps 47,595 fragments as raw images (l, t): it
+    # builds a region only for the 6 cuts (the image from its source table,
+    # and its parts pulled back by ``transformed``) and for the 8 returns
+    # (from their tables), composes no map and inverts one per cut
     w, domain = ctx.wedge, ctx.domain("level3")
     want = ctx.return_system("level3")
     calls = Counter()
@@ -497,7 +518,7 @@ def test_first_return_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
         (AffMap, "compose"),
         (AffMap, "inverse"),
         (Region, "transformed"),
-        (Frame, "region"),
+        (SourceTable, "region"),
         (search, "split_region"),
         (search, "overlap_status"),
     ):
@@ -546,50 +567,51 @@ def _reference_cycle(w, region):
 
 
 def test_frame_regions_match_transformed(ctx):
-    # a frame's region, built from its source's rotated-vertex table, has
-    # exactly the vertices of the source mapped by the frame's isometry, in
+    # an image (l, t), built from its source's rotated-vertex table, has
+    # exactly the vertices of the source mapped by rigid_map(l, t), in
     # the same order: every floor of the z4 and z14 towers, and every step
     # of the cycle of each known component
     w = ctx.wedge
     for label in ("z4", "z14"):
         for piece in ctx.return_system(label).pieces:
-            frame = Frame(piece.source)
+            table, l, t = SourceTable(piece.source), 0, ORIGIN
             tube = return_tube(w, piece)
             for floor, i in zip(tube, piece.itinerary):
-                want = piece.source.transformed(frame.map())
-                assert _vertex_tuple(frame.region()) == _vertex_tuple(want)
+                want = piece.source.transformed(rigid_map(l, t))
+                assert _vertex_tuple(table.region(l, t)) == _vertex_tuple(want)
                 assert _vertex_tuple(floor) == _vertex_tuple(want)
-                frame = w.step_frame(frame, i)
-            assert frame.region() == piece.target
+                l, t = w.step_raw(l, t, i)
+            assert table.region(l, t) == piece.target
     # the walks' translations all have r = 1; a translation over r = 6,
     # not in lowest terms, at every turn
-    source = ctx.domain("z4")
+    z4 = SourceTable(ctx.domain("z4"))
+    t = (2, 1, 4, -2, 6)
     for l in range(12):
-        frame = Frame(source, l, (2, 1, 4, -2, 6))
-        want = source.transformed(frame.map())
-        assert _vertex_tuple(frame.region()) == _vertex_tuple(want)
+        want = z4.source.transformed(rigid_map(l, t))
+        assert _vertex_tuple(z4.region(l, t)) == _vertex_tuple(want)
     spiral, base, parts = _known_components(ctx)
     for region, period in spiral + base + parts:
-        frame = Frame(region)
+        table, l, t = SourceTable(region), 0, ORIGIN
         for _ in range(period):
-            want = region.transformed(frame.map())
-            got = frame.region()
+            want = region.transformed(rigid_map(l, t))
+            got = table.region(l, t)
             assert _vertex_tuple(got) == _vertex_tuple(want)
             assert got.is_convex() == want.is_convex() and got.area2() == want.area2()
-            i, cut = w.locate_frame(frame)
+            i, cut = w.locate(table, l, t)
             assert cut is None
-            frame = w.step_frame(frame, i)
-        assert frame.fixes(region.centroid()) and frame.region() == region
+            l, t = w.step_raw(l, t, i)
+        center = region.centroid()
+        assert search.sends(l, t, center, center) and table.region(l, t) == region
         orbit = close_component(w, region).orbit
         reference = _reference_cycle(w, region)
         assert [_vertex_tuple(r) for r in orbit] == [_vertex_tuple(r) for r in reference]
 
 
 def test_walks_build_floors_from_frames(ctx, monkeypatch):
-    # the level-3 towers build their 76,450 floors from frames: no
+    # the level-3 towers build their 76,450 floors from raw images: no
     # ``transformed`` call and a QS3 normalised once per distinct raw
     # coordinate of a tube (567,660 coordinates, 113,577 of them distinct
-    # within their tube); close_component walks a cycle as frames
+    # within their tube); close_component walks a cycle as raw images
     w = ctx.wedge
     level3, z14 = ctx.return_system("level3"), ctx.return_system("z14")
     spiral, _, _ = _known_components(ctx)
@@ -676,7 +698,7 @@ def test_return_tube_restores_the_collector_state(ctx, monkeypatch):
 
 
 def test_return_tube_runs_no_collection_and_leaves_no_cycle(ctx, monkeypatch):
-    # the floors and frames form no reference cycle, so pausing the
+    # the floors and tables form no reference cycle, so pausing the
     # collector frees nothing late: no collection runs while a z14 tower is
     # built (read at each step, as the next allocation after the pause may
     # start one), and building and dropping every z14 tower leaves no
@@ -712,6 +734,92 @@ def test_return_tube_runs_no_collection_and_leaves_no_cycle(ctx, monkeypatch):
     assert sum(map(len, towers)) == sum(p.return_time for p in pieces)
     del towers
     assert gc.collect() == 0
+
+
+def test_first_return_map_restores_the_collector_state(ctx, monkeypatch):
+    # the walk runs with the cyclic collector paused, and the call leaves
+    # it as it found it: on, off, or on after the event budget runs out
+    w, z4 = ctx.wedge, ctx.domain("z4")
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert first_return_map(w, z4) == ctx.return_system("z4")
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    # Z'_4 maps 79 fragments: with a budget of 78 the walk raises, and
+    # each of its 78 steps is observed with the collector paused
+    real_step = type(w).step_raw
+    steps = []
+
+    def step_raw(self, l, t, i):
+        assert not gc.isenabled()
+        steps.append(i)
+        return real_step(self, l, t, i)
+
+    monkeypatch.setattr(type(w), "step_raw", step_raw)
+    with pytest.raises(InconclusiveError):
+        first_return_map(w, z4, max_events=78)
+    assert gc.isenabled() and len(steps) == 78
+
+
+def test_first_return_map_runs_no_collection_and_leaves_no_cycle(ctx, monkeypatch):
+    # the walk's itinerary nodes, tables and regions form no reference
+    # cycle, so pausing the collector frees nothing late: no collection
+    # runs during the z14 walk (read at each step), and building and
+    # dropping the z14 system leaves no cyclic garbage
+    w, want = ctx.wedge, ctx.return_system("z14")
+    runs, seen = [], []
+    real_step = type(w).step_raw
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    def step_raw(self, l, t, i):
+        seen.append(len(runs))
+        return real_step(self, l, t, i)
+
+    monkeypatch.setattr(type(w), "step_raw", step_raw)
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        rs = first_return_map(w, want.domain)
+    finally:
+        gc.callbacks.remove(count)
+    assert rs == want
+    assert seen and set(seen) == {0} and len(runs) <= 1
+    monkeypatch.undo()
+    del rs
+    gc.collect()
+    rs = first_return_map(w, want.domain)
+    assert len(rs.pieces) == 8
+    del rs
+    assert gc.collect() == 0
+
+
+def test_first_return_structure_rejects_a_turned_piece(ctx, monkeypatch):
+    # the check reports the pieces on which it verified the reversing
+    # symmetry; a z14 piece whose map is composed with a 30° turn still has
+    # iota(source) == target, but iota R iota R is no longer the identity
+    res = run_checks(["first-return-structure"], ctx)[0]
+    assert res.ok, res.error
+    assert res.details["z4_reversible_pieces"] == res.details["z14_reversible_pieces"] == 8
+    real = Context.return_system
+
+    def corrupt(self, label):
+        rs = real(self, label)
+        if label != "z14":
+            return rs
+        piece = rs.pieces[0]
+        turned = dataclasses.replace(piece, map=ROT[1].compose(piece.map))
+        return dataclasses.replace(rs, pieces=(turned, *rs.pieces[1:]))
+
+    monkeypatch.setattr(Context, "return_system", corrupt)
+    res = run_checks(["first-return-structure"], ctx)[0]
+    assert not res.ok
+    assert res.error == "iota R iota R must be the identity on every z14 piece"
 
 
 def test_whole_rocket_returns_in_one_step(ctx):
@@ -1003,13 +1111,14 @@ def test_cell_pool_grid_misses_no_cell(ctx, monkeypatch):
 
 
 def test_piece_faces_are_the_piece_lines(ctx):
-    # faces[i][j] = (e, c) puts alpha_i on n_e . x <= c, with equality on
-    # the vertices of edge line j
+    # FORMS[faces[i][j]] = (e, c) puts alpha_i on n_e . x <= c, with
+    # equality on the vertices of edge line j
     w = ctx.wedge
     for i, piece in w.alpha.items():
         lines = piece.edge_lines()
         assert len(w.faces[i]) == len(lines)
-        for (e, cp, cq, cr), ln in zip(w.faces[i], lines):
+        for k, ln in zip(w.faces[i], lines):
+            e, cp, cq, cr = FORMS[k]
             c = QS3._make(cp, cq, cr)
             n = SIDE_NORMALS[e]
             for v, s in zip(piece.vertices, ln.signs(piece.vertices)):

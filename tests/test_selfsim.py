@@ -33,7 +33,7 @@ from dodeca.selfsim import (
     verify_conjugacy,
     visit_matrix,
 )
-from dodeca.table import Frame
+from dodeca.table import ORIGIN, SourceTable
 
 
 def test_contraction_ratios_exact(ctx):
@@ -103,7 +103,7 @@ def test_y2_really_is_the_double_preimage(ctx, sim):
     cur = y2
     for _ in range(2):
         assert w.in_closed_wedge(cur)
-        i, cut = w.locate_frame(Frame(cur))
+        i, cut = w.locate(SourceTable(cur), 0, ORIGIN)
         assert cut is None
         cur = cur.transformed(w.maps[i])
     assert cur == sim.g1w4.region

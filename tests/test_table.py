@@ -17,7 +17,7 @@ from dodeca.geom import (
     raw_point,
 )
 from dodeca.selfsim import point_first_return
-from dodeca.table import ROT, Frame, build_table
+from dodeca.table import ORIGIN, ROT, SourceTable, build_table
 
 
 @pytest.fixture(scope="module")
@@ -291,11 +291,16 @@ def test_piece_errors(system):
         w.piece_index(Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2))
 
 
-def test_locate_frame_regions(system):
+def _locate_source(w, region):
+    """``w.locate`` of the region itself, the image (0, ORIGIN) of its table."""
+    return w.locate(SourceTable(region), 0, ORIGIN)
+
+
+def test_locate_regions(system):
     _, w = system
     for i in range(1, 5):
         assert w.in_closed_wedge(w.alpha[i])
-        assert w.locate_frame(Frame(w.alpha[i])) == (i, None)
+        assert _locate_source(w, w.alpha[i]) == (i, None)
     eps = Fraction(1, 64)
 
     def tri(c):
@@ -304,10 +309,10 @@ def test_locate_frame_regions(system):
 
     for i, c in ((5, w.O[5]), (6, w.Q[6] + w.dir_p + w.dir_q)):
         assert w.in_closed_wedge(tri(c))
-        assert w.locate_frame(Frame(tri(c))) == (i, None)
+        assert _locate_source(w, tri(c)) == (i, None)
 
 
-def test_locate_frame_errors(system):
+def test_locate_errors(system):
     _, w = system
     eps = Fraction(1, 64)
     mid = Point((w.P[2].x + w.Q[2].x) / 2, (w.P[2].y + w.Q[2].y) / 2)
@@ -315,7 +320,7 @@ def test_locate_frame_errors(system):
     across = Region.bounded([mid + v.scaled(eps) for v in d])
     # across the P2-Q2 boundary of alpha_1 and alpha_2
     assert w.in_closed_wedge(across)
-    i, cut = w.locate_frame(Frame(across))
+    i, cut = _locate_source(w, across)
     assert i is None and cut is w.split_lines[0]
     outside = Region.bounded(
         [w.O[1], w.O[1] + w.dir_p.scaled(eps), w.apex - w.bisector_dir.scaled(eps)]
@@ -360,8 +365,8 @@ def _scan_piece_index(w, p):
 
 
 def _scan_locate(w, region):
-    """in_closed_wedge, then locate_frame, by linear scans of the vertices'
-    field signs."""
+    """in_closed_wedge, then locate, by linear scans of the vertices' field
+    signs."""
     pts = region.vertices
     if any(ln.eval(p).sign() < 0 for ln in w.wedge_lines for p in pts):
         raise GraneError("region leaves the wedge")
@@ -373,18 +378,18 @@ def _scan_locate(w, region):
 
 
 def _locate(w, region):
-    """What ``_scan_locate`` checks: in_closed_wedge, then locate_frame on
-    the region's frame (l = 0, t = 0)."""
+    """What ``_scan_locate`` checks: in_closed_wedge, then locate on the
+    region's own table (l = 0, t = 0)."""
     if not w.in_closed_wedge(region):
         raise GraneError("region leaves the wedge")
-    return w.locate_frame(Frame(region))
+    return _locate_source(w, region)
 
 
 def _check_in_piece(w, region, located):
     """``w.in_piece`` holds for the located piece alone, and for no piece
     when a line cuts the region."""
-    frame = Frame(region)
-    held = [k for k in range(1, 7) if w.in_piece(frame.shared, frame.l, frame.t, k)]
+    table = SourceTable(region)
+    held = [k for k in range(1, 7) if w.in_piece(table, 0, ORIGIN, k)]
     assert held == ([] if located[1] is not None else [located[0]])
 
 
