@@ -4,14 +4,22 @@ Every period arises from an integer visit-count vector h (how often one
 return cycle of an orbit enters each of the six wedge pieces): the orbit
 closes under the plain billiard map after
 
-    12 * sum(h) / gcd(12, h_1 + 2 h_2 + 3 h_3 + 4 h_4 + 5 h_5 + 6 h_6)
+    12 * s / gcd(12, w),  s = sum(h),  w = h_1 + 2 h_2 + 3 h_3 + 4 h_4 + 5 h_5 + 6 h_6
 
 steps, because each visit to piece i contributes i twelfths of a turn of
-fold twist.  The reachable h form the closure of two finite seed families
-under three fixed nonnegative integer matrices; periods of the remaining
-points are obtained by doubling the odd values.  The matrices and seed
-vectors are frozen constants with a transcription checksum; changing a
-single entry fails the test suite loudly.
+fold twist (``fold_period``).  The reachable h are M66^k·M68·M88^n·f for
+the seed family F and M66^k·g for the family G; periods of the remaining
+points are obtained by doubling the odd values.  M66 sends every vector
+into the (e5, e6) plane and acts there by [[1, 0], [1, 1]], so for k >= 1
+
+    M66^k·h = (0, 0, 0, 0, a, c + (k - 1)·a),
+
+an arithmetic progression: the walk carries the two integers (a, c) along
+k, with sum a + c and twist 5a + 6c, and stops once the sum passes the
+bound (the period is at least the sum), or at once when a == 0, where M66
+fixes h.  The structure is checked on M66's entries when a walk starts.
+The matrices and seed vectors are frozen constants with a transcription
+checksum; changing a single entry fails the test suite loudly.
 """
 
 from __future__ import annotations
@@ -101,6 +109,11 @@ def mat_vec(m, v):
 WEIGHTS = (1, 2, 3, 4, 5, 6)
 
 
+def fold_period(s: int, w: int) -> int:
+    """Billiard period of a return cycle of s piece visits with fold twist w twelfths."""
+    return 12 * s // math.gcd(12, w)
+
+
 def period_of_h(h) -> int:
     """Billiard period of an orbit with piece-visit counts h."""
     if len(h) != 6 or any(x < 0 for x in h):
@@ -108,8 +121,7 @@ def period_of_h(h) -> int:
     total = sum(h)
     if total == 0:
         raise ValueError("h must not be the zero vector")
-    weighted = sum(wk * hk for wk, hk in zip(WEIGHTS, h))
-    return 12 * total // math.gcd(12, weighted)
+    return fold_period(total, sum(map(mul, WEIGHTS, h)))
 
 
 @dataclass(frozen=True)
@@ -129,9 +141,6 @@ class Witness:
             "doubled": self.doubled,
         }
 
-    def sort_key(self):
-        return (self.family, self.index, self.k, self.n, self.doubled)
-
 
 def replay_witness(wit: Witness):
     """Recompute the h-vector of a witness from the matrix constants."""
@@ -147,43 +156,82 @@ def replay_witness(wit: Witness):
     return v
 
 
-def enumerate_h(bound: int):
-    """All reachable h with period <= bound, with generator witnesses.
+def _progression_rows():
+    """Rows a and c of M66, checked to make M66^k·h an arithmetic progression.
 
-    Since every matrix is nonnegative with column sums >= 1, the entry sum
-    of h never decreases along k or n, and the period is at least sum(h);
-    both loops therefore stop once sum exceeds the bound, and the only
-    stationary direction (a fixed vector of the 6x6 matrix) is cut off by
-    an exact repeat test.  The enumeration is exhaustive within the bound.
+    M66 must send every h into the (e5, e6) plane (rows 0-3 vanish) and act
+    on that plane by [[1, 0], [1, 1]]: then M66·h = (0, 0, 0, 0, a, c) with
+    a = row_a·h and c = row_c·h, and each further power keeps a and adds it
+    to c.  Row a must be positive off e6, so that for h >= 0, a == 0 exactly
+    when h lies on the e6 axis, which M66 fixes.
+    """
+    row_a, row_c = M66[4], M66[5]
+    plane = ((row_a[4], row_a[5]), (row_c[4], row_c[5]))
+    if (
+        any(any(row) for row in M66[:4])
+        or plane != ((1, 0), (1, 1))
+        or min(row_a[:5]) <= 0
+    ):
+        raise ValueError("M66 does not act on h as the progression (a, c + (k - 1)a)")
+    return row_a, row_c
+
+
+def _walk(bound: int):
+    """Every reachable h with sum(h) <= bound, as (family, index, k, n, h, p).
+
+    The seeds (family, index, n) are the F vectors after n steps of M88,
+    mapped by M68, and the G vectors at n = 0.  h is the seed at k = 0 and
+    the pair (a, c) of M66^k·h = (0, 0, 0, 0, a, c) from k = 1 on; p is its
+    period.
     """
     if bound < 1:
         raise DomainError("bound must be positive")
+    row_a, row_c = _progression_rows()
+    wa, wc = WEIGHTS[4], WEIGHTS[5]
 
-    def k_loop(h6, family, index, n):
-        k = 0
-        v = h6
-        while sum(v) <= bound:
-            yield v, Witness(family, index, k, n)
-            v2 = mat_vec(M66, v)
-            if v2 == v:
-                break
-            v = v2
+    def seeds():
+        for index, f in enumerate(FAMILY_F):
+            v8, n = f, 0
+            while True:
+                yield "F", index, n, mat_vec(M68, v8)
+                v8 = mat_vec(M88, v8)
+                n += 1
+                if sum(v8) > bound:
+                    # column sums of both matrices are >= 1, so sum(h) and
+                    # hence the period can only exceed the bound from here on
+                    break
+        for index, g in enumerate(FAMILY_G):
+            yield "G", index, 0, g
+
+    for family, index, n, h in seeds():
+        if sum(h) > bound:
+            continue
+        yield family, index, 0, n, h, period_of_h(h)
+        a = sum(map(mul, row_a, h))
+        if a == 0:
+            continue  # M66 fixes h
+        c = sum(map(mul, row_c, h))
+        k = 1
+        while a + c <= bound:
+            yield family, index, k, n, (a, c), fold_period(a + c, wa * a + wc * c)
+            c += a
             k += 1
 
-    for idx, f in enumerate(FAMILY_F):
-        v8 = f
-        n = 0
-        while True:
-            h6 = mat_vec(M68, v8)
-            yield from k_loop(h6, "F", idx, n)
-            v8 = mat_vec(M88, v8)
-            n += 1
-            if sum(v8) > bound:
-                # column sums of both matrices are >= 1, so sum(h) and hence
-                # the period can only exceed the bound from here on
-                break
-    for idx, g in enumerate(FAMILY_G):
-        yield from k_loop(g, "G", idx, 0)
+
+def enumerate_h(bound: int):
+    """All reachable h with sum(h) <= bound, with generator witnesses.
+
+    Every matrix is nonnegative with column sums >= 1, so the entry sum of
+    h never decreases along k or n, and the period is at least sum(h): both
+    loops stop once the sum exceeds the bound.  Along k the vectors are an
+    arithmetic progression: for k >= 1, M66^k·h = (0, 0, 0, 0, a,
+    c + (k - 1)a).  Its sum grows by a at each k, so it passes the bound
+    unless a == 0, and a == 0 is exactly the case where M66 fixes h; then
+    the walk stops after k = 0.  The enumeration is exhaustive within the
+    bound.
+    """
+    for family, index, k, n, h, _ in _walk(bound):
+        yield (h if k == 0 else (0, 0, 0, 0) + h), Witness(family, index, k, n)
 
 
 @dataclass
@@ -205,22 +253,22 @@ class PeriodSet:
 
 
 def full_period_set(bound: int) -> PeriodSet:
-    """All billiard periods up to the bound: base set plus doubled odds."""
-    gens: dict[int, Witness] = {}
-    base: set[int] = set()
-    for h, wit in enumerate_h(bound):
-        p = period_of_h(h)
-        if p > bound:
-            continue
-        base.add(p)
-        if p not in gens or wit.sort_key() < gens[p].sort_key():
-            gens[p] = wit
-    for p in sorted(base):
-        if p % 2 == 1 and 2 * p <= bound and 2 * p not in base:
-            wit = gens[p]
-            cand = Witness(wit.family, wit.index, wit.k, wit.n, doubled=True)
-            if 2 * p not in gens or cand.sort_key() < gens[2 * p].sort_key():
-                gens[2 * p] = cand
+    """All billiard periods up to the bound: base set plus doubled odds.
+
+    Each base period keeps the least (family, index, k, n) that reaches it;
+    an odd p with 2p <= bound outside the base set gives 2p, witnessed by
+    p's generator doubled.
+    """
+    best: dict[int, tuple] = {}
+    for family, index, k, n, _, p in _walk(bound):
+        if p <= bound:
+            key = (family, index, k, n)
+            if p not in best or key < best[p]:
+                best[p] = key
+    gens = {p: Witness(*key) for p, key in best.items()}
+    for p in sorted(best):
+        if p % 2 == 1 and 2 * p <= bound and 2 * p not in best:
+            gens[2 * p] = Witness(*best[p], doubled=True)
     return PeriodSet(bound, sorted(gens), gens)
 
 
@@ -271,7 +319,6 @@ def cross_validate(
     well.  Any period outside the enumerated set raises AssertionError.
     """
     import random
-    from fractions import Fraction
 
     from .search import component_periods
 
@@ -296,9 +343,9 @@ def cross_validate(
     attempts = 0
     while checked_orbits < samples and attempts < 50 * samples:
         attempts += 1
-        x = Fraction(rng.randint(int(box[0] * 128), int(box[2] * 128)), 128)
-        y = Fraction(rng.randint(int(box[1] * 128), int(box[3] * 128)), 128)
-        p = Point(QS3(x), QS3(y))
+        x = rng.randint(int(box[0] * 128), int(box[2] * 128))
+        y = rng.randint(int(box[1] * 128), int(box[3] * 128))
+        p = Point(QS3._make(x, 0, 128), QS3._make(y, 0, 128))
         if w.Zp.classify(p) != INTERIOR:
             continue
         try:

@@ -349,7 +349,6 @@ def verify_conjugacy(
     meet a boundary (GraneError) is counted as skipped.
     """
     import random
-    from fractions import Fraction
 
     n14 = len(match_return_systems(rs4, rs14, s.gamma1))
     nx = len(match_return_systems(rs4, rsx, s.gammaX))
@@ -358,9 +357,9 @@ def verify_conjugacy(
     box = s.Z4.float_bbox()
     checked = skipped = 0
     while checked < samples:
-        x = Fraction(rng.randint(int(box[0] * 512), int(box[2] * 512)), 512)
-        y = Fraction(rng.randint(int(box[1] * 512), int(box[3] * 512)), 512)
-        p4 = Point(QS3(x), QS3(y))
+        x = rng.randint(int(box[0] * 512), int(box[2] * 512))
+        y = rng.randint(int(box[1] * 512), int(box[3] * 512))
+        p4 = Point(QS3._make(x, 0, 512), QS3._make(y, 0, 512))
         if s.Z4.classify(p4) != INTERIOR:
             continue
         try:

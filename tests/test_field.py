@@ -140,6 +140,15 @@ def test_canonical_round_trip_randomized():
         assert x.r >= 1
 
 
+@pytest.mark.parametrize("den", [128, 512])
+def test_make_of_a_dyadic_is_the_fraction(den):
+    # the sampled points are built as _make(k, 0, den); each must be the
+    # canonical triple that QS3(Fraction(k, den)) builds
+    for k in range(-3 * den, 3 * den + 1):
+        x, ref = QS3._make(k, 0, den), QS3(Fraction(k, den))
+        assert (x.p, x.q, x.r) == (ref.p, ref.q, ref.r)
+
+
 def test_ordering():
     assert qs3(0, 1) > qs3(Fraction(17, 10))
     assert qs3(0, 1) < qs3(Fraction(18, 10))

@@ -3,6 +3,8 @@ from itertools import permutations
 
 import pytest
 
+from dodeca import periods
+from dodeca.errors import DomainError
 from dodeca.periods import (
     CONSTANTS_SHA256,
     FAMILY_F,
@@ -17,6 +19,8 @@ from dodeca.periods import (
     full_period_set,
     mat_vec,
     period_of_h,
+    PeriodSet,
+    Witness,
     replay_witness,
 )
 from dodeca.selfsim import visit_matrix
@@ -99,6 +103,92 @@ def test_enumerate_first_elements():
     assert g0 in by_h and by_h[g0].family == "G" and by_h[g0].k == 0
 
 
+def _reference_enumerate_h(bound):
+    # the 6x6 products at every k, stopped by an exact repeat test
+    def k_loop(h6, family, index, n):
+        k, v = 0, h6
+        while sum(v) <= bound:
+            yield v, Witness(family, index, k, n)
+            v2 = mat_vec(M66, v)
+            if v2 == v:
+                break
+            v, k = v2, k + 1
+
+    for idx, f in enumerate(FAMILY_F):
+        v8, n = f, 0
+        while True:
+            yield from k_loop(mat_vec(M68, v8), "F", idx, n)
+            v8, n = mat_vec(M88, v8), n + 1
+            if sum(v8) > bound:
+                break
+    for idx, g in enumerate(FAMILY_G):
+        yield from k_loop(g, "G", idx, 0)
+
+
+def _reference_period_set(bound):
+    def key(wit):
+        return (wit.family, wit.index, wit.k, wit.n)
+
+    gens, base = {}, set()
+    for h, wit in _reference_enumerate_h(bound):
+        p = period_of_h(h)
+        if p > bound:
+            continue
+        base.add(p)
+        if p not in gens or key(wit) < key(gens[p]):
+            gens[p] = wit
+    for p in sorted(base):
+        if p % 2 == 1 and 2 * p <= bound and 2 * p not in base:
+            wit = gens[p]
+            gens[2 * p] = Witness(wit.family, wit.index, wit.k, wit.n, doubled=True)
+    return PeriodSet(bound, sorted(gens), gens)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 11, 40, 150, 600, 2000, 5000])
+def test_full_period_set_matches_the_matrix_products(bound):
+    # the (a, c) progression gives the periods and witnesses that M66 as a
+    # 6x6 product at every k gives
+    ref = _reference_period_set(bound).to_obj(witnesses=True)
+    assert full_period_set(bound).to_obj(witnesses=True) == ref
+
+
+@pytest.mark.parametrize("bound", [1, 40, 600])
+def test_enumerate_h_matches_the_matrix_products(bound):
+    assert list(enumerate_h(bound)) == list(_reference_enumerate_h(bound))
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_full_period_set_rejects_a_bound_below_one(bound):
+    with pytest.raises(DomainError):
+        full_period_set(bound)
+
+
+@pytest.mark.parametrize(
+    "i, j, value",
+    [
+        (4, 5, 1),  # M66 no longer adds a to c alone
+        (5, 5, 2),  # c doubles
+        (5, 4, 0),  # c stays put
+        (3, 0, 1),  # h leaves the (e5, e6) plane
+        (4, 0, 0),  # a == 0 no longer means that M66 fixes h
+    ],
+)
+def test_enumeration_refuses_a_broken_m66(monkeypatch, i, j, value):
+    rows = [list(row) for row in M66]
+    rows[i][j] = value
+    monkeypatch.setattr(periods, "M66", tuple(map(tuple, rows)))
+    with pytest.raises(ValueError, match="progression"):
+        full_period_set(40)
+    with pytest.raises(ValueError, match="progression"):
+        next(enumerate_h(40))
+
+
+def test_period_set_is_the_multiples_of_3_or_4():
+    # ROADMAP item 12's measured closed form, on the enumeration to 20000
+    ps = full_period_set(20000)
+    assert ps.periods == [n for n in range(3, 20001) if n % 3 == 0 or n % 4 == 0]
+
+
 def test_m88_powers_monotone():
     v = FAMILY_F[4]
     prev = sum(v)
@@ -167,6 +257,23 @@ def test_cross_validate_samples(ctx):
     assert cv.checked_components == 4
     assert cv.checked_orbits >= 40
     assert 12 in cv.verified_periods
+
+
+def test_cross_validate_pinned(ctx):
+    # read before the sample points were built from raw integers; the
+    # draws and the points are unchanged
+    comps = list(ctx.base_components().values())
+    cv = cross_validate(ctx.wedge, 2000, components=comps, samples=40, seed=9)
+    assert cv.to_obj() == {
+        "checked_components": 4,
+        "checked_orbits": 40,
+        "verified_periods": [3, 4, 6, 8, 12, 18, 36, 48, 192, 222],
+        "unmatched_enumerated": [
+            9, 15, 16, 20, 21, 24, 27, 28, 30, 32, 33, 39, 40, 42,
+            44, 45, 51, 52, 54, 56, 57, 60, 63, 64, 66, 68, 69, 72,
+        ],
+        "skipped": 0,
+    }
 
 
 def test_cross_validate_vacuous(ctx):

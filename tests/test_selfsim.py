@@ -124,6 +124,36 @@ def test_conjugacy_sampled(ctx, sim):
     assert report.samples_checked >= 40
 
 
+def test_conjugacy_pinned(ctx, sim, monkeypatch):
+    # the report read before the sample points were built from raw
+    # integers, and the points themselves: the same draws, each built as
+    # the canonical QS3(Fraction(k, 512))
+    drawn = []
+    walk = selfsim.point_first_return
+
+    def record(w, p, domain, max_iter):
+        drawn.append(p)
+        return walk(w, p, domain, max_iter)
+
+    monkeypatch.setattr(selfsim, "point_first_return", record)
+    report = verify_conjugacy(
+        ctx.wedge,
+        sim,
+        ctx.return_system("z4"),
+        ctx.return_system("z14"),
+        ctx.return_system("x"),
+        samples=200,
+        seed=6,
+    )
+    assert report.to_obj() == {
+        "pieces_matched_z14": 8,
+        "pieces_matched_x": 8,
+        "samples_checked": 200,
+        "samples_skipped": 0,
+    }
+    assert drawn == _z4_samples(sim, 6, 200)
+
+
 def test_conjugacy_rejects_wrong_map(ctx, sim):
     wrong = AffMap.homothety(ctx.wedge.apex, sim.ratio4)
     with pytest.raises(AssertionError):
