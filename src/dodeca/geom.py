@@ -351,12 +351,6 @@ class AffMap:
         return AffMap(ONE, ZERO, ZERO, ONE, v.x, v.y)
 
     @staticmethod
-    def rotation(cos_v: QS3, sin_v: QS3, center: Point) -> "AffMap":
-        tx = center.x - (cos_v * center.x - sin_v * center.y)
-        ty = center.y - (sin_v * center.x + cos_v * center.y)
-        return AffMap(cos_v, -sin_v, sin_v, cos_v, tx, ty)
-
-    @staticmethod
     def point_reflection(center: Point) -> "AffMap":
         return AffMap(-ONE, ZERO, ZERO, -ONE, center.x + center.x, center.y + center.y)
 
@@ -702,9 +696,6 @@ class Region:
         if self._area is None:
             self._area = _cycle_signed_area2(self.vertices)
         return self._area
-
-    def area(self) -> QS3:
-        return self.area2() / 2
 
     def centroid(self) -> Point:
         if not self.is_bounded:

@@ -45,11 +45,14 @@ Three layers build on the wedge map T':
   forward tubes of the return pieces of S plus the tubes of the periodic
   components that never enter S, with an exact (zero-tolerance) area
   identity, by carving the tubes out of an arrangement of convex cells
-  (:class:`CellPool`).  The carve runs on raw integers: each cell is
-  cleared to one denominator when it enters the pool, each tube
-  polygon's edge lines are built from its vertices' integers, and a cell
-  is signed against a line by integer sums alone (``geom.cutting_lines``,
-  the one cut test, which ``overlap_status`` uses too).
+  (:class:`CellPool`).  The carve proves the tubes disjoint and the
+  periodic tubes clear of S (S's return sources, carved first, tile S);
+  :func:`close_component` proves each component convex, maximal and
+  side-parallel.  The carve runs on raw integers: each cell is cleared
+  to one denominator when it enters the pool, each tube polygon's edge
+  lines are built from its vertices' integers, and a cell is signed
+  against a line by integer sums alone (``geom.cutting_lines``, the one
+  cut test, which ``overlap_status`` uses too).
 
 Red fractions need neither layer's towers beyond Z'_14:
 ``selfsim.visit_matrix`` counts how the Z'_14 pieces visit the Z'_4
@@ -776,11 +779,23 @@ def verify_partition(
     then carved out, until nothing remains.  Every subtraction asserts that
     the full polygon area was removed, so the final area identity
     green + red == area(Z') holds with zero tolerance by construction.
+
+    Each fact is proved once.  The carve proves the tubes disjoint: a
+    polygon whose whole area leaves the pool meets no earlier one, as open
+    polygons that meet in zero area do not meet.  It also proves that the
+    red tubes miss the domain: the green floors 0 are the return sources,
+    which tile the domain (``_validate_return_system``; a passed
+    ``return_system`` must be the domain's), so no cell is left there once
+    they are carved.  ``close_component``, which ends every component
+    search, proves each red component convex, maximal and side-parallel:
+    it marks only edges whose outward normal is a side normal, and
+    T'^period turns by a multiple of 30°, so an edge class is all
+    side-parallel or none of it is.
     """
     rs = return_system or first_return_map(w, domain, max_events)
+    assert rs.domain == domain, "the return system must be the domain's"
     zp = w.Zp
     pool = CellPool(zp)
-    dom_parts = domain.convex_parts()
 
     green_area2 = ZERO
     green_tubes = []
@@ -797,13 +812,7 @@ def verify_partition(
     while len(pool):
         cell = pool.largest_cell()
         comp = _component_from_cell(w, cell, max_iter)
-        assert comp.region.is_convex(), "periodic components must be convex"
-        assert w.table.sides_parallel(
-            comp.region
-        ), "component sides must be parallel to table sides"
         for pol in comp.orbit:
-            st = overlap_status(pol, dom_parts)
-            assert st == "disjoint", "complementary component tube entered the domain"
             removed = pool.subtract(pol)
             assert removed == pol.area2(), "periodic tube polygons must not overlap"
             red_area2 = red_area2 + pol.area2()

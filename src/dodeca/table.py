@@ -9,8 +9,10 @@ Contents:
 * ``Table``: the 12-gon, its side lines, the crossing points C_i of
   side lines four apart, the mirrored tables γ^i (the point reflections of
   the table through the C_i), the tangent-sector decomposition of the
-  exterior, and the outer billiard map T (central symmetry through the
-  supporting vertex) in both directions.
+  exterior, the outer billiard map T (central symmetry through the
+  supporting vertex) and the mirror sigma = diag(1, -1): sigma maps the
+  table onto itself and T^-1 = sigma T sigma, so every backward step of
+  T is a forward one.
 
 * ``WedgeSystem``: the quotient of T by the table's 12-fold rotational
   symmetry: a 30° wedge with apex A_1 on which T induces a piecewise
@@ -341,6 +343,10 @@ class Table:
             d_hi = _ROT1.apply_vec(d_lo)
             assert d_hi == a - self.vertices[(i + 1) % 12]
             self.cones.append((Line.through(a, a + d_lo), Line.through(a, a + d_hi)))
+        # the mirror sigma = diag(1, -1) maps A_k to A_-k, so T^-1 = sigma T sigma
+        self.sigma = sigma = AffMap(ONE, ZERO, ZERO, -ONE, ZERO, ZERO)
+        for k, v in enumerate(self.vertices):
+            assert sigma.apply(v) == self.vertices[-k % 12]
 
     def mirror_vertex(self, i: int, k: int) -> Point:
         """Vertex A^i_k of the mirrored table γ^i.
@@ -355,40 +361,31 @@ class Table:
         base = self.vertices[(k + i + 3) % 12]
         return Point(base.x + c.x + c.x, base.y + c.y + c.y)
 
-    def sides_parallel(self, region: Region) -> bool:
-        """True when every edge of a bounded region is parallel to a table side."""
-        v = self.vertices
-        dirs = [v[(i + 1) % 12] - v[i] for i in range(6)]  # opposite sides are parallel
-        pts = region.vertices
-        n = len(pts)
-        return all(
-            any((pts[(i + 1) % n] - pts[i]).cross_sign(d) == 0 for d in dirs)
-            for i in range(n)
-        )
-
-    def sector_index(self, p: Point, forward: bool = True) -> int:
+    def sector_index(self, p: Point) -> int:
         """Index i with p interior to the tangent sector of A_i.
 
         Raises GraneError when p is on a sector boundary or not strictly
-        outside the table.  ``forward=False`` uses the sectors of the
-        inverse map (the reflections of the forward sectors through A_i).
+        outside the table.
         """
         if self.polygon.classify(p) != EXTERIOR:
             raise GraneError("point not strictly outside the table", point=p)
-        want = 1 if forward else -1
         boundary_of = None
         for i, (lo, hi) in enumerate(self.cones):
-            c1 = lo.side(p) * want
-            c2 = hi.side(p) * want
+            c1 = lo.side(p)
+            c2 = hi.side(p)
             if c1 > 0 and c2 < 0:
                 return i
             if (c1 == 0 and c2 <= 0) or (c2 == 0 and c1 >= 0):
                 boundary_of = i
         raise GraneError("point on a sector boundary", index=boundary_of, point=p)
 
-    def step(self, p: Point, forward: bool = True) -> tuple[Point, int]:
-        """One application of T (or T^-1): central symmetry through A_i."""
-        i = self.sector_index(p, forward)
+    def step(self, p: Point) -> tuple[Point, int]:
+        """One application of T: central symmetry through A_i.
+
+        T^-1 = sigma T sigma: a step through A_j from sigma(p) is a backward
+        step through A_-j from p.
+        """
+        i = self.sector_index(p)
         a = self.vertices[i]
         return Point(a.x + a.x - p.x, a.y + a.y - p.y), i
 

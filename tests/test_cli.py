@@ -387,7 +387,8 @@ def test_region_outside_wedge_is_usage_error(capsys, tmp_path):
 
 
 def test_failed_check_is_an_error_object(capsys, tmp_path, ctx):
-    # the triangle with legs 1/3 at O_3 lies inside W_3, whose tube enters it
+    # the triangle with legs 1/3 at O_3 lies inside W_3, whose tube enters
+    # it: the carve finds W_3 over the triangle's return towers
     vertices = ["-1+1*s3,1+1*s3", "-2/3+1*s3,1+1*s3", "-1+1*s3,4/3+1*s3"]
     assert ctx.wedge.O[3] == Point.parse(vertices[0])
     region = _region_file(tmp_path, "o3", vertices)
@@ -397,7 +398,7 @@ def test_failed_check_is_an_error_object(capsys, tmp_path, ctx):
     assert code == EXIT_FAIL and err == ""
     assert json.loads(out) == {
         "error": "check failed",
-        "detail": "complementary component tube entered the domain",
+        "detail": "periodic tube polygons must not overlap",
         "seed": 0,
     }
 

@@ -26,6 +26,7 @@ from dodeca.geom import (
     split_region,
     vertex_position,
 )
+from dodeca.table import ROT
 
 
 def P(x, y):
@@ -45,8 +46,13 @@ HEXAGON = Region.bounded(
         Point(HALF, -SQRT3_HALF),
     ]
 )
-TURN_30 = AffMap.rotation(SQRT3_HALF, HALF, P(0, 0))
+TURN_30 = ROT[1]
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _turn(k, center):
+    """The turn by 30°*k about center."""
+    return AffMap.translation(center).compose(ROT[k]).compose(AffMap.translation(-center))
 
 
 def _pell_tiny(n=30):
@@ -78,8 +84,8 @@ def test_split_square_by_vertical():
     line = Line(ONE, ZERO, qs3(Fraction(1, 2)))
     pieces = split_region(UNIT_SQUARE, line)
     assert len(pieces) == 2
-    assert sorted(float(p.area()) for p in pieces) == [0.5, 0.5]
-    assert sum((p.area() for p in pieces), ZERO) == UNIT_SQUARE.area()
+    assert sorted(float(p.area2()) for p in pieces) == [1.0, 1.0]
+    assert sum((p.area2() for p in pieces), ZERO) == UNIT_SQUARE.area2()
 
 
 def test_classify_nonconvex():
@@ -166,7 +172,7 @@ def test_split_wedge_by_diagonal():
     bounded = [p for p in pieces if p.is_bounded]
     unbounded = [p for p in pieces if not p.is_bounded]
     assert len(bounded) == 1 and len(unbounded) == 1
-    assert bounded[0].area() == qs3(Fraction(1, 2))
+    assert bounded[0].area2() == ONE
     tri = Region.bounded([P(0, 0), P(1, 0), P(0, 1)])
     assert bounded[0] == tri
 
@@ -206,17 +212,17 @@ def test_region_equal_rotated_start():
 
 
 def test_area_and_centroid():
-    assert UNIT_SQUARE.area() == ONE and UNIT_SQUARE.centroid() == P("1/2", "1/2")
+    assert UNIT_SQUARE.area2() == qs3(2) and UNIT_SQUARE.centroid() == P("1/2", "1/2")
     tri = Region.bounded([P(0, 0), P(1, 0), P(0, 1)])
-    assert tri.area() == qs3(Fraction(1, 2)) and tri.centroid() == P("1/3", "1/3")
+    assert tri.area2() == ONE and tri.centroid() == P("1/3", "1/3")
     with pytest.raises(ValueError):
-        first_quadrant_wedge().area()
+        first_quadrant_wedge().area2()
     with pytest.raises(ValueError):
         first_quadrant_wedge().centroid()
 
 
 def test_regular_12gon_area():
-    # circumradius 2 -> area 3 R^2 = 12, exactly
+    # circumradius 2 -> area 3 R^2 = 12, exactly: doubled, 24
     from dodeca.field import HALF, SQRT3_HALF
 
     rot = AffMap(SQRT3_HALF, -HALF, HALF, SQRT3_HALF, ZERO, ZERO)
@@ -224,7 +230,7 @@ def test_regular_12gon_area():
     for _ in range(11):
         pts.append(rot.apply(pts[-1]))
     gon = Region.bounded(pts)
-    assert gon.area() == qs3(12)
+    assert gon.area2() == qs3(24)
     assert gon.centroid() == P(0, 0)
 
 
@@ -236,8 +242,8 @@ def test_nonconvex_split_produces_components():
     line = Line(ZERO, ONE, qs3(Fraction(3, 2)))  # y = 3/2
     pieces = split_region(u, line)
     assert len(pieces) == 3
-    total = sum((p.area() for p in pieces), ZERO)
-    assert total == u.area()
+    total = sum((p.area2() for p in pieces), ZERO)
+    assert total == u.area2()
     above = [p for p in pieces if (p.centroid().y - qs3(Fraction(3, 2))).sign() > 0]
     assert len(above) == 2
 
@@ -247,7 +253,7 @@ def test_split_through_vertex():
     line = Line(ONE, -ONE, ZERO)  # x = y, passes through two boundary points
     pieces = split_region(tri, line)
     assert len(pieces) == 2
-    assert sum((p.area() for p in pieces), ZERO) == tri.area()
+    assert sum((p.area2() for p in pieces), ZERO) == tri.area2()
 
 
 def test_split_area_conservation_randomized():
@@ -271,22 +277,18 @@ def test_split_area_conservation_randomized():
             pieces = split_region(reg, line)
         except ValueError:
             continue
-        assert sum((p.area() for p in pieces), ZERO) == reg.area()
+        assert sum((p.area2() for p in pieces), ZERO) == reg.area2()
 
 
 def test_isometry_preserves_area():
-    from dodeca.field import HALF, SQRT3_HALF
-
-    rot = AffMap.rotation(SQRT3_HALF, HALF, P(3, -2))
+    rot = _turn(1, P(3, -2))
     assert rot.is_isometry()
     tri = Region.bounded([P(0, 0), P(5, 1), P(2, 4)])
-    assert tri.transformed(rot).area() == tri.area()
+    assert tri.transformed(rot).area2() == tri.area2()
 
 
 def test_interior_maps_to_interior():
-    from dodeca.field import HALF, SQRT3_HALF
-
-    rot = AffMap.rotation(HALF, SQRT3_HALF, P(1, 1))
+    rot = _turn(2, P(1, 1))
     tri = Region.bounded([P(0, 0), P(5, 1), P(2, 4)])
     p = P(2, 2)
     assert tri.classify(p) == INTERIOR
@@ -299,7 +301,7 @@ def test_intersect_convex_regions():
     assert inter == UNIT_SQUARE
     shifted = UNIT_SQUARE.transformed(AffMap.translation(P("-1/2", "-1/2")))
     inter = intersect_convex(shifted, w)
-    assert inter is not None and inter.area() == qs3(Fraction(1, 4))
+    assert inter is not None and inter.area2() == qs3(Fraction(1, 2))
     far = UNIT_SQUARE.transformed(AffMap.translation(P(-5, -5)))
     assert intersect_convex(far, w) is None
 
@@ -617,7 +619,7 @@ def test_clip_convex_wedge_keep_far_side():
     near = clip_convex(w, line, -1)
     assert far is not None and not far.is_bounded
     assert near is not None and near.is_bounded
-    assert near.area() == qs3(Fraction(1, 2))
+    assert near.area2() == ONE
 
 
 def test_clip_strip_parallel_ray():
@@ -634,24 +636,20 @@ def test_clip_strip_parallel_ray():
     assert right.classify(P("3/2", 5)) == INTERIOR
     hline = Line(ZERO, ONE, qs3(3))  # y = 3 cuts off a bounded rectangle
     low = clip_convex(strip, hline, -1)
-    assert low is not None and low.is_bounded and low.area() == qs3(6)
+    assert low is not None and low.is_bounded and low.area2() == qs3(12)
     high = clip_convex(strip, hline, +1)
     assert high is not None and not high.is_bounded
 
 
 def test_fixed_point():
-    from dodeca.field import HALF, SQRT3_HALF
-
-    rot = AffMap.rotation(HALF, SQRT3_HALF, P(3, 7))
+    rot = _turn(2, P(3, 7))
     assert rot.fixed_point() == P(3, 7)
     with pytest.raises(ValueError):
         AffMap.identity().fixed_point()
 
 
 def test_affmap_compose_inverse():
-    from dodeca.field import HALF, SQRT3_HALF
-
-    rot = AffMap.rotation(SQRT3_HALF, HALF, P(1, 2))
+    rot = _turn(1, P(1, 2))
     t = AffMap.translation(P(3, -1))
     m = rot.compose(t)
     ident = m.compose(m.inverse())

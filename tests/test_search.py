@@ -22,6 +22,7 @@ from dodeca.geom import (
     clear_points,
     cutting_lines,
     integer_edge_lines,
+    overlap_status,
     split_convex,
 )
 from dodeca.periods import period_of_h
@@ -327,6 +328,21 @@ def test_close_component_certifies_maximality(ctx, monkeypatch):
     for region, _ in spiral + base:
         with pytest.raises(InconclusiveError, match="vertex 0"):
             close_component(w, region)
+
+
+def test_close_component_marks_only_side_parallel_edges(ctx):
+    # a regular 12-gon about O_1 with support lines at 30°*k: W_1's period-1
+    # turn by 150° takes it onto itself, but no edge of it is parallel to
+    # a table side, so no edge is ever marked (vertex 0 is
+    # O_1 + (r, r*tan 15°), and tan 15° = 2 - s3)
+    w = ctx.wedge
+    w1 = ctx.base_components()[1]
+    r = QS3(Fraction(1, 10))
+    v0 = Point(r, r * QS3(2, -1))
+    gon = Region.bounded([w.O[1] + ROT[k].apply(v0) for k in range(12)])
+    assert gon.is_convex() and overlap_status(gon, [w1.region]) == "inside"
+    with pytest.raises(InconclusiveError, match="maximal"):
+        close_component(w, gon)
 
 
 def test_return_system_structure(ctx):
@@ -855,6 +871,46 @@ def test_partition_z4(ctx):
     assert rep.exact_identity
     assert sorted(rep.periods) == [1, 2, 3, 3, 4, 54, 60]
     assert rep.green_area2 + rep.red_area2 == ctx.wedge.Zp.area2()
+
+
+def test_partition_carve_rejects_a_periodic_tube_in_the_domain(ctx, monkeypatch):
+    # the carve is the proof that the periodic tubes miss the domain: the
+    # return sources, carved first, tile it, so a cycle polygon in it
+    # cannot leave the pool whole
+    rs = ctx.return_system("z4")
+    source = rs.pieces[0].source
+    find = search.find_periodic_component
+
+    def entering(*args):
+        comp = find(*args)
+        return dataclasses.replace(comp, orbit=comp.orbit + (source,))
+
+    monkeypatch.setattr(search, "find_periodic_component", entering)
+    with pytest.raises(AssertionError, match="periodic tube polygons must not overlap"):
+        verify_partition(ctx.wedge, rs.domain, return_system=rs)
+
+
+def test_partition_makes_no_domain_test(ctx, monkeypatch):
+    calls = Counter()
+    overlap = search.overlap_status
+
+    def counted(*args):
+        calls["overlap_status"] += 1
+        return overlap(*args)
+
+    monkeypatch.setattr(search, "overlap_status", counted)
+    rs = ctx.return_system("z4")
+    rep = verify_partition(ctx.wedge, rs.domain, label="z4", return_system=rs)
+    assert rep.to_obj() == ctx.partition("z4").to_obj()
+    assert calls["overlap_status"] == 0
+
+
+def test_partition_rejects_another_domains_return_system(ctx):
+    # the carve's proof that red misses the domain needs the green sources
+    # to tile this domain
+    rs = ctx.return_system("z4")
+    with pytest.raises(AssertionError, match="must be the domain.s"):
+        verify_partition(ctx.wedge, ctx.return_system("z14").domain, return_system=rs)
 
 
 def test_tower_areas_match_partition(ctx):

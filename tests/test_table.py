@@ -132,8 +132,9 @@ def test_sector_tangency_oracle(system):
         assert q == Point(
             t.vertices[i].x * 2 - p.x, t.vertices[i].y * 2 - p.y
         )
-        back, _ = t.step(q, forward=False)
-        assert back == p
+        # T^-1 = sigma T sigma, through the mirrored vertex
+        back, j = t.step(t.sigma.apply(q))
+        assert t.sigma.apply(back) == p and -j % 12 == i
         checked += 1
 
 
@@ -755,7 +756,7 @@ def test_wedge_conjugacy_with_alpha6_return(system):
 
 def test_z_is_table_plus_twelve_rockets(system):
     t, w = system
-    assert w.Z.area() == t.polygon.area() + w.Zp.area() * 12
+    assert w.Z.area2() == t.polygon.area2() + w.Zp.area2() * 12
 
 
 def test_fold_uniqueness(system):
