@@ -170,11 +170,27 @@ class Context:
 
 
 def _wedge_points(w, rng, count, span=8):
+    """``count`` points apex + (a/64)*dir_p + (b/64)*dir_q, with a, then b,
+    drawn from 1..64*span: each coordinate is one ``QS3._make`` of
+    integers linear in a and b, over the product of the three terms'
+    denominators times 64."""
+    rows = []
+    for o, u, v in ((w.apex.x, w.dir_p.x, w.dir_q.x), (w.apex.y, w.dir_p.y, w.dir_q.y)):
+        f = o.r * u.r * v.r
+        co, cu, cv = 64 * (f // o.r), f // u.r, f // v.r
+        rows.append((o.p * co, o.q * co, u.p * cu, u.q * cu, v.p * cv, v.q * cv, 64 * f))
+    (xo, xoq, xu, xuq, xv, xvq, dx), (yo, yoq, yu, yuq, yv, yvq, dy) = rows
+    make = QS3._make
     out = []
-    while len(out) < count:
-        s = Fraction(rng.randint(1, span * 64), 64)
-        t = Fraction(rng.randint(1, span * 64), 64)
-        out.append(w.apex + w.dir_p.scaled(s) + w.dir_q.scaled(t))
+    for _ in range(count):
+        a = rng.randint(1, span * 64)
+        b = rng.randint(1, span * 64)
+        out.append(
+            Point(
+                make(xo + a * xu + b * xv, xoq + a * xuq + b * xvq, dx),
+                make(yo + a * yu + b * yv, yoq + a * yuq + b * yvq, dy),
+            )
+        )
     return out
 
 

@@ -32,8 +32,8 @@ Three layers build on the wedge map T':
   Regions are built only at cuts and for the fragments no side normal
   separates from S.  Each piece records its T' itinerary, and
   :func:`return_tube` steps the source's (l, t) along it, proving every
-  floor of the piece's tower in its recorded piece by two signs and
-  building the floor.  Every region a walk builds comes from its table,
+  floor of the piece's tower in its recorded piece by one or two signs
+  (T' steps only between neighbouring pieces) and building the floor.  Every region a walk builds comes from its table,
   made once per source and walk: its rotated vertices give each vertex
   of ROT[l](S') + t by integer products and sums, and each distinct
   coordinate of the walk is normalised once and shared by every region
@@ -155,11 +155,12 @@ def find_periodic_component(
     the wedge, along the orbit of ``start`` (one ``raw_orbit`` generator).
     U is cut down to the orbit's piece while it is unbounded, and mapped by
     ``transformed``.  Once bounded, U is carried as the image (l, t) of a
-    source over its ``SourceTable``, placed by ``WedgeSystem.locate`` (U
-    is the image of a closed piece, so it lies in the closed wedge) and
-    mapped by ``step_raw``.  A split line that cuts U cuts it down to the
-    piece, and the cut becomes the new source: the (l, t) of that step c
-    is its image, and the walk keeps no other region.  It stops at the
+    source over its ``SourceTable``, placed by ``WedgeSystem.locate`` from
+    the orbit's last piece (U is the image of a closed piece, so it lies
+    in the closed wedge) and mapped by ``step_raw``.  A split line that
+    cuts U cuts it down to the piece, and the cut becomes the new source:
+    the (l, t) of that step c is its image, and the walk keeps no other
+    region.  It stops at the
     first step n whose region is the one of step c.
 
     That is the walk's first repeat.  A cut loses area and T' keeps it, so
@@ -190,11 +191,11 @@ def find_periodic_component(
     if w.wedge.classify(start) != INTERIOR:
         raise DomainError("start point must be interior to the wedge")
     orbit = w.raw_orbit(start)
-    region, table = w.wedge, None
+    region, table, i = w.wedge, None, None
     for n in range(1, max_iter + 1):
-        i = next(orbit)[-1]
+        prev, i = i, next(orbit)[-1]
         if table is not None:
-            piece, cut = w.locate(table, l, t)
+            piece, cut = w.locate(table, l, t, prev)
             if cut is None:
                 assert piece == i, "the carried region left the orbit's piece"
                 l, t = w.step_raw(l, t, i)
@@ -231,12 +232,12 @@ def close_component(
     closed wedge (asserted when the ``WedgeSystem`` is built), so every
     step is located by the split lines alone.  The walk carries the image
     (l, t) of the region over the region's ``SourceTable``: each step is
-    located by ``WedgeSystem.locate`` and each region of the cycle is
-    built by the table.  The cycle closes at the first image equal to the
-    region; a rigid motion that takes the region onto itself fixes its
-    centroid, so only an image whose motion fixes the centroid
-    (``table.sends`` from the centroid to itself, on raw integers) is
-    compared by its canonical key.
+    located by ``WedgeSystem.locate`` from the piece of the step before,
+    and each region of the cycle is built by the table.  The cycle closes
+    at the first image equal to the region; a rigid motion that takes the
+    region onto itself fixes its centroid, so only an image whose motion
+    fixes the centroid (``table.sends`` from the centroid to itself, on
+    raw integers) is compared by its canonical key.
 
     Rotation certificate: ``w.maps[i]`` turns by 30°*(6 - i) (asserted
     when the ``WedgeSystem`` is built), so T'^period turns by 30°*l with
@@ -292,8 +293,9 @@ def close_component(
     cur = region
     period = 0
     orbit = [region]
+    i = None
     while True:
-        i, cut = w.locate(table, l, t)
+        i, cut = w.locate(table, l, t, i)
         if cut is not None:
             raise GraneError("region crosses a piece boundary")
         if unmarked:
@@ -415,9 +417,15 @@ def first_return_map(
     against the domain's smallest, -h[e + 6] from the domain's support
     values h: the walk adds these 12 forms to the default forms of each
     source's table, which folds each into one integer row per rotation
-    when the walk first signs it.  A ``Region`` is built only where the
-    walk needs one: at a cut the image is split and each part pulled back
-    to a new S, and a fragment that no side normal separates is placed by
+    when the walk first signs it.  Most steps need none of them: a
+    fragment stepped from the open piece alpha_i lies in the open image
+    T'(alpha_i), so it can land in the domain only when i is in
+    ``w.landing(domain)``, computed once per call (alpha_1 alone for the
+    level-3 domain, where 2,243 of the 47,595 steps start in alpha_1),
+    and a fragment stepped from any other piece goes straight back to
+    ``pending``.  A ``Region`` is built only where the walk needs one: at
+    a cut the image is split and each part pulled back to a new S, and a
+    fragment that no side normal separates is placed by
     ``overlap_status``.  A retired fragment's source is its S and its map
     the isometry ``rigid_map(l, t)``, so no map is composed or inverted
     per step.
@@ -425,10 +433,13 @@ def first_return_map(
     The domain is signed against the wedge lines once: a fragment located
     in a closed piece maps into the closed wedge (asserted when the
     ``WedgeSystem`` is built), so every fragment stays there and is located
-    by the split lines alone.  Each fragment carries its itinerary as a
-    parent-linked node (parent, i), shared by the parts of a split; a
-    retired fragment unrolls it into ``ReturnPiece.itinerary``.  The walk
-    runs with the cyclic garbage collector paused (``_collector_paused``).
+    by the split lines alone, from the piece it was stepped from (the
+    last symbol of its node, ``WedgeSystem.locate`` with ``prev``): one or
+    two signs and the cut sign.  Each fragment carries its itinerary as a
+    parent-linked node (parent, i), shared by the parts of a split, which
+    also came from that piece; a retired fragment unrolls it into
+    ``ReturnPiece.itinerary``.  The walk runs with the cyclic garbage
+    collector paused (``_collector_paused``).
     """
     if not domain.is_bounded:
         raise DomainError("return domain must be bounded")
@@ -442,13 +453,14 @@ def first_return_map(
     hp, hq, m = SourceTable(domain).h
     forms = FORMS + tuple((e, -hp[(e + 6) % 12], -hq[(e + 6) % 12], m) for e in range(12))
     apart = range(len(FORMS), len(forms))
+    landing = w.landing(domain)
     pending = [(SourceTable(domain, forms), 0, ORIGIN, None)]
     finished = []
     events = 0
     with _collector_paused():
         while pending:
             table, l, t, node = pending.pop()
-            i, cut = w.locate(table, l, t)
+            i, cut = w.locate(table, l, t, None if node is None else node[1])
             if cut is not None:
                 halves = split_region(table.region(l, t), cut)
                 # a line that left the fragment whole would requeue it
@@ -467,7 +479,7 @@ def first_return_map(
             l, t = w.step_raw(l, t, i)
             node = (node, i)
             sign = table.sign
-            if any(sign(l, k, t) <= 0 for k in apart):
+            if i not in landing or any(sign(l, k, t) <= 0 for k in apart):
                 pending.append((table, l, t, node))
                 continue
             image = table.region(l, t)
@@ -535,11 +547,13 @@ def return_tube(w: WedgeSystem, piece: ReturnPiece):
     Steps the source's image ROT[l](source) + t, as the raw pair (l, t),
     along the recorded itinerary (``WedgeSystem.step_raw``) and proves
     each step: floor j must lie in the open piece ``itinerary[j]``
-    (``WedgeSystem.in_piece``, two signs of the source's ``SourceTable``),
-    else GraneError with index j.  That test needs the floor in the closed
-    wedge: the source is checked once, and each later floor is the image
-    of a closed piece, which T' keeps in the closed wedge (asserted when
-    the ``WedgeSystem`` is built).  Each floor is built by the table
+    (``WedgeSystem.in_piece`` told floor j-1's piece ``itinerary[j-1]``:
+    one sign of the source's ``SourceTable`` for a neighbouring piece, two
+    for the same piece, none for a piece T' cannot reach), else GraneError
+    with index j.  That test needs the floor in the closed wedge: the
+    source is checked once, and each later floor is the image of a closed
+    piece, which T' keeps in the closed wedge (asserted when the
+    ``WedgeSystem`` is built).  Each floor is built by the table
     (``SourceTable.region``), and the region after the last step must be
     the target; that closure is asserted.  The floors are built with the
     cyclic garbage collector paused (``_collector_paused``).
@@ -549,11 +563,13 @@ def return_tube(w: WedgeSystem, piece: ReturnPiece):
             raise GraneError("return source leaves the wedge")
         table, l, t = SourceTable(piece.source), 0, ORIGIN
         tube = []
+        prev = None
         for j, i in enumerate(piece.itinerary):
-            if not w.in_piece(table, l, t, i):
+            if not w.in_piece(table, l, t, i, prev):
                 raise GraneError(f"floor {j} is not in alpha_{i}", index=j)
             tube.append(table.region(l, t))
             l, t = w.step_raw(l, t, i)
+            prev = i
         assert table.region(l, t) == piece.target
         return tube
 

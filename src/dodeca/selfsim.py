@@ -238,23 +238,21 @@ def visit_matrix(
 def _interior_test(domain: Region):
     """The test "is this raw T'-iterate interior to the open domain?".
 
-    Returns ``interior(xp, xq, yp, yq, r, x=None)``: the iterate as a
-    ``Point`` when it lies in the open domain, else None.  An iterate
-    becomes a ``Point`` for the exact ``domain.classify`` only when the
-    proven float enclosures of its coordinates (``float_interval``) meet
-    the domain's proven ``float_bbox``.  A point outside that box is
-    neither in the domain nor on its boundary, so the floats only prune
-    exact tests and never decide one.  ``x``, when given, is the
-    enclosure ``float_interval(xp, xq, r)``, computed once by a caller
-    that tests the iterate against more than one domain; the enclosure
-    of y is computed only when x's meets the box.
+    Returns ``interior(xp, xq, yp, yq, r)``: the iterate as a ``Point``
+    when it lies in the open domain, else None.  An iterate becomes a
+    ``Point`` for the exact ``domain.classify`` only when the proven float
+    enclosures of its coordinates (``float_interval``) meet the domain's
+    proven ``float_bbox``.  A point outside that box is neither in the
+    domain nor on its boundary, so the floats only prune exact tests and
+    never decide one.  The enclosure of y is computed only when x's meets
+    the box.
     """
     inf = float("inf")
     x0, y0, x1, y1 = domain.float_bbox() if domain.is_bounded else (-inf, -inf, inf, inf)
     classify = domain.classify
 
-    def interior(xp, xq, yp, yq, r, x=None):
-        lo, hi = float_interval(xp, xq, r) if x is None else x
+    def interior(xp, xq, yp, yq, r):
+        lo, hi = float_interval(xp, xq, r)
         if hi < x0 or lo > x1:
             return None
         lo, hi = float_interval(yp, yq, r)
@@ -270,14 +268,18 @@ def point_first_return(w: WedgeSystem, p: Point, domain: Region, max_iter: int =
     """First forward T'-iterate of p landing back inside the open domain.
 
     Returns ``(q, n)`` with q = T'^n(p).  The iterates come from
-    ``w.raw_orbit`` and are tested by ``_interior_test``.  A cap that runs
-    out is inconclusive (``InconclusiveError``).
+    ``w.raw_orbit``, and an iterate is tested by ``_interior_test`` only
+    when its step came from a piece of ``w.landing(domain)``: a step from
+    any other open piece lands in its open image, which misses the open
+    domain.  A cap that runs out is inconclusive (``InconclusiveError``).
     """
     interior = _interior_test(domain)
-    for n, (xp, xq, yp, yq, r, _) in zip(range(1, max_iter + 1), w.raw_orbit(p)):
-        q = interior(xp, xq, yp, yq, r)
-        if q is not None:
-            return q, n
+    landing = w.landing(domain)
+    for n, (xp, xq, yp, yq, r, i) in zip(range(1, max_iter + 1), w.raw_orbit(p)):
+        if i in landing:
+            q = interior(xp, xq, yp, yq, r)
+            if q is not None:
+                return q, n
     raise InconclusiveError(f"no return within {max_iter} steps", iterations=max_iter)
 
 
@@ -291,10 +293,12 @@ def paired_first_returns(
     px = gamma_X(p4) into X and from p14 = gamma_1(p4) into Z'_14.
     T'^2(px) = p14 (``verify_conjugacy`` gives the argument), so the orbit
     of px passes through p14 at step 2 and is the orbit of p14 from there
-    on: one ``w.raw_orbit(px)`` carries both returns, and one float
-    enclosure of each iterate's x serves both tests.  Asserts, on the
-    way: gamma_X(r4) = rx as soon as rx is found, the state after step 2
-    equal to p14 (``raw_equals``), and gamma_1(r4) = r14.
+    on: one ``w.raw_orbit(px)`` carries both returns.  An iterate is
+    tested against X or Z'_14 only after a step from a piece of that
+    domain's ``w.landing`` set (see ``point_first_return``): alpha_3 for
+    X and alpha_1 for Z'_14, so no iterate meets both tests.  Asserts, on
+    the way: gamma_X(r4) = rx as soon as rx is found, the state after step
+    2 equal to p14 (``raw_equals``), and gamma_1(r4) = r14.
 
     Each half keeps its own cap: InconclusiveError when X is not reached
     within max_iter steps, or Z'_14 within max_iter steps after step 2.
@@ -304,22 +308,24 @@ def paired_first_returns(
     p14 = s.gamma1.apply(p4)
     assert s.X.classify(px) == INTERIOR
     in_x, in_14 = _interior_test(s.X), _interior_test(s.Z14)
+    land_x, land_14 = w.landing(s.X), w.landing(s.Z14)
     rx = r14 = None
-    for n, (xp, xq, yp, yq, r, _) in enumerate(w.raw_orbit(px), 1):
-        x = float_interval(xp, xq, r)
+    for n, (xp, xq, yp, yq, r, i) in enumerate(w.raw_orbit(px), 1):
         if rx is None:
             if n > max_iter:
                 raise InconclusiveError(f"no return to X within {max_iter} steps", max_iter)
-            rx = in_x(xp, xq, yp, yq, r, x)
-            if rx is not None:
-                n_x = n
-                assert s.gammaX.apply(r4) == rx, "gamma_X must conjugate the returns"
+            if i in land_x:
+                rx = in_x(xp, xq, yp, yq, r)
+                if rx is not None:
+                    n_x = n
+                    assert s.gammaX.apply(r4) == rx, "gamma_X must conjugate the returns"
         if n == 2:
             assert raw_equals(p14, xp, xq, yp, yq, r), "T'^2 gamma_X must be gamma_1"
         elif n > 2 and r14 is None:
             if n > max_iter + 2:
                 raise InconclusiveError(f"no return to Z'_14 within {max_iter} steps", max_iter)
-            r14, n14 = in_14(xp, xq, yp, yq, r, x), n - 2
+            if i in land_14:
+                r14, n14 = in_14(xp, xq, yp, yq, r), n - 2
         if rx is not None and r14 is not None:
             assert s.gamma1.apply(r4) == r14, "gamma_1 must conjugate the returns"
             return (rx, n_x), (r14, n14)

@@ -515,8 +515,10 @@ class WedgeSystem:
         self.iota = iota = AffMap.translation(self.apex - lin.apply(self.apex)).compose(lin)
         assert iota.compose(iota) == AffMap.identity()
         assert self.wedge.transformed(iota) == self.wedge
+        # images[i] = T'(alpha_i), which ``landing`` meets with a domain
+        self.images, self._landing = {}, {}
         for i, f in self.maps.items():
-            image = self.alpha[i].transformed(f)
+            image = self.images[i] = self.alpha[i].transformed(f)
             assert self.alpha[i].transformed(iota) == image
             assert iota.compose(f).compose(iota).compose(f) == AffMap.identity()
             # T' maps each closed piece into the closed wedge: a region
@@ -524,6 +526,15 @@ class WedgeSystem:
             # walks of first_return_map and return_tube sign the wedge lines
             # only at their start
             assert self.in_closed_wedge(image)
+            # the neighbour fact: the closed image, rays included, lies on
+            # the closed far side of split line i-2 and on the closed apex
+            # side of split line i+1, so T' steps from alpha_i to alpha_i-1,
+            # alpha_i or alpha_i+1 only, and the walks locate the next
+            # piece from the last (``raw_orbit``, ``locate``, ``in_piece``)
+            if i >= 3:
+                assert clip_convex(image, self.split_lines[i - 3], -1) is image
+            if i <= 4:
+                assert clip_convex(image, self.split_lines[i], +1) is image
         # each split line's normal is a positive multiple of some side
         # normal n_e: SPLIT_FORMS holds the lines' forms, signed apex side
         # > 0, and their flips, which every SourceTable signs by default
@@ -577,7 +588,9 @@ class WedgeSystem:
             return all(clip_convex(region, ln, +1) is region for ln in self.wedge_lines)
         return vertex_position(region, self.wedge_lines) == "inside"
 
-    def locate(self, table: SourceTable, l: int, t: tuple) -> tuple[int | None, Line | None]:
+    def locate(
+        self, table: SourceTable, l: int, t: tuple, prev: int | None = None
+    ) -> tuple[int | None, Line | None]:
         """Piece i of the open region ROT[l](S) + t as ``(i, None)``, or ``(None, line)``.
 
         S is ``table``'s source.  The exact region locator, for a region
@@ -594,20 +607,36 @@ class WedgeSystem:
         in at most three tests, each one sign of the table
         (``SourceTable.sign`` on ``SPLIT_FORMS``).  A region outside the
         closed wedge gets no meaningful answer.
+
+        ``prev``, when given, is a piece the region came from: the region
+        lies in T'(alpha_prev), the image of a region located in the open
+        piece alpha_prev.  By the neighbour fact (asserted at construction)
+        that image lies on the closed far side of line prev-2 and on the
+        closed apex side of line prev+1, so the first line with a point
+        strictly on its apex side is line prev-1, prev or prev+1 (piece 6
+        for "none" when prev >= 5): one or two signs find it, and the cut
+        sign follows.
         """
         sign = table.sign
-        lo, hi = 0, _LOWER
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign(l, mid, t) > 0:
-                hi = mid
-            else:
-                lo = mid + 1
+        if prev is None:
+            lo, hi = 0, _LOWER
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if sign(l, mid, t) > 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+        elif prev < 6 and sign(l, prev - 1, t) <= 0:
+            lo = prev
+        else:
+            lo = prev - 2 if prev >= 2 and sign(l, prev - 2, t) > 0 else prev - 1
         if lo == _LOWER:
             return 6, None
         return (None, self.split_lines[lo]) if sign(l, _LOWER + lo, t) > 0 else (lo + 1, None)
 
-    def in_piece(self, table: SourceTable, l: int, t: tuple, i: int) -> bool:
+    def in_piece(
+        self, table: SourceTable, l: int, t: tuple, i: int, prev: int | None = None
+    ) -> bool:
         """True when the open region ROT[l](S) + t, in the closed wedge, lies in alpha_i.
 
         S is ``table``'s source.  Two signs (``SourceTable.sign``): the
@@ -617,10 +646,46 @@ class WedgeSystem:
         ``locate``) the other lines then hold too, so the closure
         lies in the closed piece and the open region, which has positive
         area, in the open one.
+
+        ``prev``, when given, is a piece the region came from, as in
+        ``locate``: the closed region then lies on the far side of line
+        prev-2 and on the apex side of line prev+1.  So i = prev - 1 needs
+        only the sign of line i, i = prev + 1 only that of line i-1, and
+        a piece with |i - prev| > 1, which T'(alpha_prev) does not meet,
+        fails with no sign.
         """
-        if i >= 2 and table.sign(l, i - 2, t) > 0:
+        if prev is None:
+            far, near = i >= 2, i <= 5
+        elif abs(i - prev) > 1:
             return False
-        return i == 6 or table.sign(l, _LOWER + i - 1, t) <= 0
+        else:
+            far, near = i >= 2 and i != prev - 1, i <= 5 and i != prev + 1
+        if far and table.sign(l, i - 2, t) > 0:
+            return False
+        return not near or table.sign(l, _LOWER + i - 1, t) <= 0
+
+    def landing(self, domain: Region) -> frozenset:
+        """The pieces i whose open image T'(alpha_i) meets the open domain.
+
+        A step from any other piece cannot land in the domain, so a return
+        walk tests for a return only after a step from one of these.  The
+        images are ``images``, computed at construction, met with each
+        convex part of the domain by ``intersect_convex``: an open set that
+        meets the open domain meets one of its open convex parts.  As iota
+        maps T'(alpha_i) onto alpha_i, these are the pieces that
+        iota(domain) meets.  Each domain's set is computed once and kept:
+        the sampled walks of ``selfsim.verify_conjugacy`` ask for the sets
+        of the same three domains at every sample.
+        """
+        land = self._landing.get(domain)
+        if land is None:
+            parts = domain.convex_parts()
+            land = self._landing[domain] = frozenset(
+                i
+                for i, image in self.images.items()
+                if any(intersect_convex(part, image) is not None for part in parts)
+            )
+        return land
 
     def step_raw(self, l: int, t: tuple, i: int) -> tuple[int, tuple]:
         """The image (l, t) of T'(ROT[l](S) + t) for a region in piece i:
@@ -664,20 +729,26 @@ class WedgeSystem:
 
         In the closed wedge the split lines are nested (sign >= 0 on line k
         gives sign > 0 on line k+1, asserted at construction): "sign >= 0
-        on line k" is monotone in k, so a bisection in any probe order
-        finds the first line k with the point on its closed apex side.  The
-        point is in alpha_k if that sign is > 0, on the boundary of alpha_k
-        if it is 0 (GraneError with the point and index k), and in alpha_6
-        if there is no such line.  The bisection probes line 4, between
-        pieces 4 and 5, first; then line 5, or lines 3, 2, 1 down to the
-        first sign < 0.  That is 4, 4, 3, 2, 2, 2 signs in pieces 1..6,
-        against 3, 3, 2, 3, 3, 2 for a balanced bisection: with a share p_i
-        of the steps in piece i, it saves p4 + p5 - (p1 + p2 + p3) signs per
-        step, and wins while pieces 4 and 5 together take more steps than
-        pieces 1-3 together.  The benchmark's point orbits do: pieces 1..6
-        take 4.3/4.4/9.7/42.2/39.3/0% of the 135,905 steps of an ``orbits``
-        round and 4.6/4.2/14.9/41.8/34.4/0% of the 5,748 of a
-        ``partition-z14`` round.
+        on line k" is monotone in k.  The point is in alpha_k for the first
+        line k with sign >= 0 if that sign is > 0, on the boundary of
+        alpha_k if it is 0 (GraneError with the point and index k), and in
+        alpha_6 if there is no such line.  The first step finds that line
+        by a bisection: line 4 first, then always the line just below the
+        last one with sign >= 0.
+
+        Every later step knows the piece i it came from, and the point lies
+        in the open image T'(alpha_i), which lies on the far side of line
+        i-2 and on the apex side of line i+1 (the neighbour fact, asserted
+        at construction).  So the first line with sign >= 0 is line i-1, i
+        or i+1 (or none, for i >= 5), and line i+1, where there is one, has
+        sign > 0.  The step signs line i, where a sign < 0 gives piece i+1,
+        and else line i-1, where < 0 gives piece i and > 0 piece i-1.
+        Piece 1 has no line 0 and piece 6 no line 6.  It raises the
+        bisection's GraneError, with its index and point, wherever the
+        bisection would.  Over the 60,441 steps of the 2,000 walks of
+        ``selfsim.verify_conjugacy`` with 1,000 samples at seed 6, first
+        steps included, that is 1.74 split-line signs per step, against
+        2.33 with a bisection at every step.
 
         The step then applies the cleared rows of ``maps[i]``, bound at
         construction (``_map_raw``, which ``step_raw`` shares), so no
@@ -697,32 +768,56 @@ class WedgeSystem:
                 on_wedge = True
         if on_wedge:
             raise GraneError("point on the wedge boundary", point=p)
-        splits = [ln._k for ln in self.split_lines]
+        # split line k at position k; no line 0 or 6
+        splits = [None] + [ln._k for ln in self.split_lines] + [None]
         rows = self._rows
-        n_split = len(splits)
+        # k: the first line with sign >= 0 (6 if none), s its sign; line 4
+        # first, then always the line just below the last k
+        lo, k, mid, s = 1, 6, 4, 1
+        while lo < k:
+            a1, t1, b1, a2, t2, b2, a3, b3 = splits[mid]
+            u = pair_sign(
+                a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
+                a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
+            )
+            if u >= 0:
+                k, s = mid, u
+            else:
+                lo = mid + 1
+            mid = k - 1
         while True:
-            # line 4 (index 3) first, then always the line just below hi
-            lo, hi, mid, s = 0, n_split, 3, None
-            while lo < hi:
-                a1, t1, b1, a2, t2, b2, a3, b3 = splits[mid]
-                t = pair_sign(
-                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
-                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
-                )
-                if t >= 0:
-                    hi, s = mid, t
-                else:
-                    lo = mid + 1
-                mid = hi - 1
             if s == 0:
                 raise GraneError(
                     "point on a piece boundary",
-                    index=lo + 1,
+                    index=k,
                     point=raw_point(xp, xq, yp, yq, r),
                 )
-            i = lo + 1
+            i = k
             xp, xq, yp, yq, r = _map_raw(rows[i], xp, xq, yp, yq, r)
             yield xp, xq, yp, yq, r, i
+            # the neighbour rule: line i, then line i-1
+            line = splits[i]
+            if line is not None:
+                a1, t1, b1, a2, t2, b2, a3, b3 = line
+                s = pair_sign(
+                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
+                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
+                )
+                if s < 0:
+                    k, s = i + 1, 1
+                    continue
+            else:
+                s = 1
+            k = i
+            line = splits[i - 1]
+            if line is not None:
+                a1, t1, b1, a2, t2, b2, a3, b3 = line
+                u = pair_sign(
+                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
+                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
+                )
+                if u >= 0:
+                    k, s = i - 1, u
 
     def step(self, p: Point) -> tuple[Point, int]:
         """One application of T'; returns (image, symbol).

@@ -5,10 +5,13 @@ Each criterion prints a single pass/fail line; the heavy shared artifacts
 per session and reused across the whole suite.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from dodeca import search
-from dodeca.checks import CHECK_NAMES, Context, run_checks
+from dodeca.checks import CHECK_NAMES, Context, _wedge_points, run_checks
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -48,3 +51,19 @@ def test_run_checks_refuses_bad_selection_before_running(ctx):
         run_checks([], ctx, progress=progress)
     with pytest.raises(KeyError):
         run_checks(["construction-identities", "full-measur"], ctx, progress=progress)
+
+
+def test_wedge_points_match_the_point_arithmetic(system):
+    # the sampler draws a, then b, per point and builds apex + (a/64)*dir_p
+    # + (b/64)*dir_q on raw integers: the first 200 points of each span the
+    # checks use, against the same draws built by Point arithmetic
+    _, w = system
+    for seed, span in ((2, 8), (11, 8), (12, 4)):
+        rng = random.Random(seed)
+        want = []
+        for _ in range(200):
+            s = Fraction(rng.randint(1, span * 64), 64)
+            t = Fraction(rng.randint(1, span * 64), 64)
+            want.append(w.apex + w.dir_p.scaled(s) + w.dir_q.scaled(t))
+        got = _wedge_points(w, random.Random(seed), 200, span)
+        assert [p.key() for p in got] == [p.key() for p in want]

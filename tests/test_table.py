@@ -13,6 +13,7 @@ from dodeca.geom import (
     AffMap,
     Point,
     Region,
+    intersect_convex,
     raw_equals,
     raw_point,
 )
@@ -347,6 +348,35 @@ def test_pieces_map_into_the_closed_wedge(system):
     assert not w.in_closed_wedge(Region.unbounded(w.dir_q, [w.O[5]], Point(ZERO, ONE)))
 
 
+def test_transition_graph(system):
+    # the open image T'(alpha_i) meets alpha_i-1, alpha_i and alpha_i+1
+    # alone, by exact clips: the neighbour fact the walks step by
+    _, w = system
+    for i in range(1, 7):
+        assert w.images[i] == w.alpha[i].transformed(w.maps[i])
+        met = {j for j in range(1, 7) if intersect_convex(w.images[i], w.alpha[j]) is not None}
+        assert met == {j for j in (i - 1, i, i + 1) if 1 <= j <= 6}
+
+
+def test_landing_sets(ctx):
+    # the pieces a step into each return domain can come from, and the
+    # same sets read as the pieces that iota(domain) meets
+    w = ctx.wedge
+    want = {"z4": {1, 2, 3, 4}, "z14": {1}, "level3": {1}, "x": {3}}
+    for label, pieces in want.items():
+        domain = ctx.domain(label)
+        assert w.landing(domain) == pieces
+        parts = domain.transformed(w.iota).convex_parts()
+        met = {
+            i
+            for i, a in w.alpha.items()
+            if any(intersect_convex(part, a) is not None for part in parts)
+        }
+        assert met == pieces
+    # an unbounded domain: alpha_6 is reached from alpha_5 and alpha_6
+    assert w.landing(w.alpha[6]) == {5, 6}
+
+
 def _scan_piece_index(w, p):
     """piece_index by a linear scan of the wedge and split lines, on field
     signs, with the same failures: DomainError outside the wedge, else
@@ -408,20 +438,26 @@ def _spread_point(w, rng):
     return w.apex + w.dir_p.scaled(s) + w.dir_q.scaled(t)
 
 
-def test_bisection_matches_linear_scan(system):
-    _, w = system
-    rng = random.Random(31)
-    eps = Fraction(1, 40)
-    # points on each split line inside the wedge: the segments P_{k+1} Q_{k+1}
-    # and, for line 5, the ray from Q_6 along the P-ray
+def _on_split_lines(w, params):
+    """(k, p) for points p on each split line k inside the wedge: on the
+    segment P_{k+1} Q_{k+1} at each parameter, and, for line 5, on the
+    ray from Q_6 along the P-ray at 4 times it."""
     on_line = []
     for k in range(1, 6):
-        for t in (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)):
+        for t in params:
             if k < 5:
                 a, b = w.P[k + 1], w.Q[k + 1]
                 on_line.append((k, a + (b - a).scaled(t)))
             else:
                 on_line.append((k, w.Q[6] + w.dir_p.scaled(t * 4)))
+    return on_line
+
+
+def test_bisection_matches_linear_scan(system):
+    _, w = system
+    rng = random.Random(31)
+    eps = Fraction(1, 40)
+    on_line = _on_split_lines(w, (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)))
     for k, p in on_line:
         assert w.split_lines[k - 1].eval(p).is_zero()
         assert _outcome(w.piece_index, p) == ("grane", k)
@@ -464,6 +500,59 @@ def test_bisection_matches_linear_scan(system):
         if want[0] is None:
             spans.append(abs(_scan_piece_index(w, a) - _scan_piece_index(w, b)))
     assert spans.count(1) > 20 and sum(1 for s in spans if s >= 2) > 20
+
+
+def test_locate_from_the_last_piece_matches_bisection(system):
+    # the wedge cut off far out, its part in each piece, and seeded
+    # triangles, each clipped to every piece image T'(alpha_prev) it meets
+    # and pulled back into alpha_prev, then stepped once: ``locate`` and
+    # ``in_piece`` told the piece the region came from agree with them
+    # told nothing, cuts included, and ``in_piece`` is False, with no
+    # sign, for a piece two or more away
+    _, w = system
+    rng = random.Random(53)
+    far = Region.bounded([w.apex, w.apex + w.dir_p.scaled(40), w.apex + w.dir_q.scaled(40)])
+    regions = [far] + [intersect_convex(far, a) for a in w.alpha.values()]
+    for _ in range(200):
+        a = _spread_point(w, rng)
+        eps = rng.choice((Fraction(1, 40), Fraction(1, 4)))
+        regions.append(Region.bounded([a, a + w.dir_p.scaled(eps), a + w.dir_q.scaled(eps)]))
+    seen = set()
+    for region in regions:
+        for prev, image in w.images.items():
+            part = intersect_convex(region, image)
+            if part is None:
+                continue
+            table = SourceTable(part.transformed(w.maps[prev].inverse()))
+            l, t = w.step_raw(0, ORIGIN, prev)
+            want = w.locate(table, l, t)
+            assert w.locate(table, l, t, prev) == want
+            seen.add((prev, want[0]))
+            for i in range(1, 7):
+                assert w.in_piece(table, l, t, i, prev) == w.in_piece(table, l, t, i)
+    assert {(i, j) for i, j in seen if j is not None} == {
+        (i, j) for i in range(1, 7) for j in (i - 1, i, i + 1) if 1 <= j <= 6
+    }
+    assert {i for i, j in seen if j is None} == set(range(1, 7))
+    # a region in alpha_i itself, told it came from a piece two or more
+    # away: False before any sign
+    signs = []
+
+    class Counting(SourceTable):
+        __slots__ = ()
+
+        def sign(self, l, k, t):
+            signs.append(k)
+            return super().sign(l, k, t)
+
+    for i in range(1, 5):
+        table = Counting(w.alpha[i])
+        assert w.in_piece(table, 0, ORIGIN, i)
+        signs.clear()
+        for prev in range(1, 7):
+            if abs(i - prev) > 1:
+                assert not w.in_piece(table, 0, ORIGIN, i, prev)
+        assert signs == []
 
 
 def _failure(fn, *args):
@@ -579,9 +668,9 @@ def test_point_first_return_to_a_piece_matches_a_scanned_walk(system):
 
 def test_raw_orbit_signs_the_wedge_once(ctx, monkeypatch):
     """Over the 10^4 steps of the aperiodic witness's orbit, the wedge lines
-    are signed for the start point alone, and line 4 is probed first: the
-    orbit stays in pieces 4 and 5 most of the time, two signs a step there.
-    Signing both wedge lines at every step makes 4.88 signs a step."""
+    are signed for the start point alone, and each later step signs one or
+    two split lines next to the last piece: 1.67 signs a step.  Signing
+    both wedge lines at every step makes 4.88 signs a step."""
     w = ctx.wedge
     y = ctx.sim.gammaX.fixed_point()
     calls = [0]
@@ -600,7 +689,9 @@ def test_raw_orbit_matches_a_scanned_walk_over_long_orbits(ctx):
     """2,000 steps of ``raw_orbit`` from the witness y, 20 seeded points of
     Z'_4 and their gamma_1 images, against a walk that signs the wedge at
     every step (``_scan_piece_index``) and applies ``maps[i]``: equal symbols
-    and points at every step, each point in the open wedge."""
+    and points at every step, each point in the open wedge.  Then starts
+    whose walks meet a split line after a few steps, which must stop where
+    the scan stops."""
     w, s = ctx.wedge, ctx.sim
     z4 = interior_points(s.Z4, random.Random(47), 20, den=512)
     starts = [s.gammaX.fixed_point(), *z4, *(s.gamma1.apply(p) for p in z4)]
@@ -614,6 +705,33 @@ def test_raw_orbit_matches_a_scanned_walk_over_long_orbits(ctx):
             assert w.wedge.classify(raw_point(*raw)) == INTERIOR
             steps += 1
         assert steps == 2000
+    # starts whose orbit meets split line k after n >= 2 clean steps: the
+    # pullback T'^-n(q) = iota T'^n iota(q) of a point q on the line.  The
+    # walk must raise the scan's GraneError, with its index k and point q,
+    # from the piece k or k+1 it was in
+    hits = set()
+    params = (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6), Fraction(2, 9))
+    for k, q in _on_split_lines(w, params):
+        for n in (2, 3, 5):
+            p = w.iota.apply(q)
+            try:
+                for _ in range(n):
+                    p, _ = w.step(p)
+            except GraneError:
+                continue
+            p = w.iota.apply(p)
+            orbit, cur = w.raw_orbit(p), p
+            for _ in range(n):
+                *raw, i = next(orbit)
+                assert i == _scan_piece_index(w, cur)
+                cur = w.maps[i].apply(cur)
+                assert raw_equals(cur, *raw)
+            assert cur == q
+            want = _failure(_scan_piece_index, w, q)
+            assert want == (GraneError, k, q)
+            assert _failure(next, orbit) == want
+            hits.add((k, i - k))
+    assert {k for k, _ in hits} == {1, 2, 3, 4, 5} and {d for _, d in hits} == {0, 1}
 
 
 def test_itinerary_fixed_points(system):
