@@ -33,13 +33,13 @@ Three layers build on the wedge map T':
   separates from S.  Each piece records its T' itinerary, and
   :func:`return_tube` steps the source's (l, t) along it, proving every
   floor of the piece's tower in its recorded piece by one or two signs
-  (T' steps only between neighbouring pieces) and building the floor.  Every region a walk builds comes from its table,
-  made once per source and walk: its rotated vertices give each vertex
-  of ROT[l](S') + t by integer products and sums, and each distinct
-  coordinate of the walk is normalised once and shared by every region
-  that has it.  The walks sign the wedge lines once, at their start: T'
-  maps every closed piece into the closed wedge (asserted when the
-  ``WedgeSystem`` is built).
+  (T' steps only between neighbouring pieces) and building the floor.
+  Every region a walk builds comes from its table, made once per source
+  and walk: its rotated vertices give each vertex of ROT[l](S') + t by
+  integer products and sums, and each distinct coordinate of the walk is
+  normalised once and shared by every region that has it.  The walks sign
+  the wedge lines once, at their start: T' maps every closed piece into
+  the closed wedge (asserted when the ``WedgeSystem`` is built).
 
 * :func:`verify_partition`: tile the invariant rocket Z' exactly by the
   forward tubes of the return pieces of S plus the tubes of the periodic

@@ -94,6 +94,13 @@ _ROT_ROWS = tuple(tuple(c * (2 // row[-1]) for row in f._cleared() for c in row[
 # form exceeds 0, and one strictly on the far side when its max over the
 # lower form does, as min n_e . x - c = -(max n_{e+6} . x + c)
 _LOWER = 5
+# The split lines ``WedgeSystem.raw_orbit`` searches for a point's piece, by
+# the piece i the point came from, as (lo, k, mid): lines lo..k-1, line mid
+# first.  i = 0, the first step: lines 1..5 from line 4; i = 1..6: lines
+# i-1..i, those of them in 1..5, from line min(i, 5) (the neighbour fact)
+_BRACKETS = ((1, 6, 4),) + tuple(
+    (max(i - 1, 1), min(i + 1, 6), min(i, 5)) for i in range(1, 7)
+)
 SPLIT_FORMS = tuple(((k + 7) % NUM_SIDES, -4, -2, 1) for k in range(1, 6)) + tuple(
     ((k + 1) % NUM_SIDES, 4, 2, 1) for k in range(1, 6)
 )
@@ -614,22 +621,17 @@ class WedgeSystem:
         that image lies on the closed far side of line prev-2 and on the
         closed apex side of line prev+1, so the first line with a point
         strictly on its apex side is line prev-1, prev or prev+1 (piece 6
-        for "none" when prev >= 5): one or two signs find it, and the cut
-        sign follows.
+        for "none" when prev >= 5): the same bisection over those lines
+        finds it in one or two signs, and the cut sign follows.
         """
         sign = table.sign
-        if prev is None:
-            lo, hi = 0, _LOWER
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sign(l, mid, t) > 0:
-                    hi = mid
-                else:
-                    lo = mid + 1
-        elif prev < 6 and sign(l, prev - 1, t) <= 0:
-            lo = prev
-        else:
-            lo = prev - 2 if prev >= 2 and sign(l, prev - 2, t) > 0 else prev - 1
+        lo, hi = (0, _LOWER) if prev is None else (max(prev - 2, 0), min(prev, _LOWER))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign(l, mid, t) > 0:
+                hi = mid
+            else:
+                lo = mid + 1
         if lo == _LOWER:
             return 6, None
         return (None, self.split_lines[lo]) if sign(l, _LOWER + lo, t) > 0 else (lo + 1, None)
@@ -741,11 +743,12 @@ class WedgeSystem:
         i-2 and on the apex side of line i+1 (the neighbour fact, asserted
         at construction).  So the first line with sign >= 0 is line i-1, i
         or i+1 (or none, for i >= 5), and line i+1, where there is one, has
-        sign > 0.  The step signs line i, where a sign < 0 gives piece i+1,
-        and else line i-1, where < 0 gives piece i and > 0 piece i-1.
-        Piece 1 has no line 0 and piece 6 no line 6.  It raises the
-        bisection's GraneError, with its index and point, wherever the
-        bisection would.  Over the 60,441 steps of the 2,000 walks of
+        sign > 0.  The step runs the same search over lines i-1..i only
+        (``_BRACKETS``): it signs line i, where a sign < 0 gives piece i+1, and else line
+        i-1, where < 0 gives piece i and > 0 piece i-1.  Piece 1 has no
+        line 0 and piece 6 no line 6.  It raises the bisection's
+        GraneError, with its index and point, wherever the bisection
+        would.  Over the 60,441 steps of the 2,000 walks of
         ``selfsim.verify_conjugacy`` with 1,000 samples at seed 6, first
         steps included, that is 1.74 split-line signs per step, against
         2.33 with a bisection at every step.
@@ -768,24 +771,28 @@ class WedgeSystem:
                 on_wedge = True
         if on_wedge:
             raise GraneError("point on the wedge boundary", point=p)
-        # split line k at position k; no line 0 or 6
-        splits = [None] + [ln._k for ln in self.split_lines] + [None]
+        # split line k at position k
+        splits = [None] + [ln._k for ln in self.split_lines]
         rows = self._rows
-        # k: the first line with sign >= 0 (6 if none), s its sign; line 4
-        # first, then always the line just below the last k
-        lo, k, mid, s = 1, 6, 4, 1
-        while lo < k:
-            a1, t1, b1, a2, t2, b2, a3, b3 = splits[mid]
-            u = pair_sign(
-                a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
-                a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
-            )
-            if u >= 0:
-                k, s = mid, u
-            else:
-                lo = mid + 1
-            mid = k - 1
+        i = 0
         while True:
+            # k: the first line with sign >= 0 (6 if none), s its sign.
+            # Lines below lo have sign < 0, so the search probes lines
+            # lo..k-1: line mid first, then always the line just below the
+            # last k
+            lo, k, mid = _BRACKETS[i]
+            s = 1
+            while lo < k:
+                a1, t1, b1, a2, t2, b2, a3, b3 = splits[mid]
+                u = pair_sign(
+                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
+                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
+                )
+                if u >= 0:
+                    k, s = mid, u
+                else:
+                    lo = mid + 1
+                mid = k - 1
             if s == 0:
                 raise GraneError(
                     "point on a piece boundary",
@@ -795,29 +802,6 @@ class WedgeSystem:
             i = k
             xp, xq, yp, yq, r = _map_raw(rows[i], xp, xq, yp, yq, r)
             yield xp, xq, yp, yq, r, i
-            # the neighbour rule: line i, then line i-1
-            line = splits[i]
-            if line is not None:
-                a1, t1, b1, a2, t2, b2, a3, b3 = line
-                s = pair_sign(
-                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
-                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
-                )
-                if s < 0:
-                    k, s = i + 1, 1
-                    continue
-            else:
-                s = 1
-            k = i
-            line = splits[i - 1]
-            if line is not None:
-                a1, t1, b1, a2, t2, b2, a3, b3 = line
-                u = pair_sign(
-                    a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
-                    a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
-                )
-                if u >= 0:
-                    k, s = i - 1, u
 
     def step(self, p: Point) -> tuple[Point, int]:
         """One application of T'; returns (image, symbol).

@@ -682,7 +682,7 @@ def test_raw_orbit_signs_the_wedge_once(ctx, monkeypatch):
     monkeypatch.setattr(table, "pair_sign", counted)
     steps = sum(1 for _ in zip(range(10**4), w.raw_orbit(y)))
     assert steps == 10**4
-    assert calls[0] < 3.0 * steps
+    assert calls[0] < 2.0 * steps
 
 
 def test_raw_orbit_matches_a_scanned_walk_over_long_orbits(ctx):
