@@ -226,18 +226,36 @@ def close_component(
 ) -> Component:
     """Certify a bounded region as a periodic component in one walk of its cycle.
 
-    The walk gives the period, the rotation and the visit counts.  The
-    region is signed against the wedge lines once, here: each later region
-    is the image of one located in a closed piece, which T' keeps in the
-    closed wedge (asserted when the ``WedgeSystem`` is built), so every
-    step is located by the split lines alone.  The walk carries the image
-    (l, t) of the region over the region's ``SourceTable``: each step is
-    located by ``WedgeSystem.locate`` from the piece of the step before,
-    and each region of the cycle is built by the table.  The cycle closes
-    at the first image equal to the region; a rigid motion that takes the
-    region onto itself fixes its centroid, so only an image whose motion
-    fixes the centroid (``table.sends`` from the centroid to itself, on
-    raw integers) is compared by its canonical key.
+    The walk (``_walk_cycle``) gives the period, the rotation, the visit
+    counts and the raw image (l, t) of each region of the cycle over the
+    region's ``SourceTable``; the cycle's regions are built after it, by
+    the table, in walk order, with the region itself first.  The
+    certificates, and the errors they raise, are the walk's.
+    """
+    period, l, counts, center, table, motions = _walk_cycle(w, region, max_iter)
+    orbit = (region,) + tuple(table.region(*motion) for motion in motions[1:])
+    return Component(region, period, l, center, counts, orbit)
+
+
+def _walk_cycle(w: WedgeSystem, region: Region, max_iter: int) -> tuple:
+    """Walk a bounded region's T'-cycle and certify it as a periodic component.
+
+    Returns ``(period, l, counts, center, table, motions)``: the period,
+    the rotation l of T'^period, the visit counts to alpha_1..alpha_6, the
+    region's centroid, its ``SourceTable`` and the cycle's motions, the
+    raw images (l, t) of its regions in walk order, (0, ORIGIN) first.
+
+    The region is signed against the wedge lines once, here: each later
+    region is the image of one located in a closed piece, which T' keeps
+    in the closed wedge (asserted when the ``WedgeSystem`` is built), so
+    every step is located by the split lines alone.  The walk carries the
+    image (l, t) of the region over the region's ``SourceTable``: each
+    step is located by ``WedgeSystem.locate`` from the piece of the step
+    before.  The cycle closes at the first image equal to the region; a
+    rigid motion that takes the region onto itself fixes its centroid, so
+    only an image whose motion fixes the centroid (``table.sends`` from
+    the centroid to itself, on raw integers) is built and compared by its
+    canonical key.  No other region is built.
 
     Rotation certificate: ``w.maps[i]`` turns by 30°*(6 - i) (asserted
     when the ``WedgeSystem`` is built), so T'^period turns by 30°*l with
@@ -268,8 +286,8 @@ def close_component(
 
     Raises GraneError when the region leaves the wedge or a split line
     cuts a region of the cycle, and InconclusiveError when the region is
-    not convex, the cycle does not close, its rotation misplaces vertex 0
-    or an edge stays unmarked.
+    not convex, the cycle does not close within ``max_iter`` steps, its
+    rotation misplaces vertex 0 or an edge stays unmarked.
     """
     if not w.in_closed_wedge(region):
         raise GraneError("component region leaves the wedge")
@@ -290,9 +308,8 @@ def close_component(
         e = side_normal_index(Point(d.y, -d.x))
         if e is not None:
             edge_of[e] = k
-    cur = region
     period = 0
-    orbit = [region]
+    motions = [(l, t)]
     i = None
     while True:
         i, cut = w.locate(table, l, t, i)
@@ -304,12 +321,13 @@ def close_component(
                 if k in unmarked and table.sign(l, f, t) == 0:
                     unmarked.discard(k)
         l, t = w.step_raw(l, t, i)
-        cur = table.region(l, t)
         counts[i - 1] += 1
         period += 1
-        if sends(l, t, center, center) and cur.canonical_key() == key0:
-            break
-        orbit.append(cur)
+        if sends(l, t, center, center):
+            cur = table.region(l, t)
+            if cur.canonical_key() == key0:
+                break
+        motions.append((l, t))
         if period > max_iter:
             raise InconclusiveError("region cycle did not close", iterations=max_iter)
     l = (6 * period - sum((i + 1) * c for i, c in enumerate(counts))) % 12
@@ -321,7 +339,7 @@ def close_component(
     g = math.gcd(s, n)
     if any(unmarked.issuperset(range(k, n, g)) for k in range(g)):
         raise InconclusiveError("region is not a maximal component")
-    return Component(region, period, l, center, tuple(counts), tuple(orbit))
+    return period, l, tuple(counts), center, table, motions
 
 
 def component_periods(comp: Component) -> PeriodInfo:

@@ -18,23 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, GraneError, InconclusiveError
-from .field import QS3, ONE
+from .field import ONE, QS3, SQRT3_FLOAT
 from .geom import (
     INTERIOR,
     AffMap,
     Point,
     Region,
+    boxes_overlap,
+    cutting_lines,
     float_interval,
     overlap_status,
     raw_equals,
     raw_point,
 )
-from .search import (
-    Component,
-    ReturnSystem,
-    close_component,
-    find_periodic_component,
-)
+from .search import Component, ReturnSystem, _walk_cycle, find_periodic_component
 from .table import ORIGIN, SourceTable, WedgeSystem
 
 
@@ -409,9 +406,105 @@ class AperiodicWitness:
         }
 
 
-def _return_period(comp: Component, domain_parts) -> int:
-    """Visits of the component's T'-cycle to the domain (its return period)."""
-    statuses = [overlap_status(pol, domain_parts) for pol in comp.orbit]
+def _rotated_boxes(table: SourceTable) -> list:
+    """Float boxes of ROT[l](S) for l = 0..11, for ``_image_box`` to pad.
+
+    S is ``table``'s source.  Box l is (x0, y0, x1, y1, mag): the least and
+    largest floats of the coordinates in ``rotated[l]`` over m, each
+    a + b*s3 computed as ``Region.float_bbox`` computes it, and the
+    largest |a| + 2|b|, which bounds its rounding.
+    """
+    m = table.m
+    boxes = []
+    for rot in table.rotated:
+        xs, ys = [], []
+        mag = 0.0
+        for xp, xq, yp, yq in rot:
+            xa, xb, ya, yb = xp / m, xq / m, yp / m, yq / m
+            xs.append(xa + xb * SQRT3_FLOAT)
+            ys.append(ya + yb * SQRT3_FLOAT)
+            mag = max(mag, abs(xa) + 2 * abs(xb), abs(ya) + 2 * abs(yb))
+        boxes.append((min(xs), min(ys), max(xs), max(ys), mag))
+    return boxes
+
+
+def _image_box(box: tuple, t: tuple) -> tuple:
+    """Proven float box (x0, y0, x1, y1) of the image ROT[l](S) + t.
+
+    ``box`` is ROT[l](S)'s entry of ``_rotated_boxes``.  Each coordinate
+    of the image is c + u, with c one of ROT[l](S) and u one of t.  As
+    ``Region.float_bbox`` argues, the float of c is within 5e-16 * mag of
+    c, and the float of u, computed the same way from t's integers, within
+    5e-16 * (|a| + 2|b|) of u, however much either sum cancels; the float
+    sum adds at most 2^-53 of its size, and so does the padding.  The pad,
+    twice ``float_bbox``'s for the sum of both magnitudes, covers all
+    three, so the box encloses the image and the image's ``float_bbox``.
+    """
+    x0, y0, x1, y1, mag = box
+    xp, xq, yp, yq, r = t
+    xa, xb, ya, yb = xp / r, xq / r, yp / r, yq / r
+    tx, ty = xa + xb * SQRT3_FLOAT, ya + yb * SQRT3_FLOAT
+    x0, y0, x1, y1 = x0 + tx, y0 + ty, x1 + tx, y1 + ty
+    mag += abs(xa) + 2 * abs(xb) + abs(ya) + 2 * abs(yb)
+    pad = 2e-9 * (1.0 + max(abs(x0), abs(y0), abs(x1), abs(y1))) + 2e-15 * mag
+    return x0 - pad, y0 - pad, x1 + pad, y1 + pad
+
+
+def _raw_placement(table: SourceTable, domain_parts):
+    """The placement "where is the image ROT[l](S) + t against the domain?".
+
+    Returns ``place(l, t)``, which gives ``overlap_status``'s answer for
+    the region ``table.region(l, t)`` without building it where it can:
+    domain_parts are the convex parts of a bounded domain, and S is
+    ``table``'s source.  The image's proven box (``_image_box``, from the
+    12 boxes of ROT[l](S) built here once) prunes the parts it misses.
+    Against each other part ``cutting_lines`` signs the image's vertices,
+    cleared to one denominator m*r as ``SourceTable.region`` clears them
+    (vertex k is rotated[l][k]*r + t*m), against the part's edge lines.
+    The image is "inside" when one closed part holds every vertex and
+    "disjoint" when every part whose box meets it separates it, which is
+    ``overlap_status``'s own trichotomy.  Otherwise the region is built
+    and ``overlap_status`` decides it by area.
+    """
+    m = table.m
+    boxes = _rotated_boxes(table)
+    parts = [(part.float_bbox(), part.edge_lines()) for part in domain_parts]
+
+    def place(l, t):
+        box = _image_box(boxes[l], t)
+        rows = None
+        status = "disjoint"
+        for pbox, lines in parts:
+            if not boxes_overlap(box, pbox):
+                continue
+            if rows is None:
+                xp, xq, yp, yq, r = t
+                d, xp, xq, yp, yq = m * r, xp * m, xq * m, yp * m, yq * m
+                rows = [
+                    (vxp * r + xp, vxq * r + xq, vyp * r + yp, vyq * r + yq)
+                    for vxp, vxq, vyp, vyq in table.rotated[l]
+                ]
+            cutting = cutting_lines(d, rows, lines)
+            if cutting == []:
+                return "inside"
+            if cutting:
+                status = "unknown"
+        if status == "unknown":
+            return overlap_status(table.region(l, t), domain_parts)
+        return status
+
+    return place
+
+
+def _return_period(table: SourceTable, motions, domain_parts) -> int:
+    """Visits of a region cycle to the domain (its return period).
+
+    The cycle's regions are the images (l, t) in ``motions`` of
+    ``table``'s source, placed by ``_raw_placement``; no region may
+    straddle the domain.
+    """
+    place = _raw_placement(table, domain_parts)
+    statuses = [place(l, t) for l, t in motions]
     assert "straddle" not in statuses
     return statuses.count("inside")
 
@@ -428,12 +521,18 @@ def aperiodic_witness(
 
     (a) T'^n(y) != y for 1 <= n <= steps, by exact comparison (a boundary
     hit truncates but is recorded; the certificate is then valid up to the
-    hit).  (b) y is interior to gamma_X^k(X) for k <= depth, with strict
-    nesting.  The spiral components Y_n and their measured return periods
-    into Z'_4 document the at-least-doubling that makes any hypothetical
-    period exceed 2^depth.  Each spiral region is known (Y_n+3 is
-    gamma_X(Y_n)), so ``close_component`` certifies it as a maximal
-    periodic component in one walk of its cycle, with no search.
+    hit).  T'^n(y) can equal y only after a step from
+    ``w.return_piece(y)``, the piece of iota(y), so only those iterates
+    are compared.  (b) y is interior to gamma_X^k(X) for k <= depth, with
+    strict nesting.  The spiral components Y_n and their measured return
+    periods into Z'_4 document the at-least-doubling that makes any
+    hypothetical period exceed 2^depth.  Each spiral region is known
+    (Y_n+3 is gamma_X(Y_n)), so the walk of ``close_component``
+    (``search._walk_cycle``) certifies it as a maximal periodic component
+    in one walk of its cycle, with no search.  The walk gives the cycle as
+    raw images (l, t) of the region, and ``_return_period`` counts their
+    visits to Z'_4 from those, building a region only where the vertex
+    signs leave its placement open; the cycle's regions are not kept.
 
     Raises DomainError when steps < 1, depth < 0 or verify_spiral < 0.
     """
@@ -451,9 +550,10 @@ def aperiodic_witness(
 
     boundary_hit = None
     n_done = 0
+    back = w.return_piece(y)
     try:
-        for n, (*q, _) in zip(range(1, steps + 1), w.raw_orbit(y)):
-            assert not raw_equals(y, *q), f"fixed point returned after {n} steps"
+        for n, (*q, i) in zip(range(1, steps + 1), w.raw_orbit(y)):
+            assert i != back or not raw_equals(y, *q), f"fixed point returned after {n} steps"
             n_done = n
     except GraneError:
         boundary_hit = n_done + 1
@@ -478,9 +578,9 @@ def aperiodic_witness(
     tprime_periods = []
     return_periods = []
     for reg in spiral[:verify_spiral]:
-        comp = close_component(w, reg, max_iter)
-        tprime_periods.append(comp.period)
-        return_periods.append(_return_period(comp, z4_parts))
+        period, _, _, _, table, motions = _walk_cycle(w, reg, max_iter)
+        tprime_periods.append(period)
+        return_periods.append(_return_period(table, motions, z4_parts))
     from fractions import Fraction
 
     growth = [

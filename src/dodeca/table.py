@@ -842,15 +842,33 @@ class WedgeSystem:
             return symbols, len(symbols), last
         return symbols, None, last
 
+    def return_piece(self, p: Point) -> int | None:
+        """The piece a step to p must come from: that of iota(p), or None.
+
+        A step from the open piece alpha_i lands in the open image
+        T'(alpha_i) = iota(alpha_i) (asserted at construction), so
+        T'^n(p) = p for some n >= 1 needs iota(p) in the open alpha_i,
+        where i is the piece of the last step.  When iota(p) lies in no
+        open piece (on a piece boundary or off the open wedge), p lies in
+        no open image and cannot recur: None.
+        """
+        try:
+            return self.piece_index(self.iota.apply(p))
+        except (DomainError, GraneError):
+            return None
+
     def orbit_period(self, p: Point, max_iter: int):
         """Exact least period of p under T' with per-piece visit counts.
 
         Returns (period, visit_counts) or None when the cap is exhausted.
+        An iterate is compared with p only after a step from
+        ``return_piece(p)``.
         """
+        back = self.return_piece(p)
         counts = [0] * 6
         for n, (*q, sym) in zip(range(1, max_iter + 1), self.raw_orbit(p)):
             counts[sym - 1] += 1
-            if raw_equals(p, *q):
+            if sym == back and raw_equals(p, *q):
                 return n, tuple(counts)
         return None
 

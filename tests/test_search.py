@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca import search
+from dodeca import search, selfsim
 from dodeca.checks import Context, run_checks
 from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturnError
 from dodeca.field import ONE, QS3, ZERO, pair_sign
@@ -23,9 +23,10 @@ from dodeca.geom import (
     cutting_lines,
     integer_edge_lines,
     overlap_status,
+    raw_equals,
     split_convex,
 )
-from dodeca.periods import period_of_h
+from dodeca.periods import cross_validate, period_of_h
 from dodeca.search import (
     CellPool,
     ReturnSystem,
@@ -37,7 +38,7 @@ from dodeca.search import (
     return_tube,
     verify_partition,
 )
-from dodeca.table import FORMS, ORIGIN, ROT, SIDE_NORMALS, SourceTable, rigid_map
+from dodeca.table import FORMS, ORIGIN, ROT, SIDE_NORMALS, SourceTable, WedgeSystem, rigid_map
 from test_table import _scan_locate
 
 
@@ -61,6 +62,55 @@ def test_noncenter_period_by_direct_iteration(ctx):
         )
         res = w.orbit_period(probe, 4 * expected)
         assert res is not None and res[0] == expected
+
+
+def _orbit_period_every_step(w, p, max_iter):
+    """``orbit_period`` comparing the start with every iterate."""
+    counts = [0] * 6
+    for n, (*q, sym) in zip(range(1, max_iter + 1), w.raw_orbit(p)):
+        counts[sym - 1] += 1
+        if raw_equals(p, *q):
+            return n, tuple(counts)
+    return None
+
+
+def test_orbit_period_compares_only_after_the_return_piece(ctx, monkeypatch):
+    # the start recurs only after a step from the piece of iota(start), so
+    # orbit_period compares only there: the same answers and errors as a
+    # compare after every step, on the wedge points cross_validate draws
+    # for the orbits benchmark (120 samples, seed 9) and on the centres of
+    # the known components, whose period and visit counts they are
+    w = ctx.wedge
+    drawn = []
+    real = WedgeSystem.orbit_period
+
+    def recorded(self, p, max_iter):
+        drawn.append((p, max_iter))
+        return real(self, p, max_iter)
+
+    monkeypatch.setattr(WedgeSystem, "orbit_period", recorded)
+    cross_validate(w, 200, samples=120, seed=9)
+    monkeypatch.setattr(WedgeSystem, "orbit_period", real)
+    outcomes = Counter()
+    for p, cap in drawn:
+        try:
+            want = _orbit_period_every_step(w, p, cap)
+        except GraneError as exc:
+            with pytest.raises(GraneError) as got:
+                w.orbit_period(p, cap)
+            assert (got.value.index, got.value.point) == (exc.index, exc.point)
+            outcomes["grane"] += 1
+            continue
+        assert w.orbit_period(p, cap) == want
+        outcomes["none" if want is None else "closed"] += 1
+    assert outcomes["closed"] == 120 and outcomes["none"] > 0
+    spiral, base, parts = _known_components(ctx)
+    for region, period in spiral + base + parts:
+        comp = close_component(w, region)
+        want = (period, comp.visit_counts)
+        assert w.orbit_period(comp.center, period) == want
+        assert _orbit_period_every_step(w, comp.center, period) == want
+        assert w.orbit_period(comp.center, period - 1) is None
 
 
 def test_center_t_period_by_direct_iteration(ctx):
@@ -621,6 +671,58 @@ def test_frame_regions_match_transformed(ctx):
         orbit = close_component(w, region).orbit
         reference = _reference_cycle(w, region)
         assert [_vertex_tuple(r) for r in orbit] == [_vertex_tuple(r) for r in reference]
+
+
+def test_close_component_builds_its_cycle_from_the_walk(ctx, monkeypatch):
+    # close_component is its cycle walk plus the orbit build: the walk's
+    # period, rotation and counts, the region itself first and then the
+    # table's region of each later motion, in walk order
+    w = ctx.wedge
+    spiral, base, parts = _known_components(ctx)
+    for region, period in spiral + base + parts:
+        comp = close_component(w, region)
+        got_period, l, counts, center, table, motions = search._walk_cycle(w, region, 10**6)
+        assert (comp.period, comp.rotation_l, comp.visit_counts) == (got_period, l, counts)
+        assert comp.period == period == len(motions) == len(comp.orbit)
+        assert comp.center == center and motions[0] == (0, ORIGIN)
+        assert comp.orbit[0] is region
+        assert comp.orbit[1:] == tuple(table.region(l, t) for l, t in motions[1:])
+    # the walk itself builds a region only where the motion fixes the
+    # centroid, which on a cycle is its closing step; the witness builds
+    # one more per image whose placement against Z'_4 falls back to
+    # overlap_status
+    calls = Counter()
+    real_region, real_sends = SourceTable.region, search.sends
+    real_overlap = selfsim.overlap_status
+
+    def region(*args):
+        calls["region"] += 1
+        return real_region(*args)
+
+    def sends(*args):
+        fixed = real_sends(*args)
+        calls["fixed"] += fixed
+        return fixed
+
+    def overlap(*args):
+        calls["overlap"] += 1
+        return real_overlap(*args)
+
+    monkeypatch.setattr(SourceTable, "region", region)
+    monkeypatch.setattr(search, "sends", sends)
+    monkeypatch.setattr(selfsim, "overlap_status", overlap)
+    z4_parts = ctx.sim.Z4.convex_parts()
+    walked = placed = 0
+    for region, period in spiral:
+        _, _, _, _, table, motions = search._walk_cycle(w, region, 10**6)
+        walked += calls["region"]
+        assert calls["region"] == calls["fixed"] == 1
+        calls.clear()
+        selfsim._return_period(table, motions, z4_parts)
+        assert calls["region"] == calls["overlap"]
+        placed += calls["region"]
+        calls.clear()
+    assert walked == 8 and placed < 40, placed
 
 
 def test_walks_build_floors_from_frames(ctx, monkeypatch):

@@ -23,7 +23,7 @@ from dodeca.geom import (
     vertex_position,
 )
 from dodeca import geom, selfsim
-from dodeca.search import close_component, find_periodic_component, return_tube
+from dodeca.search import _walk_cycle, find_periodic_component, return_tube
 from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
@@ -366,6 +366,25 @@ def test_witness_fixed_point_exact(ctx, sim):
     assert wit.period_lower_bound == 2**8
 
 
+def test_witness_compares_only_after_the_return_piece(ctx, sim, monkeypatch):
+    # y recurs only after a step from the piece of iota(y), alpha_3, which
+    # takes 1,217 of the 10^4 steps of the replay: one compare each
+    compares = []
+    real = selfsim.raw_equals
+
+    def counted(*args):
+        compares.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(selfsim, "raw_equals", counted)
+    y = sim.gammaX.fixed_point()
+    assert ctx.wedge.return_piece(y) == 3
+    symbols = ctx.wedge.itinerary(y, 10**4).symbols
+    wit = aperiodic_witness(ctx.wedge, sim, steps=10**4, depth=0, verify_spiral=0)
+    assert wit.steps_checked == 10**4
+    assert len(compares) == symbols.count(3) == 1217
+
+
 def test_witness_spiral_growth(ctx):
     wit = ctx.witness()
     assert wit.spiral_tprime_periods == [1, 1, 37, 63, 20, 961, 1423, 754]
@@ -409,12 +428,12 @@ def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
     wit = ctx.witness()
     placed = fallbacks = 0
     for reg, visits in zip(wit.spiral[:5], wit.spiral_return_periods):
-        comp = close_component(ctx.wedge, reg)
-        statuses = [area_status(pol) for pol in comp.orbit]
+        _, _, _, _, table, motions = _walk_cycle(ctx.wedge, reg, 10**6)
+        statuses = [area_status(table.region(l, t)) for l, t in motions]
         assert "straddle" not in statuses
         by_area.clear()
-        assert selfsim._return_period(comp, parts) == statuses.count("inside") == visits
-        placed += len(comp.orbit)
+        assert selfsim._return_period(table, motions, parts) == statuses.count("inside") == visits
+        placed += len(motions)
         fallbacks += len(by_area)
     assert placed == 122 and fallbacks < 10, fallbacks
 
@@ -432,11 +451,60 @@ def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
     across = tri_at((a + b).scaled(Fraction(1, 2)))
     assert [vertex_position(across, part.edge_lines()) for part in parts].count("unknown") == 2
     by_area.clear()
-    assert selfsim._return_period(SimpleNamespace(orbit=[across]), parts) == 1
+    assert selfsim._return_period(SourceTable(across), [(0, ORIGIN)], parts) == 1
     assert by_area == [across]
     # one across the boundary of Z'_4 straddles it
     with pytest.raises(AssertionError):
-        selfsim._return_period(SimpleNamespace(orbit=[tri_at(sim.Z4.vertices[0])]), parts)
+        selfsim._return_period(SourceTable(tri_at(sim.Z4.vertices[0])), [(0, ORIGIN)], parts)
+
+
+def test_raw_placement_matches_overlap_status_on_the_spiral(ctx, sim):
+    # at every image of the 8 spiral cycles the raw placement answers as
+    # overlap_status on the built region, and the image's proven box holds
+    # that region's float_bbox
+    parts = sim.Z4.convex_parts()
+    wit = ctx.witness()
+    images = 0
+    for reg, period in zip(wit.spiral, wit.spiral_tprime_periods):
+        got_period, _, _, _, table, motions = _walk_cycle(ctx.wedge, reg, 10**6)
+        assert got_period == period == len(motions)
+        boxes = selfsim._rotated_boxes(table)
+        place = selfsim._raw_placement(table, parts)
+        for l, t in motions:
+            region = table.region(l, t)
+            assert place(l, t) == overlap_status(region, parts)
+            x0, y0, x1, y1 = selfsim._image_box(boxes[l], t)
+            b0, c0, b1, c1 = region.float_bbox()
+            assert x0 <= b0 and y0 <= c0 and b1 <= x1 and c1 <= y1
+        images += len(motions)
+    assert images == 3260
+
+
+def test_image_box_encloses_a_cancelling_source(sim):
+    # gamma_1^k(Z'_4), k <= 7, whose floats cancel (see
+    # test_float_interval_encloses_cancelling_coordinates), turned by every
+    # l and shifted by a translation over r = 6: each exact vertex
+    # coordinate lies in the image's proven box
+    scale = 10**60
+    s3_lo = Fraction(math.isqrt(3 * scale * scale), scale)
+    s3_hi = s3_lo + Fraction(1, scale)
+
+    def bounds(c):
+        a, b = Fraction(c.p, c.r), Fraction(c.q, c.r)
+        return sorted((a + b * s3_lo, a + b * s3_hi))
+
+    rocket = sim.Z4
+    t = (2, 1, 4, -2, 6)
+    for _ in range(8):
+        table = SourceTable(rocket)
+        boxes = selfsim._rotated_boxes(table)
+        for l in range(12):
+            x0, y0, x1, y1 = selfsim._image_box(boxes[l], t)
+            for v in table.region(l, t).vertices:
+                (xl, xh), (yl, yh) = bounds(v.x), bounds(v.y)
+                assert Fraction(x0) <= xl and xh <= Fraction(x1)
+                assert Fraction(y0) <= yl and yh <= Fraction(y1)
+        rocket = rocket.transformed(sim.gamma1)
 
 
 def test_witness_rejects_non_contraction(ctx, sim):
