@@ -59,7 +59,7 @@ class QS3:
         )
         p = a.numerator * (r // a.denominator)
         q = b.numerator * (r // b.denominator)
-        g = math.gcd(math.gcd(p, q), r)
+        g = math.gcd(p, q, r)
         if g > 1:
             p //= g
             q //= g
@@ -83,7 +83,7 @@ class QS3:
     def _make(p: int, q: int, r: int) -> "QS3":
         if r < 0:
             p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(p, q), r)
+        g = math.gcd(p, q, r)
         if g > 1:
             p //= g
             q //= g

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from dodeca.checks import Context
@@ -17,3 +19,17 @@ def system(ctx):
 @pytest.fixture(scope="session")
 def sim(ctx):
     return ctx.sim
+
+
+@pytest.fixture
+def collector_runs():
+    """The generation of each cyclic collection started during the test, in order."""
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.callbacks.append(count)
+    yield runs
+    gc.callbacks.remove(count)

@@ -815,37 +815,37 @@ def test_return_tube_restores_the_collector_state(ctx, monkeypatch):
     assert exc.value.index == 3 and gc.isenabled() and len(built) == 3
 
 
-def test_return_tube_runs_no_collection_and_leaves_no_cycle(ctx, monkeypatch):
+def _young(objs):
+    """The objects of ``objs`` that sit in the collector's generation 0 or 1."""
+    ids = {id(o) for o in objs}
+    return [o for g in (0, 1) for o in gc.get_objects(generation=g) if id(o) in ids]
+
+
+def test_return_tube_runs_no_collection_and_leaves_no_cycle(ctx, collector_runs, monkeypatch):
     # the floors and tables form no reference cycle, so pausing the
     # collector frees nothing late: no collection runs while a z14 tower is
-    # built (read at each step, as the next allocation after the pause may
-    # start one), and building and dropping every z14 tower leaves no
-    # cyclic garbage
+    # built or when the call returns, as the pause promotes the tower into
+    # the oldest generation, and building and dropping every z14 tower
+    # leaves no cyclic garbage
     w = ctx.wedge
     pieces = ctx.return_system("z14").pieces
     piece = max(pieces, key=lambda p: p.return_time)
-    runs, seen = [], []
     real_region = SourceTable.region
-
-    def count(phase, info):
-        if phase == "start":
-            runs.append(info["generation"])
+    seen = []
 
     def region(self, l, t):
-        seen.append(len(runs))
+        seen.append(l)
         return real_region(self, l, t)
 
     monkeypatch.setattr(SourceTable, "region", region)
     gc.collect()
-    gc.callbacks.append(count)
-    try:
-        tube = return_tube(w, piece)
-    finally:
-        gc.callbacks.remove(count)
+    collector_runs.clear()
+    tube = return_tube(w, piece)
+    assert not collector_runs
     # one region per floor, and one more for the closure check
     assert len(tube) == len(seen) - 1 == piece.return_time
-    assert set(seen) == {0} and len(runs) <= 1
     monkeypatch.undo()
+    assert all(map(gc.is_tracked, tube)) and not _young(tube)
     del tube
     gc.collect()
     towers = [return_tube(w, piece) for piece in pieces]
@@ -882,39 +882,143 @@ def test_first_return_map_restores_the_collector_state(ctx, monkeypatch):
     assert gc.isenabled() and len(steps) == 78
 
 
-def test_first_return_map_runs_no_collection_and_leaves_no_cycle(ctx, monkeypatch):
+def test_first_return_map_runs_no_collection_and_leaves_no_cycle(ctx, collector_runs):
     # the walk's itinerary nodes, tables and regions form no reference
     # cycle, so pausing the collector frees nothing late: no collection
-    # runs during the z14 walk (read at each step), and building and
+    # runs during the z14 walk or when the call returns, as the pause
+    # promotes the system into the oldest generation, and building and
     # dropping the z14 system leaves no cyclic garbage
     w, want = ctx.wedge, ctx.return_system("z14")
-    runs, seen = [], []
-    real_step = type(w).step_raw
-
-    def count(phase, info):
-        if phase == "start":
-            runs.append(info["generation"])
-
-    def step_raw(self, l, t, i):
-        seen.append(len(runs))
-        return real_step(self, l, t, i)
-
-    monkeypatch.setattr(type(w), "step_raw", step_raw)
     gc.collect()
-    gc.callbacks.append(count)
-    try:
-        rs = first_return_map(w, want.domain)
-    finally:
-        gc.callbacks.remove(count)
+    collector_runs.clear()
+    rs = first_return_map(w, want.domain)
+    assert not collector_runs
     assert rs == want
-    assert seen and set(seen) == {0} and len(runs) <= 1
-    monkeypatch.undo()
-    del rs
+    built = [rs, *rs.pieces, *(p.source for p in rs.pieces), *(p.target for p in rs.pieces)]
+    assert all(map(gc.is_tracked, built)) and not _young(built)
+    del rs, built
     gc.collect()
     rs = first_return_map(w, want.domain)
     assert len(rs.pieces) == 8
     del rs
     assert gc.collect() == 0
+
+
+def test_verify_partition_runs_no_collection_and_leaves_no_cycle(ctx, collector_runs):
+    # the partition builds its own return system, carves the tubes and
+    # searches the components under one pause: no collection runs, the
+    # pause promotes every floor and tube polygon into the oldest
+    # generation, and the pool, cells and components form no cycle
+    w, z4 = ctx.wedge, ctx.domain("z4")
+    want = ctx.partition("z4").to_obj()
+    gc.collect()
+    collector_runs.clear()
+    rep = verify_partition(w, z4, label="z4")
+    assert not collector_runs
+    assert rep.to_obj() == want
+    built = [
+        rep,
+        *rep.return_system.pieces,
+        *(floor for tube in rep.green_tubes for floor in tube),
+        *(pol for c in rep.components for pol in c.tube),
+    ]
+    assert all(map(gc.is_tracked, built)) and not _young(built)
+    del rep, built
+    gc.collect()
+    rep = verify_partition(w, z4, label="z4")
+    assert rep.n_components == 7
+    del rep
+    assert gc.collect() == 0
+
+
+def test_verify_partition_restores_the_collector_state(ctx, monkeypatch):
+    # the carve and the component searches run with the collector paused,
+    # and the call leaves it as it found it: on or off, also when a
+    # component search fails mid-carve
+    w, rs = ctx.wedge, ctx.return_system("z4")
+    want = ctx.partition("z4").to_obj()
+    real = search._component_from_cell
+    calls = []
+    fail_at = None
+
+    def observed(*args):
+        assert not gc.isenabled()
+        calls.append(args[1])
+        if len(calls) == fail_at:
+            raise InconclusiveError("no seed in cell resolved to a component")
+        return real(*args)
+
+    monkeypatch.setattr(search, "_component_from_cell", observed)
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            rep = verify_partition(w, rs.domain, label="z4", return_system=rs)
+            assert rep.to_obj() == want and gc.isenabled() == enabled
+        assert len(calls) == 2 * rep.n_components
+        # the third search fails, after two periodic tubes are carved
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            calls.clear()
+            fail_at = 3
+            with pytest.raises(InconclusiveError):
+                verify_partition(w, rs.domain, return_system=rs)
+            assert len(calls) == 3 and gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_collector_pause_promotes_once_and_only_from_an_enabled_collector():
+    # nested pauses leave the collector as they found it, and only the
+    # outermost exit of a pause that found it on promotes what was built
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with search._collector_paused():
+                with search._collector_paused():
+                    made = [[] for _ in range(3)]
+                    assert not gc.isenabled()
+                assert not gc.isenabled() and len(_young(made)) == 3
+            assert gc.isenabled() == enabled
+            assert len(_young(made)) == (0 if enabled else 3)
+    finally:
+        gc.enable()
+
+
+def test_component_from_cell_keeps_no_failed_seed(ctx, monkeypatch):
+    # a seed that fails before a later one resolves leaves no reference
+    # cycle through its exception's traceback, and a cell whose every seed
+    # fails reports the last failure's message
+    w = ctx.wedge
+    comp = ctx.partition("z4").components[0].component
+    find = search.find_periodic_component
+    calls = []
+
+    def first_fails(*args):
+        calls.append(args[1])
+        if len(calls) == 1:
+            raise GraneError("the seed hits a piece boundary")
+        return find(*args)
+
+    monkeypatch.setattr(search, "find_periodic_component", first_fails)
+    gc.collect()
+    got = search._component_from_cell(w, comp.region, search.ALG1_MAX_ITER)
+    assert len(calls) == 2 and got == comp
+    del got
+    assert gc.collect() == 0
+
+    def every_fails(*args):
+        calls.append(args[1])
+        raise GraneError(f"seed {len(calls)} hits a piece boundary")
+
+    monkeypatch.setattr(search, "find_periodic_component", every_fails)
+    calls.clear()
+    with pytest.raises(InconclusiveError) as exc:
+        search._component_from_cell(w, comp.region, search.ALG1_MAX_ITER)
+    n = len(calls)
+    assert n == 1 + 2 * len(comp.region.vertices)
+    assert str(exc.value) == f"no seed in cell resolved to a component: seed {n} hits a piece boundary"
 
 
 def test_first_return_structure_rejects_a_turned_piece(ctx, monkeypatch):
