@@ -5,8 +5,17 @@ polygons, and unbounded convex regions represented as a vertex chain with
 an entry and an exit ray).  All predicates are exact sign computations in
 the field; no tolerances appear anywhere.  One cut test
 (:func:`cutting_lines`) finds the lines that cut a bounded region, on its
-vertices cleared to one denominator: the ``CellPool`` carve and
-:func:`overlap_status` (through :func:`vertex_position`) both use it.
+vertices cleared to one denominator: :func:`overlap_status` (through
+:func:`vertex_position`) and ``selfsim``'s raw placement use it.  One
+split (:func:`split_cleared`) cuts a convex cycle cleared to one
+denominator: the ``CellPool`` carve calls it, and :func:`split_convex`
+(which bounded :func:`clip_convex` and :func:`split_region` call on a
+convex region) is its ``Region`` form, on the same kernel; the split of a
+nonconvex region shares its signs and crossings, and ``Line.crossing``
+serves only the unbounded clip.  The 24 directions at multiples of 15 degrees
+(:data:`DIRECTIONS`) place edge normals (:func:`direction_position`) and
+give a convex cycle's support vertices (:func:`support_table`), which
+the carve signs instead of every vertex.
 
 Open-set semantics: a Region denotes the open set; its boundary is shared
 with neighbouring regions and is excluded from classification hits.
@@ -120,6 +129,42 @@ def clear_points(pts) -> tuple:
         u, v = m // x.r, m // y.r
         raw.append((x.p * u, x.q * u, y.p * v, y.q * v))
     return m, raw
+
+
+def cleared_area2(m: int, raw) -> tuple[int, int, int]:
+    """(p, q, r): twice the signed area of a cycle cleared over m is (p + q*s3)/r.
+
+    The shoelace sum on the integers of ``clear_points``; r = m*m, and
+    nothing is normalised.
+    """
+    s0 = s1 = 0
+    for (xp, xq, yp, yq), (xp2, xq2, yp2, yq2) in zip(raw[-1:] + raw[:-1], raw):
+        s0 += xp * yp2 - yp * xp2 + 3 * (xq * yq2 - yq * xq2)
+        s1 += xp * yq2 + xq * yp2 - yp * xq2 - yq * xp2
+    return s0, s1, m * m
+
+
+def cleared_box(m: int, raw) -> tuple:
+    """``Region.float_bbox`` of a cycle cleared over m, bit for bit.
+
+    Int true division rounds correctly, so xp/m is the float of the
+    reduced quotient x.p/x.r that ``float_bbox`` divides.
+    """
+    return _float_box([(xp / m, xq / m, yp / m, yq / m) for xp, xq, yp, yq in raw])
+
+
+def _float_box(coords) -> tuple:
+    """Padded float box of points given as float parts (xa, xb, ya, yb) of
+    x = xa + xb*s3 and y = ya + yb*s3 (see ``Region.float_bbox``)."""
+    xs = []
+    ys = []
+    mag = 0.0
+    for xa, xb, ya, yb in coords:
+        xs.append(xa + xb * SQRT3_FLOAT)
+        ys.append(ya + yb * SQRT3_FLOAT)
+        mag = max(mag, abs(xa) + 2 * abs(xb), abs(ya) + 2 * abs(yb))
+    pad = 1e-9 * (1.0 + max(map(abs, xs + ys))) + 1e-15 * mag
+    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
 
 def raw_point(xp: int, xq: int, yp: int, yq: int, r: int) -> Point:
@@ -287,34 +332,41 @@ class Line:
 def integer_edge_lines(pts) -> list[Line]:
     """``Line.through`` of each edge of a vertex cycle, as a row of integers.
 
-    Edge a -> b with d the lcm of its four coordinate denominators, and
-    a = A/d, b = B/d for pairs A, B over Z[s3]: ``Line.through``'s row
-    (a.y - b.y, b.x - a.x, b.x*a.y - b.y*a.x) times d*d is
-    (d*(A.y - B.y), d*(B.x - A.x), B.x*A.y - B.y*A.x), integers of Z[s3].
-    So nx, ny and c are canonical ``QS3`` over 1, and the cleared row ``_k``
-    is the row itself: no field operation and no gcd.  A positive multiple
-    has the same signs, and ``Line.crossing`` (homogeneous in the row and
-    normalised by ``QS3._make``) gives the same point.
+    The rows of ``edge_rows`` on the cycle cleared to one denominator
+    (``clear_points``): nx, ny and c are canonical ``QS3`` over 1, and the
+    cleared row ``_k`` is the row itself, with no field operation and no
+    gcd.
     """
-    raw, lcm = QS3._raw, math.lcm
-    n = len(pts)
+    raw = QS3._raw
+    out = []
+    for k in edge_rows(*clear_points(pts)):
+        ln = object.__new__(Line)
+        ln.nx, ln.ny, ln.c = raw(k[0], k[2], 1), raw(k[3], k[5], 1), raw(k[6], k[7], 1)
+        ln._k = k
+        out.append(ln)
+    return out
+
+
+def edge_rows(m: int, raw) -> list[tuple]:
+    """The cleared row (``Line._k``) of each edge line of a cycle cleared over m.
+
+    Edge a -> b with a = A/m, b = B/m for pairs A, B over Z[s3]:
+    ``Line.through``'s row (a.y - b.y, b.x - a.x, b.x*a.y - b.y*a.x) times
+    m*m is (m*(A.y - B.y), m*(B.x - A.x), B.x*A.y - B.y*A.x), integers of
+    Z[s3], positive on the left of a -> b.  A positive multiple of a line
+    has the same signs, and its crossings (homogeneous in the row and
+    normalised) are the same points.
+    """
+    n = len(raw)
     out = []
     for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        ax, ay, bx, by = a.x, a.y, b.x, b.y
-        d = lcm(ax.r, ay.r, bx.r, by.r)
-        u, v = d // ax.r, d // ay.r
-        axp, axq, ayp, ayq = ax.p * u, ax.q * u, ay.p * v, ay.q * v
-        u, v = d // bx.r, d // by.r
-        bxp, bxq, byp, byq = bx.p * u, bx.q * u, by.p * v, by.q * v
-        a1, b1 = d * (ayp - byp), d * (ayq - byq)
-        a2, b2 = d * (bxp - axp), d * (bxq - axq)
+        axp, axq, ayp, ayq = raw[i]
+        bxp, bxq, byp, byq = raw[i + 1 if i + 1 < n else 0]
+        a1, b1 = m * (ayp - byp), m * (ayq - byq)
+        a2, b2 = m * (bxp - axp), m * (bxq - axq)
         a3 = bxp * ayp + 3 * bxq * ayq - byp * axp - 3 * byq * axq
         b3 = bxp * ayq + bxq * ayp - byp * axq - byq * axp
-        ln = object.__new__(Line)
-        ln.nx, ln.ny, ln.c = raw(a1, b1, 1), raw(a2, b2, 1), raw(a3, b3, 1)
-        ln._k = (a1, 3 * b1, b1, a2, 3 * b2, b2, a3, b3)
-        out.append(ln)
+        out.append((a1, 3 * b1, b1, a2, 3 * b2, b2, a3, b3))
     return out
 
 
@@ -535,12 +587,7 @@ def _cycle_signed_area2(pts) -> QS3:
     pair, the sum of cross products is m*m times the doubled area, and one
     ``QS3._make`` normalises it.
     """
-    m, cyc = clear_points(pts)
-    s0 = s1 = 0
-    for (xp, xq, yp, yq), (xp2, xq2, yp2, yq2) in zip(cyc[-1:] + cyc[:-1], cyc):
-        s0 += xp * yp2 - yp * xp2 + 3 * (xq * yq2 - yq * xq2)
-        s1 += xp * yq2 + xq * yp2 - yp * xq2 - yq * xp2
-    return QS3._make(s0, s1, m * m)
+    return QS3._make(*cleared_area2(*clear_points(pts)))
 
 
 class Region:
@@ -839,17 +886,11 @@ class Region:
         cancellation, so twice it covers rounding.
         """
         if self._fbox is None:
-            xs = []
-            ys = []
-            mag = 0.0
+            coords = []
             for p in self.vertices:
                 x, y = p.x, p.y
-                xa, xb, ya, yb = x.p / x.r, x.q / x.r, y.p / y.r, y.q / y.r
-                xs.append(xa + xb * SQRT3_FLOAT)
-                ys.append(ya + yb * SQRT3_FLOAT)
-                mag = max(mag, abs(xa) + 2 * abs(xb), abs(ya) + 2 * abs(yb))
-            pad = 1e-9 * (1.0 + max(map(abs, xs + ys))) + 1e-15 * mag
-            self._fbox = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+                coords.append((x.p / x.r, x.q / x.r, y.p / y.r, y.q / y.r))
+            self._fbox = _float_box(coords)
         return self._fbox
 
 
@@ -915,33 +956,247 @@ def split_convex(region: Region, line: Line):
     """Both closed sides of a bounded convex region: (eval >= 0, eval <= 0).
 
     A side is None when its interior is empty, and the region itself when
-    the line leaves the region whole.  One sign pass, and one crossing per
-    cut edge shared by both sides (Sutherland-Hodgman, emitting both).
+    the line leaves the region whole, which ``Line.signs`` reads off the
+    points as they are.  Else the ``Region`` form of ``split_cleared``: the
+    vertices are cleared once and cut by its kernel (``_cut``, ``_sides``),
+    each side keeps the region's own points, and each crossing is built by
+    ``raw_point``.
     """
     pts = region.vertices
     sigs = line.signs(pts)
     if min(sigs) >= 0:
-        return (region if max(sigs) > 0 else None), None
+        return region, None
     if max(sigs) <= 0:
         return None, region
-    pos = []
-    neg = []
+    sigs, cuts = _cut(*clear_points(pts), line._k)
+    cuts = {i: raw_point(*c) for i, c in cuts.items()}
+    return tuple(Region(side) for side, _ in _sides(sigs, pts, cuts, range(len(pts)), -1, -1))
+
+
+def line_values(m: int, raw, k) -> list[tuple[int, int]]:
+    """m times a line's form at each point cleared over m, as integer pairs.
+
+    k is the line's cleared row ``Line._k``, (a1, 3*b1, b1, a2, 3*b2, b2,
+    a3, b3): point (xp + xq*s3, yp + yq*s3)/m gives (a1*xp + 3*b1*xq +
+    a2*yp + 3*b2*yq - a3*m) + (a1*xq + b1*xp + a2*yq + b2*yp - b3*m)*s3,
+    whose sign ``pair_sign`` reads with no field operation.
+    """
+    a1, t1, b1, a2, t2, b2, a3, b3 = k
+    c0, c1 = a3 * m, b3 * m
+    return [
+        (a1 * xp + t1 * xq + a2 * yp + t2 * yq - c0, a1 * xq + b1 * xp + a2 * yq + b2 * yp - c1)
+        for xp, xq, yp, yq in raw
+    ]
+
+
+def _crossing(m: int, a, b, u, v) -> tuple:
+    """(xp, xq, yp, yq, r): where segment ab meets a line, over r.
+
+    a and b are points cleared over m, u and v the line's values there
+    (``line_values``), of strictly opposite signs.  The point is
+    (u*B - v*A) / (m*(u - v)) for the integer pairs A, B of a, b; the
+    conjugate of u - v clears the s3 part of the denominator, and one
+    gcd normalises the point.
+    """
+    axp, axq, ayp, ayq = a
+    bxp, bxq, byp, byq = b
+    u0, u1 = u
+    v0, v1 = v
+    d0, d1 = u0 - v0, u1 - v1
+    r = m * (d0 * d0 - 3 * d1 * d1)
+    n0 = u0 * bxp + 3 * u1 * bxq - v0 * axp - 3 * v1 * axq
+    n1 = u0 * bxq + u1 * bxp - v0 * axq - v1 * axp
+    xp, xq = n0 * d0 - 3 * n1 * d1, n1 * d0 - n0 * d1
+    n0 = u0 * byp + 3 * u1 * byq - v0 * ayp - 3 * v1 * ayq
+    n1 = u0 * byq + u1 * byp - v0 * ayq - v1 * ayp
+    yp, yq = n0 * d0 - 3 * n1 * d1, n1 * d0 - n0 * d1
+    g = math.gcd(xp, xq, yp, yq, r)
+    if r < 0:
+        g = -g
+    return xp // g, xq // g, yp // g, yq // g, r // g
+
+
+def split_cleared(m: int, raw, labels, k, pos_label, neg_label):
+    """Both closed sides of a convex cycle cleared over m, cut by a line.
+
+    ``raw`` is a counter-clockwise cycle as ``clear_points`` gives it,
+    ``labels[i]`` a label of edge i (from vertex i to i + 1), and k the
+    line's cleared row (``Line._k``).  Returns 1 or -1 when the line leaves
+    the cycle whole on its closed positive or negative side.  Else returns
+    the sides ``((den, pts), labels)``, the side eval >= 0 first, both
+    cleared over den, the lcm of m and the crossings' denominators.  Each
+    edge of a side lies on an edge of the cycle, and keeps its label, or
+    on the line, and takes ``pos_label`` or ``neg_label`` (``_sides``).
+    """
+    cut = _cut(m, raw, k)
+    if cut == 1 or cut == -1:
+        return cut
+    sigs, cuts = cut
+    den = math.lcm(m, *[c[4] for c in cuts.values()])
+    f = den // m
+    if f > 1:
+        raw = [(xp * f, xq * f, yp * f, yq * f) for xp, xq, yp, yq in raw]
+    for i, (xp, xq, yp, yq, r) in cuts.items():
+        g = den // r
+        cuts[i] = (xp * g, xq * g, yp * g, yq * g)
+    (pos, pos_labels), (neg, neg_labels) = _sides(sigs, raw, cuts, labels, pos_label, neg_label)
+    return ((den, pos), pos_labels), ((den, neg), neg_labels)
+
+
+def _cut(m: int, raw, k):
+    """A line's signs on a vertex cycle cleared over m, and its crossings.
+
+    1 or -1 when the line leaves the cycle whole on its closed positive or
+    negative side; else (sigs, cuts) with cuts[i] the crossing on edge i
+    (``_crossing``) for each edge whose ends lie strictly on both sides.
+    One sign pass, and one crossing per cut edge: the split of a convex
+    cycle (``split_cleared``, ``split_convex``) and of a nonconvex region
+    (``split_region``) share it.
+    """
+    vals = line_values(m, raw, k)
+    sigs = [pair_sign(s0, s1) for s0, s1 in vals]
+    if min(sigs) >= 0:
+        return 1
+    if max(sigs) <= 0:
+        return -1
+    n = len(raw)
+    cuts = {}
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        if sigs[i] * sigs[j] < 0:
+            cuts[i] = _crossing(m, raw[i], raw[j], vals[i], vals[j])
+    return sigs, cuts
+
+
+def _sides(sigs, pts, cuts, labels, pos_label, neg_label):
+    """Both sides of a cut convex cycle, (points, edge labels) each, the
+    side of nonnegative signs first (Sutherland-Hodgman, emitting both).
+
+    ``pts[i]`` is vertex i, ``cuts[i]`` the crossing on edge i, in one
+    form, and ``labels[i]`` the label of edge i.  A side's edge from a
+    vertex or a crossing lies on the cycle's edge i, and keeps labels[i],
+    unless it runs along the line: from the side's exit point, a crossing
+    or a vertex on the line followed by a vertex across it, where it takes
+    ``pos_label`` or ``neg_label``.
+    """
+    pos, pos_labels, neg, neg_labels = [], [], [], []
     n = len(pts)
     for i in range(n):
-        j = (i + 1) % n
-        s = sigs[i]
+        s, t = sigs[i], sigs[i + 1 if i + 1 < n else 0]
         if s >= 0:
             pos.append(pts[i])
+            pos_labels.append(pos_label if s == 0 and t < 0 else labels[i])
         if s <= 0:
             neg.append(pts[i])
-        if s * sigs[j] < 0:
-            cut = line.crossing(pts[i], pts[j])
-            pos.append(cut)
-            neg.append(cut)
+            neg_labels.append(neg_label if s == 0 and t > 0 else labels[i])
+        if i in cuts:
+            c = cuts[i]
+            pos.append(c)
+            pos_labels.append(pos_label if t < 0 else labels[i])
+            neg.append(c)
+            neg_labels.append(neg_label if t > 0 else labels[i])
     # vertices lie strictly on both sides, so the line meets the convex
     # boundary in exactly two points: the cut adds no duplicate or collinear
     # vertex, keeps the counter-clockwise order and leaves a positive area
-    return Region(pos), Region(neg)
+    return (pos, pos_labels), (neg, neg_labels)
+
+
+# -- the 24 directions --------------------------------------------------------------
+
+# DIRECTIONS[j] = (x0, x1, y0, y1): the direction (x0 + x1*s3, y0 + y1*s3)
+# at 15*j degrees (tan 15 = 2 - s3, tan 30 = 1/s3), by quarter turns of
+# the first six
+_FIRST_QUADRANT = ((1, 0, 0, 0), (1, 0, 2, -1), (0, 1, 1, 0), (1, 0, 1, 0), (1, 0, 0, 1), (2, -1, 1, 0))
+DIRECTIONS = tuple(
+    d
+    for turns in range(4)
+    for d in [
+        (x0, x1, y0, y1) if turns == 0 else
+        (-y0, -y1, x0, x1) if turns == 1 else
+        (-x0, -x1, -y0, -y1) if turns == 2 else
+        (y0, y1, -x0, -x1)
+        for x0, x1, y0, y1 in _FIRST_QUADRANT
+    ]
+)
+
+
+def _slope_key(x0: int, x1: int, y0: int, y1: int):
+    """The slope y/x of a vector with x != 0, as a canonical (p, q, r)."""
+    n = x0 * x0 - 3 * x1 * x1
+    p, q = y0 * x0 - 3 * y1 * x1, y1 * x0 - y0 * x1
+    g = math.gcd(p, q, n)
+    if n < 0:
+        g = -g
+    return p // g, q // g, n // g
+
+
+# slope key -> j, for the directions with x > 0: a vector with x > 0 is at
+# 15*j degrees exactly when its slope is that of DIRECTIONS[j]
+_SLOPE_DIRECTION = {_slope_key(*d): j for j, d in enumerate(DIRECTIONS) if pair_sign(d[0], d[1]) > 0}
+
+
+def direction_position(x0: int, x1: int, y0: int, y1: int) -> int:
+    """Where the direction (x0 + x1*s3, y0 + y1*s3) lies among the 24.
+
+    Returns 2j when it points at 15*j degrees (``DIRECTIONS[j]``), and
+    2j + 1 when it lies strictly between 15*j and 15*(j + 1) degrees: a
+    position on a circle of 48 that orders directions as their angles do.
+    A direction off the 24 is placed by the cross products with them.
+    """
+    if x0 == 0 and x1 == 0:
+        return 12 if pair_sign(y0, y1) > 0 else 36
+    j = _SLOPE_DIRECTION.get(_slope_key(x0, x1, y0, y1))
+    if j is not None:
+        return 2 * j if pair_sign(x0, x1) > 0 else (2 * j + 24) % 48
+    # left of DIRECTIONS[j] and right of DIRECTIONS[j + 1]
+    left = [
+        pair_sign(
+            dx0 * y0 + 3 * dx1 * y1 - dy0 * x0 - 3 * dy1 * x1,
+            dx0 * y1 + dx1 * y0 - dy0 * x1 - dy1 * x0,
+        )
+        > 0
+        for dx0, dx1, dy0, dy1 in DIRECTIONS
+    ]
+    return next(2 * j + 1 for j in range(24) if left[j] and not left[j - 23])
+
+
+def edge_positions(raw) -> tuple:
+    """The ``direction_position`` of each edge's outward normal.
+
+    ``raw`` is a counter-clockwise cycle cleared to one denominator
+    (``clear_points``); edge i runs from vertex i to i + 1, and its outward
+    normal (dy, -dx) is the edge vector d turned clockwise.
+    """
+    n = len(raw)
+    out = []
+    for i in range(n):
+        axp, axq, ayp, ayq = raw[i]
+        bxp, bxq, byp, byq = raw[i + 1 if i + 1 < n else 0]
+        out.append(direction_position(byp - ayp, byq - ayq, axp - bxp, axq - bxq))
+    return tuple(out)
+
+
+def support_table(positions) -> list[int]:
+    """sup[d]: the index of a vertex of largest n_d . x, for each direction d.
+
+    ``positions`` are a convex cycle's ``edge_positions``.  Vertex k lies
+    between edges k - 1 and k, and it is largest in every direction whose
+    position 2d is in the closed angle from edge k - 1's normal to edge
+    k's; sup[d] is the k with 2d in (positions[k - 1], positions[k]]
+    around the circle (one edge's position is below its predecessor's,
+    where the angles pass 360 degrees).  No vertex is signed.
+    """
+    sup = [0] * 24
+    prev = positions[-1]
+    for k, e in enumerate(positions):
+        lo, hi = (prev >> 1) + 1, (e >> 1) + 1
+        if prev > e:
+            sup[lo:] = [k] * (24 - lo)
+            sup[:hi] = [k] * hi
+        elif lo < hi:
+            sup[lo:hi] = [k] * (hi - lo)
+        prev = e
+    return sup
 
 
 def _clip_unbounded(region: Region, line: Line, keep: int) -> Region | None:
@@ -1081,19 +1336,18 @@ def split_region(region: Region, line: Line):
 def _side_pieces_bounded(region: Region, line: Line, keep: int):
     pts = region.vertices
     n = len(pts)
-    sigs = line.signs(pts) if keep > 0 else [-s for s in line.signs(pts)]
-    if all(s >= 0 for s in sigs):
-        return [region] if any(s > 0 for s in sigs) else []
-    if all(s <= 0 for s in sigs):
-        return []
+    cut = _cut(*clear_points(pts), line._k)
+    if cut == 1 or cut == -1:
+        return [region] if cut == keep else []
+    sigs, cuts = cut
+    sigs = [keep * s for s in sigs]
 
     # boundary cycle with crossings inserted
     cyc = []  # (point, sig)
     for i in range(n):
-        j = (i + 1) % n
         cyc.append((pts[i], sigs[i]))
-        if sigs[i] * sigs[j] < 0:
-            cyc.append((line.crossing(pts[i], pts[j]), 0))
+        if i in cuts:
+            cyc.append((raw_point(*cuts[i]), 0))
     m = len(cyc)
 
     # maximal arcs with sig >= 0 containing at least one strictly positive node

@@ -48,11 +48,19 @@ Three layers build on the wedge map T':
   (:class:`CellPool`).  The carve proves the tubes disjoint and the
   periodic tubes clear of S (S's return sources, carved first, tile S);
   :func:`close_component` proves each component convex, maximal and
-  side-parallel.  The carve runs on raw integers: each cell is cleared
-  to one denominator when it enters the pool, each tube polygon's edge
-  lines are built from its vertices' integers, and a cell is signed
-  against a line by integer sums alone (``geom.cutting_lines``, the one
-  cut test, which ``overlap_status`` uses too).
+  side-parallel.  The carve runs on raw integers and support vertices.
+  Every edge of a tube polygon, and every diagonal that carves a
+  nonconvex one, lies along one of the 24 directions at multiples of
+  15 degrees, so a cell records its vertices cleared to one
+  denominator, the position of each edge normal among those directions
+  and, per direction, a vertex largest along it.  A part's edge line is
+  then signed at two vertices of a cell, the largest and the smallest
+  along its normal: the first sign separates, the second cuts.  A cell
+  that the lines cut is skipped when one of its own edges along the
+  directions has the part on its closed outer side; any other is split
+  on integers, and its pieces carry their edge positions over.  The
+  grid of float boxes and the order of its hits are kept, and with
+  them the cells, their ids and the ties of ``largest_cell``.
 
 Red fractions need neither layer's towers beyond Z'_14:
 ``selfsim.visit_matrix`` counts how the Z'_14 pieces visit the Z'_4
@@ -73,6 +81,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, GraneError, InconclusiveError, SelfReturnError
 from .field import QS3, ZERO, pair_sign
 from .geom import (
+    DIRECTIONS,
     INTERIOR,
     AffMap,
     Point,
@@ -80,12 +89,17 @@ from .geom import (
     area2_within,
     boxes_overlap,
     clear_points,
+    cleared_area2,
+    cleared_box,
     clip_convex,  # unused here; the benchmark's tracer wraps search.clip_convex
-    cutting_lines,
-    integer_edge_lines,
+    edge_positions,
+    edge_rows,
+    line_values,
     overlap_status,
-    split_convex,
+    raw_point,
+    split_cleared,
     split_region,
+    support_table,
 )
 from .periods import period_of_h
 from .table import (
@@ -622,19 +636,43 @@ class CellPool:
 
     Subtracting a polygon replaces each overlapping cell by its exact
     difference pieces; the removed (doubled) area is returned so callers
-    can assert that claims never overlap.  The carve runs on raw integers:
-    a cell's vertices are cleared to one denominator once, when the cell
-    enters the pool (``clear_points``), and each convex part of a
-    subtracted polygon gets its edge lines from its vertices' integers
-    (``integer_edge_lines``), so signing a cell against a line is two
-    integer sums per vertex with no field operation (``cutting_lines``, the
-    cut test that ``vertex_position`` shares).  A cell that one edge line
-    separates is left as it is; any other is split (``split_convex``) by
-    the lines that cut it, in edge order.  Cells are indexed by a float
-    grid of their proven boxes (``Region.float_bbox``), so subtraction
+    can assert that claims never overlap.  The carve runs on raw integers.
+    A cell is a record ``(m, raw, positions, sup, box)``, made once when it
+    enters the pool: its vertices cleared to one denominator m
+    (``clear_points``), the position of each edge's outward normal on the
+    circle of the 24 directions at multiples of 15 degrees (2j at 15*j
+    degrees, 2j + 1 strictly between 15*j and 15*(j + 1):
+    ``geom.edge_positions``), the index sup[d] of a vertex largest in
+    direction d (``geom.support_table``) and its proven float box, bit for
+    bit ``Region.float_bbox``'s.  Every edge of a tube polygon, and every
+    diagonal of the triangles that carve a nonconvex one, lies along one
+    of the 24 directions, and only the edges of Z''s triangles lie
+    between them.
+
+    Each edge line of a convex part of the subtracted polygon is signed at
+    two vertices of a cell: sup[d] for the line's inward normal d, where
+    the cell is largest along it, and sup[d + 12], where it is smallest.
+    A first sign <= 0 separates the cell from the part, which leaves it
+    as it is; a second sign < 0 means the line cuts the cell.  A line
+    between two directions is signed over the vertices from sup[j] to
+    sup[j + 1], the only ones that can be largest along it.  A cell that
+    some line cuts is skipped when one of its own edges along the 24
+    directions has the part on its closed outer side (the part's vertex
+    smallest along that edge's normal, read off the part's table): the
+    split would lose every piece.  Any other is split (``split_cleared``)
+    by the lines that cut it, in edge order; an edge on a line takes the
+    line's position, so no position is recomputed from vertices.  The
+    removed areas are summed on integers, with one normalisation per
+    part, each cell's area is computed once, by ``largest_cell``, and a
+    ``Region`` is built only for the cell that ``largest_cell`` returns
+    (``region``).
+
+    Cells are indexed by a float grid of their boxes, so subtraction
     touches only nearby cells and misses none; every hit is decided
     exactly.  Cells are visited in the iteration order of the set of grid
-    hits, and the ids they get decide ties in ``largest_cell``.
+    hits, and the ids they get decide ties in ``largest_cell``: the boxes,
+    the grid and that order are kept as they are, so that the cells, their
+    ids and their order, and with them the report, stay the same.
     """
 
     # buckets a side over the region's box, sized to the tube polygons:
@@ -649,12 +687,13 @@ class CellPool:
         self._sx = (box[2] - box[0]) / self.GRID or 1.0
         self._sy = (box[3] - box[1]) / self.GRID or 1.0
         self.cells = {}
-        # cell id -> (m, raw) = clear_points(its vertices)
-        self._raw = {}
+        # cell id -> cleared_area2 of the cell, filled by largest_cell
+        self._area2 = {}
         self._buckets = {}
         self._next_id = 0
         for part in region.convex_parts():
-            self._add(part)
+            m, raw = clear_points(part.vertices)
+            self._add(m, raw, edge_positions(raw))
 
     def _span(self, box):
         gx0 = max(0, min(self.GRID - 1, int((box[0] - self._x0) / self._sx)))
@@ -672,19 +711,19 @@ class CellPool:
                 out |= self._buckets.get((gx, gy), set())
         return out
 
-    def _add(self, cell: Region):
+    def _add(self, m: int, raw, positions):
         cid = self._next_id
         self._next_id += 1
-        self.cells[cid] = cell
-        self._raw[cid] = clear_points(cell.vertices)
-        gx0, gx1, gy0, gy1 = self._span(cell.float_bbox())
+        box = cleared_box(m, raw)
+        self.cells[cid] = (m, raw, positions, support_table(positions), box)
+        gx0, gx1, gy0, gy1 = self._span(box)
         for gx in range(gx0, gx1 + 1):
             for gy in range(gy0, gy1 + 1):
                 self._buckets.setdefault((gx, gy), set()).add(cid)
 
     def _remove(self, cid: int):
-        gx0, gx1, gy0, gy1 = self._span(self.cells.pop(cid).float_bbox())
-        del self._raw[cid]
+        gx0, gx1, gy0, gy1 = self._span(self.cells.pop(cid)[4])
+        self._area2.pop(cid, None)
         for gx in range(gx0, gx1 + 1):
             for gy in range(gy0, gy1 + 1):
                 self._buckets[(gx, gy)].discard(cid)
@@ -692,19 +731,27 @@ class CellPool:
     def __len__(self):
         return len(self.cells)
 
+    def region(self, cid: int) -> Region:
+        """Cell ``cid`` as a ``Region``, its vertices in the pool's order."""
+        m, raw = self.cells[cid][:2]
+        return Region([raw_point(*v, m) for v in raw])
+
     def largest_cell(self) -> Region:
         """The first cell of largest area in pool order, as ``max`` by area2.
 
         Areas (p + q*s3)/r are compared on their integers by ``pair_sign``,
-        with no field subtraction or gcd.
+        with no field operation or gcd.
         """
+        areas = self._area2
         best = bp = bq = br = None
-        for cell in self.cells.values():
-            a = cell.area2()
-            p, q, r = a.p, a.q, a.r
+        for cid, cell in self.cells.items():
+            a = areas.get(cid)
+            if a is None:
+                a = areas[cid] = cleared_area2(cell[0], cell[1])
+            p, q, r = a
             if best is None or pair_sign(p * br - bp * r, q * br - bq * r) > 0:
-                best, bp, bq, br = cell, p, q, r
-        return best
+                best, bp, bq, br = cid, p, q, r
+        return self.region(best)
 
     def subtract(self, poly: Region) -> QS3:
         removed = ZERO
@@ -714,32 +761,137 @@ class CellPool:
 
     def _subtract_convex(self, part: Region) -> QS3:
         pbox = part.float_bbox()
-        # not part.edge_lines(), which the kept tube polygons would hold
-        lines = integer_edge_lines(part.vertices)
-        removed = ZERO
-        cells, rec = self.cells, self._raw
+        pm, praw = clear_points(part.vertices)
+        positions = edge_positions(praw)
+        psup = support_table(positions)
+        lines = _edge_rows(pm, praw, positions)
+        cells = self.cells
+        # the removed area, (rp + rq*s3)/rr
+        rp, rq, rr = 0, 0, 1
         for cid in self._candidates(pbox):
-            work = cells[cid]
-            if not boxes_overlap(work.float_bbox(), pbox):
+            cell = cells[cid]
+            m, raw, positions, sup, box = cell
+            if not boxes_overlap(box, pbox):
                 continue
-            cutting = cutting_lines(*rec[cid], lines)
-            if cutting is None:
-                continue
-            outside = []
-            for ln in cutting:
-                if work is None:
-                    break
-                work, piece = split_convex(work, ln)
-                if piece is not None:
-                    outside.append(piece)
-            if work is None:
-                # no part of the cell is inside the polygon
-                continue
-            removed = removed + work.area2()
-            self._remove(cid)
-            for piece in outside:
-                self._add(piece)
-        return removed
+            cutting = []
+            for a1, t1, b1, a2, t2, b2, a3, b3, d, k, e in lines:
+                if d is None:
+                    top, bottom = _range_signs(m, raw, sup, k, e >> 1)
+                    if top <= 0:
+                        break
+                else:
+                    c0, c1 = a3 * m, b3 * m
+                    xp, xq, yp, yq = raw[sup[d]]
+                    if pair_sign(
+                        a1 * xp + t1 * xq + a2 * yp + t2 * yq - c0,
+                        a1 * xq + b1 * xp + a2 * yq + b2 * yp - c1,
+                    ) <= 0:
+                        break
+                    xp, xq, yp, yq = raw[sup[d - 12]]
+                    bottom = pair_sign(
+                        a1 * xp + t1 * xq + a2 * yp + t2 * yq - c0,
+                        a1 * xq + b1 * xp + a2 * yq + b2 * yp - c1,
+                    )
+                if bottom < 0:
+                    cutting.append((k, e))
+            else:
+                if not cutting:
+                    area = self._area2.get(cid) or cleared_area2(m, raw)
+                    self._remove(cid)
+                else:
+                    area = self._split(cid, cell, cutting, pm, praw, psup)
+                    if area is None:
+                        continue
+                ap, aq, ar = area
+                if ar != rr:
+                    den = math.lcm(rr, ar)
+                    f, g = den // rr, den // ar
+                    rp, rq, rr = rp * f + ap * g, rq * f + aq * g, den
+                else:
+                    rp, rq = rp + ap, rq + aq
+        return QS3._make(rp, rq, rr)
+
+    def _split(self, cid: int, cell, cutting, pm: int, praw, psup):
+        """Replace a cell by its pieces outside a part; the ``cleared_area2``
+        of its piece inside, or None (and the cell kept) when it has none.
+
+        ``cutting`` are the part's lines that cut the cell, in edge order;
+        the cell is split by each in turn, and the piece on a line's
+        positive side goes on.
+        """
+        m, raw, positions = cell[:3]
+        if _lattice_apart(m, raw, positions, pm, praw, psup):
+            return None
+        outside = []
+        for k, e in cutting:
+            cut = split_cleared(m, raw, positions, k, (e + 24) % 48, e)
+            if cut == -1:
+                return None
+            if cut != 1:
+                ((m, raw), positions), piece = cut
+                outside.append(piece)
+        self._remove(cid)
+        for (r, pts), labels in outside:
+            self._add(r, pts, labels)
+        return cleared_area2(m, raw)
+
+
+def _edge_rows(m: int, raw, positions) -> list:
+    """The edge lines of a convex part cleared over m, for the cut test.
+
+    For each edge, ``(*k, d, k, e)``: the edge line's cleared row k
+    (``geom.edge_rows``, positive inside), unpacked and whole, the
+    position e of its inward normal, opposite the outward one of
+    ``positions`` (``geom.edge_positions``), and d = e/2, the direction of
+    that normal, or None when e is odd.
+    """
+    out = []
+    for k, e in zip(edge_rows(m, raw), positions):
+        e = (e + 24) % 48
+        out.append((*k, None if e & 1 else e >> 1, k, e))
+    return out
+
+
+def _range_signs(m: int, raw, sup, k, j) -> tuple[int, int]:
+    """(largest, smallest) sign of a line over a cell, for a line whose
+    inward normal lies strictly between directions j and j + 1.
+
+    The vertex largest along that normal lies in the cycle from sup[j] to
+    sup[j + 1] (turning a direction turns its support vertex forward), and
+    the smallest from sup[j + 12] to sup[j + 13].
+    """
+    out = []
+    for lo, hi in ((sup[j], sup[(j + 1) % 24]), (sup[(j + 12) % 24], sup[(j + 13) % 24])):
+        span = raw[lo : hi + 1] if lo <= hi else raw[lo:] + raw[: hi + 1]
+        out.append([pair_sign(s0, s1) for s0, s1 in line_values(m, span, k)])
+    return max(out[0]), min(out[1])
+
+
+def _lattice_apart(m: int, raw, positions, pm: int, praw, psup) -> bool:
+    """Whether an edge of a cell along one of the 24 directions has a convex
+    part on its closed outer side, which makes the two disjoint.
+
+    Edge k at position 2d has outward normal n_d (``DIRECTIONS[d]``) and
+    passes through vertex k; the part's smallest n_d . u is at its vertex
+    psup[d + 12], so the part lies on the edge's closed outer side exactly
+    when n_d . (u - v_k) >= 0 there, one sign on the integers of both
+    cycles (u over pm, v_k over m).
+    """
+    for k, e in enumerate(positions):
+        if e & 1:
+            continue
+        d = e >> 1
+        dx0, dx1, dy0, dy1 = DIRECTIONS[d]
+        uxp, uxq, uyp, uyq = praw[psup[d - 12]]
+        vxp, vxq, vyp, vyq = raw[k]
+        wx0, wx1 = uxp * m - vxp * pm, uxq * m - vxq * pm
+        wy0, wy1 = uyp * m - vyp * pm, uyq * m - vyq * pm
+        if pair_sign(
+            dx0 * wx0 + 3 * dx1 * wx1 + dy0 * wy0 + 3 * dy1 * wy1,
+            dx0 * wx1 + dx1 * wx0 + dy0 * wy1 + dy1 * wy0,
+        ) >= 0:
+            return True
+    return False
 
 
 # -- partition of the rocket into return tubes and periodic tubes ------------------

@@ -10,6 +10,7 @@ from dodeca.geom import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
+    DIRECTIONS,
     AffMap,
     Line,
     Point,
@@ -17,6 +18,7 @@ from dodeca.geom import (
     _cycle_signed_area2,
     area2_within,
     clip_convex,
+    direction_position,
     intersect_convex,
     intersection_area2,
     overlap_status,
@@ -512,6 +514,30 @@ def test_line_crossing_matches_field_formula(sim):
         crossed += 1
         wide += abs(a.x.p).bit_length() > 55
     assert crossed > 300 and wide > 10
+
+
+def test_direction_position_places_vectors_among_the_24_directions():
+    # positive multiples of direction j, with both parts nonzero and wide
+    # (units (2 + s3)^k), sit at 2j; sums of two neighbours sit between
+    # them, however lopsided, and so do the directions 1 degree off
+    def times(d, p, q):  # (p + q*s3) * d
+        x0, x1, y0, y1 = d
+        return (p * x0 + 3 * q * x1, p * x1 + q * x0, p * y0 + 3 * q * y1, p * y1 + q * y0)
+
+    unit = (1, 0)
+    for _ in range(30):
+        unit = (2 * unit[0] + 3 * unit[1], unit[0] + 2 * unit[1])
+    for j, d in enumerate(DIRECTIONS):
+        for p, q in ((1, 0), (3, 0), (0, 1), (2, 1), unit, (7, -4)):
+            assert direction_position(*times(d, p, q)) == 2 * j
+        e = DIRECTIONS[(j + 1) % 24]
+        for (p, q), (r, s) in (((1, 0), (1, 0)), (unit, (1, 0)), ((1, 0), unit), ((0, 1), (5, 2))):
+            v = [a + b for a, b in zip(times(d, p, q), times(e, r, s))]
+            assert direction_position(*v) == 2 * j + 1
+    # the normals of the diagonals of Z''s triangles (the diagonals run at
+    # about 110.1 and 129.9 degrees), both ways
+    assert direction_position(2, 2, 2, 0) == 3 and direction_position(-2, -2, -2, 0) == 27
+    assert direction_position(1, 2, 2, 1) == 5 and direction_position(-1, -2, -2, -1) == 29
 
 
 def test_split_region_of_convex_matches_field_reference(sim):

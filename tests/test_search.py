@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca import search, selfsim
+from dodeca import geom, search, selfsim
 from dodeca.checks import Context, run_checks
 from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturnError
 from dodeca.field import ONE, QS3, ZERO, pair_sign
 from dodeca.geom import (
+    DIRECTIONS,
     INTERIOR,
     AffMap,
     Line,
@@ -21,9 +22,11 @@ from dodeca.geom import (
     boxes_overlap,
     clear_points,
     cutting_lines,
+    edge_positions,
     integer_edge_lines,
     overlap_status,
     raw_equals,
+    raw_point,
     split_convex,
 )
 from dodeca.periods import cross_validate, period_of_h
@@ -1160,7 +1163,7 @@ def test_validate_return_system_rejects_a_missing_piece(ctx):
 
 
 def _pool_area2(pool):
-    return sum((c.area2() for c in pool.cells.values()), ZERO)
+    return sum((pool.region(cid).area2() for cid in pool.cells), ZERO)
 
 
 def test_cell_pool_exact_subtraction(ctx):
@@ -1175,23 +1178,63 @@ def test_cell_pool_exact_subtraction(ctx):
     assert pool.subtract(comp.region).is_zero()
 
 
-def test_cell_pool_skips_separated_cells(monkeypatch):
-    def P(x, y):
-        return Point(QS3(x), QS3(y))
+def _P(x, y):
+    return Point(QS3(x), QS3(y))
 
-    pool = CellPool(Region.bounded([P(4, 0), P(4, 4), P(0, 4)]))
+
+def _no_split(*args):
+    raise AssertionError("split_cleared called")
+
+
+def test_cell_pool_skips_separated_cells(monkeypatch):
+    pool = CellPool(Region.bounded([_P(4, 0), _P(4, 4), _P(0, 4)]))
     (cell,) = pool.cells.values()
     # the boxes overlap, but the edge line x + y = 8 has the cell on its
     # closed outer side (touching at the vertex (4, 4))
-    poly = Region.bounded([P(5, 3), P(5, 5), P(3, 5)])
-
-    def no_split(region, line):
-        raise AssertionError("split_convex called on a separated cell")
-
-    monkeypatch.setattr(search, "split_convex", no_split)
+    poly = Region.bounded([_P(5, 3), _P(5, 5), _P(3, 5)])
+    monkeypatch.setattr(search, "split_cleared", _no_split)
     assert pool.subtract(poly).is_zero()
     (kept,) = pool.cells.values()
     assert kept is cell
+
+
+@pytest.mark.parametrize("lo", [2, 3])
+def test_cell_pool_skips_a_cell_that_its_own_edge_separates(monkeypatch, lo):
+    # no edge line of the square [lo, lo+2]^2 separates the triangle x, y > 0,
+    # x + y < 4 from it, and x = lo and y = lo cut it; the triangle's own
+    # edge x + y = 4 has the square on its closed outer side (touching at
+    # (2, 2) when lo = 2), so the cell stays as it is, with no split
+    pool = CellPool(Region.bounded([_P(0, 0), _P(4, 0), _P(0, 4)]))
+    (cell,) = pool.cells.values()
+    poly = Region.bounded([_P(lo, lo), _P(lo + 2, lo), _P(lo + 2, lo + 2), _P(lo, lo + 2)])
+    monkeypatch.setattr(search, "split_cleared", _no_split)
+    assert pool.subtract(poly).is_zero()
+    (kept,) = pool.cells.values()
+    assert kept is cell
+
+
+def test_cell_pool_keeps_a_cell_that_a_line_off_the_directions_touches(monkeypatch):
+    # the edge line y = x/3 of the triangle (0, 0), (6, 2), (0, 6) runs off
+    # the 24 directions; the cell lies on its closed outer side, touching it
+    # at (3, 1), and no edge of the cell along the directions separates the
+    # two, so the scanned signs alone leave the cell as it is
+    pool = CellPool(Region.bounded([_P(2, -1), _P(5, -1), _P(3, 1)]))
+    (cell,) = pool.cells.values()
+    poly = Region.bounded([_P(0, 0), _P(6, 2), _P(0, 6)])
+    monkeypatch.setattr(search, "split_cleared", _no_split)
+    assert pool.subtract(poly).is_zero()
+    (kept,) = pool.cells.values()
+    assert kept is cell
+
+
+def test_cell_pool_removes_a_covered_cell_whole(monkeypatch):
+    # every edge line of the polygon has the cell on its closed inner side,
+    # touching it along an edge: no line cuts it, and it leaves whole
+    tri = Region.bounded([_P(0, 0), _P(4, 0), _P(0, 4)])
+    pool = CellPool(tri)
+    monkeypatch.setattr(search, "split_cleared", _no_split)
+    assert pool.subtract(tri) == tri.area2()
+    assert not pool.cells
 
 
 def _reference_cutting_lines(region, lines):
@@ -1213,15 +1256,46 @@ def _through_lines(region):
     return [Line.through(a, b) for a, b in zip(pts, pts[1:] + pts[:1])]
 
 
-class _ReferencePool(CellPool):
-    """The carve on field operations, over the same grid hits in the same
-    order: ``Line.through`` edge lines and ``_reference_cutting_lines`` on
-    the cells' QS3 vertices, split by ``split_convex``.  Every (cell, part)
-    pair whose boxes meet is kept in ``met``."""
+class _ReferencePool:
+    """The carve on field operations and ``Region`` cells, over the same
+    grid and grid hits in the same order (``CellPool._candidates``):
+    ``Line.through`` edge lines, ``_reference_cutting_lines`` on the cells'
+    QS3 vertices, a split by ``split_convex`` of every cell some line cuts,
+    and ``largest_cell`` as ``max`` by ``Region.area2``.  Every (cell,
+    part) pair whose boxes meet is kept in ``met``."""
+
+    GRID = CellPool.GRID
+    _span = CellPool._span
+    _candidates = CellPool._candidates
 
     def __init__(self, region):
-        self.met = []
-        super().__init__(region)
+        box = region.float_bbox()
+        self._x0, self._y0 = box[0], box[1]
+        self._sx = (box[2] - box[0]) / self.GRID or 1.0
+        self._sy = (box[3] - box[1]) / self.GRID or 1.0
+        self.cells, self._buckets, self._next_id, self.met = {}, {}, 0, []
+        for part in region.convex_parts():
+            self._add(part)
+
+    def _add(self, cell):
+        self.cells[self._next_id] = cell
+        gx0, gx1, gy0, gy1 = self._span(cell.float_bbox())
+        for gx in range(gx0, gx1 + 1):
+            for gy in range(gy0, gy1 + 1):
+                self._buckets.setdefault((gx, gy), set()).add(self._next_id)
+        self._next_id += 1
+
+    def _remove(self, cid):
+        gx0, gx1, gy0, gy1 = self._span(self.cells.pop(cid).float_bbox())
+        for gx in range(gx0, gx1 + 1):
+            for gy in range(gy0, gy1 + 1):
+                self._buckets[(gx, gy)].discard(cid)
+
+    def largest_cell(self):
+        return max(self.cells.values(), key=Region.area2)
+
+    def subtract(self, poly):
+        return sum((self._subtract_convex(part) for part in poly.convex_parts()), ZERO)
 
     def _subtract_convex(self, part):
         pbox = part.float_bbox()
@@ -1251,38 +1325,158 @@ class _ReferencePool(CellPool):
         return removed
 
 
+def _pool_differences(pool, ref) -> list:
+    """Where a pool and the field reference differ: the cell ids and their
+    order, each cell's vertices (through ``CellPool.region``) and
+    ``largest_cell``."""
+    if list(pool.cells) != list(ref.cells):
+        return ["cell ids or their order"]
+    out = [f"cell {cid}" for cid, cell in ref.cells.items() if pool.region(cid).vertices != cell.vertices]
+    if ref.cells and pool.largest_cell().vertices != ref.largest_cell().vertices:
+        out.append("largest_cell")
+    return out
+
+
+class _RecordingPool(CellPool):
+    """A ``CellPool`` that keeps every cell record it makes in ``made``."""
+
+    def __init__(self, region):
+        self.made = []
+        super().__init__(region)
+
+    def _add(self, m, raw, positions):
+        super()._add(m, raw, positions)
+        self.made.append(self.cells[self._next_id - 1])
+
+
 @pytest.fixture(scope="module")
 def z14_carve(ctx):
-    """Z' carved by both pools: the z14 green tubes, then the tubes of the
-    first ten components in discovery order."""
+    """Z' carved by both pools as ``verify_partition`` carves it: the z14
+    green tubes, then each component's tube in discovery order.  At each
+    checkpoint, after the green tubes and after each tube, the pools'
+    differences are kept, and after the tenth tube the cells left, as
+    regions; the carve's splits are counted."""
     w = ctx.wedge
     green = [pol for p in ctx.return_system("z14").pieces for pol in return_tube(w, p)]
-    red = [pol for pc in ctx.partition("z14").components[:10] for pol in pc.tube]
-    pool, ref = CellPool(w.Zp), _ReferencePool(w.Zp)
-    removed = [(pool.subtract(pol), ref.subtract(pol)) for pol in green + red]
-    return green + red, pool, ref, removed
+    tubes = [list(pc.tube) for pc in ctx.partition("z14").components]
+    pool, ref = _RecordingPool(w.Zp), _ReferencePool(w.Zp)
+    removed, differences, splits = [], [], Counter()
+    split = search.split_cleared
+
+    def counted(*args):
+        splits["split_cleared"] += 1
+        return split(*args)
+
+    def refuse(*args):
+        raise AssertionError("the carve signed every vertex")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "split_cleared", counted)
+        mp.setattr(geom, "cutting_lines", refuse)
+        for n, polys in enumerate([green] + tubes):
+            removed += [(pool.subtract(pol), ref.subtract(pol)) for pol in polys]
+            differences.append(_pool_differences(pool, ref))
+            if n == 10:
+                cells = [pool.region(cid) for cid in pool.cells]
+    polys = green + [pol for tube in tubes for pol in tube]
+    return polys, pool, ref, removed, differences, cells, splits["split_cleared"]
 
 
 def test_cell_pool_carve_matches_field_reference(z14_carve):
-    polys, pool, ref, removed = z14_carve
+    polys, pool, ref, removed, differences, cells, splits = z14_carve
     # the 37 nonconvex tube polygons are carved as triangles, whose
     # diagonals run at multiples of 30 degrees
     assert sum(not pol.is_convex() for pol in polys) == 37
     assert all(a == b == pol.area2() for (a, b), pol in zip(removed, polys))
-    assert list(pool.cells) == list(ref.cells)
-    assert [c.vertices for c in pool.cells.values()] == [
-        c.vertices for c in ref.cells.values()
-    ]
+    # the green tubes and the 20 components' tubes; the pools end empty
+    assert differences == [[]] * 21
+    assert not pool.cells and not ref.cells
+    # the skip test saves the splits whose pieces the polygon would drop
+    assert splits <= 7000
     # crossing points bring coordinates over 11
-    assert any(
-        c.r % 11 == 0 for cell in pool.cells.values() for v in cell.vertices for c in (v.x, v.y)
-    )
+    assert any(c.r % 11 == 0 for cell in cells for v in cell.vertices for c in (v.x, v.y))
+
+
+def _position_by_angle(x, y):
+    """``direction_position`` of the vector (x, y), decided exactly on the
+    window that its float angle picks: 2j when it is a positive multiple of
+    direction j, else 2j + 1 when it is strictly between j and j + 1."""
+    dirs = [Point(QS3._make(x0, x1, 1), QS3._make(y0, y1, 1)) for x0, x1, y0, y1 in DIRECTIONS]
+    v = Point(x, y)
+    angle = math.degrees(math.atan2(float(y), float(x))) % 360
+    j = round(angle / 15) % 24
+    if dirs[j].cross(v).is_zero() and dirs[j].dot(v).sign() > 0:
+        return 2 * j
+    j = int(angle // 15)
+    assert dirs[j].cross(v).sign() > 0 > dirs[(j + 1) % 24].cross(v).sign()
+    return 2 * j + 1
+
+
+def test_cell_pool_records_carry_their_positions_and_supports(z14_carve):
+    # every cell the z14 carve makes: its edge positions, carried over the
+    # splits, are those of its vertices, and sup[d] attains the largest
+    # n_d . x over its vertices
+    pool = z14_carve[1]
+    odd = 0
+    for m, raw, positions, sup, box in pool.made:
+        pts = [raw_point(*v, m) for v in raw]
+        n = len(pts)
+        want = [_position_by_angle(b.y - a.y, a.x - b.x) for a, b in zip(pts, pts[1:] + pts[:1])]
+        assert list(positions) == want
+        odd += any(e % 2 for e in positions)
+        for d, (x0, x1, y0, y1) in enumerate(DIRECTIONS):
+            values = [
+                (x0 * xp + 3 * x1 * xq + y0 * yp + 3 * y1 * yq, x0 * xq + x1 * xp + y0 * yq + y1 * yp)
+                for xp, xq, yp, yq in raw
+            ]
+            t0, t1 = values[sup[d]]
+            assert all(pair_sign(t0 - v0, t1 - v1) >= 0 for v0, v1 in values)
+        assert box == Region(pts).float_bbox()
+        assert n == len(positions) == len(raw)
+    # the diagonals of Z''s triangles lie between two of the directions
+    assert len(pool.made) == 6599 and odd == 577
+
+
+def test_cell_pool_carves_lines_off_the_directions_as_the_reference(ctx, monkeypatch):
+    # triangles fanned from a point between each base component's centroid
+    # and its vertex 0 have edges off the 24 directions: the cut test scans
+    # the cells' vertex ranges for them, and the carve still matches the
+    # field reference
+    w = ctx.wedge
+    pool, ref = CellPool(w.Zp), _ReferencePool(w.Zp)
+    for pol in [pol for p in ctx.return_system("z4").pieces for pol in return_tube(w, p)]:
+        assert pool.subtract(pol) == ref.subtract(pol) == pol.area2()
+    fans = []
+    for comp in ctx.base_components().values():
+        pts = comp.region.vertices
+        c = Point((comp.center.x * 3 + pts[0].x) / 4, (comp.center.y * 3 + pts[0].y) / 4)
+        fans += [Region.bounded([c, a, b]) for a, b in zip(pts, pts[1:] + pts[:1])]
+    odd = [
+        pol
+        for pol in fans
+        if any(e % 2 for e in edge_positions(clear_points(pol.vertices)[1]))
+    ]
+    assert len(odd) > 10
+    scans = Counter()
+    scan = search._range_signs
+
+    def counted(*args):
+        top, bottom = scan(*args)
+        scans[top > 0 > bottom] += 1
+        return top, bottom
+
+    monkeypatch.setattr(search, "_range_signs", counted)
+    for pol in odd:
+        assert pool.subtract(pol) == ref.subtract(pol)
+        assert _pool_differences(pool, ref) == []
+    # scanned lines that cut a cell, and ones that do not
+    assert scans[True] > 10 and scans[False] > 10
 
 
 def test_cutting_lines_matches_the_field_reference(z14_carve):
     # the one cut test, on cleared vertices, against max and min of
     # Line.signs, for every pair the carve meets and both kinds of lines
-    _, _, ref, _ = z14_carve
+    _, _, ref, _, _, _, _ = z14_carve
     assert len(ref.met) > 1000
 
     def indices(cut, lines):
@@ -1304,8 +1498,7 @@ def test_integer_edge_lines_match_line_through(z14_carve):
     # one edge per direction and edge denominator, from the carved parts
     # and the cells left: the directions are the 24 multiples of 15
     # degrees and the 4 diagonals of the triangles of Z'
-    polys, pool, _, _ = z14_carve
-    cells = list(pool.cells.values())
+    polys, _, _, _, _, cells, _ = z14_carve
     sample = {}
     for poly in [part for pol in polys for part in pol.convex_parts()] + cells:
         pts = poly.vertices
@@ -1356,7 +1549,7 @@ def test_cell_pool_grid_misses_no_cell(ctx, monkeypatch):
 
     def checked(pool, part):
         box = part.float_bbox()
-        near = {cid for cid, c in pool.cells.items() if boxes_overlap(c.float_bbox(), box)}
+        near = {cid for cid, c in pool.cells.items() if boxes_overlap(c[4], box)}
         assert near <= pool._candidates(box)
         if not first_near:
             first_near.append(near)
