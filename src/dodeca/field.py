@@ -3,11 +3,13 @@
 Every coordinate, matrix entry and geometric predicate in this package is
 computed in this field with arbitrary-precision integers, so no predicate
 rounds.  Floating point only comes from evaluating a + b*sqrt(3) in floats
-(:meth:`QS3.__float__` and the proven boxes of ``Region.float_bbox`` and
-``geom.float_interval``).  The boxes only prune exact work
-(``geom.area2_within``, the ``CellPool`` grid, ``selfsim.point_first_return``);
-otherwise floats appear only in samplers, rendering and the reported
-``*_float`` values.
+(:meth:`QS3.__float__` and the proven enclosures ``geom.cleared_box``,
+whose cached form is ``Region.float_bbox``, and ``geom.float_interval``).
+The boxes only prune exact work: the parts that the one placement of a
+polygon against a domain (``geom.place``) skips, ``geom.area2_within``,
+the ``CellPool`` grid and ``selfsim.point_first_return``; otherwise
+floats appear only in samplers, rendering and the reported ``*_float``
+values.
 
 A value a + b*sqrt(3) (a, b rational) is stored over a common denominator
 as ``(p + q*sqrt(3)) / r`` with integers ``p, q`` and ``r >= 1``,

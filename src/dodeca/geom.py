@@ -3,19 +3,26 @@
 Points, lines, affine maps and open polygonal regions (bounded simple
 polygons, and unbounded convex regions represented as a vertex chain with
 an entry and an exit ray).  All predicates are exact sign computations in
-the field; no tolerances appear anywhere.  One cut test
-(:func:`cutting_lines`) finds the lines that cut a bounded region, on its
-vertices cleared to one denominator: :func:`overlap_status` (through
-:func:`vertex_position`) and ``selfsim``'s raw placement use it.  One
-split (:func:`split_cleared`) cuts a convex cycle cleared to one
+the field; no tolerances appear anywhere.  One placement
+(:func:`place`) decides where a polygon, its vertices cleared to one
+denominator, lies against the convex parts of a domain: inside one,
+disjoint from all, or left open.  Float boxes only skip parts, and every
+box is one proven enclosure (:func:`cleared_box`; ``Region.float_bbox``
+is its cached form, and ``table.SourceTable.image_box`` shifts it to a
+raw image); the cut test (:func:`cutting_lines`) decides by exact signs.
+:func:`overlap_status` is the placement of a region, with an exact-area
+fallback (:func:`area2_within`), and ``search.image_placement`` that of
+a raw image ROT[l](S) + t, with the same fallback.
+
+One split (:func:`split_cleared`) cuts a convex cycle cleared to one
 denominator: the ``CellPool`` carve calls it, and :func:`split_convex`
 (which bounded :func:`clip_convex` and :func:`split_region` call on a
 convex region) is its ``Region`` form, on the same kernel; the split of a
 nonconvex region shares its signs and crossings, and ``Line.crossing``
-serves only the unbounded clip.  The 24 directions at multiples of 15 degrees
-(:data:`DIRECTIONS`) place edge normals (:func:`direction_position`) and
-give a convex cycle's support vertices (:func:`support_table`), which
-the carve signs instead of every vertex.
+serves only the unbounded clip.  The 24 directions at multiples of 15
+degrees (:data:`DIRECTIONS`) place edge normals
+(:func:`direction_position`) and give a convex cycle's support vertices
+(:func:`support_table`), which the carve signs instead of every vertex.
 
 Open-set semantics: a Region denotes the open set; its boundary is shared
 with neighbouring regions and is excluded from classification hits.
@@ -145,21 +152,20 @@ def cleared_area2(m: int, raw) -> tuple[int, int, int]:
 
 
 def cleared_box(m: int, raw) -> tuple:
-    """``Region.float_bbox`` of a cycle cleared over m, bit for bit.
+    """Proven float box (x0, y0, x1, y1) of the points cleared over m.
 
-    Int true division rounds correctly, so xp/m is the float of the
-    reduced quotient x.p/x.r that ``float_bbox`` divides.
+    Point k is ((xp + xq*s3)/m, (yp + yq*s3)/m), as ``clear_points`` gives
+    it.  Int true division rounds correctly, so xp/m is the float a of the
+    exact quotient, and ``float`` of a coordinate a + b*s3, computed so, is
+    within 5e-16 * (|a| + 2|b|) of it however much the sum cancels.  That
+    magnitude has no cancellation, so twice it, with a relative pad on top,
+    covers rounding: the box holds every point.
     """
-    return _float_box([(xp / m, xq / m, yp / m, yq / m) for xp, xq, yp, yq in raw])
-
-
-def _float_box(coords) -> tuple:
-    """Padded float box of points given as float parts (xa, xb, ya, yb) of
-    x = xa + xb*s3 and y = ya + yb*s3 (see ``Region.float_bbox``)."""
     xs = []
     ys = []
     mag = 0.0
-    for xa, xb, ya, yb in coords:
+    for xp, xq, yp, yq in raw:
+        xa, xb, ya, yb = xp / m, xq / m, yp / m, yq / m
         xs.append(xa + xb * SQRT3_FLOAT)
         ys.append(ya + yb * SQRT3_FLOAT)
         mag = max(mag, abs(xa) + 2 * abs(xb), abs(ya) + 2 * abs(yb))
@@ -186,7 +192,7 @@ def raw_equals(p: Point, xp: int, xq: int, yp: int, yq: int, r: int) -> bool:
 def float_interval(p: int, q: int, r: int) -> tuple[float, float]:
     """Proven float enclosure (lo, hi) of (p + q*s3)/r, r >= 1.
 
-    Padded as ``Region.float_bbox`` pads a coordinate a + b*s3 (a = p/r,
+    Padded as ``cleared_box`` pads a coordinate a + b*s3 (a = p/r,
     b = q/r), so it holds however much ``a + b*s3`` cancels in floats.
     """
     a, b = p / r, q / r
@@ -878,19 +884,15 @@ class Region:
         raise ValueError("failed to find interior point")
 
     def float_bbox(self):
-        """Padded float bounding box (bounded regions only).
+        """Proven float box of a bounded region: ``cleared_box`` of its vertices, cached.
 
-        A proven enclosure: ``float`` of a coordinate a + b*s3 (a = p/r and
-        b = q/r, as in ``QS3.__float__``) is within 5e-16 * (|a| + 2|b|) of
-        it however much the sum cancels, and that magnitude has no
-        cancellation, so twice it covers rounding.
+        An unbounded region has no box (ValueError): the box of its vertex
+        chain would not hold it.
         """
         if self._fbox is None:
-            coords = []
-            for p in self.vertices:
-                x, y = p.x, p.y
-                coords.append((x.p / x.r, x.q / x.r, y.p / y.r, y.q / y.r))
-            self._fbox = _float_box(coords)
+            if not self.is_bounded:
+                raise ValueError("float box of unbounded region")
+            self._fbox = cleared_box(*clear_points(self.vertices))
         return self._fbox
 
 
@@ -1291,18 +1293,31 @@ def cutting_lines(m: int, raw, lines):
     return cutting
 
 
-def vertex_position(region: Region, lines) -> str:
-    """Place a bounded region against the convex set where every line is >= 0.
+def place(m: int, raw, box, parts) -> str:
+    """Place a bounded polygon against the convex parts of a domain, by vertex signs.
 
-    "inside" when every vertex is on the closed positive side of every
-    line, "disjoint" when one line has all of them on its closed negative
-    side, else "unknown" (the region may still miss the set): the answer
-    of ``cutting_lines`` on the region's cleared vertices.
+    The polygon's vertices come cleared over m (``clear_points``), and
+    ``box`` is their proven float box (``cleared_box``), or None when no
+    part has one.  ``parts`` holds ``(pbox, lines)`` per convex part: its
+    proven box, or None for a part with none (an unbounded one), and its
+    edge lines, positive inside.  A part whose box misses ``box`` is
+    skipped; ``cutting_lines`` signs the vertices against every other.
+    "inside" when one closed part holds every vertex, and so the polygon;
+    "disjoint" when each part is skipped or has a line with every vertex
+    on its closed negative side, which separates the open sets; else
+    "unknown" (the polygon may still miss the domain, or lie in it across
+    parts).  The floats only skip parts, and every answer is exact.
     """
-    cutting = cutting_lines(*clear_points(region.vertices), lines)
-    if cutting is None:
-        return "disjoint"
-    return "unknown" if cutting else "inside"
+    where = "disjoint"
+    for pbox, lines in parts:
+        if pbox is not None and not boxes_overlap(box, pbox):
+            continue
+        cutting = cutting_lines(m, raw, lines)
+        if cutting == []:
+            return "inside"
+        if cutting:
+            where = "unknown"
+    return where
 
 
 def intersect_convex(a: Region, b_convex: Region) -> Region | None:
@@ -1462,16 +1477,17 @@ def area2_within(polys, target_parts) -> QS3:
 
     polys: a list of bounded regions, target_parts: convex regions, each
     with disjoint interiors.  A part and poly pair is skipped when their
-    proven float boxes miss, counted whole or not at all when the poly's
-    vertex signs against the part's edge lines settle it, else clipped.
+    proven float boxes miss, counted whole or not at all when ``place``
+    settles the poly against the part alone, else clipped.
     """
     total = ZERO
     for part in target_parts:
         box = part.float_bbox() if part.is_bounded else None
+        one = [(None, part.edge_lines())]
         for pol in polys:
             if box is not None and not boxes_overlap(pol.float_bbox(), box):
                 continue
-            where = vertex_position(pol, part.edge_lines())
+            where = place(*clear_points(pol.vertices), None, one)
             if where == "inside":
                 total = total + pol.area2()
             elif where == "unknown":
@@ -1484,30 +1500,30 @@ def overlap_status(poly: Region, target_parts) -> str:
 
     target_parts: convex regions forming the target (disjoint interiors).
     Returns "inside", "disjoint" or "straddle" as the exact overlap area
-    decides them: "inside" once one closed part holds every vertex, else
-    ``area2_within`` over the parts that neither the float boxes nor the
-    vertex signs separate from the region.
+    decides them: ``place`` on the region's cleared vertices, else, where
+    the vertex signs leave it open, ``area2_within``.  Only the parts
+    whose proven boxes meet the region's are placed against, and a region
+    that meets none is disjoint before its vertices are cleared.
     """
     box = poly.float_bbox()
-    unknown = []
+    parts = []
     for part in target_parts:
-        if part.is_bounded and not boxes_overlap(box, part.float_bbox()):
-            continue
-        where = vertex_position(poly, part.edge_lines())
-        if where == "inside":
-            return "inside"
-        if where == "unknown":
-            unknown.append(part)
-    if not unknown:
+        pbox = part.float_bbox() if part.is_bounded else None
+        if pbox is None or boxes_overlap(box, pbox):
+            parts.append((pbox, part.edge_lines()))
+    if not parts:
         return "disjoint"
-    acc = area2_within([poly], unknown)
+    where = place(*clear_points(poly.vertices), box, parts)
+    if where != "unknown":
+        return where
+    acc = area2_within([poly], target_parts)
     if acc.is_zero():
         return "disjoint"
     return "inside" if acc == poly.area2() else "straddle"
 
 
 def boxes_overlap(a, b) -> bool:
-    """Closed (x0, y0, x1, y1) boxes, as from ``Region.float_bbox``, meet."""
+    """Closed (x0, y0, x1, y1) boxes, as from ``cleared_box``, meet."""
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 

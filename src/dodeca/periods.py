@@ -182,7 +182,12 @@ def _walk(bound: int):
     The seeds (family, index, n) are the F vectors after n steps of M88,
     mapped by M68, and the G vectors at n = 0.  h is the seed at k = 0 and
     the pair (a, c) of M66^k·h = (0, 0, 0, 0, a, c) from k = 1 on; p is its
-    period.
+    period.  Every matrix is nonnegative with column sums >= 1, so the
+    entry sum of h never decreases along k or n, and the period is at least
+    sum(h): both loops stop once the sum exceeds the bound.  Along k the
+    sum grows by a at each step, so it passes the bound unless a == 0,
+    which is exactly the case where M66 fixes h; then the walk stops after
+    k = 0.  The walk is exhaustive within the bound.
     """
     if bound < 1:
         raise DomainError("bound must be positive")
@@ -216,22 +221,6 @@ def _walk(bound: int):
             yield family, index, k, n, (a, c), fold_period(a + c, wa * a + wc * c)
             c += a
             k += 1
-
-
-def enumerate_h(bound: int):
-    """All reachable h with sum(h) <= bound, with generator witnesses.
-
-    Every matrix is nonnegative with column sums >= 1, so the entry sum of
-    h never decreases along k or n, and the period is at least sum(h): both
-    loops stop once the sum exceeds the bound.  Along k the vectors are an
-    arithmetic progression: for k >= 1, M66^k·h = (0, 0, 0, 0, a,
-    c + (k - 1)a).  Its sum grows by a at each k, so it passes the bound
-    unless a == 0, and a == 0 is exactly the case where M66 fixes h; then
-    the walk stops after k = 0.  The enumeration is exhaustive within the
-    bound.
-    """
-    for family, index, k, n, h, _ in _walk(bound):
-        yield (h if k == 0 else (0, 0, 0, 0) + h), Witness(family, index, k, n)
 
 
 @dataclass

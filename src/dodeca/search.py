@@ -26,11 +26,15 @@ Three layers build on the wedge map T':
   region that way, as S''s table (``table.SourceTable``) and the raw pair
   (l, t): a step (``WedgeSystem.step_raw``) turns l and maps t on raw
   integers, and S''s support values in the 12 side-normal directions
-  make each split-line test, the test that a side normal separates the
-  fragment from S and each piece-face test of :func:`close_component`
-  one exact sign, read off one integer row per form and rotation.
-  Regions are built only at cuts and for the fragments no side normal
-  separates from S.  Each piece records its T' itinerary, and
+  make each split-line test and each piece-face test of
+  :func:`close_component` one exact sign, read off one integer row per
+  form and rotation.  Where a fragment lies against S is the one
+  placement of a polygon against a domain's convex parts
+  (``geom.place``), on the fragment's raw image
+  (:func:`image_placement`): its proven float box skips parts, and
+  exact vertex signs decide.  Regions are built only at cuts, for the
+  returns, and for the fragments whose vertex signs leave their placement
+  open.  Each piece records its T' itinerary, and
   :func:`return_tube` steps the source's (l, t) along it, proving every
   floor of the piece's tower in its recorded piece by one or two signs
   (T' steps only between neighbouring pieces) and building the floor.
@@ -96,6 +100,7 @@ from .geom import (
     edge_rows,
     line_values,
     overlap_status,
+    place,
     raw_point,
     split_cleared,
     split_region,
@@ -428,6 +433,45 @@ class ReturnSystem:
         return sizes, nonconvex
 
 
+def image_placement(domain_parts):
+    """The placement "where is the image ROT[l](S) + t against the domain?".
+
+    domain_parts are the convex parts of a bounded domain.  Returns
+    ``place_image(table, l, t)``, which gives ``(status, region)``:
+    status is ``overlap_status``'s answer for the region
+    ``table.region(l, t)``, S being ``table``'s source, decided on the raw
+    image where it can be.  The image's proven box
+    (``SourceTable.image_box``) skips the parts whose boxes miss it, and
+    an image whose box meets none is disjoint before any vertex is made.
+    Otherwise ``place`` signs the image's vertices, cleared over m*r as
+    ``SourceTable.region`` clears them (vertex k is rotated[l][k]*r + t*m),
+    against each part's edge lines.  Only where that leaves the placement
+    open is the region built, placed by ``overlap_status`` by area and
+    returned, so that a caller builds no region twice; else region is
+    None.
+    """
+    parts = [(part.float_bbox(), part.edge_lines()) for part in domain_parts]
+
+    def place_image(table: SourceTable, l: int, t: tuple) -> tuple:
+        box = table.image_box(l, t)
+        if not any(boxes_overlap(box, pbox) for pbox, _ in parts):
+            return "disjoint", None
+        xp, xq, yp, yq, r = t
+        m = table.m
+        xp, xq, yp, yq = xp * m, xq * m, yp * m, yq * m
+        raw = [
+            (vxp * r + xp, vxq * r + xq, vyp * r + yp, vyq * r + yq)
+            for vxp, vxq, vyp, vyq in table.rotated[l]
+        ]
+        where = place(m * r, raw, box, parts)
+        if where != "unknown":
+            return where, None
+        image = table.region(l, t)
+        return overlap_status(image, domain_parts), image
+
+    return place_image
+
+
 def first_return_map(
     w: WedgeSystem, domain: Region, max_events: int = ALG2_MAX_EVENTS
 ) -> ReturnSystem:
@@ -443,24 +487,22 @@ def first_return_map(
     Every fragment is a rigid image of a source polygon S in the domain,
     so the walk carries it as S's ``SourceTable`` and the raw image
     (l, t), and builds no region per step: ``WedgeSystem.locate`` places
-    it by one sign per split-line test, ``step_raw`` maps it, and a side
-    normal n_e that separates it from the domain proves it disjoint from
-    the domain.  That is one sign per e, the fragment's largest n_e . x
-    against the domain's smallest, -h[e + 6] from the domain's support
-    values h: the walk adds these 12 forms to the default forms of each
-    source's table, which folds each into one integer row per rotation
-    when the walk first signs it.  Most steps need none of them: a
+    it by one sign per split-line test and ``step_raw`` maps it.  A
     fragment stepped from the open piece alpha_i lies in the open image
     T'(alpha_i), so it can land in the domain only when i is in
     ``w.landing(domain)``, computed once per call (alpha_1 alone for the
     level-3 domain, where 2,243 of the 47,595 steps start in alpha_1),
     and a fragment stepped from any other piece goes straight back to
-    ``pending``.  A ``Region`` is built only where the walk needs one: at
-    a cut the image is split and each part pulled back to a new S, and a
-    fragment that no side normal separates is placed by
-    ``overlap_status``.  A retired fragment's source is its S and its map
-    the isometry ``rigid_map(l, t)``, so no map is composed or inverted
-    per step.
+    ``pending``.  Each landing step is placed against the domain's convex
+    parts by ``image_placement``, on the raw image: the image's proven
+    box skips the parts it misses, ``geom.place`` signs its vertices
+    against the rest, and only where those signs leave the placement open
+    is the region built and placed by ``overlap_status``, by area (4 of
+    the 8 returns at level 3).  A ``Region`` is built only where the walk
+    needs one: at a cut the image is split and each part pulled back to a
+    new S, and a returned fragment becomes its piece's target, built once.
+    A retired fragment's source is its S and its map the isometry
+    ``rigid_map(l, t)``, so no map is composed or inverted per step.
 
     The domain is signed against the wedge lines once: a fragment located
     in a closed piece maps into the closed wedge (asserted when the
@@ -478,16 +520,9 @@ def first_return_map(
         raise DomainError("return domain must be bounded")
     if not w.in_closed_wedge(domain):
         raise DomainError("return domain must lie in the wedge")
-    parts = domain.convex_parts()
-    # form len(SPLIT_FORMS) + e: a fragment's max n_e . x at most the
-    # domain's min n_e . y, which is -h[e + 6], separates the open sets;
-    # h comes from a table of its own, since the start's table takes
-    # these forms
-    hp, hq, m = SourceTable(domain).h
-    forms = FORMS + tuple((e, -hp[(e + 6) % 12], -hq[(e + 6) % 12], m) for e in range(12))
-    apart = range(len(FORMS), len(forms))
+    place_image = image_placement(domain.convex_parts())
     landing = w.landing(domain)
-    pending = [(SourceTable(domain, forms), 0, ORIGIN, None)]
+    pending = [(SourceTable(domain), 0, ORIGIN, None)]
     finished = []
     events = 0
     with _collector_paused():
@@ -501,7 +536,7 @@ def first_return_map(
                 assert len(halves) >= 2, "the cut line leaves the fragment whole"
                 back = rigid_map(l, t).inverse()
                 for half in halves:
-                    pending.append((SourceTable(half.transformed(back), forms), l, t, node))
+                    pending.append((SourceTable(half.transformed(back)), l, t, node))
                 continue
             events += 1
             if events > max_events:
@@ -511,13 +546,9 @@ def first_return_map(
                 )
             l, t = w.step_raw(l, t, i)
             node = (node, i)
-            sign = table.sign
-            if i not in landing or any(sign(l, k, t) <= 0 for k in apart):
-                pending.append((table, l, t, node))
-                continue
-            image = table.region(l, t)
-            status = overlap_status(image, parts)
+            status, image = place_image(table, l, t) if i in landing else ("disjoint", None)
             if status == "inside":
+                image = image or table.region(l, t)
                 finished.append((table.source, rigid_map(l, t), image, node))
             elif status == "disjoint":
                 pending.append((table, l, t, node))
@@ -760,8 +791,8 @@ class CellPool:
         return removed
 
     def _subtract_convex(self, part: Region) -> QS3:
-        pbox = part.float_bbox()
         pm, praw = clear_points(part.vertices)
+        pbox = cleared_box(pm, praw)
         positions = edge_positions(praw)
         psup = support_table(positions)
         lines = _edge_rows(pm, praw, positions)

@@ -28,10 +28,12 @@ Contents:
   The table holds what every such image shares: the 12 rotated vertex
   lists of S on raw integers, from which a region is built, the
   coordinates the walk has normalised, and, per rotation l, one integer
-  row per line the walk places the image against (a line whose normal
-  is a side normal), so that each placement is one sign, whatever S's
-  size.  ``rigid_map`` and ``sends`` read the motion x -> ROT[l] x + t
-  itself.
+  row per split or wedge line (``FORMS``), so that each piece test is
+  one sign whatever S's size, and the proven float box of ROT[l](S).
+  ``image_box`` shifts that box to an image's, for the one placement of
+  a polygon against a domain (``geom.place``, on the image's raw
+  vertices).  ``rigid_map`` and ``sends`` read the motion
+  x -> ROT[l] x + t itself.
 
 The piece maps are *derived* (fold T back into the wedge) rather than
 hard-coded, and the construction asserts the expected identities, so a
@@ -52,12 +54,14 @@ from .geom import (
     Region,
     _clear_denominators,
     clear_points,
+    cleared_box,
     clip_convex,
+    float_interval,
     intersect_convex,
+    place,
     primitive_dir,
     raw_equals,
     raw_point,
-    vertex_position,
 )
 
 NUM_SIDES = 12
@@ -104,7 +108,7 @@ _BRACKETS = ((1, 6, 4),) + tuple(
 SPLIT_FORMS = tuple(((k + 7) % NUM_SIDES, -4, -2, 1) for k in range(1, 6)) + tuple(
     ((k + 1) % NUM_SIDES, 4, 2, 1) for k in range(1, 6)
 )
-# FORMS, the forms every SourceTable signs by default: the split forms,
+# FORMS, the forms every SourceTable signs: the split forms,
 # then the two wedge lines flipped, closed wedge on n_e . x <= c (side
 # line A_1 A_2 and side line A_0 A_1), so that every face of every piece
 # is one of them (``WedgeSystem.faces`` holds their indices)
@@ -148,10 +152,12 @@ class SourceTable:
       h[e] = max over the vertices s of n_e . s, read off the table as
       n_0 . ROT[-e] s (ROT[e] turns n_0 onto n_e), as raw integers
       ``(hp, hq, m)``: h[e] = (hp[e] + hq[e]*s3)/m, compared by ``pair_sign``;
-    * ``forms``: the forms (e, cp, cq, cr) the walk places an image
-      against, ``FORMS`` followed by any the walk adds, and
-      ``rows[l][k]``: forms[k] folded with h for rotation l into one row
-      of 8 integers (``sign``), compiled when the walk first signs it;
+    * ``rows[l][k]``: the form ``FORMS[k]`` folded with h for rotation l
+      into one row of 8 integers (``sign``), compiled when the walk first
+      signs it;
+    * ``boxes[l]``: the proven float box of ROT[l](S) (``cleared_box`` of
+      ``rotated[l]``), made when the walk first asks for the box of an
+      image with rotation l (``image_box``);
     * S's convexity and doubled area, which a rigid motion keeps;
     * ``values``: the canonical QS3 of each raw coordinate (P, Q, D) that a
       region of the walk has been built with, so that each distinct value
@@ -164,9 +170,9 @@ class SourceTable:
     as long as the walk.
     """
 
-    __slots__ = ("source", "rotated", "m", "h", "forms", "rows", "convex", "area2", "values")
+    __slots__ = ("source", "rotated", "m", "h", "rows", "boxes", "convex", "area2", "values")
 
-    def __init__(self, source: Region, forms: tuple = FORMS):
+    def __init__(self, source: Region):
         self.source = source
         m, raw = clear_points(source.vertices)
         self.m = m = 2 * m
@@ -190,8 +196,8 @@ class SourceTable:
             hp.append(best[0])
             hq.append(best[1])
         self.h = tuple(hp), tuple(hq), m
-        self.forms = forms
-        self.rows = [[None] * len(forms) for _ in range(NUM_SIDES)]
+        self.rows = [[None] * len(FORMS) for _ in range(NUM_SIDES)]
+        self.boxes = [None] * NUM_SIDES
         self.convex = source.is_convex()
         self.area2 = source.area2()
         self.values = {}
@@ -199,7 +205,7 @@ class SourceTable:
     def sign(self, l: int, k: int, t: tuple) -> int:
         """Sign of max n_e . x over the closed image ROT[l](S) + t minus c.
 
-        forms[k] = (e, cp, cq, cr), with c = (cp + cq*s3)/cr.  Since
+        FORMS[k] = (e, cp, cq, cr), with c = (cp + cq*s3)/cr.  Since
         ROT[l] turns n_{e-l} onto n_e, the largest n_e . x over the image
         is n_e . t + h[(e - l) mod 12], and with h over m the sign of that
         minus c is the ``pair_sign`` of two integers linear in t's
@@ -209,7 +215,7 @@ class SourceTable:
         """
         row = self.rows[l][k]
         if row is None:
-            e, cp, cq, cr = self.forms[k]
+            e, cp, cq, cr = FORMS[k]
             ap, ta, aq, bp, tb, bq = _NORMALS[e]
             hp, hq, m = self.h
             j = (e - l) % NUM_SIDES
@@ -224,6 +230,28 @@ class SourceTable:
             a1 * xp + t1 * xq + a2 * yp + t2 * yq + kp * r,
             a1 * xq + b1 * xp + a2 * yq + b2 * yp + kq * r,
         )
+
+    def image_box(self, l: int, t: tuple) -> tuple:
+        """Proven float box (x0, y0, x1, y1) of the image ROT[l](S) + t.
+
+        ``boxes[l]`` holds ROT[l](S) and ``float_interval`` each
+        coordinate of t, so their exact sums hold the image.  Each bound
+        then takes two float sums, the shift and the pad, and each rounds
+        by at most 2^-53 of its size.  The pad, ``cleared_box``'s relative
+        one, covers that many times over, and with the pads of both
+        enclosures it also holds the image's own ``cleared_box`` (its
+        ``float_bbox``) while the coordinates' |a| + 2|b| stay below 10^6.
+        """
+        box = self.boxes[l]
+        if box is None:
+            box = self.boxes[l] = cleared_box(self.m, self.rotated[l])
+        x0, y0, x1, y1 = box
+        xp, xq, yp, yq, r = t
+        xl, xh = float_interval(xp, xq, r)
+        yl, yh = float_interval(yp, yq, r)
+        x0, y0, x1, y1 = x0 + xl, y0 + yl, x1 + xh, y1 + yh
+        pad = 1e-9 * (1.0 + max(abs(x0), abs(y0), abs(x1), abs(y1)))
+        return x0 - pad, y0 - pad, x1 + pad, y1 + pad
 
     def region(self, l: int, t: tuple) -> Region:
         """The region ROT[l](S) + t, vertex k the image of S's vertex k.
@@ -593,7 +621,7 @@ class WedgeSystem:
         """
         if not region.is_bounded:
             return all(clip_convex(region, ln, +1) is region for ln in self.wedge_lines)
-        return vertex_position(region, self.wedge_lines) == "inside"
+        return place(*clear_points(region.vertices), None, [(None, self.wedge_lines)]) == "inside"
 
     def locate(
         self, table: SourceTable, l: int, t: tuple, prev: int | None = None

@@ -17,17 +17,20 @@ from dodeca.geom import (
     Region,
     _cycle_signed_area2,
     area2_within,
+    clear_points,
+    cleared_box,
     clip_convex,
     direction_position,
     intersect_convex,
     intersection_area2,
     overlap_status,
+    place,
     region_from_json,
     region_to_json,
     split_convex,
     split_region,
-    vertex_position,
 )
+from dodeca import geom
 from dodeca.table import ROT
 
 
@@ -361,15 +364,20 @@ def test_area2_within_matches_clipping(ctx, sim):
     assert seen == {"inside", "disjoint", "straddle"}
 
 
+def _vertex_position(region, lines):
+    """``place`` of a bounded region against one unboxed convex part."""
+    return place(*clear_points(region.vertices), None, [(None, lines)])
+
+
 def test_area2_within_clips_what_vertex_signs_leave_open():
     # every poly vertex is outside the part, but no edge line of the part
     # separates them: only a poly edge cuts the part off
     part = Region.bounded([P(0, 0), P(2, 0), P(1, 2)])
     over_apex = Region.bounded([P(-1, "3/2"), P(3, "3/2"), P(3, 3), P(-1, 3)])
-    assert vertex_position(over_apex, part.edge_lines()) == "unknown"
+    assert _vertex_position(over_apex, part.edge_lines()) == "unknown"
     assert area2_within([over_apex], [part]) == qs3(Fraction(1, 4))
     touching = Region.bounded([P(0, 2), P(2, 0), P(3, 3)])
-    assert vertex_position(touching, UNIT_SQUARE.edge_lines()) == "unknown"
+    assert _vertex_position(touching, UNIT_SQUARE.edge_lines()) == "unknown"
     assert area2_within([touching], [UNIT_SQUARE]).is_zero()
     assert overlap_status(touching, [UNIT_SQUARE]) == "disjoint"
 
@@ -575,6 +583,42 @@ def test_cycle_area_matches_cross_sum(sim):
         assert _cycle_signed_area2(pts) == _cross_sum(pts)
         if len(pts) >= 3 and Region(pts).is_convex():
             assert Region(pts).area2() == _cross_sum(pts)
+
+
+def test_place_against_an_unbounded_part_and_a_missed_box(monkeypatch):
+    # an unbounded part (the first-quadrant wedge) has no box: its edge
+    # lines, entry and exit rays included, are signed whatever the
+    # polygon's box, and the wedge's float_bbox refuses, as the box of its
+    # vertex chain would not hold it
+    wedge = first_quadrant_wedge()
+    with pytest.raises(ValueError):
+        wedge.float_bbox()
+    unboxed = [(None, wedge.edge_lines())]
+
+    def placed(poly, parts):
+        m, raw = clear_points(poly.vertices)
+        return place(m, raw, cleared_box(m, raw), parts)
+
+    far = UNIT_SQUARE.transformed(AffMap.translation(P(50, 70)))
+    assert placed(far, unboxed) == "inside"
+    assert placed(UNIT_SQUARE, unboxed) == "inside"  # closed sides hold it
+    assert placed(far.transformed(AffMap.translation(P(-60, 0))), unboxed) == "disjoint"
+    assert placed(UNIT_SQUARE.transformed(AffMap.translation(P(-1, 0))), unboxed) == "disjoint"
+    assert placed(UNIT_SQUARE.transformed(AffMap.translation(P("-1/2", 0))), unboxed) == "unknown"
+    inner = TRIANGLE.transformed(AffMap.translation(P(3, 4)))
+    assert _vertex_position(inner, wedge.edge_lines()) == "inside"
+    # a part whose box misses the polygon's is skipped unsigned, and only
+    # that part: the next one still decides
+    box = UNIT_SQUARE.float_bbox()
+    missed = (far.float_bbox(), far.edge_lines())
+    assert placed(TRIANGLE, [missed, (box, UNIT_SQUARE.edge_lines())]) == "inside"
+    assert placed(ELL, [missed, (box, UNIT_SQUARE.edge_lines())]) == "unknown"
+
+    def refuse(*args):
+        raise AssertionError("a part whose box misses was signed")
+
+    monkeypatch.setattr(geom, "cutting_lines", refuse)
+    assert placed(TRIANGLE, [missed]) == placed(ELL, [missed, missed]) == "disjoint"
 
 
 def test_float_bbox_encloses_cancelling_coordinates():

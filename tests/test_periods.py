@@ -15,7 +15,6 @@ from dodeca.periods import (
     billiard_orbit_period,
     constants_digest,
     cross_validate,
-    enumerate_h,
     full_period_set,
     mat_vec,
     period_of_h,
@@ -94,8 +93,15 @@ def test_period_divides_12_sum():
         assert p > 0
 
 
+def _enumerate_h(bound):
+    """Every reachable h with sum(h) <= bound and its generator witness,
+    read off ``periods._walk``: the seed h at k = 0, M66^k·h after."""
+    for family, index, k, n, h, _ in periods._walk(bound):
+        yield (h if k == 0 else (0, 0, 0, 0) + h), Witness(family, index, k, n)
+
+
 def test_enumerate_first_elements():
-    pairs = list(enumerate_h(40))
+    pairs = list(_enumerate_h(40))
     by_h = {h: w for h, w in pairs}
     e2 = (0, 1, 0, 0, 0, 0)
     assert e2 in by_h and by_h[e2].family == "F" and by_h[e2].k == 0
@@ -154,7 +160,7 @@ def test_full_period_set_matches_the_matrix_products(bound):
 
 @pytest.mark.parametrize("bound", [1, 40, 600])
 def test_enumerate_h_matches_the_matrix_products(bound):
-    assert list(enumerate_h(bound)) == list(_reference_enumerate_h(bound))
+    assert list(_enumerate_h(bound)) == list(_reference_enumerate_h(bound))
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -180,7 +186,7 @@ def test_enumeration_refuses_a_broken_m66(monkeypatch, i, j, value):
     with pytest.raises(ValueError, match="progression"):
         full_period_set(40)
     with pytest.raises(ValueError, match="progression"):
-        next(enumerate_h(40))
+        next(_enumerate_h(40))
 
 
 def test_period_set_is_the_multiples_of_3_or_4():

@@ -10,7 +10,7 @@ import pytest
 from dodeca import geom, search, selfsim
 from dodeca.checks import Context, run_checks
 from dodeca.errors import DomainError, GraneError, InconclusiveError, SelfReturnError
-from dodeca.field import ONE, QS3, ZERO, pair_sign
+from dodeca.field import ONE, QS3, SQRT3_FLOAT, ZERO, pair_sign
 from dodeca.geom import (
     DIRECTIONS,
     INTERIOR,
@@ -503,23 +503,19 @@ def _exceeds(table, l, t, e, cp, cq, cr):
 
 def test_compiled_rows_sign_as_exceeds(ctx):
     # every row a SourceTable compiles signs its image as the reference
-    # formula _exceeds does: the default forms (the 5 upper and 5 lower
-    # split forms and the 2 wedge-line forms, which hold every piece face)
-    # and the domain's 12 separation forms, at every rotation, for every
-    # source of the z4, z14 and level-3 return systems, at seeded raw
-    # translations over r = 1, 2 and 6 and at the first floors of each
-    # tower
+    # formula _exceeds does: the forms (the 5 upper and 5 lower split
+    # forms and the 2 wedge-line forms, which hold every piece face), at
+    # every rotation, for every source of the z4, z14 and level-3 return
+    # systems, at seeded raw translations over r = 1, 2 and 6 and at the
+    # first floors of each tower
     w = ctx.wedge
     rng = random.Random(28)
     assert {k for i in range(1, 7) for k in w.faces[i]} == set(range(len(FORMS)))
     seen = Counter()
     for label in ("z4", "z14", "level3"):
         rs = ctx.return_system(label)
-        hp, hq, m = SourceTable(rs.domain).h
-        apart = tuple((e, -hp[(e + 6) % 12], -hq[(e + 6) % 12], m) for e in range(12))
-        forms = FORMS + apart
         for piece in rs.pieces:
-            table = SourceTable(piece.source, forms)
+            table = SourceTable(piece.source)
             images = [
                 (l, (*(rng.randint(-50 * r, 50 * r) for _ in range(4)), r))
                 for l in range(12)
@@ -530,7 +526,7 @@ def test_compiled_rows_sign_as_exceeds(ctx):
                 images.append((l, t))
                 l, t = w.step_raw(l, t, i)
             for l, t in images:
-                for k, form in enumerate(forms):
+                for k, form in enumerate(FORMS):
                     s = table.sign(l, k, t)
                     assert s == _exceeds(table, l, t, *form), (label, l, t, form)
                     seen[s] += 1
@@ -566,7 +562,9 @@ def test_first_return_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
     # the level-3 walk maps 47,595 fragments as raw images (l, t): it
     # builds a region only for the 6 cuts (the image from its source table,
     # and its parts pulled back by ``transformed``) and for the 8 returns
-    # (from their tables), composes no map and inverts one per cut
+    # (from their tables), composes no map and inverts one per cut; the
+    # vertex signs place 4 of the returns, and the other 4 fall back to
+    # overlap_status on the region that becomes their target
     w, domain = ctx.wedge, ctx.domain("level3")
     want = ctx.return_system("level3")
     calls = Counter()
@@ -595,9 +593,50 @@ def test_first_return_builds_regions_only_at_cuts_and_returns(ctx, monkeypatch):
     assert first_return_map(w, domain) == want
     assert calls["compose"] == 0
     assert calls["split_region"] == calls["inverse"] == 6
-    assert calls["overlap_status"] == calls["inside"] == len(want.pieces) == 8
+    assert calls["overlap_status"] == calls["inside"] == 4 and len(want.pieces) == 8
     assert calls["region"] == 6 + 8
     assert calls["transformed"] == calls["parts"]
+
+
+def test_image_placement_answers_as_overlap_status(ctx, monkeypatch):
+    # every answer of the raw-image placement, in the first-return walks of
+    # z1, z4, z14, X and level 3 and in the witness's return periods, is
+    # overlap_status's on the region built from the table, the region it
+    # hands back (only on a fallback) is that one, and the image's proven
+    # box holds that region's float_bbox
+    labels = ("z1", "z4", "z14", "x", "level3")
+    want = {label: ctx.return_system(label) for label in labels}
+    wit = ctx.witness()
+    real = search.image_placement
+    seen = Counter()
+
+    def checked(domain_parts):
+        place_image = real(domain_parts)
+
+        def wrapper(table, l, t):
+            status, image = place_image(table, l, t)
+            region = table.region(l, t)
+            assert status == overlap_status(region, domain_parts)
+            assert image is None or image == region
+            x0, y0, x1, y1 = table.image_box(l, t)
+            b0, c0, b1, c1 = region.float_bbox()
+            assert x0 <= b0 and y0 <= c0 and b1 <= x1 and c1 <= y1
+            seen[status, image is not None] += 1
+            return status, image
+
+        return wrapper
+
+    monkeypatch.setattr(search, "image_placement", checked)
+    monkeypatch.setattr(selfsim, "image_placement", checked)
+    w = ctx.wedge
+    for label in labels:
+        assert first_return_map(w, ctx.domain(label)) == want[label]
+    spiral = len(wit.spiral_return_periods)
+    got = selfsim.aperiodic_witness(w, ctx.sim, steps=1, verify_spiral=spiral)
+    assert got.spiral_return_periods == wit.spiral_return_periods
+    # the vertex signs give both answers, and the area fallback the rest,
+    # each of them inside
+    assert set(seen) == {("inside", False), ("inside", True), ("disjoint", False)}, seen
 
 
 def _known_components(ctx):
@@ -693,10 +732,10 @@ def test_close_component_builds_its_cycle_from_the_walk(ctx, monkeypatch):
     # the walk itself builds a region only where the motion fixes the
     # centroid, which on a cycle is its closing step; the witness builds
     # one more per image whose placement against Z'_4 falls back to
-    # overlap_status
+    # overlap_status, which the raw-image placement calls from search
     calls = Counter()
     real_region, real_sends = SourceTable.region, search.sends
-    real_overlap = selfsim.overlap_status
+    real_overlap = search.overlap_status
 
     def region(*args):
         calls["region"] += 1
@@ -713,7 +752,7 @@ def test_close_component_builds_its_cycle_from_the_walk(ctx, monkeypatch):
 
     monkeypatch.setattr(SourceTable, "region", region)
     monkeypatch.setattr(search, "sends", sends)
-    monkeypatch.setattr(selfsim, "overlap_status", overlap)
+    monkeypatch.setattr(search, "overlap_status", overlap)
     z4_parts = ctx.sim.Z4.convex_parts()
     walked = placed = 0
     for region, period in spiral:
@@ -1412,6 +1451,19 @@ def _position_by_angle(x, y):
     return 2 * j + 1
 
 
+def _reduced_parts_box(pts):
+    """``cleared_box``'s formula on each coordinate's own reduced parts
+    x.p/x.r, one point at a time, with no common denominator."""
+    xs, ys, mag = [], [], 0.0
+    for p in pts:
+        xa, xb, ya, yb = p.x.p / p.x.r, p.x.q / p.x.r, p.y.p / p.y.r, p.y.q / p.y.r
+        xs.append(xa + xb * SQRT3_FLOAT)
+        ys.append(ya + yb * SQRT3_FLOAT)
+        mag = max(mag, abs(xa) + 2 * abs(xb), abs(ya) + 2 * abs(yb))
+    pad = 1e-9 * (1.0 + max(map(abs, xs + ys))) + 1e-15 * mag
+    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+
+
 def test_cell_pool_records_carry_their_positions_and_supports(z14_carve):
     # every cell the z14 carve makes: its edge positions, carried over the
     # splits, are those of its vertices, and sup[d] attains the largest
@@ -1431,7 +1483,9 @@ def test_cell_pool_records_carry_their_positions_and_supports(z14_carve):
             ]
             t0, t1 = values[sup[d]]
             assert all(pair_sign(t0 - v0, t1 - v1) >= 0 for v0, v1 in values)
-        assert box == Region(pts).float_bbox()
+        # int true division rounds correctly, so a box over the cell's
+        # denominator is the box over each coordinate's own, bit for bit
+        assert box == Region(pts).float_bbox() == _reduced_parts_box(pts)
         assert n == len(positions) == len(raw)
     # the diagonals of Z''s triangles lie between two of the directions
     assert len(pool.made) == 6599 and odd == 577

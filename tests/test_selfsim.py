@@ -17,13 +17,14 @@ from dodeca.geom import (
     Point,
     Region,
     area2_within,
+    clear_points,
     float_interval,
     overlap_status,
+    place,
     split_region,
-    vertex_position,
 )
 from dodeca import geom, selfsim
-from dodeca.search import _walk_cycle, find_periodic_component, return_tube
+from dodeca.search import _walk_cycle, find_periodic_component, image_placement, return_tube
 from dodeca.selfsim import (
     aperiodic_witness,
     contraction_ratios,
@@ -449,7 +450,9 @@ def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
         if len(set(p.vertices) & set(q.vertices)) == 2
     )
     across = tri_at((a + b).scaled(Fraction(1, 2)))
-    assert [vertex_position(across, part.edge_lines()) for part in parts].count("unknown") == 2
+    m, raw = clear_points(across.vertices)
+    signed = [place(m, raw, None, [(None, part.edge_lines())]) for part in parts]
+    assert signed.count("unknown") == 2
     by_area.clear()
     assert selfsim._return_period(SourceTable(across), [(0, ORIGIN)], parts) == 1
     assert by_area == [across]
@@ -458,26 +461,29 @@ def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
         selfsim._return_period(SourceTable(tri_at(sim.Z4.vertices[0])), [(0, ORIGIN)], parts)
 
 
-def test_raw_placement_matches_overlap_status_on_the_spiral(ctx, sim):
-    # at every image of the 8 spiral cycles the raw placement answers as
-    # overlap_status on the built region, and the image's proven box holds
-    # that region's float_bbox
+def test_image_placement_matches_overlap_status_on_the_spiral(ctx, sim):
+    # at every image of the 8 spiral cycles the raw-image placement answers
+    # as overlap_status on the built region, hands back the region it built
+    # (only where the vertex signs leave it open), and the image's proven
+    # box holds that region's float_bbox
     parts = sim.Z4.convex_parts()
+    place_image = image_placement(parts)
     wit = ctx.witness()
-    images = 0
+    images = built = 0
     for reg, period in zip(wit.spiral, wit.spiral_tprime_periods):
         got_period, _, _, _, table, motions = _walk_cycle(ctx.wedge, reg, 10**6)
         assert got_period == period == len(motions)
-        boxes = selfsim._rotated_boxes(table)
-        place = selfsim._raw_placement(table, parts)
         for l, t in motions:
             region = table.region(l, t)
-            assert place(l, t) == overlap_status(region, parts)
-            x0, y0, x1, y1 = selfsim._image_box(boxes[l], t)
+            status, image = place_image(table, l, t)
+            assert status == overlap_status(region, parts)
+            assert image is None or image == region
+            built += image is not None
+            x0, y0, x1, y1 = table.image_box(l, t)
             b0, c0, b1, c1 = region.float_bbox()
             assert x0 <= b0 and y0 <= c0 and b1 <= x1 and c1 <= y1
         images += len(motions)
-    assert images == 3260
+    assert images == 3260 and built < 40, built
 
 
 def test_image_box_encloses_a_cancelling_source(sim):
@@ -497,9 +503,8 @@ def test_image_box_encloses_a_cancelling_source(sim):
     t = (2, 1, 4, -2, 6)
     for _ in range(8):
         table = SourceTable(rocket)
-        boxes = selfsim._rotated_boxes(table)
         for l in range(12):
-            x0, y0, x1, y1 = selfsim._image_box(boxes[l], t)
+            x0, y0, x1, y1 = table.image_box(l, t)
             for v in table.region(l, t).vertices:
                 (xl, xh), (yl, yh) = bounds(v.x), bounds(v.y)
                 assert Fraction(x0) <= xl and xh <= Fraction(x1)
