@@ -6,10 +6,11 @@ rounds.  Floating point only comes from evaluating a + b*sqrt(3) in floats
 (:meth:`QS3.__float__` and the proven enclosures ``geom.cleared_box``,
 whose cached form is ``Region.float_bbox``, and ``geom.float_interval``).
 The boxes only prune exact work: the parts that the one placement of a
-polygon against a domain (``geom.place``) skips, ``geom.area2_within``,
-the ``CellPool`` grid and ``selfsim.point_first_return``; otherwise
-floats appear only in samplers, rendering and the reported ``*_float``
-values.
+polygon against a domain (``geom.place``) and the one location of a
+point (``geom.point_sign``, which ``Region.classify`` and the sampled
+return walks of ``selfsim`` run) skip, ``geom.area2_within`` and the
+``CellPool`` grid; otherwise floats appear only in samplers, rendering
+and the reported ``*_float`` values.
 
 A value a + b*sqrt(3) (a, b rational) is stored over a common denominator
 as ``(p + q*sqrt(3)) / r`` with integers ``p, q`` and ``r >= 1``,

@@ -6,10 +6,16 @@ an entry and an exit ray).  All predicates are exact sign computations in
 the field; no tolerances appear anywhere.  One placement
 (:func:`place`) decides where a polygon, its vertices cleared to one
 denominator, lies against the convex parts of a domain: inside one,
-disjoint from all, or left open.  Float boxes only skip parts, and every
-box is one proven enclosure (:func:`cleared_box`; ``Region.float_bbox``
-is its cached form, and ``table.SourceTable.image_box`` shifts it to a
-raw image); the cut test (:func:`cutting_lines`) decides by exact signs.
+disjoint from all, or left open.  One sign pass (:func:`point_sign`)
+locates a point, cleared to one denominator, against the same parts:
+strictly inside one, outside all, or on a part edge; ``Region.classify``
+is that pass with an on-edge test, over the region's convex parts,
+which a nonconvex region builds once and keeps.  Float boxes only skip
+parts, and every box is one proven enclosure (:func:`cleared_box`,
+whose cached form is ``Region.float_bbox`` and which
+``table.SourceTable.image_box`` shifts to a raw image;
+:func:`float_interval` pads one coordinate the same way); the cut test
+(:func:`cutting_lines`) and the point pass decide by exact signs.
 :func:`overlap_status` is the placement of a region, with an exact-area
 fallback (:func:`area2_within`), and ``search.image_placement`` that of
 a raw image ROT[l](S) + t, with the same fallback.
@@ -240,9 +246,9 @@ class Line:
     def side(self, p: Point) -> int:
         """Exact sign of eval(p): the formula of ``signs`` for one point.
 
-        Written out, not ``self.signs((p,))[0]``: ``Region.classify`` signs
-        one point against many lines, and the extra call, tuple and list
-        made the point-dynamics workload measurably slower.
+        Written out, not ``self.signs((p,))[0]``: ``Table.sector_index``
+        signs one point against many lines, one at a time, and pays for no
+        extra call, tuple or list.
         """
         a1, t1, b1, a2, t2, b2, a3, b3 = self._k
         x, y = p.x, p.y
@@ -768,36 +774,28 @@ class Region:
     # -- point classification ---------------------------------------------------
 
     def classify(self, p: Point) -> str:
-        lines = self.edge_lines()
+        """INTERIOR, BOUNDARY or EXTERIOR: where p lies against the open region.
+
+        The sign pass of ``point_sign`` over the region's convex parts, on
+        p cleared to one denominator: strictly inside a part is interior,
+        outside every closed part is exterior.  A point on a part edge and
+        in no open part is on the boundary of a convex region; in a
+        nonconvex one it is on the boundary when it lies on a boundary
+        edge, else on an internal edge of the decomposition, which is
+        interior.
+        """
+        xp, _, xq, yp, _, yq, _, _, r = _clear_denominators(p.x, p.y, ZERO)
+        where = point_sign(self.convex_parts(), xp, xq, yp, yq, r)
+        if where:
+            return INTERIOR if where > 0 else EXTERIOR
         if self.is_convex():
-            any_zero = False
-            for ln in lines:
-                s = ln.side(p)
-                if s < 0:
-                    return EXTERIOR
-                if s == 0:
-                    any_zero = True
-            return BOUNDARY if any_zero else INTERIOR
-        # even-odd crossing count with a rightward ray from p, half-open in y;
-        # line i runs through vertices i -> i+1 with the interior on its left
+            return BOUNDARY
         pts = self.vertices
-        sides = [ln.side(p) for ln in lines]
-        py = p.y  # above[i] = sign(v_i.y - p.y); denominators are positive
-        above = [
-            pair_sign(v.y.p * py.r - py.p * v.y.r, v.y.q * py.r - py.q * v.y.r)
-            for v in pts
-        ]
-        n = len(pts)
-        inside = False
-        for i in range(n):
-            j = (i + 1) % n
-            if sides[i] == 0 and above[i] * above[j] <= 0:
-                # on the edge's line and in its y range (its x range if level)
-                if (pts[i].x - p.x).sign() * (pts[j].x - p.x).sign() <= 0:
-                    return BOUNDARY
-            if (above[i] > 0) != (above[j] > 0) and (sides[i] > 0) == (above[j] > 0):
-                inside = not inside
-        return INTERIOR if inside else EXTERIOR
+        for ln, a, b in zip(self.edge_lines(), pts, pts[1:] + pts[:1]):
+            # on the line of edge a -> b and between its ends
+            if ln.side(p) == 0 and (a - p).dot(b - p).sign() <= 0:
+                return BOUNDARY
+        return INTERIOR
 
     # -- transforms -------------------------------------------------------------
 
@@ -847,31 +845,24 @@ class Region:
 
     # -- misc helpers ----------------------------------------------------------
 
-    def triangles(self):
-        """Ear-clipping triangulation (bounded regions), cached."""
-        if not self.is_bounded:
-            raise ValueError("cannot triangulate unbounded region")
-        if self._tris is None:
-            self._tris = _triangulate(list(self.vertices))
-        return self._tris
-
     def convex_parts(self):
-        """A convex decomposition: the region itself if convex, else triangles."""
-        if not self.is_bounded:
-            return [self]
-        if self.is_convex():
-            return [self]
-        return [Region.bounded(t) for t in self.triangles()]
+        """A convex decomposition: the region itself if convex, else triangles.
+
+        A nonconvex region's triangles (ear clipping) are built once, as
+        regions, and kept in ``_tris``.
+        """
+        if not self.is_bounded or self.is_convex():
+            return (self,)
+        if self._tris is None:
+            self._tris = tuple(Region.bounded(t) for t in _triangulate(list(self.vertices)))
+        return self._tris
 
     def interior_point(self) -> Point:
         if self.is_bounded:
             if self.is_convex():
                 return self.centroid()
-            best = max(self.triangles(), key=lambda t: _tri_area2(*t))
-            return Point(
-                (best[0].x + best[1].x + best[2].x) / 3,
-                (best[0].y + best[1].y + best[2].y) / 3,
-            )
+            a, b, c = max(self.convex_parts(), key=Region.area2).vertices
+            return Point((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3)
         # push inward from the chain using both ray directions
         base = self.vertices[0]
         shift = self.entry_dir + self.exit_dir
@@ -1317,6 +1308,46 @@ def place(m: int, raw, box, parts) -> str:
             return "inside"
         if cutting:
             where = "unknown"
+    return where
+
+
+def point_sign(parts, xp: int, xq: int, yp: int, yq: int, r: int) -> int:
+    """Locate a point against the convex parts of a domain, by strict signs.
+
+    The point is ((xp + xq*s3)/r, (yp + yq*s3)/r), r >= 1, and ``parts``
+    are convex regions with disjoint interiors (``Region.convex_parts``).
+    1 when the point lies strictly inside one part, -1 when it lies
+    outside every closed part, else 0: it is on an edge of some part and
+    in no open one.  A bounded part whose proven box (``float_bbox``)
+    misses the point's proven enclosure (``float_interval``) is skipped;
+    the point is signed against every other part's edge lines, on their
+    cleared rows (``Line._k``; r > 0 drops out of the sign), and a part is
+    left at its first line with a negative sign.  The floats only skip
+    parts, and every answer is exact.
+    """
+    x0, x1 = float_interval(xp, xq, r)
+    y0, y1 = float_interval(yp, yq, r)
+    where = -1
+    for part in parts:
+        if part.entry_dir is None:
+            bx0, by0, bx1, by1 = part.float_bbox()
+            if x1 < bx0 or x0 > bx1 or y1 < by0 or y0 > by1:
+                continue
+        s = 1
+        for ln in part.edge_lines():
+            a1, t1, b1, a2, t2, b2, a3, b3 = ln._k
+            u = pair_sign(
+                a1 * xp + t1 * xq + a2 * yp + t2 * yq - a3 * r,
+                a1 * xq + b1 * xp + a2 * yq + b2 * yp - b3 * r,
+            )
+            if u < 0:
+                break
+            if u == 0:
+                s = 0
+        else:
+            if s:
+                return 1
+            where = 0
     return where
 
 

@@ -17,7 +17,11 @@ against its convex parts (``geom.place``): built regions through
 ``overlap_status`` (the nesting asserts and :func:`visit_matrix`), and
 the raw images of the witness's spiral cycles through
 ``search.image_placement``, as ``first_return_map`` places its landing
-fragments.
+fragments.  Points are located by the one sign pass over the same parts
+(``geom.point_sign``): sampled points through ``Region.classify``, and
+the raw iterates of the sampled return walks directly.  A walk or a
+cycle tests only the steps from the pieces whose images meet its domain
+(``WedgeSystem.landing``).
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from .geom import (
     AffMap,
     Point,
     Region,
-    float_interval,
     overlap_status,
+    point_sign,
     raw_equals,
     raw_point,
 )
@@ -247,27 +251,22 @@ def _interior_test(domain: Region):
     """The test "is this raw T'-iterate interior to the open domain?".
 
     Returns ``interior(xp, xq, yp, yq, r)``: the iterate as a ``Point``
-    when it lies in the open domain, else None.  An iterate becomes a
-    ``Point`` for the exact ``domain.classify`` only when the proven float
-    enclosures of its coordinates (``float_interval``) meet the domain's
-    proven ``float_bbox``.  A point outside that box is neither in the
-    domain nor on its boundary, so the floats only prune exact tests and
-    never decide one.  The enclosure of y is computed only when x's meets
-    the box.
+    when it lies in the open domain, else None.  The iterate is located
+    on its raw integers by the sign pass ``point_sign`` over the domain's
+    convex parts, whose proven boxes skip the parts it cannot meet.  It
+    becomes a ``Point`` only when it lies strictly inside a part, or on a
+    part edge, where the exact ``domain.classify`` tells an internal edge
+    (interior) from the domain's boundary.
     """
-    inf = float("inf")
-    x0, y0, x1, y1 = domain.float_bbox() if domain.is_bounded else (-inf, -inf, inf, inf)
+    parts = domain.convex_parts()
     classify = domain.classify
 
     def interior(xp, xq, yp, yq, r):
-        lo, hi = float_interval(xp, xq, r)
-        if hi < x0 or lo > x1:
-            return None
-        lo, hi = float_interval(yp, yq, r)
-        if hi < y0 or lo > y1:
+        where = point_sign(parts, xp, xq, yp, yq, r)
+        if where < 0:
             return None
         q = raw_point(xp, xq, yp, yq, r)
-        return q if classify(q) == INTERIOR else None
+        return q if where > 0 or classify(q) == INTERIOR else None
 
     return interior
 
@@ -275,19 +274,18 @@ def _interior_test(domain: Region):
 def point_first_return(w: WedgeSystem, p: Point, domain: Region, max_iter: int = 10**6):
     """First forward T'-iterate of p landing back inside the open domain.
 
-    Returns ``(q, n)`` with q = T'^n(p).  The iterates come from
-    ``w.raw_orbit``, and an iterate is tested by ``_interior_test`` only
-    when its step came from a piece of ``w.landing(domain)``: a step from
-    any other open piece lands in its open image, which misses the open
-    domain.  A cap that runs out is inconclusive (``InconclusiveError``).
+    Returns ``(q, n)`` with q = T'^n(p).  The walk ``w.raw_orbit`` runs at
+    most max_iter steps and reports only the steps from a piece of
+    ``w.landing(domain)``, whose iterates ``_interior_test`` tests: a step
+    from any other open piece lands in its open image, which misses the
+    open domain.  A cap that runs out is inconclusive
+    (``InconclusiveError``); a GraneError on the walk propagates.
     """
     interior = _interior_test(domain)
-    landing = w.landing(domain)
-    for n, (xp, xq, yp, yq, r, i) in zip(range(1, max_iter + 1), w.raw_orbit(p)):
-        if i in landing:
-            q = interior(xp, xq, yp, yq, r)
-            if q is not None:
-                return q, n
+    for n, xp, xq, yp, yq, r, _ in w.raw_orbit(p, w.landing(domain), max_iter):
+        q = interior(xp, xq, yp, yq, r)
+        if q is not None:
+            return q, n
     raise InconclusiveError(f"no return within {max_iter} steps", iterations=max_iter)
 
 
@@ -301,16 +299,19 @@ def paired_first_returns(
     px = gamma_X(p4) into X and from p14 = gamma_1(p4) into Z'_14.
     T'^2(px) = p14 (``verify_conjugacy`` gives the argument), so the orbit
     of px passes through p14 at step 2 and is the orbit of p14 from there
-    on: one ``w.raw_orbit(px)`` carries both returns.  An iterate is
-    tested against X or Z'_14 only after a step from a piece of that
-    domain's ``w.landing`` set (see ``point_first_return``): alpha_3 for
-    X and alpha_1 for Z'_14, so no iterate meets both tests.  Asserts, on
-    the way: gamma_X(r4) = rx as soon as rx is found, the state after step
-    2 equal to p14 (``raw_equals``), and gamma_1(r4) = r14.
+    on: one ``w.raw_orbit(px)`` carries both returns.  The walk reports
+    only the steps from a piece of either domain's ``w.landing`` set (see
+    ``point_first_return``): alpha_3 for X and alpha_1 for Z'_14, so no
+    iterate meets both tests.  Step 2 lands on p14, interior to Z'_14, so
+    it comes from a landing piece of Z'_14 and is reported.  Asserts, on
+    the way: gamma_X(r4) = rx as soon as rx is found, the first reported
+    step after step 1 to be step 2 with its state equal to p14
+    (``raw_equals``), and gamma_1(r4) = r14.
 
     Each half keeps its own cap: InconclusiveError when X is not reached
-    within max_iter steps, or Z'_14 within max_iter steps after step 2.
-    A GraneError on the walk propagates, as it does from either walk alone.
+    within max_iter steps, or Z'_14 within max_iter steps after step 2;
+    the walk runs at most max_iter + 2 steps.  A GraneError on the walk
+    propagates, as it does from either walk alone.
     """
     px = s.gammaX.apply(p4)
     p14 = s.gamma1.apply(p4)
@@ -318,25 +319,24 @@ def paired_first_returns(
     in_x, in_14 = _interior_test(s.X), _interior_test(s.Z14)
     land_x, land_14 = w.landing(s.X), w.landing(s.Z14)
     rx = r14 = None
-    for n, (xp, xq, yp, yq, r, i) in enumerate(w.raw_orbit(px), 1):
-        if rx is None:
-            if n > max_iter:
-                raise InconclusiveError(f"no return to X within {max_iter} steps", max_iter)
-            if i in land_x:
-                rx = in_x(xp, xq, yp, yq, r)
-                if rx is not None:
-                    n_x = n
-                    assert s.gammaX.apply(r4) == rx, "gamma_X must conjugate the returns"
-        if n == 2:
-            assert raw_equals(p14, xp, xq, yp, yq, r), "T'^2 gamma_X must be gamma_1"
-        elif n > 2 and r14 is None:
-            if n > max_iter + 2:
-                raise InconclusiveError(f"no return to Z'_14 within {max_iter} steps", max_iter)
-            if i in land_14:
-                r14, n14 = in_14(xp, xq, yp, yq, r), n - 2
+    at2 = False
+    for n, xp, xq, yp, yq, r, i in w.raw_orbit(px, land_x | land_14, max_iter + 2):
+        if rx is None and n <= max_iter and i in land_x:
+            rx = in_x(xp, xq, yp, yq, r)
+            if rx is not None:
+                n_x = n
+                assert s.gammaX.apply(r4) == rx, "gamma_X must conjugate the returns"
+        if n >= 2 and not at2:
+            assert n == 2 and raw_equals(p14, xp, xq, yp, yq, r), "T'^2 gamma_X must be gamma_1"
+            at2 = True
+        elif n > 2 and r14 is None and i in land_14:
+            r14, n14 = in_14(xp, xq, yp, yq, r), n - 2
         if rx is not None and r14 is not None:
             assert s.gamma1.apply(r4) == r14, "gamma_1 must conjugate the returns"
             return (rx, n_x), (r14, n14)
+    if rx is None:
+        raise InconclusiveError(f"no return to X within {max_iter} steps", max_iter)
+    raise InconclusiveError(f"no return to Z'_14 within {max_iter} steps", max_iter)
 
 
 def verify_conjugacy(
@@ -417,17 +417,34 @@ class AperiodicWitness:
         }
 
 
-def _return_period(table: SourceTable, motions, domain_parts) -> int:
+def _return_period(
+    w: WedgeSystem, table: SourceTable, motions, rotation: int, domain: Region
+) -> int:
     """Visits of a region cycle to the domain (its return period).
 
     The cycle's regions are the images (l, t) in ``motions`` of
-    ``table``'s source, placed by ``search.image_placement``; no region
-    may straddle the domain.
+    ``table``'s source, in walk order, and ``rotation`` is the turn l of
+    the whole cycle (``search._walk_cycle`` gives both).  An image can lie
+    in the domain only when the step to it came from a piece of
+    ``w.landing(domain)``: a step from any other open piece lands in its
+    open image, which misses the open domain.  ``maps[i]`` turns by
+    30°*(6 - i), so the step to motion k came from the piece i with
+    6 - i = l_k - l_(k-1) mod 12; the first motion is reached by the
+    cycle's last step, turned by ``rotation`` in all.  Only those images
+    are placed, by ``search.image_placement``, and none may straddle the
+    domain.
     """
-    place_image = image_placement(domain_parts)
-    statuses = [place_image(table, l, t)[0] for l, t in motions]
-    assert "straddle" not in statuses
-    return statuses.count("inside")
+    landing = w.landing(domain)
+    place_image = image_placement(domain.convex_parts())
+    turns = [rotation - motions[-1][0]]
+    turns += [l - prev for (prev, _), (l, _) in zip(motions, motions[1:])]
+    visits = 0
+    for (l, t), turn in zip(motions, turns):
+        if 6 - turn % 12 in landing:
+            status = place_image(table, l, t)[0]
+            assert status != "straddle"
+            visits += status == "inside"
+    return visits
 
 
 def aperiodic_witness(
@@ -442,19 +459,22 @@ def aperiodic_witness(
 
     (a) T'^n(y) != y for 1 <= n <= steps, by exact comparison (a boundary
     hit truncates but is recorded; the certificate is then valid up to the
-    hit).  T'^n(y) can equal y only after a step from
-    ``w.return_piece(y)``, the piece of iota(y), so only those iterates
-    are compared.  (b) y is interior to gamma_X^k(X) for k <= depth, with
-    strict nesting.  The spiral components Y_n and their measured return
-    periods into Z'_4 document the at-least-doubling that makes any
-    hypothetical period exceed 2^depth.  Each spiral region is known
+    hit, whose step a second, unfiltered walk finds).  T'^n(y) can equal
+    y only after a step from ``w.return_piece(y)``, the piece of iota(y),
+    so the walk reports only those steps (1,217 of the 10^4) and only
+    their iterates are compared.  (b) y is interior to gamma_X^k(X) for
+    k <= depth, with strict nesting.  The spiral components Y_n and their
+    measured return periods into Z'_4 document the at-least-doubling that
+    makes any hypothetical period exceed 2^depth.  Each spiral region is known
     (Y_n+3 is gamma_X(Y_n)), so the walk of ``close_component``
     (``search._walk_cycle``) certifies it as a maximal periodic component
     in one walk of its cycle, with no search.  The walk gives the cycle as
-    raw images (l, t) of the region, and ``_return_period`` counts their
-    visits to Z'_4 from those (``search.image_placement``), building a
-    region only where the vertex signs leave its placement open; the
-    cycle's regions are not kept.
+    raw images (l, t) of the region and its rotation, and
+    ``_return_period`` counts their visits to Z'_4 from those, placing
+    only the images stepped from a landing piece of Z'_4 (2,099 of the
+    3,260; ``search.image_placement``) and building a region only where
+    the vertex signs leave its placement open; the cycle's regions are
+    not kept.
 
     Raises DomainError when steps < 1, depth < 0 or verify_spiral < 0.
     """
@@ -471,13 +491,13 @@ def aperiodic_witness(
     assert gx.apply(y) == y
 
     boundary_hit = None
-    n_done = 0
-    back = w.return_piece(y)
+    n_done = steps
     try:
-        for n, (*q, i) in zip(range(1, steps + 1), w.raw_orbit(y)):
-            assert i != back or not raw_equals(y, *q), f"fixed point returned after {n} steps"
-            n_done = n
+        # (None,) when y lies in no open image: no step is reported
+        for n, *q, _ in w.raw_orbit(y, (w.return_piece(y),), steps):
+            assert not raw_equals(y, *q), f"fixed point returned after {n} steps"
     except GraneError:
+        n_done = w.itinerary(y, steps).fwd_fail
         boundary_hit = n_done + 1
 
     # strict nesting of the rockets, with y interior at every level
@@ -496,13 +516,12 @@ def aperiodic_witness(
     while len(spiral) < max(verify_spiral, 3 * depth // 2):
         spiral.append(spiral[-3].transformed(gx))
 
-    z4_parts = s.Z4.convex_parts()
     tprime_periods = []
     return_periods = []
     for reg in spiral[:verify_spiral]:
-        period, _, _, _, table, motions = _walk_cycle(w, reg, max_iter)
+        period, l, _, _, table, motions = _walk_cycle(w, reg, max_iter)
         tprime_periods.append(period)
-        return_periods.append(_return_period(table, motions, z4_parts))
+        return_periods.append(_return_period(w, table, motions, l, s.Z4))
     from fractions import Fraction
 
     growth = [

@@ -739,16 +739,21 @@ class WedgeSystem:
 
     # -- dynamics ----------------------------------------------------------------
 
-    def raw_orbit(self, p: Point):
-        """Forward T'-orbit of p on raw integers: yields (xp, xq, yp, yq, r, i).
+    def raw_orbit(self, p: Point, pieces=frozenset(range(1, 7)), cap: int | None = None):
+        """Forward T'-orbit of p on raw integers: yields (n, xp, xq, yp, yq, r, i).
 
         The one code that places a point: every T' step on a point,
         ``piece_index`` and the backward steps of ``itinerary`` included,
         walks it.  The state is the point
         ((xp + xq*s3)/r, (yp + yq*s3)/r) over one common denominator r >= 1,
         not normalised, signed against the cleared lines (``Line._k``;
-        r > 0 drops out of the sign).  Each yield is the image and the
-        piece of the point it came from.
+        r > 0 drops out of the sign).  Step n yields the image T'^n(p) and
+        the piece i of the point it came from, but only when i is in
+        ``pieces`` (default: all six): a return walk asks only for the steps
+        from the pieces whose images meet its domain (``landing``), and
+        every other step is located and mapped but not reported.  The walk
+        stops after ``cap`` steps (default: no cap); with cap <= 0 it signs
+        nothing and yields nothing.
 
         The wedge lines are signed once, for p: DomainError when a sign is
         < 0, else GraneError with p when one is 0.  Every later point is the
@@ -776,15 +781,19 @@ class WedgeSystem:
         i-1, where < 0 gives piece i and > 0 piece i-1.  Piece 1 has no
         line 0 and piece 6 no line 6.  It raises the bisection's
         GraneError, with its index and point, wherever the bisection
-        would.  Over the 60,441 steps of the 2,000 walks of
-        ``selfsim.verify_conjugacy`` with 1,000 samples at seed 6, first
-        steps included, that is 1.74 split-line signs per step, against
-        2.33 with a bisection at every step.
+        would, whether or not the step is reported.  Over the 60,441
+        steps of the 2,000 walks of ``selfsim.verify_conjugacy`` with 1,000
+        samples at seed 6, first steps included, that is 1.74 split-line
+        signs per step, against 2.33 with a bisection at every step; the
+        walks report 9,671 of those steps (16%), the ones from a piece
+        whose image meets their domain.
 
         The step then applies the cleared rows of ``maps[i]``, bound at
         construction (``_map_raw``, which ``step_raw`` shares), so no
         step makes a QS3, a Point or a gcd.
         """
+        if cap is not None and cap <= 0:
+            return
         xp, _, xq, yp, _, yq, _, _, r = _clear_denominators(p.x, p.y, ZERO)
         on_wedge = False
         for ln in self.wedge_lines:
@@ -802,8 +811,8 @@ class WedgeSystem:
         # split line k at position k
         splits = [None] + [ln._k for ln in self.split_lines]
         rows = self._rows
-        i = 0
-        while True:
+        i = n = 0
+        while n != cap:
             # k: the first line with sign >= 0 (6 if none), s its sign.
             # Lines below lo have sign < 0, so the search probes lines
             # lo..k-1: line mid first, then always the line just below the
@@ -828,15 +837,17 @@ class WedgeSystem:
                     point=raw_point(xp, xq, yp, yq, r),
                 )
             i = k
+            n += 1
             xp, xq, yp, yq, r = _map_raw(rows[i], xp, xq, yp, yq, r)
-            yield xp, xq, yp, yq, r, i
+            if i in pieces:
+                yield n, xp, xq, yp, yq, r, i
 
     def step(self, p: Point) -> tuple[Point, int]:
         """One application of T'; returns (image, symbol).
 
         It is the first step of ``raw_orbit``.
         """
-        xp, xq, yp, yq, r, i = next(self.raw_orbit(p))
+        _, xp, xq, yp, yq, r, i = next(self.raw_orbit(p))
         return raw_point(xp, xq, yp, yq, r), i
 
     def itinerary(self, p: Point, n_fwd: int, n_bwd: int = 0) -> Itinerary:
@@ -864,7 +875,7 @@ class WedgeSystem:
         symbols = []
         last = None
         try:
-            for _, (*last, sym) in zip(range(n), self.raw_orbit(p)):
+            for _, *last, sym in self.raw_orbit(p, cap=n):
                 symbols.append(sym)
         except GraneError:
             return symbols, len(symbols), last
@@ -894,7 +905,7 @@ class WedgeSystem:
         """
         back = self.return_piece(p)
         counts = [0] * 6
-        for n, (*q, sym) in zip(range(1, max_iter + 1), self.raw_orbit(p)):
+        for n, *q, sym in self.raw_orbit(p, cap=max_iter):
             counts[sym - 1] += 1
             if sym == back and raw_equals(p, *q):
                 return n, tuple(counts)

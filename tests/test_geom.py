@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dodeca.field import HALF, ONE, QS3, SQRT3_HALF, ZERO, qs3
+from dodeca.field import HALF, ONE, QS3, SQRT3_HALF, ZERO, pair_sign, qs3
 from dodeca.geom import (
     BOUNDARY,
     EXTERIOR,
@@ -141,6 +141,73 @@ def test_classify_matches_reference(system, sim):
         poly = ref.poly_of(region)
         for p in _probe_points(region, seed):
             assert region.classify(p) == want[ref.locate(poly, ref.point_of(p))], p
+
+
+def _reference_classify(region, p):
+    """``Region.classify`` of a bounded region by its boundary alone: an
+    even-odd crossing count with a rightward ray from p, half-open in y
+    (edge i runs through vertices i -> i+1, interior on its left), and
+    BOUNDARY where p lies on an edge."""
+    pts = region.vertices
+    sides = [ln.side(p) for ln in region.edge_lines()]
+    py = p.y  # above[i] = sign(v_i.y - p.y); denominators are positive
+    above = [
+        pair_sign(v.y.p * py.r - py.p * v.y.r, v.y.q * py.r - py.q * v.y.r)
+        for v in pts
+    ]
+    n = len(pts)
+    inside = False
+    for i in range(n):
+        j = (i + 1) % n
+        if sides[i] == 0 and above[i] * above[j] <= 0:
+            # on the edge's line and in its y range (its x range if level)
+            if (pts[i].x - p.x).sign() * (pts[j].x - p.x).sign() <= 0:
+                return BOUNDARY
+        if (above[i] > 0) != (above[j] > 0) and (sides[i] > 0) == (above[j] > 0):
+            inside = not inside
+    return INTERIOR if inside else EXTERIOR
+
+
+def test_classify_matches_the_crossing_count(system, sim):
+    # the sign pass over the convex parts, with its on-edge test, against
+    # the crossing count: at every vertex and edge midpoint, at the
+    # midpoint of every diagonal of the triangulation (on a part edge,
+    # inside the region), a small step across every edge both ways, and
+    # 2,000 seeded points in the box
+    _, w = system
+    rng = random.Random(37)
+    regions = [w.Zp, sim.Z4, sim.Z14, sim.X, sim.Z14.transformed(sim.gamma1), w.Z]
+    for region in regions:
+        pts = region.vertices
+        n = len(pts)
+        edges = {frozenset((pts[i], pts[(i + 1) % n])) for i in range(n)}
+        probes = list(pts)
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            mid = (a + b).scaled(Fraction(1, 2))
+            step = Point(a.y - b.y, b.x - a.x).scaled(Fraction(1, 1000))
+            probes += [mid, mid + step, mid - step]
+        diagonals = set()
+        for part in region.convex_parts():
+            q = part.vertices
+            for a, b in zip(q, q[1:] + q[:1]):
+                if frozenset((a, b)) not in edges:
+                    diagonals.add((a + b).scaled(Fraction(1, 2)))
+        assert len(diagonals) == n - 3
+        for mid in diagonals:
+            m, ((xp, xq, yp, yq),) = clear_points([mid])
+            assert geom.point_sign(region.convex_parts(), xp, xq, yp, yq, m) == 0
+            assert region.classify(mid) == INTERIOR
+        probes += diagonals
+        x0, y0, x1, y1 = (Fraction(v) for v in region.float_bbox())
+        for _ in range(2000):
+            fx, fy = Fraction(rng.randrange(4097), 4096), Fraction(rng.randrange(4097), 4096)
+            probes.append(Point(QS3(x0 + (x1 - x0) * fx), QS3(y0 + (y1 - y0) * fy)))
+        seen = set()
+        for p in probes:
+            got = region.classify(p)
+            assert got == _reference_classify(region, p), p
+            seen.add(got)
+        assert seen == {INTERIOR, BOUNDARY, EXTERIOR}
 
 
 def test_classify_nonconvex_makes_no_division(sim, monkeypatch):
@@ -643,9 +710,11 @@ def test_triangulation_area():
     u = Region.bounded(
         [P(0, 0), P(3, 0), P(3, 2), P(2, 2), P(2, 1), P(1, 1), P(1, 2), P(0, 2)]
     )
-    tris = u.triangles()
+    parts = u.convex_parts()
+    assert parts is u.convex_parts()  # built once
     total = ZERO
-    for a, b, c in tris:
+    for part in parts:
+        a, b, c = part.vertices
         total = total + (b - a).cross(c - a)
     assert total == u.area2()
 

@@ -70,7 +70,7 @@ def test_noncenter_period_by_direct_iteration(ctx):
 def _orbit_period_every_step(w, p, max_iter):
     """``orbit_period`` comparing the start with every iterate."""
     counts = [0] * 6
-    for n, (*q, sym) in zip(range(1, max_iter + 1), w.raw_orbit(p)):
+    for n, *q, sym in w.raw_orbit(p, cap=max_iter):
         counts[sym - 1] += 1
         if raw_equals(p, *q):
             return n, tuple(counts)
@@ -753,14 +753,13 @@ def test_close_component_builds_its_cycle_from_the_walk(ctx, monkeypatch):
     monkeypatch.setattr(SourceTable, "region", region)
     monkeypatch.setattr(search, "sends", sends)
     monkeypatch.setattr(search, "overlap_status", overlap)
-    z4_parts = ctx.sim.Z4.convex_parts()
     walked = placed = 0
     for region, period in spiral:
-        _, _, _, _, table, motions = search._walk_cycle(w, region, 10**6)
+        _, l, _, _, table, motions = search._walk_cycle(w, region, 10**6)
         walked += calls["region"]
         assert calls["region"] == calls["fixed"] == 1
         calls.clear()
-        selfsim._return_period(table, motions, z4_parts)
+        selfsim._return_period(w, table, motions, l, ctx.sim.Z4)
         assert calls["region"] == calls["overlap"]
         placed += calls["region"]
         calls.clear()

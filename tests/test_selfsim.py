@@ -11,6 +11,7 @@ from dodeca.errors import DomainError, GraneError, InconclusiveError
 from dodeca.field import ONE, QS3, ZERO, qs3, qs3_parse
 from dodeca.geom import (
     BOUNDARY,
+    EXTERIOR,
     INTERIOR,
     AffMap,
     Line,
@@ -21,6 +22,7 @@ from dodeca.geom import (
     float_interval,
     overlap_status,
     place,
+    raw_point,
     split_region,
 )
 from dodeca import geom, selfsim
@@ -192,6 +194,71 @@ def test_paired_walk_matches_the_separate_walks(ctx, sim):
     assert max(times) > 20
 
 
+def _unfiltered_first_return(w, p, domain):
+    """point_first_return on the unfiltered walk: every iterate becomes a
+    ``Point`` and is classified."""
+    for n, xp, xq, yp, yq, r, _ in w.raw_orbit(p, cap=10**5):
+        q = raw_point(xp, xq, yp, yq, r)
+        if domain.classify(q) == INTERIOR:
+            return q, n
+
+
+def test_interior_test_matches_classify_on_part_edges(ctx, sim):
+    # raw points where the sign pass alone cannot decide: the vertices, the
+    # edge midpoints and the midpoints of the triangulation's diagonals
+    # (on a part edge, inside the domain), and small steps off them
+    for domain in (sim.Z4, sim.Z14, sim.X):
+        interior = selfsim._interior_test(domain)
+        probes = list(domain.vertices)
+        for part in domain.convex_parts():
+            q = part.vertices
+            probes += [(a + b).scaled(Fraction(1, 2)) for a, b in zip(q, q[1:] + q[:1])]
+        e = QS3(Fraction(1, 10**5))
+        probes += [p + Point(dx, dy) for p in probes for dx, dy in ((e, ZERO), (ZERO, -e))]
+        seen = set()
+        for p in probes:
+            m, ((xp, xq, yp, yq),) = clear_points([p])
+            got = interior(xp, xq, yp, yq, m)
+            want = domain.classify(p)
+            assert (got is not None) == (want == INTERIOR) and got in (None, p)
+            seen.add(want)
+        assert seen == {INTERIOR, BOUNDARY, EXTERIOR}
+
+
+def test_filtered_walks_match_the_unfiltered_walk(ctx, sim, monkeypatch):
+    # on the 1,000 samples verify_conjugacy draws at seed 6, the walks that
+    # report only the landing steps and locate their iterates raw return
+    # what every iterate classified returns, and _interior_test agrees with
+    # classify on every iterate they test
+    w = ctx.wedge
+    tested = []
+    real_interior_test = selfsim._interior_test
+
+    def checked(domain):
+        interior = real_interior_test(domain)
+
+        def test(*raw):
+            q = interior(*raw)
+            p = raw_point(*raw)
+            assert (q is not None) == (domain.classify(p) == INTERIOR)
+            assert q is None or q == p
+            tested.append(q is not None)
+            return q
+
+        return test
+
+    monkeypatch.setattr(selfsim, "_interior_test", checked)
+    for p4 in _z4_samples(sim, 6, 1000):
+        r4, n4 = point_first_return(w, p4, sim.Z4)
+        assert (r4, n4) == _unfiltered_first_return(w, p4, sim.Z4)
+        px, p14 = sim.gammaX.apply(p4), sim.gamma1.apply(p4)
+        assert paired_first_returns(w, sim, p4, r4) == (
+            _unfiltered_first_return(w, px, sim.X),
+            _unfiltered_first_return(w, p14, sim.Z14),
+        )
+    assert len(tested) == 8671 and sum(tested) == 3000
+
+
 @pytest.mark.parametrize("field", ["gamma1", "gammaX"])
 def test_conjugacy_rejects_a_corrupted_similarity(ctx, sim, field):
     # a small shift moves gamma_1(p4) or gamma_X(p4) off the other's
@@ -243,6 +310,12 @@ def test_paired_walk_cap_is_inconclusive(ctx, sim):
     with pytest.raises(InconclusiveError, match="no return to X") as info:
         paired_first_returns(w, sim, p4, r4, 986)
     assert info.value.iterations == 986
+    # a small Z'_14 that the walk does not reach runs the second cap out
+    c, e = sim.Z14.interior_point(), QS3(Fraction(1, 10**6))
+    small = Region.bounded([c, c + Point(e, ZERO), c + Point(ZERO, e)])
+    with pytest.raises(InconclusiveError, match="no return to Z'_14") as info:
+        paired_first_returns(w, replace(sim, Z14=small), p4, r4, 987)
+    assert info.value.iterations == 987
 
 
 def test_visit_matrix_rejects_the_wrong_map(ctx, sim):
@@ -409,13 +482,27 @@ def test_witness_spiral_matches_the_component_search(ctx):
 
 
 def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
+    w = ctx.wedge
     parts = sim.Z4.convex_parts()
+    landing = w.landing(sim.Z4)
+    assert landing == {1, 2, 3, 4}
     by_area = []
+    placed_images = []
     real_area2_within = geom.area2_within
+    real_image_placement = selfsim.image_placement
 
     def counted(polys, target_parts):
         by_area.extend(polys)
         return real_area2_within(polys, target_parts)
+
+    def recorded(domain_parts):
+        place_image = real_image_placement(domain_parts)
+
+        def placed(table, l, t):
+            placed_images.append((l, t))
+            return place_image(table, l, t)
+
+        return placed
 
     def area_status(pol):
         acc = real_area2_within([pol], parts)
@@ -424,24 +511,40 @@ def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
         return "inside" if acc == pol.area2() else "straddle"
 
     monkeypatch.setattr(geom, "area2_within", counted)
-    # the short spiral components, against the exact overlap areas; the
-    # exact-area fallbacks are the regions that reach area2_within
+    monkeypatch.setattr(selfsim, "image_placement", recorded)
+    # the short spiral components: every image against its exact overlap
+    # area, and the piece each image was stepped from, located again by
+    # WedgeSystem.locate; an image stepped from a piece outside the landing
+    # set misses Z'_4, and only the others are placed
     wit = ctx.witness()
-    placed = fallbacks = 0
+    placed = fallbacks = skipped = 0
     for reg, visits in zip(wit.spiral[:5], wit.spiral_return_periods):
-        _, _, _, _, table, motions = _walk_cycle(ctx.wedge, reg, 10**6)
+        _, rotation, _, _, table, motions = _walk_cycle(w, reg, 10**6)
         statuses = [area_status(table.region(l, t)) for l, t in motions]
         assert "straddle" not in statuses
+        located = []
+        for l, t in motions:
+            i, cut = w.locate(table, l, t, located[-1] if located else None)
+            assert cut is None
+            located.append(i)
+        came_from = located[-1:] + located[:-1]
+        lands = [i in landing for i in came_from]
+        assert all(s == "disjoint" for s, land in zip(statuses, lands) if not land)
         by_area.clear()
-        assert selfsim._return_period(table, motions, parts) == statuses.count("inside") == visits
-        placed += len(motions)
+        placed_images.clear()
+        got = selfsim._return_period(w, table, motions, rotation, sim.Z4)
+        assert got == statuses.count("inside") == visits
+        assert placed_images == [motion for motion, land in zip(motions, lands) if land]
+        placed += len(placed_images)
+        skipped += len(motions) - len(placed_images)
         fallbacks += len(by_area)
-    assert placed == 122 and fallbacks < 10, fallbacks
+    assert placed + skipped == 122 and skipped > 0 and fallbacks < 10, (placed, fallbacks)
 
     def tri_at(c):
         e = Fraction(1, 10**4)
         return Region.bounded([Point(c.x + e, c.y), Point(c.x - e, c.y + e), Point(c.x - e, c.y - e)])
 
+    # a one-image cycle whose step came from alpha_1 (turned by 30°*5):
     # a small triangle across an internal diagonal of Z'_4 is decided by area
     (a, b), *_ = (
         sorted(set(p.vertices) & set(q.vertices), key=Point.key)
@@ -454,11 +557,15 @@ def test_return_period_places_regions_by_vertex_signs(ctx, sim, monkeypatch):
     signed = [place(m, raw, None, [(None, part.edge_lines())]) for part in parts]
     assert signed.count("unknown") == 2
     by_area.clear()
-    assert selfsim._return_period(SourceTable(across), [(0, ORIGIN)], parts) == 1
+    assert selfsim._return_period(w, SourceTable(across), [(0, ORIGIN)], 5, sim.Z4) == 1
     assert by_area == [across]
+    # stepped from alpha_5 (turned by 30°) it is not placed, and counts no visit
+    placed_images.clear()
+    assert selfsim._return_period(w, SourceTable(across), [(0, ORIGIN)], 1, sim.Z4) == 0
+    assert placed_images == []
     # one across the boundary of Z'_4 straddles it
     with pytest.raises(AssertionError):
-        selfsim._return_period(SourceTable(tri_at(sim.Z4.vertices[0])), [(0, ORIGIN)], parts)
+        selfsim._return_period(w, SourceTable(tri_at(sim.Z4.vertices[0])), [(0, ORIGIN)], 5, sim.Z4)
 
 
 def test_image_placement_matches_overlap_status_on_the_spiral(ctx, sim):

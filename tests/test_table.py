@@ -698,7 +698,7 @@ def test_raw_orbit_matches_a_scanned_walk_over_long_orbits(ctx):
     for p in starts:
         q = p
         steps = 0
-        for _, (*raw, i) in zip(range(2000), w.raw_orbit(p)):
+        for _, *raw, i in w.raw_orbit(p, cap=2000):
             assert i == _scan_piece_index(w, q)
             q = w.maps[i].apply(q)
             assert raw_equals(q, *raw)
@@ -722,7 +722,7 @@ def test_raw_orbit_matches_a_scanned_walk_over_long_orbits(ctx):
             p = w.iota.apply(p)
             orbit, cur = w.raw_orbit(p), p
             for _ in range(n):
-                *raw, i = next(orbit)
+                _, *raw, i = next(orbit)
                 assert i == _scan_piece_index(w, cur)
                 cur = w.maps[i].apply(cur)
                 assert raw_equals(cur, *raw)
@@ -732,6 +732,57 @@ def test_raw_orbit_matches_a_scanned_walk_over_long_orbits(ctx):
             assert _failure(next, orbit) == want
             hits.add((k, i - k))
     assert {k for k, _ in hits} == {1, 2, 3, 4, 5} and {d for _, d in hits} == {0, 1}
+
+
+def _walk_outcome(orbit):
+    """The steps a walk reports, and (type, index, point) of the error that
+    ends it, or None."""
+    steps = []
+    try:
+        for step in orbit:
+            steps.append(step)
+    except (DomainError, GraneError) as exc:
+        return steps, (type(exc), getattr(exc, "index", None), getattr(exc, "point", None))
+    return steps, None
+
+
+def test_raw_orbit_reports_the_steps_from_its_pieces(ctx):
+    """``raw_orbit(p, pieces, cap)`` against the unfiltered walk of 700
+    steps: exactly its steps from ``pieces`` among the first cap, with the
+    same n and state, and the same error where that walk stops within cap
+    steps, from starts that walk on, that meet a split line after a few
+    steps, that lie on the wedge boundary and that lie outside the wedge."""
+    w, s = ctx.wedge, ctx.sim
+    z4 = interior_points(s.Z4, random.Random(53), 8, den=512)
+    starts = [s.gammaX.fixed_point(), *z4, *(s.gamma1.apply(p) for p in z4)]
+    for k, q in _on_split_lines(w, (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6))):
+        for n in (2, 3):
+            p = w.iota.apply(q)
+            try:
+                for _ in range(n):
+                    p, _ = w.step(p)
+            except GraneError:
+                continue
+            starts.append(w.iota.apply(p))
+    outside = w.apex - w.dir_p
+    assert w.wedge.classify(outside) == EXTERIOR
+    starts += [w.apex + w.dir_p, outside]
+    piece_sets = [frozenset(range(1, 7)), {1}, {3}, {1, 3}, {2, 4}, {5, 6}, ()]
+    errors = set()
+    for p in starts:
+        full, err = _walk_outcome(step for _, step in zip(range(700), w.raw_orbit(p)))
+        assert [step[0] for step in full] == list(range(1, len(full) + 1))
+        assert (len(full) == 700) == (err is None)
+        if err is not None:
+            errors.add(err[:2])
+        for pieces in piece_sets:
+            assert _walk_outcome(w.raw_orbit(p, pieces, 0)) == ([], None)
+            for cap in (1, 2, 250, 700):
+                want = [step for step in full[:cap] if step[-1] in pieces]
+                want_err = err if len(full) < cap else None
+                assert _walk_outcome(w.raw_orbit(p, pieces, cap)) == (want, want_err)
+    assert {kind for kind, _ in errors} == {GraneError, DomainError}
+    assert {index for kind, index in errors if kind is GraneError} == {None, 1, 2, 3, 4, 5}
 
 
 def test_itinerary_fixed_points(system):
